@@ -37,6 +37,7 @@ import (
 	"os/signal"
 	"runtime"
 	"syscall"
+	"time"
 
 	"repro/internal/harness"
 	"repro/internal/serve"
@@ -88,7 +89,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv}
+	// Bounded reads stop slow or idle clients from holding connections.
+	// WriteTimeout stays unset: a cold simulation can legitimately run
+	// for minutes, and the request context already cancels it when the
+	// client goes away.
+	httpSrv := &http.Server{
+		Handler:           srv,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	fmt.Fprintf(os.Stderr, "dsmserve: listening on %s\n", ln.Addr())
 
 	// Graceful drain: the first signal stops the listener and waits for

@@ -99,7 +99,6 @@ func run() error {
 		appsFlag    = flag.String("apps", "", "comma-separated app subset (default: the paper's seven)")
 		systemsFlag = flag.String("systems", "", "comma-separated system override from the dsm registry (see -list-systems)")
 		parallel    = flag.Int("parallel", runtime.NumCPU(), "concurrent simulations per app (0 = serial)")
-		shards      = flag.Int("shards", 0, "run every simulation on the sharded conservative-PDES engine with this many node-partition shards (0/1 = sequential; must evenly divide the cluster's nodes; results are byte-identical)")
 		verbose     = flag.Bool("verbose", false, "print per-run progress")
 		audit       = flag.Bool("audit", true, "run every simulation with event-time and traffic-conservation audits (internal/audit)")
 		csvPath     = flag.String("csv", "", "also write machine-readable CSV rows to this file")
@@ -169,7 +168,6 @@ func run() error {
 		Seed:     *seed,
 		Fabric:   *fabric,
 		Parallel: *parallel,
-		Shards:   *shards,
 		Verbose:  *verbose,
 		Audit:    *audit,
 		Traces:   traces,

@@ -21,7 +21,6 @@ import (
 	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/apps"
 	"repro/internal/cache"
@@ -68,8 +67,6 @@ func Cases() []Case {
 		{Name: "Fig5Sweep", Bench: Fig5Sweep, Guarded: true, Macro: true},
 		{Name: "Fig5SweepTelemetry", Bench: Fig5SweepTelemetry, Guarded: true, Macro: true},
 		{Name: "ScaleSweep32", Bench: ScaleSweep32, Macro: true},
-		{Name: "ScaleSweepPDES", Bench: ScaleSweepPDES, Guarded: true, Macro: true},
-		{Name: "ScaleSweepPDESSeq", Bench: ScaleSweepPDESSeq, Macro: true},
 		{Name: "ServeLoad", Bench: ServeLoad, Macro: true},
 	}
 }
@@ -561,78 +558,6 @@ func ScaleSweep32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
-	}
-	b.ReportMetric(float64(cycles), "sim-cycles")
-}
-
-// pdesSweepScales is the scale ladder of the PDES macrobenchmark pair:
-// the two rungs past the default ladder's end, where the open item is
-// pushing the sweep. The problems are small (scale is a divisor), so
-// the pair measures the engine's coordination economics — how much of
-// a run the commutativity window actually parallelizes once per-op
-// work stops amortizing the round structure — rather than peak speedup.
-func pdesSweepScales() []int { return []int{256, 1024} }
-
-// pdesSweep runs one audited scalesweep over pdesSweepScales on the
-// given shard count and returns the summed simulated cycles.
-func pdesSweep(b *testing.B, traces *harness.TraceCache, shards int) int64 {
-	r, err := harness.ScaleSweep(harness.Options{
-		Scales: pdesSweepScales(), Parallel: 4, Shards: shards,
-		Audit: true, Traces: traces, Out: io.Discard,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var cycles int64
-	for _, app := range r.AppOrder {
-		for _, sys := range r.Systems {
-			if run := r.Runs[app][sys]; run != nil {
-				cycles += run.Stats.ExecCycles
-			}
-		}
-	}
-	return cycles
-}
-
-// ScaleSweepPDES runs the scale-256/1024 rungs of the scale sweep on
-// the sharded conservative-PDES engine (4 shards, audits on), the
-// committed evidence that the parallel engine completes an audit-clean
-// sweep past the default ladder. The speedup-vs-seq metric is the
-// wall-time ratio of the sequential twin (ScaleSweepPDESSeq) to this
-// case, measured back-to-back on warm traces; values below 1 mean the
-// conservative rounds cost more than the admitted parallelism repays
-// at these problem sizes.
-func ScaleSweepPDES(b *testing.B) {
-	traces := harness.NewTraceCache()
-	pdesSweep(b, traces, 4) // warm the trace cache outside the timed region
-	seqStart := time.Now()
-	pdesSweep(b, traces, 0)
-	seqWall := time.Since(seqStart)
-	shardStart := time.Now()
-	pdesSweep(b, traces, 4)
-	shardWall := time.Since(shardStart)
-	var cycles int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycles = pdesSweep(b, traces, 4)
-	}
-	b.ReportMetric(float64(cycles), "sim-cycles")
-	if shardWall > 0 {
-		b.ReportMetric(float64(seqWall)/float64(shardWall), "speedup-vs-seq")
-	}
-}
-
-// ScaleSweepPDESSeq is the sequential twin of ScaleSweepPDES: the same
-// audited scale-256/1024 sweep on the sequential engine, so the pair's
-// ns/op ratio in the committed BENCH trajectory is the PDES speedup on
-// this hardware.
-func ScaleSweepPDESSeq(b *testing.B) {
-	traces := harness.NewTraceCache()
-	pdesSweep(b, traces, 0) // warm the trace cache outside the timed region
-	var cycles int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycles = pdesSweep(b, traces, 0)
 	}
 	b.ReportMetric(float64(cycles), "sim-cycles")
 }

@@ -26,14 +26,6 @@ type RunOptions struct {
 	// as the trace executes. Collection is observational: the simulated
 	// statistics are byte-identical with or without it.
 	Telemetry *telemetry.Collector
-
-	// Shards > 1 selects the sharded conservative-PDES engine (see
-	// ExecuteSharded), which produces byte-identical statistics to the
-	// sequential engine. Shards must evenly partition the cluster's
-	// nodes. A run with Telemetry attached always uses the sequential
-	// engine: the collector is unsynchronized by design, and telemetry
-	// runs exist to be compared against plain runs anyway.
-	Shards int
 }
 
 // Run executes a trace on a freshly built machine and returns the
@@ -54,12 +46,7 @@ func RunWithOptions(tr *trace.Trace, spec Spec, cl config.Cluster, tm config.Tim
 	if o.Telemetry != nil {
 		m.AttachTelemetry(o.Telemetry)
 	}
-	if o.Shards > 1 && o.Telemetry == nil {
-		err = m.ExecuteSharded(tr, o.Shards)
-	} else {
-		err = m.Execute(tr)
-	}
-	if err != nil {
+	if err := m.Execute(tr); err != nil {
 		return nil, err
 	}
 	if o.Audit {
@@ -101,7 +88,7 @@ func (m *Machine) Execute(tr *trace.Trace) error {
 			continue
 		}
 		pos[c.ID]++
-		if err := m.dispatch(c, sched, ops.Kinds[i], ops.Gaps[i], ops.Args[i]); err != nil {
+		if err := m.dispatch(c, ops.Kinds[i], ops.Gaps[i], ops.Args[i]); err != nil {
 			return err
 		}
 	}
@@ -111,16 +98,13 @@ func (m *Machine) Execute(tr *trace.Trace) error {
 }
 
 // dispatch executes one already-peeked trace op on CPU c: the audit
-// pre-checks, the gap advance, and the op itself. sched must be the
-// scheduler that owns c — the machine's global one in a sequential run,
-// c's shard's in a sharded run; CPUs the op releases (barrier waiters,
-// lock grants) are requeued through m.unpark, which routes each to its
-// own scheduler. The sharded engine calls dispatch only from the serial
-// phase, with every shard worker parked, so the op may touch any
-// machine state.
+// pre-checks, the gap advance, and the op itself, which requeues or
+// parks c and unblocks the CPUs it releases (barrier waiters, lock
+// grants).
 //
 //repro:hotpath
-func (m *Machine) dispatch(c *engine.CPU, sched *engine.Scheduler, kind trace.Kind, gap uint32, arg uint64) error {
+func (m *Machine) dispatch(c *engine.CPU, kind trace.Kind, gap uint32, arg uint64) error {
+	sched := m.sched
 	if m.auditing {
 		// The scheduler dispatches events in nondecreasing time
 		// order; the dispatched clock (plus any trace gap) is the
@@ -158,7 +142,7 @@ func (m *Machine) dispatch(c *engine.CPU, sched *engine.Scheduler, kind trace.Ki
 		for _, w := range waiters {
 			wn := m.nodeOf(w.ID)
 			m.st.Nodes[wn].SyncCycles += release - w.Clock
-			m.unpark(w, release)
+			sched.Unblock(w, release)
 		}
 		sched.Requeue(c)
 	case trace.Lock:
@@ -184,7 +168,7 @@ func (m *Machine) dispatch(c *engine.CPU, sched *engine.Scheduler, kind trace.Ki
 				next.Clock = granted
 			}
 			m.chargeLock(next, arg, granted)
-			m.unpark(next, next.Clock)
+			sched.Unblock(next, next.Clock)
 		}
 		sched.Requeue(c)
 	case trace.Phase:
@@ -212,20 +196,6 @@ func (m *Machine) dispatch(c *engine.CPU, sched *engine.Scheduler, kind trace.Ki
 // formatting machinery off the dispatch hot path.
 func unknownOp(kind trace.Kind) error {
 	return fmt.Errorf("dsm: unknown op kind %v", kind)
-}
-
-// unpark returns a previously parked CPU to its owning scheduler's heap
-// at time at. In a sharded run the CPU may belong to a different shard
-// than the event releasing it (a cross-shard barrier release or lock
-// grant), and its scan streak — stale the moment its clock moved — is
-// invalidated.
-//
-//repro:hotpath
-func (m *Machine) unpark(w *engine.CPU, at int64) {
-	m.schedFor(w.ID).Unblock(w, at)
-	if m.shex != nil {
-		m.shex.markCPU(w.ID)
-	}
 }
 
 // lock returns the engine lock for a trace lock id, creating it lazily.

@@ -114,12 +114,6 @@ type CPU struct {
 	index int // position in the runnable heap, -1 if not queued
 }
 
-// Runnable reports whether the CPU is neither blocked on synchronization
-// nor done — i.e. it currently sits in its scheduler's heap. A sharded
-// executor uses it to skip parked and retired CPUs when scanning its
-// shard for committable work.
-func (c *CPU) Runnable() bool { return c.state == cpuRunnable }
-
 // Scheduler advances a fixed set of CPUs in global simulated-time order.
 //
 // Two usage styles are supported. The classic pop/push cycle: Next pops
@@ -140,7 +134,6 @@ type Scheduler struct {
 	cpus []*CPU
 	heap []*CPU
 	done int
-	base int // ID of cpus[0]; nonzero for shard schedulers over an ID range
 
 	// dispatches counts scheduling decisions: every Peek or Next that
 	// handed the earliest runnable CPU to the caller. Run introspection
@@ -149,20 +142,12 @@ type Scheduler struct {
 }
 
 // NewScheduler creates a scheduler over n CPUs, all runnable at time 0.
-func NewScheduler(n int) *Scheduler { return NewSchedulerRange(0, n) }
-
-// NewSchedulerRange creates a scheduler over the CPUs with IDs [lo, hi),
-// all runnable at time 0. A sharded simulation partitions its processor
-// population into disjoint ranges, one scheduler per shard, so that CPU
-// IDs — and with them the (Clock, ID) dispatch order — stay globally
-// unique across shards.
-func NewSchedulerRange(lo, hi int) *Scheduler {
-	n := hi - lo
-	s := &Scheduler{cpus: make([]*CPU, n), heap: make([]*CPU, n), base: lo}
+func NewScheduler(n int) *Scheduler {
+	s := &Scheduler{cpus: make([]*CPU, n), heap: make([]*CPU, n)}
 	backing := make([]CPU, n)
 	for i := 0; i < n; i++ {
 		c := &backing[i]
-		c.ID = lo + i
+		c.ID = i
 		c.index = i
 		s.cpus[i] = c
 		s.heap[i] = c // equal clocks in ID order is already a valid heap
@@ -173,9 +158,8 @@ func NewSchedulerRange(lo, hi int) *Scheduler {
 // NumCPUs returns the number of processors under management.
 func (s *Scheduler) NumCPUs() int { return len(s.cpus) }
 
-// CPUByID returns the processor with the given id, which must lie in the
-// scheduler's ID range.
-func (s *Scheduler) CPUByID(id int) *CPU { return s.cpus[id-s.base] }
+// CPUByID returns the processor with the given id.
+func (s *Scheduler) CPUByID(id int) *CPU { return s.cpus[id] }
 
 // less orders CPUs by (Clock, ID); IDs are unique, so the order is total
 // and the dispatch sequence does not depend on heap layout.
@@ -272,20 +256,6 @@ func (s *Scheduler) Peek() *CPU {
 		return nil
 	}
 	s.dispatches++
-	return s.heap[0]
-}
-
-// Top returns the runnable CPU with the smallest (Clock, ID) without
-// removing it and without counting a scheduling decision, or nil when no
-// CPU is runnable. It is the read-only probe a parallel coordinator uses
-// to merge several shard heaps: only the scheduler that actually
-// dispatches the event should count it, via Peek.
-//
-//repro:hotpath
-func (s *Scheduler) Top() *CPU {
-	if len(s.heap) == 0 {
-		return nil
-	}
 	return s.heap[0]
 }
 

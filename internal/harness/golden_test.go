@@ -48,6 +48,55 @@ func TestGoldenReports(t *testing.T) {
 			}
 		})
 	}
+	t.Run("all-s8", func(t *testing.T) {
+		text, csv := fullSweep(t)
+		checkGolden(t, filepath.Join("testdata", "all-s8.golden"), text)
+		checkGolden(t, filepath.Join("testdata", "all-s8.csv.golden"), csv)
+	})
+}
+
+// fullSweep renders what `experiments -experiment all -scale 8 -csv`
+// writes: every Experiments() entry over all apps with audits on, the
+// text reports each followed by a blank line, and the CSV rows of all
+// experiments under one header. Text and CSV together pin every
+// experiment, system and fabric, down to exec cycles and traffic bytes.
+func fullSweep(t *testing.T) (text, csv []byte) {
+	t.Helper()
+	var textBuf, csvBuf bytes.Buffer
+	if err := WriteCSVHeader(&csvBuf); err != nil {
+		t.Fatal(err)
+	}
+	o := Options{Scale: 8, Parallel: 4, Audit: true, Traces: NewTraceCache(), Out: &textBuf}
+	for _, name := range Experiments() {
+		r, err := RunByName(name, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.WriteCSVRows(&csvBuf); err != nil {
+			t.Fatal(err)
+		}
+		textBuf.WriteByte('\n')
+	}
+	return textBuf.Bytes(), csvBuf.Bytes()
+}
+
+// checkGolden compares got with the golden file at path, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output drifted from golden file %s\n%s", path, firstDiff(string(got), string(want)))
+	}
 }
 
 // firstDiff points at the first differing line, which beats eyeballing

@@ -108,9 +108,6 @@ func ScaleSweep(o Options) (*Result, error) {
 		}
 	}
 	merged.Scales = scales
-	if o.Shards > 1 {
-		merged.Shards = o.Shards
-	}
 
 	merged.render = func(w io.Writer, r *Result) {
 		header(w, "Scale sweep: Figure 5 systems across problem scales")

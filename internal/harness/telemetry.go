@@ -97,7 +97,6 @@ func (r *Result) Manifest(wall time.Duration) telemetry.Manifest {
 	man.Fabric = r.fabrics()
 	man.Scale = r.Scale
 	man.Scales = append([]int(nil), r.Scales...)
-	man.Shards = r.Shards
 	man.Traces = append([]telemetry.TraceRef(nil), r.Traces...)
 	if len(r.Traces) > 0 {
 		man.Seed = r.Traces[0].Seed

@@ -104,16 +104,6 @@ func (f *Fabric) Topology() Topology { return f.topo }
 // HopLatency returns the per-hop latency in cycles.
 func (f *Fabric) HopLatency() int64 { return f.hopLatency }
 
-// MinHopLatency returns the minimum latency any cross-node message pays
-// on this fabric — the classic conservative-PDES lookahead window: no
-// message injected at time t can be observed by another node before
-// t + MinHopLatency. Note that the sharded engine cannot use it as a
-// commit horizon, because dispatched events mutate globally visible
-// machine state (directory entries, page tables) instantly at dispatch,
-// not after a fabric traversal; it is the lookahead a future optimistic
-// core would roll back against.
-func (f *Fabric) MinHopLatency() int64 { return f.hopLatency }
-
 // ExtraHopLatency returns the latency a src->dst traversal costs beyond
 // the single hop the flat network model already charges: zero on the
 // crossbar (and for node-local messages), (hops-1) x hop latency on

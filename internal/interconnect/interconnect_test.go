@@ -266,29 +266,6 @@ func TestExtraHopLatency(t *testing.T) {
 	}
 }
 
-// TestMinHopLatencyIsLookahead pins the conservative-PDES lookahead
-// contract: no cross-node traversal may complete in fewer cycles than
-// MinHopLatency reports.
-func TestMinHopLatencyIsLookahead(t *testing.T) {
-	for _, topo := range []Topology{NewCrossbar(8), NewRing(8)} {
-		f := NewFabric(topo, 80, 0)
-		if got := f.MinHopLatency(); got != 80 {
-			t.Fatalf("%s: MinHopLatency() = %d, want 80", topo.Name(), got)
-		}
-		for s := 0; s < 8; s++ {
-			for d := 0; d < 8; d++ {
-				if s == d {
-					continue
-				}
-				if arrive := f.Traverse(s, d, 8, 0); arrive < f.MinHopLatency() {
-					t.Fatalf("%s: traverse %d->%d arrived at %d, before lookahead %d",
-						topo.Name(), s, d, arrive, f.MinHopLatency())
-				}
-			}
-		}
-	}
-}
-
 func TestRouteDoesNotAllocate(t *testing.T) {
 	topos := testTopologies(t, 8)
 	for _, topo := range topos {

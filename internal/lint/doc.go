@@ -5,11 +5,10 @@
 // trustworthy because the simulator is deterministic and event-time
 // disciplined; these analyzers make the bug classes the audit has
 // caught — map-iteration nondeterminism, wall-clock leakage, time-0
-// fabric charges, unguarded observability hooks, hot-path allocation,
-// shared-state races in shard-owned code — fail `go vet`, not a
-// five-second sweep.
+// fabric charges, unguarded observability hooks, hot-path allocation —
+// fail `go vet`, not a five-second sweep.
 //
-// The six analyzers:
+// The five analyzers:
 //
 //   - mapiter: flags `range` over a map in the deterministic core
 //     (dsm, engine, interconnect, trace, telemetry, stats). Map
@@ -40,13 +39,6 @@
 //     interconnect must sit behind a nil guard, preserving the PR 6
 //     invariant that an uninstrumented run pays exactly one branch
 //     per hook.
-//   - shardlocal: functions annotated `//repro:shardlocal` (the scan
-//     and commit paths the sharded conservative-PDES engine runs
-//     concurrently across shard goroutines) may only touch the
-//     shared-state types (Machine, PageTable, PageInfo, L1, Fabric)
-//     through per-type allowlists of reviewed-safe calls, and may
-//     not write through a Machine at all — shared-state mutation
-//     belongs to the coordinator's serial phase.
 //
 // The suite runs three ways: standalone (`go run ./cmd/repolint
 // ./...`), as a vet tool (`go vet -vettool=$(which repolint) ./...`),

@@ -424,10 +424,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxQueryBytes caps a POST /query body. A query document is well
+// under 1 KiB; the cap keeps a client from making the decoder buffer
+// an unbounded body.
+const maxQueryBytes = 8 << 10
+
 // handleQuery answers one query: 200 with the Record JSON (and an
 // X-Dsm-Cache header naming the layer that answered), 400 on a
-// malformed or unknown query, 429 + Retry-After under backpressure,
-// 500 on a simulation failure.
+// malformed or unknown query, 413 on a POST body over maxQueryBytes,
+// 429 + Retry-After under backpressure, 500 on a simulation failure.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q harness.Query
 	var err error
@@ -435,7 +440,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		q, err = queryFromURL(r)
 	case http.MethodPost:
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBytes))
 		dec.DisallowUnknownFields()
 		err = dec.Decode(&q)
 	default:
@@ -447,7 +452,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		q = q.Normalize()
 		err = q.Validate()
 	}
-	if err != nil {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		return
+	case err != nil:
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -488,13 +498,13 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // queryFromURL decodes a GET query: ?experiment=fig5&apps=radix,lu&
-// systems=ccnuma&fabric=ring&scale=8&scales=8,16&seed=7&shards=4.
+// systems=ccnuma&fabric=ring&scale=8&scales=8,16&seed=7.
 func queryFromURL(r *http.Request) (harness.Query, error) {
 	var q harness.Query
 	v := r.URL.Query()
 	for name := range v {
 		switch name {
-		case "experiment", "apps", "systems", "fabric", "scale", "scales", "seed", "shards":
+		case "experiment", "apps", "systems", "fabric", "scale", "scales", "seed":
 		default:
 			return q, fmt.Errorf("serve: unknown query parameter %q", name)
 		}
@@ -529,13 +539,6 @@ func queryFromURL(r *http.Request) (harness.Query, error) {
 			return q, fmt.Errorf("serve: bad seed %q: %w", s, err)
 		}
 		q.Seed = n
-	}
-	if s := v.Get("shards"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			return q, fmt.Errorf("serve: bad shards %q: %w", s, err)
-		}
-		q.Shards = n
 	}
 	return q, nil
 }

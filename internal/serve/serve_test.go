@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -350,8 +351,8 @@ func TestHTTPBadQuery(t *testing.T) {
 		{http.MethodGet, "/query?apps=notanapp", "", http.StatusBadRequest},
 		{http.MethodGet, "/query?bogus=1", "", http.StatusBadRequest},
 		{http.MethodGet, "/query?scale=abc", "", http.StatusBadRequest},
-		{http.MethodGet, "/query?shards=abc", "", http.StatusBadRequest},
-		{http.MethodGet, "/query?shards=3", "", http.StatusBadRequest}, // 3 does not divide the 8-node cluster
+		{http.MethodGet, "/query?experiment=fig5&shards=4", "", http.StatusBadRequest},
+		{http.MethodPost, "/query", `{"experiment":"fig5","shards":4}`, http.StatusBadRequest},
 		{http.MethodGet, "/query?experiment=toposweep&fabric=ring", "", http.StatusBadRequest},
 		{http.MethodPost, "/query", `{"experiment":"fig5","bogus":1}`, http.StatusBadRequest},
 		{http.MethodPost, "/query", `not json`, http.StatusBadRequest},
@@ -368,6 +369,28 @@ func TestHTTPBadQuery(t *testing.T) {
 		if rec.Code != c.want {
 			t.Errorf("%s %s: status = %d, want %d", c.method, c.target, rec.Code, c.want)
 		}
+	}
+}
+
+// TestHTTPOversizedBodyRejected: a POST body over maxQueryBytes is
+// refused with 413 and runs no simulation, even though the document in
+// it would be a valid query.
+func TestHTTPOversizedBodyRejected(t *testing.T) {
+	var calls atomic.Int64
+	s := newServer(Config{Commit: "test"}, func(ctx context.Context, q harness.Query) ([]byte, error) {
+		calls.Add(1)
+		return []byte("ok\n"), nil
+	})
+	defer s.Drain()
+
+	body := `{"experiment":"fig5",` + strings.Repeat(" ", 1<<20) + `"apps":["radix"],"scale":64}`
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want %d: %s", rec.Code, http.StatusRequestEntityTooLarge, rec.Body)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("simulations = %d, want 0", n)
 	}
 }
 
@@ -408,22 +431,6 @@ func TestHTTPEquivalentQueriesShareKey(t *testing.T) {
 		t.Fatal("GET and POST bodies differ")
 	}
 
-	// Shards is an execution knob, not an identity field: the sharded
-	// engine is byte-identical to the sequential one, so a query that
-	// differs only in shards= answers from the same cache entry.
-	sharded := httptest.NewRequest(http.MethodGet,
-		"/query?experiment=fig5&apps=radix&systems=CCNUMA&scale=64&seed=7&shards=4", nil)
-	recSharded := httptest.NewRecorder()
-	s.ServeHTTP(recSharded, sharded)
-	if recSharded.Code != http.StatusOK {
-		t.Fatalf("sharded spelling status = %d: %s", recSharded.Code, recSharded.Body)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("simulations = %d, want 1 (shards must not fork the cache key)", calls.Load())
-	}
-	if sk := recSharded.Header().Get("X-Dsm-Key"); sk != recGet.Header().Get("X-Dsm-Key") {
-		t.Fatalf("shards=4 key %q differs from sequential key %q", sk, recGet.Header().Get("X-Dsm-Key"))
-	}
 }
 
 // TestServerMatchesHarnessJSON runs the real simulation path end to end

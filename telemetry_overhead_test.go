@@ -11,11 +11,13 @@ import (
 // TestTelemetryOverheadBudget pins the observability cost ceiling: the
 // Figure 5 sweep with time-resolved telemetry fully on (windowed series
 // plus the event timeline) must run within 10% of the telemetry-off
-// wall time. Each variant gets the minimum of several alternating
-// iterations over a shared trace cache, so the comparison measures the
-// simulator, not generation or a one-off scheduling hiccup; a small
-// absolute allowance keeps the threshold meaningful if the sweep ever
-// gets very fast.
+// wall time. The variants alternate over a shared trace cache, so each
+// (off, on) pair runs back to back under the same host load, and the
+// test fails only when every pair breaks the budget: other test
+// binaries sharing the cores can slow any one sweep, but a telemetry
+// path that really costs more slows all of them. A small absolute
+// allowance keeps the threshold meaningful if the sweep ever gets very
+// fast.
 func TestTelemetryOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping wall-time budget in -short mode")
@@ -37,22 +39,20 @@ func TestTelemetryOverheadBudget(t *testing.T) {
 
 	sweep(nil) // warm the trace cache outside the measured iterations
 
-	const iters = 4
+	const pairs = 4
 	timeline := &harness.TelemetryOptions{Timeline: true}
-	off, on := time.Duration(1<<62), time.Duration(1<<62)
-	for i := 0; i < iters; i++ {
-		if d := sweep(nil); d < off {
-			off = d
-		}
-		if d := sweep(timeline); d < on {
-			on = d
+	within := false
+	for i := 0; i < pairs; i++ {
+		off := sweep(nil)
+		on := sweep(timeline)
+		limit := off + off/10 + 50*time.Millisecond
+		t.Logf("pair %d: telemetry off %v, on %v, ratio %.3f (limit %v)",
+			i, off, on, float64(on)/float64(off), limit)
+		if on <= limit {
+			within = true
 		}
 	}
-
-	limit := off + off/10 + 50*time.Millisecond
-	t.Logf("fig5 sweep: telemetry off %v, on %v (limit %v)", off, on, limit)
-	if on > limit {
-		t.Errorf("telemetry-on sweep took %v, budget is %v (off %v + 10%%): collection left the nil-check fast path",
-			on, limit, off)
+	if !within {
+		t.Errorf("every telemetry-on sweep exceeded its pair's budget (off + 10%% + 50ms): collection left the nil-check fast path")
 	}
 }
