@@ -100,8 +100,9 @@ func TestTracesAreDeterministic(t *testing.T) {
 			continue
 		}
 		for cpu := range a.CPUs {
-			for i := 0; i < a.CPUs[cpu].Len(); i++ {
-				if a.CPUs[cpu].Op(i) != b.CPUs[cpu].Op(i) {
+			ao, bo := a.CPUs[cpu].Ops(), b.CPUs[cpu].Ops()
+			for i := range ao {
+				if ao[i] != bo[i] {
 					t.Errorf("%s: cpu %d op %d differs", app.Name, cpu, i)
 					break
 				}
@@ -118,7 +119,7 @@ func TestAddressesWithinFootprint(t *testing.T) {
 				if k != trace.Read && k != trace.Write {
 					continue
 				}
-				if ops.Args[i] >= blocks {
+				if uint64(ops.Args[i]) >= blocks {
 					t.Fatalf("%s: cpu %d op %d touches block %d beyond footprint (%d blocks)",
 						name, cpu, i, ops.Args[i], blocks)
 				}

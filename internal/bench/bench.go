@@ -304,10 +304,12 @@ var streamSink uint64
 // The two TraceReplay benchmarks perform identical dispatch-shaped
 // per-op work — load the kind, steer a switch on it, fold the gap into
 // a running clock and consume the arg — which is what Machine.Execute
-// does before protocol work begins. Only the memory layout differs.
+// does before protocol work begins. Only the memory layout and the
+// reader differ.
 
-// TraceReplaySoA streams the capacity trace through its columnar form:
-// three dense per-CPU arrays, as Machine.Execute consumes them. One
+// TraceReplaySoA streams the capacity trace through its columnar form
+// (6 B/op: byte-wide kinds and gaps, 32-bit args, escaped large gaps)
+// with one trace.Cursor per CPU, as Machine.Execute consumes it. One
 // iteration walks every op of every CPU; the trace-ops metric gives the
 // per-op scale.
 func TraceReplaySoA(b *testing.B) {
@@ -319,14 +321,15 @@ func TraceReplaySoA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var clock uint64
 		for c := range tr.CPUs {
-			s := &tr.CPUs[c]
-			kinds := s.Kinds
-			gaps := s.Gaps[:len(kinds)]
-			args := s.Args[:len(kinds)]
-			for j, k := range kinds {
-				clock += uint64(gaps[j])
-				arg := args[j]
-				switch k {
+			cur := tr.CPUs[c].Cursor()
+			for {
+				op, ok := cur.Next()
+				if !ok {
+					break
+				}
+				clock += uint64(op.Gap)
+				arg := uint64(op.Arg)
+				switch op.Kind {
 				case trace.Read, trace.Write:
 					sink += arg ^ clock
 				case trace.Barrier, trace.Lock, trace.Unlock:
@@ -342,10 +345,13 @@ func TraceReplaySoA(b *testing.B) {
 }
 
 // TraceReplayAoS is the pre-columnar baseline: the same dispatch-shaped
-// work striding a per-CPU []trace.Op (16-byte padded structs). The AoS
-// slices are materialized outside the timed region. Kept so the layout
-// comparison (SoA must not be slower) stays measurable after the AoS
-// representation left the replay path.
+// work striding a per-CPU []trace.Op (12-byte padded structs, twice the
+// columns' 6 B/op) with a range loop that keeps its index in a
+// register. The AoS slices are materialized outside the timed region.
+// A Cursor keeps its position in memory, so in this isolated
+// sequential walk it costs more per op than the range loop; in
+// Machine.Execute, which interleaves CPUs, positions live in memory
+// either way.
 func TraceReplayAoS(b *testing.B) {
 	faultOnce.Do(buildFaultTraces)
 	tr := capTr
@@ -362,7 +368,7 @@ func TraceReplayAoS(b *testing.B) {
 			for j := range ops {
 				op := &ops[j]
 				clock += uint64(op.Gap)
-				arg := op.Arg
+				arg := uint64(op.Arg)
 				switch op.Kind {
 				case trace.Read, trace.Write:
 					sink += arg ^ clock

@@ -42,9 +42,9 @@ func tinyTrace(footprint uint64, cpuOps map[int][]trace.Op) *trace.Trace {
 	return tr
 }
 
-func rd(b uint64) trace.Op { return trace.Op{Kind: trace.Read, Arg: b} }
-func wr(b uint64) trace.Op { return trace.Op{Kind: trace.Write, Arg: b} }
-func gap(b uint64, g uint32) trace.Op {
+func rd(b uint32) trace.Op { return trace.Op{Kind: trace.Read, Arg: b} }
+func wr(b uint32) trace.Op { return trace.Op{Kind: trace.Write, Arg: b} }
+func gap(b uint32, g uint32) trace.Op {
 	return trace.Op{Kind: trace.Read, Arg: b, Gap: g}
 }
 
@@ -176,7 +176,7 @@ func TestPerfectAbsorbsCapacityMisses(t *testing.T) {
 	var ops []trace.Op
 	for sweep := 0; sweep < 2; sweep++ {
 		for b := 0; b < blocks; b++ {
-			ops = append(ops, rd(uint64(b)))
+			ops = append(ops, rd(uint32(b)))
 		}
 	}
 	tr := tinyTrace(uint64(blocks*config.BlockBytes), map[int][]trace.Op{
@@ -186,7 +186,7 @@ func TestPerfectAbsorbsCapacityMisses(t *testing.T) {
 	// Home all pages at node 0 first.
 	var home []trace.Op
 	for b := 0; b < blocks; b += config.BlocksPerPage {
-		home = append(home, wr(uint64(b)))
+		home = append(home, wr(uint32(b)))
 	}
 	tr.CPUs[0] = trace.StreamOf(home...)
 
@@ -274,12 +274,12 @@ func TestCapacityClassification(t *testing.T) {
 	bcBlocks := config.BlockCacheBytes / config.BlockBytes
 	var ops []trace.Op
 	for b := 0; b <= 2*bcBlocks; b++ {
-		ops = append(ops, rd(uint64(b)))
+		ops = append(ops, rd(uint32(b)))
 	}
 	ops = append(ops, rd(0)) // refetch after eviction
 	var home []trace.Op
 	for b := 0; b <= 2*bcBlocks; b += config.BlocksPerPage {
-		home = append(home, wr(uint64(b)))
+		home = append(home, wr(uint32(b)))
 	}
 	tr := tinyTrace(uint64((2*bcBlocks+config.BlocksPerPage)*config.BlockBytes),
 		map[int][]trace.Op{
@@ -300,7 +300,7 @@ func TestVerifyAfterMixedWorkload(t *testing.T) {
 	for cpu := 0; cpu < 32; cpu += 3 {
 		var ops []trace.Op
 		for i := 0; i < 200; i++ {
-			b := uint64((cpu*37 + i*11) % 512)
+			b := uint32((cpu*37 + i*11) % 512)
 			if i%4 == 0 {
 				ops = append(ops, wr(b))
 			} else {

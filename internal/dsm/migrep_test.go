@@ -84,7 +84,7 @@ func TestWriteToReplicatedPageCollapses(t *testing.T) {
 	}
 	// Append a write by CPU 8 (node 2) to the first block of the hot
 	// region after a final barrier.
-	last := uint64(0)
+	last := uint32(0)
 	for cpu := range tr.CPUs {
 		tr.CPUs[cpu].Append(trace.Op{Kind: trace.Barrier, Arg: 9999})
 	}

@@ -65,15 +65,19 @@ func RunWithOptions(tr *trace.Trace, spec Spec, cl config.Cluster, tm config.Tim
 // push per trace op. Dispatch order is identical either way — the heap
 // always surfaces the unique (Clock, ID) minimum.
 //
-// Replay streams each CPU's three trace columns (kind, gap, arg)
-// directly: one byte-wide kind load steers the dispatch switch and the
-// gap and arg columns are touched at their natural widths, instead of
-// striding an array of padded 16-byte Op structs.
+// Replay reads each CPU's trace columns through one trace.Cursor per
+// CPU: a byte-wide kind steers the dispatch switch, a byte-wide gap
+// (escaping to the stream's few 32-bit gaps) advances the clock, and a
+// 32-bit arg names the block or sync id — 6 B of trace per op, instead
+// of striding an array of padded Op structs.
 func (m *Machine) Execute(tr *trace.Trace) error {
 	if tr.NumCPUs() != m.cl.TotalCPUs() {
 		return fmt.Errorf("dsm: trace has %d cpus, machine has %d", tr.NumCPUs(), m.cl.TotalCPUs())
 	}
-	pos := make([]int, tr.NumCPUs())
+	curs := make([]trace.Cursor, tr.NumCPUs())
+	for i := range curs {
+		curs[i] = tr.CPUs[i].Cursor()
+	}
 	sched := m.sched
 
 	for !sched.Done() {
@@ -81,14 +85,12 @@ func (m *Machine) Execute(tr *trace.Trace) error {
 		if c == nil {
 			return fmt.Errorf("dsm: deadlock: no runnable cpu (%s)", tr.Name)
 		}
-		ops := &tr.CPUs[c.ID]
-		i := pos[c.ID]
-		if i >= len(ops.Kinds) {
+		op, ok := curs[c.ID].Next()
+		if !ok {
 			sched.Retire(c)
 			continue
 		}
-		pos[c.ID]++
-		if err := m.dispatch(c, ops.Kinds[i], ops.Gaps[i], ops.Args[i]); err != nil {
+		if err := m.dispatch(c, op.Kind, op.Gap, uint64(op.Arg)); err != nil {
 			return err
 		}
 	}

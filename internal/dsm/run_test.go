@@ -8,7 +8,7 @@ import (
 	"repro/internal/trace"
 )
 
-func barrierOp(id uint64, g uint32) trace.Op {
+func barrierOp(id uint32, g uint32) trace.Op {
 	return trace.Op{Kind: trace.Barrier, Arg: id, Gap: g}
 }
 
@@ -21,7 +21,7 @@ func TestBarrierSynchronizesAllCPUs(t *testing.T) {
 		tr.CPUs[cpu] = trace.StreamOf(
 			trace.Op{Kind: trace.Pad, Gap: uint32(1000 * (cpu + 1))},
 			barrierOp(0, 0),
-			rd(uint64(cpu*config.BlocksPerPage)), // own page
+			rd(uint32(cpu*config.BlocksPerPage)), // own page
 		)
 	}
 	m := run(t, CCNUMA(), tr)
@@ -199,7 +199,7 @@ func TestContendedLocksKeepDispatchOrder(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				ops = append(ops,
 					trace.Op{Kind: trace.Lock, Arg: 0, Gap: uint32(11 * (cpu + 1))},
-					wr(uint64((cpu%8)*config.BlocksPerPage+i%config.BlocksPerPage)),
+					wr(uint32((cpu%8)*config.BlocksPerPage+i%config.BlocksPerPage)),
 					trace.Op{Kind: trace.Unlock, Arg: 0})
 			}
 		} else {

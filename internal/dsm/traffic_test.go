@@ -50,10 +50,10 @@ func TestWritebackTrafficOnEviction(t *testing.T) {
 	bcBlocks := config.BlockCacheBytes / config.BlockBytes
 	var home, ops []trace.Op
 	for b := 0; b <= 2*bcBlocks; b += config.BlocksPerPage {
-		home = append(home, wr(uint64(b)))
+		home = append(home, wr(uint32(b)))
 	}
 	for b := 0; b <= 2*bcBlocks; b++ {
-		ops = append(ops, wr(uint64(b)))
+		ops = append(ops, wr(uint32(b)))
 	}
 	tr := tinyTrace(uint64((2*bcBlocks+config.BlocksPerPage)*config.BlockBytes),
 		map[int][]trace.Op{

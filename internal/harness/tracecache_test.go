@@ -24,7 +24,7 @@ func countingApp(name string, calls *atomic.Int64) apps.Info {
 				Footprint: 1 << 20,
 			}
 			for c := 0; c < p.CPUs; c++ {
-				tr.CPUs[c] = trace.StreamOf(trace.Op{Kind: trace.Read, Arg: uint64(p.Scale + c)})
+				tr.CPUs[c] = trace.StreamOf(trace.Op{Kind: trace.Read, Arg: uint32(p.Scale + c)})
 			}
 			return tr, nil
 		},

@@ -94,7 +94,7 @@ func FuzzRecorderCoalescing(f *testing.F) {
 		var wantGaps uint64
 		runOpen := false
 		appendAccess := func(b memory.Block, write bool) {
-			if runOpen && want[len(want)-1].Arg == uint64(b) {
+			if runOpen && want[len(want)-1].Arg == uint32(b) {
 				if write {
 					want[len(want)-1].Kind = trace.Write
 				}
@@ -105,11 +105,11 @@ func FuzzRecorderCoalescing(f *testing.F) {
 			if write {
 				k = trace.Write
 			}
-			want = append(want, trace.Op{Kind: k, Arg: uint64(b)})
+			want = append(want, trace.Op{Kind: k, Arg: uint32(b)})
 			runOpen = true
 		}
 		appendSync := func(k trace.Kind, arg uint64) {
-			want = append(want, trace.Op{Kind: k, Arg: arg})
+			want = append(want, trace.Op{Kind: k, Arg: uint32(arg)})
 			runOpen = false
 		}
 
@@ -181,17 +181,17 @@ func FuzzTraceValidate(f *testing.F) {
 			arg := uint64(data[i+1])<<8 | uint64(data[i+2])
 			switch op {
 			case fzRead:
-				ops.Append(trace.Op{Kind: trace.Read, Arg: arg})
+				ops.Append(trace.Op{Kind: trace.Read, Arg: uint32(arg)})
 			case fzWrite:
-				ops.Append(trace.Op{Kind: trace.Write, Arg: arg})
+				ops.Append(trace.Op{Kind: trace.Write, Arg: uint32(arg)})
 			case fzCompute:
 				ops.Append(trace.Op{Kind: trace.Pad, Gap: uint32(arg)})
 			case fzBarrier:
-				ops.Append(trace.Op{Kind: trace.Barrier, Arg: arg})
+				ops.Append(trace.Op{Kind: trace.Barrier, Arg: uint32(arg)})
 			case fzLock:
-				ops.Append(trace.Op{Kind: trace.Lock, Arg: arg})
+				ops.Append(trace.Op{Kind: trace.Lock, Arg: uint32(arg)})
 			case fzUnlock:
-				ops.Append(trace.Op{Kind: trace.Unlock, Arg: arg})
+				ops.Append(trace.Op{Kind: trace.Unlock, Arg: uint32(arg)})
 			case fzPhase:
 				ops.Append(trace.Op{Kind: trace.Phase})
 			}

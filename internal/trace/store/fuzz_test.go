@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/apps"
@@ -33,6 +34,8 @@ func FuzzDecode(f *testing.F) {
 		f.Add(store.Reseal(enc[:len(enc)-8]))
 	}
 	f.Add(store.Reseal([]byte("DTRC\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01xxxx")))
+	// An arg delta that leaves uint32 must be rejected, not truncated.
+	f.Add(wideArgFile())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr1, err1 := store.Decode(data)
@@ -47,11 +50,14 @@ func FuzzDecode(f *testing.F) {
 				continue
 			}
 			// A successful decode must be internally consistent: equal
-			// column lengths, in-range kinds.
+			// column lengths, one big gap per escape, in-range kinds.
 			for cpu := range tr.CPUs {
 				s := &tr.CPUs[cpu]
 				if len(s.Kinds) != len(s.Gaps) || len(s.Kinds) != len(s.Args) {
 					t.Fatalf("cpu %d: ragged columns %d/%d/%d", cpu, len(s.Kinds), len(s.Gaps), len(s.Args))
+				}
+				if n := bytes.Count(s.Gaps, []byte{trace.GapEscape}); n != len(s.BigGaps) {
+					t.Fatalf("cpu %d: %d escapes but %d big gaps", cpu, n, len(s.BigGaps))
 				}
 				for _, k := range s.Kinds {
 					if int(k) >= trace.KindCount {

@@ -81,7 +81,16 @@ func TestEncodePinned(t *testing.T) {
 			t.Errorf("%s: encoding moved: digest %s, pinned %s", info.Name, got, want)
 		}
 	}
-	if got := digest(store.Encode(edgePinTrace())); got != edgePin {
+	edge := edgePinTrace()
+	enc := store.Encode(edge)
+	if got := digest(enc); got != edgePin {
 		t.Errorf("edge trace: encoding moved: digest %s, pinned %s", got, edgePin)
+	}
+	back, err := store.Decode(enc)
+	if err != nil {
+		t.Fatalf("edge trace: %v", err)
+	}
+	if err := back.Validate(); err != nil || !back.Equal(edge) {
+		t.Errorf("edge trace: round trip not identical (validate: %v)", err)
 	}
 }

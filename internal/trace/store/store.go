@@ -23,13 +23,14 @@
 //	per-CPU sections, concatenated
 //	crc32c (Castagnoli) of everything above, 4 bytes LE
 //
-// Each per-CPU section serializes the stream's three columns in turn:
-// the kind column raw (one byte per op), the gap column as unsigned
-// varints, and the arg column as zigzag varints of the delta from the
-// previous arg — block numbers and sync ids are locally sequential, so
-// deltas keep most args in one byte (~4 B/op on the SPLASH traces vs
-// 16 B/op in-memory AoS). The section table up front lets Decode fan
-// per-CPU sections out over goroutines.
+// Each per-CPU section serializes the stream's three logical columns in
+// turn: the kind column raw (one byte per op), every op's full gap as
+// an unsigned varint (the in-memory escape to BigGaps is resolved, so
+// the bytes do not depend on it), and the arg column as zigzag varints
+// of the delta from the previous arg — block numbers and sync ids are
+// locally sequential, so deltas keep most args in one byte (~4 B/op on
+// the SPLASH traces vs 6 B/op in memory). The section table up front
+// lets Decode fan per-CPU sections out over goroutines.
 //
 // # Versioning and invalidation
 //
@@ -39,10 +40,11 @@
 // written to a temp file and renamed into place, so a concurrent
 // reader sees either nothing or a complete file. Load treats any
 // decode failure — missing file, short file, bad magic or version,
-// checksum mismatch, malformed varints — as a cache miss and deletes
-// the offender: corrupt or truncated entries are regenerated silently,
-// never surfaced as errors. There is no expiry; the store only grows,
-// and deleting the directory (or any file in it) is always safe.
+// checksum mismatch, malformed varints, an arg outside 32 bits — as a
+// cache miss and deletes the offender: corrupt or truncated entries
+// are regenerated silently, never surfaced as errors. There is no
+// expiry; the store only grows, and deleting the directory (or any file
+// in it) is always safe.
 package store
 
 import (
@@ -212,20 +214,25 @@ func Encode(tr *trace.Trace) []byte {
 	return buf
 }
 
-// encodeSection serializes one stream's columns: raw kinds, varint gaps,
+// encodeSection serializes one stream's columns: raw kinds, varint gaps
+// (read through the stream's cursor, which resolves escaped gaps),
 // zigzag-delta varint args.
 func encodeSection(s *trace.Stream) []byte {
 	out := make([]byte, 0, 4*s.Len())
 	for _, k := range s.Kinds {
 		out = append(out, byte(k))
 	}
-	for _, g := range s.Gaps {
-		out = binary.AppendUvarint(out, uint64(g))
+	for c := s.Cursor(); ; {
+		op, ok := c.Next()
+		if !ok {
+			break
+		}
+		out = binary.AppendUvarint(out, uint64(op.Gap))
 	}
-	var prev uint64
+	var prev int64
 	for _, a := range s.Args {
-		out = binary.AppendVarint(out, int64(a-prev))
-		prev = a
+		out = binary.AppendVarint(out, int64(a)-prev)
+		prev = int64(a)
 	}
 	return out
 }
@@ -351,12 +358,14 @@ func Decode(data []byte) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// decodeSection parses one stream's columns from its section bytes; the
-// section must be exactly consumed. The varint loops inline the
-// one-byte fast path: real traces keep most gaps under 128 cycles and
-// most arg deltas within ±63 blocks, so the common case is a single
-// compare-and-copy per value and materializing a warm trace stays far
-// cheaper than regenerating it.
+// decodeSection parses one stream's columns from its section bytes,
+// filling the in-memory columns directly: gaps of 255 and up go to
+// BigGaps behind an escape, and an arg outside 32 bits makes the
+// section corrupt. The section must be exactly consumed. The varint
+// loops inline the one-byte fast path: real traces keep most gaps under
+// 128 cycles and most arg deltas within ±63 blocks, so the common case
+// is a single compare-and-copy per value and materializing a warm trace
+// stays far cheaper than regenerating it.
 func decodeSection(p []byte, count int) (trace.Stream, error) {
 	var s trace.Stream
 	if count > len(p) {
@@ -370,10 +379,11 @@ func decodeSection(p []byte, count int) (trace.Stream, error) {
 		s.Kinds[i] = trace.Kind(b)
 	}
 	p = p[count:]
-	s.Gaps = make([]uint32, count)
+	s.Gaps = make([]uint8, count)
+	var big []uint32
 	for i := range s.Gaps {
 		if len(p) > 0 && p[0] < 0x80 {
-			s.Gaps[i] = uint32(p[0])
+			s.Gaps[i] = p[0]
 			p = p[1:]
 			continue
 		}
@@ -384,10 +394,20 @@ func decodeSection(p []byte, count int) (trace.Stream, error) {
 		if g > 1<<32-1 {
 			return trace.Stream{}, fmt.Errorf("store: gap %d overflows uint32", g)
 		}
-		s.Gaps[i] = uint32(g)
+		if g < trace.GapEscape {
+			s.Gaps[i] = uint8(g)
+		} else {
+			s.Gaps[i] = trace.GapEscape
+			big = append(big, uint32(g))
+		}
 		p = p[n:]
 	}
-	s.Args = make([]uint64, count)
+	if big != nil {
+		// Sized exactly: resident traces carry no append slack.
+		s.BigGaps = make([]uint32, len(big))
+		copy(s.BigGaps, big)
+	}
+	s.Args = make([]uint32, count)
 	var prev uint64
 	for i := range s.Args {
 		var d int64
@@ -404,8 +424,13 @@ func decodeSection(p []byte, count int) (trace.Stream, error) {
 			}
 			p = p[n:]
 		}
+		// prev stays below 2^32 and |d| <= 2^63, so the wrapped sum
+		// lands below 2^32 only when the true sum does.
 		prev += uint64(d)
-		s.Args[i] = prev
+		if prev > 1<<32-1 {
+			return trace.Stream{}, fmt.Errorf("store: op %d arg leaves uint32", i)
+		}
+		s.Args[i] = uint32(prev)
 	}
 	if len(p) != 0 {
 		return trace.Stream{}, fmt.Errorf("store: %d trailing bytes in section", len(p))

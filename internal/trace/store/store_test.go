@@ -50,7 +50,7 @@ func TestRoundTripEdgeShapes(t *testing.T) {
 			Name: "edges",
 			CPUs: []trace.Stream{
 				trace.StreamOf(
-					trace.Op{Kind: trace.Read, Gap: 1<<32 - 1, Arg: 1 << 62},
+					trace.Op{Kind: trace.Read, Gap: 1<<32 - 1, Arg: 1<<32 - 1},
 					trace.Op{Kind: trace.Write, Arg: 0}, // large negative delta
 					trace.Op{Kind: trace.Pad, Gap: 7},
 				),
@@ -254,6 +254,46 @@ func TestDecodeRejectsOverflowingHeaders(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s: hostile header decoded (%d cpus)", name, tr.NumCPUs())
 		}
+	}
+}
+
+// wideArgFile is a checksummed one-CPU file whose second arg, decoded
+// as a zigzag delta, leaves uint32: args 2^32-1 then +1.
+func wideArgFile() []byte {
+	sec := []byte{byte(trace.Read), byte(trace.Read), 0, 0}
+	sec = binary.AppendVarint(sec, 1<<32-1)
+	sec = binary.AppendVarint(sec, 1)
+	return hostileFile("wide", []uint64{2}, []uint64{uint64(len(sec))}, sec)
+}
+
+// TestDecodeRejectsWideArgs: in-memory args are 32 bits, so a section
+// whose deltas walk an arg out of uint32 (up past 2^32-1, or below 0)
+// is corrupt, which makes it a miss that deletes itself.
+func TestDecodeRejectsWideArgs(t *testing.T) {
+	below := []byte{byte(trace.Write), 0}
+	below = binary.AppendVarint(below, -1)
+	for name, data := range map[string][]byte{
+		"above": wideArgFile(),
+		"below": hostileFile("wide", []uint64{1}, []uint64{uint64(len(below))}, below),
+	} {
+		if tr, err := store.Decode(data); err == nil {
+			t.Errorf("%s: decoded args %v", name, tr.CPUs[0].Args)
+		}
+	}
+
+	s, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := store.Key{App: "wide", CPUs: 1, Scale: 1}
+	if err := os.WriteFile(s.Path(k), wideArgFile(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Load(k); ok {
+		t.Fatal("wide-arg file loaded")
+	}
+	if _, err := os.Stat(s.Path(k)); !os.IsNotExist(err) {
+		t.Errorf("wide-arg file not deleted on load: %v", err)
 	}
 }
 

@@ -12,20 +12,29 @@
 //
 // # Columnar representation
 //
-// Each processor's stream is stored column-wise (struct of arrays): a
-// Stream holds three dense columns — Kinds ([]Kind, one byte per op),
-// Gaps ([]uint32) and Args ([]uint64) — instead of a slice of 16-byte Op
-// structs. Replay walks the three columns directly (13 B/op of payload,
-// no padding, and the kind column alone fits ~64 ops per cache line),
-// generation appends straight into the columns through the Recorder, and
+// Each processor's stream is stored column-wise (struct of arrays), with
+// no column wider than its values need: a Stream holds Kinds ([]Kind,
+// one byte per op), Gaps ([]uint8, one byte per op), BigGaps ([]uint32)
+// and Args ([]uint32, four bytes per op) — 6 B/op of payload, half the
+// 12 B of a padded Op row. Almost every compute gap is under 255
+// cycles, so the gap column stores it in one byte; the value 255 is an
+// escape meaning "the gap is the next entry of BigGaps", which holds the
+// few large gaps in op order. Args are block numbers and sync ids, which
+// fit in 32 bits (the Recorder panics on one that does not). Generation
+// appends straight into the columns through the Recorder, which trims
+// them to their length at Finish so no append slack stays resident, and
 // the on-disk format of trace/store serializes each column independently
-// so per-CPU sections encode and decode in parallel. The Op struct
-// survives as the row-at-a-time view: Stream.Op(i), Stream.Append and
-// Cursor assemble or scatter rows at the column boundary, which is the
-// convenient form for tests and hand-built traces.
+// so per-CPU sections encode and decode in parallel.
+//
+// Cursor is the one sequential reader: replay, validation, comparison
+// and encoding all walk a stream through it, and it alone resolves the
+// gap escape. The Op struct is the row it yields; Stream.Append scatters
+// a row onto the columns, the convenient form for tests and hand-built
+// traces.
 package trace
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/memory"
@@ -84,21 +93,26 @@ func (k Kind) String() string {
 type Op struct {
 	Kind Kind
 	Gap  uint32
-	Arg  uint64
+	Arg  uint32
 }
 
-// Stream is one processor's op sequence in columnar form. The three
-// columns always have equal length; index i across them is op i.
+// GapEscape in the Gaps column means the op's gap did not fit in a byte:
+// it is the next unread entry of BigGaps.
+const GapEscape = 1<<8 - 1
+
+// Stream is one processor's op sequence in columnar form. Kinds, Gaps
+// and Args always have equal length, and index i across them is op i;
+// BigGaps holds one entry per GapEscape in Gaps, in op order.
 type Stream struct {
-	Kinds []Kind
-	Gaps  []uint32
-	Args  []uint64
+	Kinds   []Kind
+	Gaps    []uint8
+	BigGaps []uint32
+	Args    []uint32
 }
 
 // StreamOf builds a stream from rows (test and hand-built-trace helper).
 func StreamOf(ops ...Op) Stream {
 	var s Stream
-	s.Grow(len(ops))
 	for _, op := range ops {
 		s.Append(op)
 	}
@@ -108,48 +122,29 @@ func StreamOf(ops ...Op) Stream {
 // Len returns the op count.
 func (s Stream) Len() int { return len(s.Kinds) }
 
-// Op assembles row i from the columns.
-func (s Stream) Op(i int) Op {
-	return Op{Kind: s.Kinds[i], Gap: s.Gaps[i], Arg: s.Args[i]}
-}
-
 // Append scatters one row onto the columns.
 func (s *Stream) Append(op Op) {
 	s.Kinds = append(s.Kinds, op.Kind)
-	s.Gaps = append(s.Gaps, op.Gap)
+	if op.Gap < GapEscape {
+		s.Gaps = append(s.Gaps, uint8(op.Gap))
+	} else {
+		s.Gaps = append(s.Gaps, GapEscape)
+		s.BigGaps = append(s.BigGaps, op.Gap)
+	}
 	s.Args = append(s.Args, op.Arg)
 }
 
-// Grow reserves capacity for n additional ops.
-func (s *Stream) Grow(n int) {
-	if n <= 0 {
-		return
-	}
-	if cap(s.Kinds)-len(s.Kinds) < n {
-		kinds := make([]Kind, len(s.Kinds), len(s.Kinds)+n)
-		copy(kinds, s.Kinds)
-		s.Kinds = kinds
-	}
-	if cap(s.Gaps)-len(s.Gaps) < n {
-		gaps := make([]uint32, len(s.Gaps), len(s.Gaps)+n)
-		copy(gaps, s.Gaps)
-		s.Gaps = gaps
-	}
-	if cap(s.Args)-len(s.Args) < n {
-		args := make([]uint64, len(s.Args), len(s.Args)+n)
-		copy(args, s.Args)
-		s.Args = args
-	}
-}
-
 // Ops materializes the stream as rows (tests and the AoS baseline
-// benchmark; the replay engine streams the columns directly).
+// benchmark; the replay engine streams the columns through a Cursor).
 func (s Stream) Ops() []Op {
-	out := make([]Op, s.Len())
-	for i := range out {
-		out[i] = s.Op(i)
+	out := make([]Op, 0, s.Len())
+	for c := s.Cursor(); ; {
+		op, ok := c.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, op)
 	}
-	return out
 }
 
 // Equal reports whether two streams hold the same op sequence.
@@ -157,32 +152,70 @@ func (s Stream) Equal(o Stream) bool {
 	if s.Len() != o.Len() {
 		return false
 	}
-	for i := range s.Kinds {
-		if s.Kinds[i] != o.Kinds[i] || s.Gaps[i] != o.Gaps[i] || s.Args[i] != o.Args[i] {
+	a, b := s.Cursor(), o.Cursor()
+	for {
+		x, ok := a.Next()
+		y, _ := b.Next()
+		if x != y {
 			return false
 		}
+		if !ok {
+			return true
+		}
 	}
-	return true
 }
 
-// Cursor iterates a stream row by row. The columns are shared with the
-// underlying stream, not copied.
+// check reports a stream whose columns disagree: ragged lengths, or an
+// escape count that does not match BigGaps. Cursor relies on both.
+func (s Stream) check() error {
+	if len(s.Gaps) != len(s.Kinds) || len(s.Args) != len(s.Kinds) {
+		return fmt.Errorf("ragged columns: %d kinds, %d gaps, %d args", len(s.Kinds), len(s.Gaps), len(s.Args))
+	}
+	if n := bytes.Count(s.Gaps, []byte{GapEscape}); n != len(s.BigGaps) {
+		return fmt.Errorf("%d escaped gaps but %d big gaps", n, len(s.BigGaps))
+	}
+	return nil
+}
+
+// exact copies v into a slice of capacity len(v); nil stays nil.
+func exact[T any](v []T) []T {
+	if v == nil {
+		return nil
+	}
+	out := make([]T, len(v))
+	copy(out, v)
+	return out
+}
+
+// Cursor iterates a stream row by row, resolving gap escapes. The
+// columns are shared with the underlying stream, not copied. It is the
+// replay engine's per-op reader, so Next stays within the compiler's
+// inlining budget and never allocates.
 type Cursor struct {
-	s Stream
-	i int
+	s   Stream
+	i   int // next op
+	big int // next BigGaps entry
 }
 
 // Cursor returns an iterator positioned before the first op.
 func (s Stream) Cursor() Cursor { return Cursor{s: s} }
 
-// Next returns the next op, or ok=false past the end.
+// Next returns the next op, or ok=false past the end. The escape branch
+// is written in place rather than as a helper call: a call that is not
+// itself inlined costs more than Go's whole inlining budget, and this
+// body is two instructions on a path taken by a few dozen ops per trace.
 func (c *Cursor) Next() (op Op, ok bool) {
-	if c.i >= c.s.Len() {
+	i := c.i
+	if i >= len(c.s.Kinds) {
 		return Op{}, false
 	}
-	op = c.s.Op(c.i)
-	c.i++
-	return op, true
+	c.i = i + 1
+	gap := uint32(c.s.Gaps[i])
+	if gap == GapEscape {
+		gap = c.s.BigGaps[c.big]
+		c.big++
+	}
+	return Op{Kind: c.s.Kinds[i], Gap: gap, Arg: c.s.Args[i]}, true
 }
 
 // Trace is a complete multi-processor trace.
@@ -231,31 +264,38 @@ func (t *Trace) Equal(o *Trace) bool {
 	return true
 }
 
-// Validate checks structural invariants: barrier sequences must be
-// identical across processors (same ids in the same order), every lock
-// must be released by its acquirer before the next lock op of that
-// processor uses it again, and each processor must hold at most one lock
-// at a time per id.
+// Validate checks structural invariants: every stream's columns must
+// agree, barrier sequences must be identical across processors (same
+// ids in the same order), every lock must be released by its acquirer
+// before the next lock op of that processor uses it again, and each
+// processor must hold at most one lock at a time per id.
 func (t *Trace) Validate() error {
-	var ref []uint64
+	var ref []uint32
 	for cpu := range t.CPUs {
-		s := &t.CPUs[cpu]
-		var barriers []uint64
-		held := map[uint64]bool{}
-		for i, k := range s.Kinds {
-			switch k {
+		if err := t.CPUs[cpu].check(); err != nil {
+			return fmt.Errorf("trace %s: cpu %d: %w", t.Name, cpu, err)
+		}
+		var barriers []uint32
+		held := map[uint32]bool{}
+		c := t.CPUs[cpu].Cursor()
+		for i := 0; ; i++ {
+			op, ok := c.Next()
+			if !ok {
+				break
+			}
+			switch op.Kind {
 			case Barrier:
-				barriers = append(barriers, s.Args[i])
+				barriers = append(barriers, op.Arg)
 			case Lock:
-				if held[s.Args[i]] {
-					return fmt.Errorf("trace %s: cpu %d op %d: recursive lock %d", t.Name, cpu, i, s.Args[i])
+				if held[op.Arg] {
+					return fmt.Errorf("trace %s: cpu %d op %d: recursive lock %d", t.Name, cpu, i, op.Arg)
 				}
-				held[s.Args[i]] = true
+				held[op.Arg] = true
 			case Unlock:
-				if !held[s.Args[i]] {
-					return fmt.Errorf("trace %s: cpu %d op %d: unlock of unheld lock %d", t.Name, cpu, i, s.Args[i])
+				if !held[op.Arg] {
+					return fmt.Errorf("trace %s: cpu %d op %d: unlock of unheld lock %d", t.Name, cpu, i, op.Arg)
 				}
-				delete(held, s.Args[i])
+				delete(held, op.Arg)
 			}
 		}
 		if len(held) != 0 {
@@ -281,6 +321,10 @@ func (t *Trace) Validate() error {
 // Recorder builds one processor's op stream with same-block run
 // coalescing, appending directly into the stream's columns. It is the
 // only way application generators should emit memory references.
+//
+// The arg column is 32 bits wide: recording a block number at or above
+// 2^32 (a shared address space beyond 256 GiB), or a negative or
+// oversized sync id, panics with a message naming the op and the value.
 type Recorder struct {
 	s Stream
 
@@ -301,14 +345,23 @@ func NewRecorder() *Recorder { return &Recorder{} }
 
 const maxGap = 1<<32 - 1
 
+// maxArg is the largest block number or sync id a stream can hold: a
+// 32-bit block number covers 256 GiB of shared address space, and the
+// largest paper input at scale 1 uses 17 bits.
+const maxArg = 1<<32 - 1
+
 // emit appends an op carrying the pending gap, splitting oversized gaps
-// into leading Pad ops.
+// into leading Pad ops. It panics if arg does not fit the 32-bit arg
+// column.
 func (r *Recorder) emit(k Kind, arg uint64) {
+	if arg > maxArg {
+		panic(fmt.Sprintf("trace: %v arg %d does not fit in 32 bits (block numbers cover 256 GiB)", k, arg))
+	}
 	for r.pending > maxGap {
 		r.s.Append(Op{Kind: Pad, Gap: maxGap})
 		r.pending -= maxGap
 	}
-	r.s.Append(Op{Kind: k, Gap: uint32(r.pending), Arg: arg})
+	r.s.Append(Op{Kind: k, Gap: uint32(r.pending), Arg: uint32(arg)})
 	r.pending = 0
 }
 
@@ -382,8 +435,9 @@ func (r *Recorder) Phase() {
 	r.emit(Phase, 0)
 }
 
-// Finish flushes any pending run and returns the columnar stream. The
-// recorder must not be used afterwards.
+// Finish flushes any pending run and returns the columnar stream, its
+// columns copied to capacity equal to their length so no append slack
+// stays resident. The recorder must not be used afterwards.
 func (r *Recorder) Finish() Stream {
 	r.flushRun()
 	if r.pending > 0 {
@@ -391,7 +445,16 @@ func (r *Recorder) Finish() Stream {
 		// it on a Pad op.
 		r.emit(Pad, 0)
 	}
-	return r.s
+	s := Stream{
+		Kinds:   exact(r.s.Kinds),
+		Gaps:    exact(r.s.Gaps),
+		BigGaps: exact(r.s.BigGaps),
+		Args:    exact(r.s.Args),
+	}
+	// Drop the untrimmed columns: the recorder may outlive the call
+	// (a World keeps its recorders) and must not pin them.
+	r.s = Stream{}
+	return s
 }
 
 // Len returns the number of ops emitted so far (excluding a pending run).
