@@ -117,9 +117,11 @@ func main() {
 		tr.Ops(), float64(tr.Footprint)/(1<<20), tr.Barriers, tr.Locks, src)
 
 	// The normalization baseline is system-independent: run it once.
+	// dsm.RunBaseline keeps the base timing and thresholds under -slow
+	// and -netscale, like every other normalized number.
 	var base *stats.Sim
 	if *baseline {
-		base, err = dsm.RunWithOptions(tr, dsm.PerfectCCNUMA(), cl, config.Default(), th, dsm.RunOptions{Audit: *audit})
+		base, err = dsm.RunBaseline(tr, cl, dsm.RunOptions{Audit: *audit})
 		if err != nil {
 			fail(err)
 		}

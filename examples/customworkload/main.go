@@ -16,7 +16,8 @@ import (
 	"log"
 
 	"repro/internal/apps"
-	"repro/internal/core"
+	"repro/internal/config"
+	"repro/internal/dsm"
 	"repro/internal/stats"
 )
 
@@ -81,16 +82,26 @@ func main() {
 	}
 	fmt.Printf("pipeline: %d ops, %.2f MB footprint\n\n", tr.Ops(), float64(tr.Footprint)/(1<<20))
 
-	sess := core.NewSession(core.Defaults())
-	for _, sys := range []core.System{core.SystemCCNUMA, core.SystemMig, core.SystemRNUMA} {
-		res, err := sess.SimulateTrace(tr, sys)
+	cl, tm, th := config.DefaultCluster(), config.Default(), config.DefaultThresholds()
+	ro := dsm.RunOptions{Audit: true}
+	base, err := dsm.RunBaseline(tr, cl, ro)
+	if err != nil {
+		log.Fatal(err)
+	}
+	systems := []string{"ccnuma", "mig", "rnuma"}
+	specs, err := dsm.ResolveSpecs(systems, th)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, sys := range systems {
+		sim, err := dsm.RunWithOptions(tr, specs[i], cl, tm, th, ro)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-8s normalized %.3f  remote misses %d  migrations %d  relocations %d\n",
-			sys, res.Normalized,
-			res.Stats.TotalRemoteMisses(),
-			res.Stats.PageOpsByKind(stats.Migration),
-			res.Stats.PageOpsByKind(stats.Relocation))
+			sys, sim.Normalized(base),
+			sim.TotalRemoteMisses(),
+			sim.PageOpsByKind(stats.Migration),
+			sim.PageOpsByKind(stats.Relocation))
 	}
 }

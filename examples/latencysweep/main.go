@@ -12,8 +12,9 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/apps"
 	"repro/internal/config"
-	"repro/internal/core"
+	"repro/internal/dsm"
 )
 
 func main() {
@@ -21,8 +22,29 @@ func main() {
 	scale := flag.Int("scale", 4, "problem-size divisor")
 	flag.Parse()
 
-	systems := []core.System{core.SystemCCNUMA, core.SystemMigRep, core.SystemRNUMA}
+	systems := []string{"ccnuma", "migrep", "rnuma"}
 	factors := []int64{1, 2, 4, 8}
+
+	cl, th := config.DefaultCluster(), config.DefaultThresholds()
+	specs, err := dsm.ResolveSpecs(systems, th)
+	if err != nil {
+		log.Fatal(err)
+	}
+	info, err := apps.ByName(*app)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// One trace and one baseline serve every cell: the baseline runs
+	// under the base timing whatever the latency factor.
+	tr, err := info.Generate(apps.Params{CPUs: cl.TotalCPUs(), Scale: *scale})
+	if err != nil {
+		log.Fatal(err)
+	}
+	ro := dsm.RunOptions{Audit: true}
+	base, err := dsm.RunBaseline(tr, cl, ro)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("normalized execution time of %s vs network latency\n", *app)
 	fmt.Printf("%-8s", "system")
@@ -31,18 +53,14 @@ func main() {
 	}
 	fmt.Println()
 
-	for _, sys := range systems {
+	for i, sys := range systems {
 		fmt.Printf("%-8s", sys)
 		for _, f := range factors {
-			opts := core.Defaults()
-			opts.Scale = *scale
-			opts.Timing = config.Default().ScaleNetwork(f)
-			sess := core.NewSession(opts)
-			res, err := sess.Simulate(*app, sys)
+			sim, err := dsm.RunWithOptions(tr, specs[i], cl, config.Default().ScaleNetwork(f), th, ro)
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf(" %8.3f", res.Normalized)
+			fmt.Printf(" %8.3f", sim.Normalized(base))
 		}
 		fmt.Println()
 	}

@@ -36,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := dsm.Run(tr, dsm.PerfectCCNUMA(), cl, tm, th)
+	base, err := dsm.RunBaseline(tr, cl, dsm.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,28 +6,35 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/apps"
+	"repro/internal/harness"
 )
 
 func main() {
-	opts := core.Defaults()
-	opts.Scale = 4 // a quick run; use 1 for the full reproduction size
-
-	sess := core.NewSession(opts)
-
-	fmt.Println("available applications:", sess.Applications())
+	fmt.Println("available applications:", apps.Names())
 	fmt.Println()
 
-	for _, sys := range []core.System{core.SystemCCNUMA, core.SystemMigRep, core.SystemRNUMA} {
-		res, err := sess.Simulate("lu", sys)
-		if err != nil {
-			log.Fatal(err)
-		}
+	systems := []string{"ccnuma", "migrep", "rnuma"}
+	res, err := harness.RunByName("fig5", harness.Options{
+		Scale:   4, // a quick run; use 1 for the full reproduction size
+		Apps:    []string{"lu"},
+		Systems: systems,
+		Audit:   true,
+		Out:     io.Discard,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Result columns follow the requested order; print the registry
+	// names asked for rather than the presentation labels.
+	for i, sys := range systems {
+		run := res.Runs["lu"][res.Systems[i]]
 		fmt.Printf("%-8s normalized execution time %.3f (vs perfect CC-NUMA)\n",
-			res.System, res.Normalized)
-		fmt.Print(res.Stats.Summary())
+			sys, run.Norm)
+		fmt.Print(run.Stats.Summary())
 		fmt.Println()
 	}
 }

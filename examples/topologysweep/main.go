@@ -16,10 +16,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 
 	"repro/internal/config"
-	"repro/internal/core"
+	"repro/internal/harness"
 )
 
 func main() {
@@ -28,27 +29,31 @@ func main() {
 	hot := flag.Int("hot", 5, "hot links to print per run")
 	flag.Parse()
 
-	systems := []core.System{core.SystemCCNUMA, core.SystemMigRep, core.SystemMigRepCont, core.SystemRNUMA}
-	fabrics := []config.Network{
-		{Topology: config.TopoCrossbar},
-		{Topology: config.TopoRing},
-		{Topology: config.TopoMesh},
-	}
+	systems := []string{"ccnuma", "migrep", "migrep-contend", "rnuma"}
+	fabrics := []string{config.TopoCrossbar, config.TopoRing, config.TopoMesh}
 
-	for _, net := range fabrics {
-		fmt.Printf("== %s fabric ==\n", net.Kind())
-		opts := core.Defaults()
-		opts.Scale = *scale
-		opts.Cluster.Net = net
-		sess := core.NewSession(opts)
-		for _, sys := range systems {
-			res, err := sess.Simulate(*app, sys)
-			if err != nil {
-				log.Fatal(err)
-			}
+	// One trace cache across the fabrics: the workload is generated
+	// once and replayed on every fabric.
+	traces := harness.NewTraceCache()
+	for _, fabric := range fabrics {
+		fmt.Printf("== %s fabric ==\n", fabric)
+		res, err := harness.RunByName("fig5", harness.Options{
+			Scale:   *scale,
+			Apps:    []string{*app},
+			Systems: systems,
+			Fabric:  fabric,
+			Audit:   true,
+			Traces:  traces,
+			Out:     io.Discard,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		for i, sys := range systems {
+			run := res.Runs[*app][res.Systems[i]]
 			fmt.Printf("%-8s normalized %.3f, max link %d KB\n",
-				res.System, res.Normalized, res.Stats.Net.MaxLink().Bytes/1024)
-			fmt.Print(res.Stats.Net.NetReport(*hot))
+				sys, run.Norm, run.Stats.Net.MaxLink().Bytes/1024)
+			fmt.Print(run.Stats.Net.NetReport(*hot))
 		}
 		fmt.Println()
 	}

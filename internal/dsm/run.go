@@ -34,6 +34,16 @@ func Run(tr *trace.Trace, spec Spec, cl config.Cluster, tm config.Timing, th con
 	return RunWithOptions(tr, spec, cl, tm, th, RunOptions{})
 }
 
+// RunBaseline runs tr on the normalization baseline: perfect CC-NUMA
+// under the base timing model and the default thresholds, on cl with
+// its fabric reset to the ideal crossbar. Every normalized time is a
+// run's ExecCycles over this run's, so the baseline stays comparable
+// across timing models, thresholds and fabrics.
+func RunBaseline(tr *trace.Trace, cl config.Cluster, o RunOptions) (*stats.Sim, error) {
+	cl.Net = config.Network{}
+	return RunWithOptions(tr, PerfectCCNUMA(), cl, config.Default(), config.DefaultThresholds(), o)
+}
+
 // RunWithOptions is Run with explicit RunOptions.
 func RunWithOptions(tr *trace.Trace, spec Spec, cl config.Cluster, tm config.Timing, th config.Thresholds, o RunOptions) (*stats.Sim, error) {
 	m, err := NewMachine(spec, cl, tm, th, tr.Footprint, tr.Name)

@@ -38,6 +38,10 @@
 //
 // Machine.Execute replays the trace on one clock-keyed event heap,
 // dispatching ops in (Clock, CPU-ID) order.
+//
+// RunBaseline is the only definition of the normalization baseline
+// (perfect CC-NUMA, base timing, default thresholds, ideal crossbar)
+// that every normalized execution time divides by.
 package dsm
 
 import (

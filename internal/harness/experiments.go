@@ -220,8 +220,12 @@ func RunByNameContext(ctx context.Context, name string, o Options) (*Result, err
 }
 
 // RunByName dispatches one experiment (any Experiments() name, plus
-// "scalesweep").
+// "scalesweep"). An application, system or scale listed twice in o is
+// an error.
 func RunByName(name string, o Options) (*Result, error) {
+	if err := checkDistinct(o.Apps, o.Systems, o.Scales); err != nil {
+		return nil, err
+	}
 	switch name {
 	case "fig5":
 		return Fig5(o)

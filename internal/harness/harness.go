@@ -301,10 +301,6 @@ func runExperiment(name string, systems []systemRun, o Options) (*Result, error)
 		res.Systems = append(res.Systems, s.name())
 	}
 
-	// Every experiment normalizes to perfect CC-NUMA under the base
-	// timing model.
-	baseline := systemRun{spec: dsm.PerfectCCNUMA(), tm: config.Default(), th: config.DefaultThresholds()}
-
 	for _, app := range list {
 		if err := o.ctxErr(); err != nil {
 			return nil, fmt.Errorf("harness: %s cancelled: %w", name, err)
@@ -327,12 +323,12 @@ func runExperiment(name string, systems []systemRun, o Options) (*Result, error)
 			fmt.Fprintf(o.Out, "# %s: %d ops, %.1f MB footprint\n",
 				app.Name, tr.Ops(), float64(tr.Footprint)/(1<<20))
 		}
-		all := append([]systemRun{baseline}, systems...)
+		// all[0] is the normalization anchor, dsm.RunBaseline; its
+		// entry only names it in progress lines and errors.
+		all := append([]systemRun{{label: "Perfect"}}, systems...)
 		sims := make([]*stats.Sim, len(all))
 		cols := make([]*telemetry.Collector, len(all))
 		if err := forEach(o.ctx, all, o.Parallel, func(i int, s systemRun) error {
-			scl := cl
-			scl.Net = s.net
 			ro := dsm.RunOptions{Audit: o.Audit}
 			if o.Telemetry != nil && i > 0 {
 				cols[i] = telemetry.New(telemetry.Config{
@@ -341,7 +337,15 @@ func runExperiment(name string, systems []systemRun, o Options) (*Result, error)
 				ro.Telemetry = cols[i]
 			}
 			runStart := time.Now()
-			sim, err := dsm.RunWithOptions(tr, s.spec, scl, s.tm, s.th, ro)
+			var sim *stats.Sim
+			var err error
+			if i == 0 {
+				sim, err = dsm.RunBaseline(tr, cl, ro)
+			} else {
+				scl := cl
+				scl.Net = s.net
+				sim, err = dsm.RunWithOptions(tr, s.spec, scl, s.tm, s.th, ro)
+			}
 			if err != nil {
 				return fmt.Errorf("harness: %s on %s: %w", app.Name, s.name(), err)
 			}

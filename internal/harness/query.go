@@ -94,10 +94,14 @@ func trimEach(in []string, lower bool) []string {
 }
 
 // Validate rejects queries that could not run: unknown experiment,
-// application, system or fabric names, non-positive sweep scales, and
-// fabric overrides on the topology sweep. It expects a normalized
-// query (Validate on a raw query may miss aliases Normalize folds).
+// application, system or fabric names, an application, system or scale
+// listed twice, non-positive sweep scales, and fabric overrides on the
+// topology sweep. It expects a normalized query (Validate on a raw
+// query may miss aliases Normalize folds).
 func (q Query) Validate() error {
+	if err := checkDistinct(q.Apps, q.Systems, q.Scales); err != nil {
+		return err
+	}
 	known := false
 	for _, n := range append(Experiments(), "scalesweep", "all") {
 		if q.Experiment == n {
@@ -132,6 +136,41 @@ func (q Query) Validate() error {
 		}
 	}
 	return nil
+}
+
+// checkDistinct rejects an application, system or scale listed twice.
+// A repeat adds no information: reports key runs by application and
+// system label, so it would print duplicate rows, collapse columns or
+// repeat a sweep table. Names compare the way their registries resolve
+// them (systems case-insensitively). RunByName and Validate both call
+// it, so the CLIs and the server refuse the same lists.
+func checkDistinct(appNames, systems []string, scales []int) error {
+	if a, dup := repeated(appNames, strings.TrimSpace); dup {
+		return fmt.Errorf("harness: application %q listed twice", a)
+	}
+	systemKey := func(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
+	if s, dup := repeated(systems, systemKey); dup {
+		return fmt.Errorf("harness: system %q listed twice", s)
+	}
+	if sc, dup := repeated(scales, func(sc int) int { return sc }); dup {
+		return fmt.Errorf("harness: scale %d listed twice", sc)
+	}
+	return nil
+}
+
+// repeated returns the first element of xs whose key an earlier
+// element already had.
+func repeated[T any, K comparable](xs []T, key func(T) K) (T, bool) {
+	seen := make(map[K]bool, len(xs))
+	for _, x := range xs {
+		k := key(x)
+		if seen[k] {
+			return x, true
+		}
+		seen[k] = true
+	}
+	var zero T
+	return zero, false
 }
 
 // Canonical renders the normalized query as a stable, unambiguous key

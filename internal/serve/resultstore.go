@@ -2,13 +2,12 @@ package serve
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
+	"repro/internal/framed"
 	"repro/internal/harness"
 	"repro/internal/trace/store"
 )
@@ -18,13 +17,10 @@ import (
 // (their names hash the old version) and recomputed.
 const ResultFormatVersion = 1
 
-// resultMagic brands result files, so a trace file (or garbage)
-// dropped into the result directory can never be served as a response.
-var resultMagic = [4]byte{'D', 'R', 'S', 'R'}
-
-// castagnoli is the CRC-32C table, the same checksum discipline the
-// trace store uses.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// resultFormat frames result files. Its magic brands them, so a trace
+// file (or garbage) dropped into the result directory can never be
+// served as a response.
+var resultFormat = framed.Format{'D', 'R', 'S', 'R', ResultFormatVersion}
 
 // ResultKey content-addresses a query's response: the hex SHA-256
 // (first 16 bytes) over the query's canonical encoding plus everything
@@ -42,10 +38,9 @@ func ResultKey(q harness.Query, commit string) string {
 }
 
 // ResultStore is a directory of memoized query responses, one file per
-// result key, named <key>.result. The payload is framed the same way
-// the trace store frames traces — magic, version byte, body, CRC-32C
-// trailer — written to a temp file and renamed into place so a
-// concurrent reader sees either nothing or a complete file. Any decode
+// result key, named <key>.result. Each file is an internal/framed
+// frame around the response body — the frame the trace store uses,
+// under its own magic — written by atomic rename, and any decode
 // failure is a silent miss that deletes the offender: corrupt entries
 // recompute, they never surface as errors. A nil *ResultStore disables
 // persistence (Load always misses, Save does nothing).
@@ -99,16 +94,7 @@ func (s *ResultStore) Load(key string) ([]byte, bool) {
 	if s == nil || !validKey(key) {
 		return nil, false
 	}
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
-		return nil, false
-	}
-	body, err := decodeResult(data)
-	if err != nil {
-		os.Remove(s.path(key))
-		return nil, false
-	}
-	return body, true
+	return framed.Load(s.path(key), resultFormat.Open)
 }
 
 // Save frames the response body and atomically installs it under key.
@@ -119,22 +105,8 @@ func (s *ResultStore) Save(key string, body []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("serve: invalid result key %q", key)
 	}
-	data := encodeResult(body)
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
-		os.Remove(tmp.Name())
+	data := framed.Seal(append(resultFormat.Begin(len(body)), body...))
+	if err := framed.WriteFile(s.path(key), data); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
@@ -151,32 +123,4 @@ func (s *ResultStore) Len() int {
 		return 0
 	}
 	return len(matches)
-}
-
-// encodeResult frames a body: magic | version | body | crc32c(all).
-func encodeResult(body []byte) []byte {
-	buf := make([]byte, 0, len(resultMagic)+1+len(body)+4)
-	buf = append(buf, resultMagic[:]...)
-	buf = append(buf, ResultFormatVersion)
-	buf = append(buf, body...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-}
-
-// decodeResult unframes a file, rejecting truncation, bit rot, foreign
-// magic and version skew.
-func decodeResult(data []byte) ([]byte, error) {
-	if len(data) < len(resultMagic)+1+4 {
-		return nil, fmt.Errorf("serve: truncated result file")
-	}
-	payload, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("serve: result checksum mismatch")
-	}
-	if [4]byte(payload[:4]) != resultMagic {
-		return nil, fmt.Errorf("serve: bad result magic")
-	}
-	if payload[4] != ResultFormatVersion {
-		return nil, fmt.Errorf("serve: result format version mismatch")
-	}
-	return payload[5:], nil
 }

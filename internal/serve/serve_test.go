@@ -394,6 +394,39 @@ func TestHTTPOversizedBodyRejected(t *testing.T) {
 	}
 }
 
+// TestHTTPDuplicateListsRejected: a client naming an application,
+// system (in any spelling normalization folds) or sweep scale twice
+// gets a 400 and runs no simulation.
+func TestHTTPDuplicateListsRejected(t *testing.T) {
+	var calls atomic.Int64
+	s := newServer(Config{Commit: "test"}, func(ctx context.Context, q harness.Query) ([]byte, error) {
+		calls.Add(1)
+		return []byte("ok\n"), nil
+	})
+	defer s.Drain()
+
+	cases := []struct{ method, target, body string }{
+		{http.MethodGet, "/query?experiment=fig5&apps=radix,radix&scale=64", ""},
+		{http.MethodGet, "/query?experiment=fig5&apps=radix&systems=ccnuma,CCNUMA&scale=64", ""},
+		{http.MethodPost, "/query", `{"experiment":"fig5","apps":["radix"],"systems":["ccnuma"," CCNUMA "],"scale":64}`},
+		{http.MethodPost, "/query", `{"experiment":"scalesweep","apps":["radix"],"scales":[64,64]}`},
+	}
+	for _, c := range cases {
+		var body io.Reader
+		if c.body != "" {
+			body = strings.NewReader(c.body)
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(c.method, c.target, body))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "listed twice") {
+			t.Errorf("%s %s %s: status = %d body %q, want 400 naming the repeat", c.method, c.target, c.body, rec.Code, rec.Body)
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("simulations = %d, want 0", n)
+	}
+}
+
 // TestHTTPEquivalentQueriesShareKey: GET and POST spellings of the same
 // query (including normalization aliases) answer from one cache entry.
 func TestHTTPEquivalentQueriesShareKey(t *testing.T) {

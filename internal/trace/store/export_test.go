@@ -1,9 +1,6 @@
 package store
 
-import (
-	"encoding/binary"
-	"hash/crc32"
-)
+import "repro/internal/framed"
 
 // Reseal recomputes the trailing checksum over data's body — a test
 // helper for building deliberately malformed-but-checksummed inputs,
@@ -12,6 +9,5 @@ func Reseal(data []byte) []byte {
 	if len(data) < 4 {
 		return data
 	}
-	body := data[:len(data)-4]
-	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+	return framed.Seal(data[:len(data)-4])
 }

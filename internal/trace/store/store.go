@@ -13,15 +13,15 @@
 //
 // # Binary format
 //
-// A trace file is a little-endian binary blob:
+// A trace file is an internal/framed frame — magic "DTRC", version
+// byte FormatVersion, payload, CRC-32C trailer — around a little-endian
+// payload:
 //
-//	magic "DTRC" | version byte (= FormatVersion)
 //	varint nameLen, name bytes
 //	varint cpus, barriers, locks, footprint
 //	varint opCount  x cpus
 //	varint byteLen  x cpus      (per-CPU section lengths)
 //	per-CPU sections, concatenated
-//	crc32c (Castagnoli) of everything above, 4 bytes LE
 //
 // Each per-CPU section serializes the stream's three logical columns in
 // turn: the kind column raw (one byte per op), every op's full gap as
@@ -36,15 +36,14 @@
 //
 // FormatVersion participates in the file name AND is checked in the
 // header: an encoding change orphans old files (never read again, and
-// rewritten under new names) rather than misparsing them. Files are
-// written to a temp file and renamed into place, so a concurrent
-// reader sees either nothing or a complete file. Load treats any
-// decode failure — missing file, short file, bad magic or version,
-// checksum mismatch, malformed varints, an arg outside 32 bits — as a
-// cache miss and deletes the offender: corrupt or truncated entries
-// are regenerated silently, never surfaced as errors. There is no
-// expiry; the store only grows, and deleting the directory (or any file
-// in it) is always safe.
+// rewritten under new names) rather than misparsing them. Writes and
+// loads go through internal/framed: files are renamed into place
+// complete, and Load treats any decode failure — short file, bad magic
+// or version, checksum mismatch, malformed varints, an arg outside 32
+// bits — as a cache miss and deletes the offender, so corrupt or
+// truncated entries are regenerated silently, never surfaced as
+// errors. There is no expiry; the store only grows, and deleting the
+// directory (or any file in it) is always safe.
 package store
 
 import (
@@ -53,13 +52,13 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/framed"
 	"repro/internal/trace"
 )
 
@@ -68,10 +67,8 @@ import (
 // old version) and regenerated.
 const FormatVersion = 1
 
-var magic = [4]byte{'D', 'T', 'R', 'C'}
-
-// castagnoli is the CRC-32C table (hardware-accelerated on amd64/arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// format frames trace files: magic "DTRC", then FormatVersion.
+var format = framed.Format{'D', 'T', 'R', 'C', FormatVersion}
 
 // Key identifies one generated workload: the inputs that determine its
 // content.
@@ -124,18 +121,7 @@ func (s *Store) Load(k Key) (*trace.Trace, bool) {
 	if s == nil {
 		return nil, false
 	}
-	data, err := os.ReadFile(s.Path(k))
-	if err != nil {
-		return nil, false
-	}
-	tr, err := Decode(data)
-	if err != nil {
-		// Corrupt entries regenerate silently; removing the file keeps
-		// the next writer from racing a reader over known-bad bytes.
-		os.Remove(s.Path(k))
-		return nil, false
-	}
-	return tr, true
+	return framed.Load(s.Path(k), Decode)
 }
 
 // Save encodes the trace and atomically installs it under k's name.
@@ -143,22 +129,7 @@ func (s *Store) Save(k Key, tr *trace.Trace) error {
 	if s == nil {
 		return nil
 	}
-	data := Encode(tr)
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.Path(k)); err != nil {
-		os.Remove(tmp.Name())
+	if err := framed.WriteFile(s.Path(k), Encode(tr)); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
@@ -188,13 +159,11 @@ func Encode(tr *trace.Trace) []byte {
 		return nil
 	})
 
-	size := 4 + 1 + 10 + len(tr.Name) + 4*10 + 20*len(tr.CPUs) + 4
+	size := 10 + len(tr.Name) + 4*10 + 20*len(tr.CPUs)
 	for _, sec := range sections {
 		size += len(sec)
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, magic[:]...)
-	buf = append(buf, FormatVersion)
+	buf := format.Begin(size)
 	buf = binary.AppendUvarint(buf, uint64(len(tr.Name)))
 	buf = append(buf, tr.Name...)
 	buf = binary.AppendUvarint(buf, uint64(len(tr.CPUs)))
@@ -210,8 +179,7 @@ func Encode(tr *trace.Trace) []byte {
 	for _, sec := range sections {
 		buf = append(buf, sec...)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	return buf
+	return framed.Seal(buf)
 }
 
 // encodeSection serializes one stream's columns: raw kinds, varint gaps
@@ -237,14 +205,10 @@ func encodeSection(s *trace.Stream) []byte {
 	return out
 }
 
-// Decoding errors (all treated as cache misses by Load; exported shape
-// matters only to tests and the fuzz target, which assert non-panic).
-var (
-	errShort    = errors.New("store: truncated trace file")
-	errMagic    = errors.New("store: bad magic")
-	errVersion  = errors.New("store: format version mismatch")
-	errChecksum = errors.New("store: checksum mismatch")
-)
+// errShort is the structural decoding error: a count or length the
+// payload cannot back. Like the frame errors, Load treats it as a
+// cache miss.
+var errShort = errors.New("store: truncated trace file")
 
 // decLimits bounds attacker-controlled counts before any allocation
 // sized by them: a hostile header may not demand more memory than its
@@ -256,23 +220,13 @@ const (
 
 // Decode parses a trace from the store's binary format. It never
 // panics on hostile input: every count is validated against the bytes
-// that back it before allocation, and the trailing checksum rejects
+// that back it before allocation, and the frame's checksum rejects
 // truncation and bit rot up front.
 func Decode(data []byte) (*trace.Trace, error) {
-	if len(data) < len(magic)+1+4 {
-		return nil, errShort
+	p, err := format.Open(data)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(trailer) {
-		return nil, errChecksum
-	}
-	if [4]byte(body[:4]) != magic {
-		return nil, errMagic
-	}
-	if body[4] != FormatVersion {
-		return nil, errVersion
-	}
-	p := body[5:]
 
 	nameLen, p, err := uvar(p)
 	if err != nil {
