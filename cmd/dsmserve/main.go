@@ -19,7 +19,7 @@
 //	          that answered (hit, disk, miss, coalesced), 429 +
 //	          Retry-After under backpressure
 //	/statusz  JSON counters: per-layer query counts, pool and cache
-//	          occupancy, trace-cache statistics
+//	          occupancy, trace-cache statistics summed over queries
 //	/healthz  liveness probe
 //
 // The first SIGINT/SIGTERM drains gracefully: the listener stops
@@ -39,7 +39,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/harness"
 	"repro/internal/serve"
 	"repro/internal/trace/store"
 )
@@ -55,7 +54,7 @@ func run() error {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		resultStore = flag.String("resultstore", "", "directory of the on-disk result store (empty = memory only)")
-		traceStore  = flag.String("tracestore", "", "directory of the on-disk trace store (empty = in-memory trace cache only)")
+		traceStore  = flag.String("tracestore", "", "directory of the on-disk trace store (empty = traces are generated per query and not kept)")
 		cacheSize   = flag.Int("cache", 128, "in-memory result LRU capacity (entries)")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "cold-path simulation workers")
 		queue       = flag.Int("queue", 0, "cold-path queue depth before 429 (0 = 4x workers)")
@@ -81,7 +80,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		cfg.Traces = harness.NewTraceCacheWithStore(st)
+		cfg.TraceStore = st
 	}
 	srv := serve.New(cfg)
 

@@ -12,8 +12,7 @@
 // in both memory layouts (the live columnar form vs the retired
 // array-of-structs baseline), trace materialization cold (generator)
 // vs warm (on-disk store), and the macrobenchmarks: the full Figure 5
-// sweep, the scale-32 rung of the scale sweep, and the query server
-// under concurrent mixed hot/cold load (ServeLoad).
+// sweep and the scale-32 rung of the scale sweep.
 package bench
 
 import (
@@ -42,10 +41,9 @@ type Case struct {
 	// Guarded marks the case as part of the allocation-regression
 	// guard: its allocs/op is compared against the committed baseline.
 	Guarded bool
-	// Macro marks the whole-system macrobenchmarks (full sweeps, the
-	// serving stack under load) that cmd/benchreport -micro skips; the
-	// sweep macros report the sim-cycles metric used to derive
-	// simulated-cycles-per-second.
+	// Macro marks the whole-system macrobenchmarks (full sweeps) that
+	// cmd/benchreport -micro skips; they report the sim-cycles metric
+	// used to derive simulated-cycles-per-second.
 	Macro bool
 }
 
@@ -67,7 +65,6 @@ func Cases() []Case {
 		{Name: "Fig5Sweep", Bench: Fig5Sweep, Guarded: true, Macro: true},
 		{Name: "Fig5SweepTelemetry", Bench: Fig5SweepTelemetry, Guarded: true, Macro: true},
 		{Name: "ScaleSweep32", Bench: ScaleSweep32, Macro: true},
-		{Name: "ServeLoad", Bench: ServeLoad, Macro: true},
 	}
 }
 

@@ -1,9 +1,7 @@
 // Package loadtest is the load-generator harness for the query server:
 // it drives an already-running server with thousands of concurrent
 // mixed hot/cold queries and reports throughput, latency percentiles
-// and cache effectiveness. cmd/dsmload is the CLI wrapper; the bench
-// suite's ServeLoad case runs the same harness against an in-process
-// server to land the numbers in the committed BENCH_*.json trajectory.
+// and cache effectiveness. cmd/dsmload is the CLI wrapper.
 package loadtest
 
 import (

@@ -20,6 +20,17 @@
 // instead of poisoning it. This generalizes harness.TraceCache's
 // single-flight pattern from traces to whole results.
 //
+// Trace scope: the server holds a trace only while the query that
+// needs it runs. Each cold simulation materializes its workloads
+// through its own TraceCache, so the experiments of one query share a
+// generation per app, and the traces become garbage once the body is
+// rendered. Exact repeats are answered from the result tiers. A cold
+// query on a workload another query has generated (other systems or
+// another experiment on the same app, scale and seed) reads the trace
+// back from the optional on-disk trace store; without one it generates
+// the trace again, and concurrent cold queries on one workload each
+// generate it, store or not.
+//
 // Bounded execution with backpressure: cold work runs on a fixed-size
 // worker pool behind a fixed-depth queue. When the queue is full the
 // server answers 429 with a Retry-After hint rather than accepting
@@ -28,9 +39,7 @@
 //
 // The load-generator harness in the loadtest subpackage (cmd/dsmload)
 // drives the stack with thousands of concurrent mixed hot/cold queries
-// and reports QPS, latency percentiles and hit/coalesce/cold counts;
-// internal/bench's ServeLoad case lands those numbers in the committed
-// BENCH_*.json trajectory.
+// and reports QPS, latency percentiles and hit/coalesce/cold counts.
 package serve
 
 import (
@@ -49,6 +58,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/telemetry"
+	"repro/internal/trace/store"
 )
 
 // StatusSchema identifies the /statusz document format.
@@ -93,10 +103,11 @@ type Config struct {
 	// one core per simulation keeps tail latency predictable).
 	Parallel int
 
-	// Traces shares generated workloads across queries (nil creates a
-	// fresh in-memory TraceCache; pass NewTraceCacheWithStore to add
-	// the persistent trace tier).
-	Traces *harness.TraceCache
+	// TraceStore is the persistent trace tier (nil = none). The server
+	// holds a trace only while the query that needs it runs; a later
+	// query on the same workload reads it back from this store, or
+	// generates it again when there is none.
+	TraceStore *store.Store
 
 	// Commit pins result keys to a build ("" reads the running
 	// binary's VCS stamp via telemetry.BuildCommit; tests inject a
@@ -120,12 +131,12 @@ type runner func(ctx context.Context, q harness.Query) ([]byte, error)
 // implements http.Handler; use New and mount it (cmd/dsmserve serves
 // it standalone).
 type Server struct {
-	store  *ResultStore
-	cache  *resultLRU
-	pool   *workPool
-	traces *harness.TraceCache
-	commit string
-	run    runner
+	store      *ResultStore
+	cache      *resultLRU
+	pool       *workPool
+	traceStore *store.Store
+	commit     string
+	run        runner
 
 	parallel int
 	workers  int
@@ -141,6 +152,11 @@ type Server struct {
 
 	mu      sync.Mutex
 	flights map[string]*flight
+	// liveTraces holds the per-query trace caches of running
+	// simulations (their in_flight feeds /statusz); doneTraces sums the
+	// counters of finished ones.
+	liveTraces map[*harness.TraceCache]struct{}
+	doneTraces harness.TraceCacheStats
 
 	hits      atomic.Int64
 	diskHits  atomic.Int64
@@ -179,41 +195,46 @@ func newServer(cfg Config, run runner) *Server {
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = 1
 	}
-	if cfg.Traces == nil {
-		cfg.Traces = harness.NewTraceCache()
-	}
 	if cfg.Commit == "" {
 		cfg.Commit = telemetry.BuildCommit()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
-		store:    cfg.Store,
-		cache:    newResultLRU(cfg.CacheEntries),
-		pool:     newWorkPool(cfg.Workers, cfg.QueueDepth),
-		traces:   cfg.Traces,
-		commit:   cfg.Commit,
-		run:      run,
-		parallel: cfg.Parallel,
-		workers:  cfg.Workers,
-		depth:    cfg.QueueDepth,
-		baseCtx:  ctx,
-		abort:    cancel,
-		started:  time.Now(),
-		flights:  map[string]*flight{},
+		store:      cfg.Store,
+		cache:      newResultLRU(cfg.CacheEntries),
+		pool:       newWorkPool(cfg.Workers, cfg.QueueDepth),
+		traceStore: cfg.TraceStore,
+		commit:     cfg.Commit,
+		run:        run,
+		parallel:   cfg.Parallel,
+		workers:    cfg.Workers,
+		depth:      cfg.QueueDepth,
+		baseCtx:    ctx,
+		abort:      cancel,
+		started:    time.Now(),
+		flights:    map[string]*flight{},
+		liveTraces: map[*harness.TraceCache]struct{}{},
 	}
 }
 
 // simulate is the production cold path: run the query's experiments
 // through the harness and render the records as indented JSON — the
 // same construction, and therefore the same bytes, as cmd/experiments
-// -json for the equivalent flags.
+// -json for the equivalent flags. The query's traces live in a cache
+// of its own, shared by its experiments and dropped on return.
 func (s *Server) simulate(ctx context.Context, q harness.Query) ([]byte, error) {
+	traces := harness.NewTraceCacheWithStore(s.traceStore)
+	s.mu.Lock()
+	s.liveTraces[traces] = struct{}{}
+	s.mu.Unlock()
+	defer s.retireTraces(traces)
+
 	var records []harness.Record
 	for _, name := range q.ExperimentNames() {
 		r, err := harness.RunByNameContext(ctx, name, q.Options(harness.Options{
 			Parallel: s.parallel,
 			Audit:    true,
-			Traces:   s.traces,
+			Traces:   traces,
 			Out:      io.Discard,
 		}))
 		if err != nil {
@@ -226,6 +247,31 @@ func (s *Server) simulate(ctx context.Context, q harness.Query) ([]byte, error) 
 		return nil, err
 	}
 	return append(buf, '\n'), nil
+}
+
+// retireTraces moves a finished simulation's trace counters into the
+// server's totals and forgets its cache.
+func (s *Server) retireTraces(tc *harness.TraceCache) {
+	st := tc.Stats()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.liveTraces, tc)
+	s.doneTraces.Hits += st.Hits
+	s.doneTraces.Coalesced += st.Coalesced
+	s.doneTraces.DiskHits += st.DiskHits
+	s.doneTraces.Generated += st.Generated
+}
+
+// traceStats sums the trace counters of finished simulations and the
+// in-flight materializations of running ones.
+func (s *Server) traceStats() harness.TraceCacheStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.doneTraces
+	for tc := range s.liveTraces {
+		st.InFlight += tc.Stats().InFlight
+	}
+	return st
 }
 
 // Answer resolves one validated query through the stack: LRU, then
@@ -380,6 +426,8 @@ type Status struct {
 		DiskLen  int    `json:"disk_entries"`
 	} `json:"result_cache"`
 
+	// TraceCache sums the per-query trace caches: the request counters
+	// over finished simulations, in_flight over running ones.
 	TraceCache harness.TraceCacheStats `json:"trace_cache"`
 }
 
@@ -404,7 +452,7 @@ func (s *Server) StatusNow() Status {
 	st.ResultCache.Capacity = s.cache.max
 	st.ResultCache.DiskDir = s.store.Dir()
 	st.ResultCache.DiskLen = s.store.Len()
-	st.TraceCache = s.traces.Stats()
+	st.TraceCache = s.traceStats()
 	return st
 }
 

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/trace/store"
 )
 
 // testQuery returns a distinct valid query per seed.
@@ -570,6 +571,129 @@ func TestStatusz(t *testing.T) {
 	}
 	if st.ResultCache.Entries != 1 || st.ResultCache.DiskLen != 1 {
 		t.Fatalf("result cache: entries=%d disk=%d, want 1/1", st.ResultCache.Entries, st.ResultCache.DiskLen)
+	}
+}
+
+// TestTraceMemoryScopedToQuery: a cold query's traces are garbage once
+// its body is rendered, so distinct cold queries leave the live heap
+// where it was. A fig5 radix@64 trace is about 1.4 MB; a server that
+// kept its traces would hold about 10 MB more after these queries.
+func TestTraceMemoryScopedToQuery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	s := New(Config{Workers: 1, Commit: "test"})
+	defer s.Drain()
+	answer := func(seed uint64) {
+		if _, src, err := s.Answer(context.Background(), testQuery(seed)); err != nil || src != SourceMiss {
+			t.Fatalf("seed %d: source %q, err %v; want a cold miss", seed, src, err)
+		}
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+
+	answer(100) // the first simulation initializes package-level state
+	before := liveHeap()
+	const queries = 7
+	for seed := uint64(101); seed <= 100+queries; seed++ {
+		answer(seed)
+	}
+	const bound = 4 << 20
+	grown := liveHeap() - before
+	t.Logf("live heap grew %d B over %d cold queries", grown, queries)
+	if grown > bound {
+		t.Fatalf("live heap grew %.1f MB over %d cold queries, want under %.1f MB: the server is keeping traces past their query",
+			float64(grown)/(1<<20), queries, float64(bound)/(1<<20))
+	}
+}
+
+// TestTraceReuseThroughStatusz pins where a cold query's traces come
+// from, as /statusz reports it: the experiments of one query share a
+// generation per app, and a later query on the same workload reads the
+// trace store or, without one, generates the trace again.
+func TestTraceReuseThroughStatusz(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	run := func(cfg Config, qs ...harness.Query) harness.TraceCacheStats {
+		t.Helper()
+		cfg.Commit = "test"
+		s := New(cfg)
+		for _, q := range qs {
+			if _, _, err := s.Answer(context.Background(), q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Drain()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/statusz", nil))
+		var st Status
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatalf("statusz is not valid JSON: %v", err)
+		}
+		if st.TraceCache.InFlight != 0 {
+			t.Fatalf("trace_cache in_flight = %d after Drain, want 0", st.TraceCache.InFlight)
+		}
+		return st.TraceCache
+	}
+	ccnuma, migrep := testQuery(3), testQuery(3)
+	migrep.Systems = []string{"migrep"}
+
+	if st := run(Config{}, ccnuma, migrep); st.Generated != 2 || st.DiskHits != 0 {
+		t.Errorf("no trace store: %+v, want generated 2, disk_hits 0", st)
+	}
+	traceStore, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := run(Config{TraceStore: traceStore}, ccnuma, migrep); st.Generated != 1 || st.DiskHits != 1 {
+		t.Errorf("with a trace store: %+v, want generated 1, disk_hits 1", st)
+	}
+	all := harness.Query{Experiment: "all", Apps: []string{"lu"}, Scale: 64}.Normalize()
+	if st := run(Config{}, all); st.Generated != 1 || st.Hits == 0 {
+		t.Errorf("experiment=all on one app: %+v, want generated 1 and hits > 0", st)
+	}
+}
+
+// TestTraceStatsUnderConcurrency reads /statusz's trace counters while
+// cold queries run on every worker, so the race detector sees the
+// per-query trace caches come and go.
+func TestTraceStatsUnderConcurrency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	s := New(Config{Workers: 2, Commit: "test"})
+	const queries = 6
+	var wg sync.WaitGroup
+	wg.Add(queries)
+	for seed := uint64(1); seed <= queries; seed++ {
+		go func() {
+			defer wg.Done()
+			q := testQuery(seed)
+			q.Apps = []string{"lu"}
+			if _, _, err := s.Answer(context.Background(), q); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+			s.StatusNow()
+			time.Sleep(time.Millisecond)
+		}
+	}
+	s.Drain()
+	if st := s.StatusNow().TraceCache; st.Generated != queries || st.InFlight != 0 {
+		t.Fatalf("trace_cache %+v, want generated %d and in_flight 0", st, queries)
 	}
 }
 
