@@ -114,14 +114,19 @@ func TestTracesAreDeterministic(t *testing.T) {
 func TestAddressesWithinFootprint(t *testing.T) {
 	for name, tr := range generateAll(t, 8) {
 		blocks := tr.Footprint / 64
-		for cpu, ops := range tr.CPUs {
-			for i, k := range ops.Kinds {
-				if k != trace.Read && k != trace.Write {
+		for cpu, s := range tr.CPUs {
+			c := s.Cursor()
+			for i := 0; ; i++ {
+				op, ok := c.Next()
+				if !ok {
+					break
+				}
+				if op.Kind != trace.Read && op.Kind != trace.Write {
 					continue
 				}
-				if uint64(ops.Args[i]) >= blocks {
+				if uint64(op.Arg) >= blocks {
 					t.Fatalf("%s: cpu %d op %d touches block %d beyond footprint (%d blocks)",
-						name, cpu, i, ops.Args[i], blocks)
+						name, cpu, i, op.Arg, blocks)
 				}
 			}
 		}

@@ -305,7 +305,8 @@ var streamSink uint64
 // reader differ.
 
 // TraceReplaySoA streams the capacity trace through its columnar form
-// (6 B/op: byte-wide kinds and gaps, 32-bit args, escaped large gaps)
+// (4 B/op: byte-wide kinds and gaps, 16-bit args, escaped large gaps
+// and args)
 // with one trace.Cursor per CPU, as Machine.Execute consumes it. One
 // iteration walks every op of every CPU; the trace-ops metric gives the
 // per-op scale.
@@ -342,8 +343,8 @@ func TraceReplaySoA(b *testing.B) {
 }
 
 // TraceReplayAoS is the pre-columnar baseline: the same dispatch-shaped
-// work striding a per-CPU []trace.Op (12-byte padded structs, twice the
-// columns' 6 B/op) with a range loop that keeps its index in a
+// work striding a per-CPU []trace.Op (12-byte padded structs, three
+// times the columns' 4 B/op) with a range loop that keeps its index in a
 // register. The AoS slices are materialized outside the timed region.
 // A Cursor keeps its position in memory, so in this isolated
 // sequential walk it costs more per op than the range loop; in

@@ -78,8 +78,9 @@ func RunWithOptions(tr *trace.Trace, spec Spec, cl config.Cluster, tm config.Tim
 // Replay reads each CPU's trace columns through one trace.Cursor per
 // CPU: a byte-wide kind steers the dispatch switch, a byte-wide gap
 // (escaping to the stream's few 32-bit gaps) advances the clock, and a
-// 32-bit arg names the block or sync id — 6 B of trace per op, instead
-// of striding an array of padded Op structs.
+// 16-bit arg (escaping to 32-bit args the same way) names the block or
+// sync id — 4 B of trace per op, instead of striding an array of padded
+// Op structs.
 func (m *Machine) Execute(tr *trace.Trace) error {
 	if tr.NumCPUs() != m.cl.TotalCPUs() {
 		return fmt.Errorf("dsm: trace has %d cpus, machine has %d", tr.NumCPUs(), m.cl.TotalCPUs())

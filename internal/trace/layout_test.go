@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -99,10 +100,43 @@ func TestRecorderRejectsWideArgs(t *testing.T) {
 	}
 }
 
+// columnBytes is the memory a stream's columns hold: the capacity of
+// every field of Stream times the size of its element type. Walking the
+// fields means a column that changes width, or a new one, changes the
+// total without this test being edited.
+func columnBytes(s trace.Stream) int {
+	v := reflect.ValueOf(s)
+	n := 0
+	for i := range v.NumField() {
+		col := v.Field(i)
+		n += col.Cap() * int(col.Type().Elem().Size())
+	}
+	return n
+}
+
+// checkBytesPerOp pins the trace layout: exactly 4 bytes per op (kind,
+// gap and 16-bit arg) plus 4 per escaped gap and per escaped arg, which
+// leaves no room for append slack.
+func checkBytesPerOp(t *testing.T, name string, tr *trace.Trace) {
+	t.Helper()
+	var bytes, bigGaps, bigArgs int
+	for _, s := range tr.CPUs {
+		bytes += columnBytes(s)
+		bigGaps += len(s.BigGaps)
+		bigArgs += len(s.BigArgs)
+	}
+	ops := tr.Ops()
+	if want := 4*ops + 4*bigGaps + 4*bigArgs; bytes != want {
+		t.Errorf("%s: columns hold %d bytes for %d ops, %d big gaps and %d big args, want %d",
+			name, bytes, ops, bigGaps, bigArgs, want)
+	}
+	t.Logf("%s: %d ops, %d big gaps, %d big args, %.3f B/op",
+		name, ops, bigGaps, bigArgs, float64(bytes)/float64(max(ops, 1)))
+}
+
 // TestStreamBytesPerOp is the deterministic memory guard on the trace
-// layout: every generator's streams hold exactly 6 bytes per op (kind,
-// gap and 32-bit arg) plus 4 per escaped gap, with no append slack left
-// by the Recorder.
+// layout, for every generator's streams as the Recorder leaves them and
+// as a store round trip decodes them.
 func TestStreamBytesPerOp(t *testing.T) {
 	cpus := config.DefaultCluster().TotalCPUs()
 	for _, info := range apps.All() {
@@ -110,16 +144,80 @@ func TestStreamBytesPerOp(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", info.Name, err)
 		}
-		var bytes, big int
-		for _, s := range tr.CPUs {
-			bytes += cap(s.Kinds) + cap(s.Gaps) + 4*cap(s.BigGaps) + 4*cap(s.Args)
-			big += len(s.BigGaps)
+		checkBytesPerOp(t, info.Name, tr)
+		back, err := store.Decode(store.Encode(tr))
+		if err != nil {
+			t.Fatalf("%s: %v", info.Name, err)
 		}
-		ops := tr.Ops()
-		if want := 6*ops + 4*big; bytes != want {
-			t.Errorf("%s: columns hold %d bytes for %d ops and %d big gaps, want %d",
-				info.Name, bytes, ops, big, want)
+		checkBytesPerOp(t, info.Name+" decoded", back)
+	}
+}
+
+// TestArgEscape drives args across the 16-bit escape and up to the
+// 32-bit limit through every path that writes or reads the columns:
+// the Recorder, Stream.Append, the Cursor, Equal and a store round
+// trip. Each must agree on the rows and hold exactly the escapes the
+// layout promises.
+func TestArgEscape(t *testing.T) {
+	args := []uint32{0, 65534, 65535, 65536, 1<<32 - 1}
+	r := trace.NewRecorder()
+	var want []trace.Op
+	for _, a := range args {
+		r.Access(memory.Addr(uint64(a)*config.BlockBytes), false)
+		want = append(want, trace.Op{Kind: trace.Read, Arg: a})
+	}
+	recorded := r.Finish()
+	appended := trace.StreamOf(want...)
+
+	wantArgs := []uint16{0, 65534, 65535, 65535, 65535}
+	wantBig := []uint32{65535, 65536, 1<<32 - 1}
+	tr := &trace.Trace{Name: "wide-args", CPUs: []trace.Stream{recorded}}
+	back, err := store.Decode(store.Encode(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]trace.Stream{
+		"recorder": recorded, "append": appended, "store": back.CPUs[0],
+	} {
+		if !slices.Equal(s.Args, wantArgs) || !slices.Equal(s.BigArgs, wantBig) {
+			t.Errorf("%s: Args/BigArgs = %v/%v, want %v/%v", name, s.Args, s.BigArgs, wantArgs, wantBig)
 		}
-		t.Logf("%s: %d ops, %d big gaps, %.3f B/op", info.Name, ops, big, float64(bytes)/float64(ops))
+		var rows []trace.Op
+		for c := s.Cursor(); ; {
+			op, ok := c.Next()
+			if !ok {
+				break
+			}
+			rows = append(rows, op)
+		}
+		if !slices.Equal(rows, want) {
+			t.Errorf("%s: cursor rows = %+v, want %+v", name, rows, want)
+		}
+		if !s.Equal(recorded) {
+			t.Errorf("%s: not Equal to the recorded stream", name)
+		}
+	}
+	checkBytesPerOp(t, "recorder", tr)
+	checkBytesPerOp(t, "store", back)
+
+	// Equal compares the escaped values, not only the markers.
+	other := trace.StreamOf(want...)
+	other.BigArgs[1]++
+	if other.Equal(recorded) {
+		t.Error("streams that differ in one escaped arg compare Equal")
+	}
+
+	// A stream whose arg escapes and BigArgs disagree is rejected before
+	// a Cursor could index past BigArgs or misattribute an entry.
+	for name, bigArgs := range map[string][]uint32{
+		"short": wantBig[:2],
+		"long":  append(slices.Clone(wantBig), 7),
+	} {
+		s := trace.StreamOf(want...)
+		s.BigArgs = bigArgs
+		err := (&trace.Trace{Name: name, CPUs: []trace.Stream{s}}).Validate()
+		if err == nil || !strings.Contains(err.Error(), "escaped args") {
+			t.Errorf("%s BigArgs: Validate() = %v, want an escaped-args error", name, err)
+		}
 	}
 }

@@ -36,6 +36,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add(store.Reseal([]byte("DTRC\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01xxxx")))
 	// An arg delta that leaves uint32 must be rejected, not truncated.
 	f.Add(wideArgFile())
+	// Args on both sides of the 16-bit escape.
+	f.Add(store.Encode(&trace.Trace{Name: "escaped-args", CPUs: []trace.Stream{trace.StreamOf(
+		trace.Op{Kind: trace.Read, Arg: 65534},
+		trace.Op{Kind: trace.Write, Arg: 65535},
+		trace.Op{Kind: trace.Read, Arg: 65536},
+		trace.Op{Kind: trace.Read, Arg: 1<<32 - 1},
+	)}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr1, err1 := store.Decode(data)
@@ -50,7 +57,8 @@ func FuzzDecode(f *testing.F) {
 				continue
 			}
 			// A successful decode must be internally consistent: equal
-			// column lengths, one big gap per escape, in-range kinds.
+			// column lengths, one big gap per gap escape, one big arg per
+			// arg escape, in-range kinds.
 			for cpu := range tr.CPUs {
 				s := &tr.CPUs[cpu]
 				if len(s.Kinds) != len(s.Gaps) || len(s.Kinds) != len(s.Args) {
@@ -58,6 +66,15 @@ func FuzzDecode(f *testing.F) {
 				}
 				if n := bytes.Count(s.Gaps, []byte{trace.GapEscape}); n != len(s.BigGaps) {
 					t.Fatalf("cpu %d: %d escapes but %d big gaps", cpu, n, len(s.BigGaps))
+				}
+				escapes := 0
+				for _, a := range s.Args {
+					if a == trace.ArgEscape {
+						escapes++
+					}
+				}
+				if escapes != len(s.BigArgs) {
+					t.Fatalf("cpu %d: %d arg escapes but %d big args", cpu, escapes, len(s.BigArgs))
 				}
 				for _, k := range s.Kinds {
 					if int(k) >= trace.KindCount {

@@ -25,12 +25,13 @@
 //
 // Each per-CPU section serializes the stream's three logical columns in
 // turn: the kind column raw (one byte per op), every op's full gap as
-// an unsigned varint (the in-memory escape to BigGaps is resolved, so
-// the bytes do not depend on it), and the arg column as zigzag varints
-// of the delta from the previous arg — block numbers and sync ids are
-// locally sequential, so deltas keep most args in one byte (~4 B/op on
-// the SPLASH traces vs 6 B/op in memory). The section table up front
-// lets Decode fan per-CPU sections out over goroutines.
+// an unsigned varint, and every op's full arg as a zigzag varint of the
+// delta from the previous arg. The in-memory escapes to BigGaps and
+// BigArgs are resolved, so the bytes do not depend on them. Block
+// numbers and sync ids are locally sequential, so deltas keep most args
+// in one byte: ~4 B/op on the SPLASH traces, about as much as the
+// in-memory columns hold. The section table up front lets Decode fan
+// per-CPU sections out over goroutines.
 //
 // # Versioning and invalidation
 //
@@ -183,8 +184,8 @@ func Encode(tr *trace.Trace) []byte {
 }
 
 // encodeSection serializes one stream's columns: raw kinds, varint gaps
-// (read through the stream's cursor, which resolves escaped gaps),
-// zigzag-delta varint args.
+// and zigzag-delta varint args, the last two read through the stream's
+// cursor, which resolves their escapes.
 func encodeSection(s *trace.Stream) []byte {
 	out := make([]byte, 0, 4*s.Len())
 	for _, k := range s.Kinds {
@@ -198,9 +199,13 @@ func encodeSection(s *trace.Stream) []byte {
 		out = binary.AppendUvarint(out, uint64(op.Gap))
 	}
 	var prev int64
-	for _, a := range s.Args {
-		out = binary.AppendVarint(out, int64(a)-prev)
-		prev = int64(a)
+	for c := s.Cursor(); ; {
+		op, ok := c.Next()
+		if !ok {
+			break
+		}
+		out = binary.AppendVarint(out, int64(op.Arg)-prev)
+		prev = int64(op.Arg)
 	}
 	return out
 }
@@ -314,12 +319,13 @@ func Decode(data []byte) (*trace.Trace, error) {
 
 // decodeSection parses one stream's columns from its section bytes,
 // filling the in-memory columns directly: gaps of 255 and up go to
-// BigGaps behind an escape, and an arg outside 32 bits makes the
-// section corrupt. The section must be exactly consumed. The varint
-// loops inline the one-byte fast path: real traces keep most gaps under
-// 128 cycles and most arg deltas within ±63 blocks, so the common case
-// is a single compare-and-copy per value and materializing a warm trace
-// stays far cheaper than regenerating it.
+// BigGaps and args of 65535 and up to BigArgs, each behind an escape,
+// and an arg outside 32 bits makes the section corrupt. The section
+// must be exactly consumed. The varint loops inline the one-byte fast
+// path: real traces keep most gaps under 128 cycles and most arg deltas
+// within ±63 blocks, so the common case is a single compare-and-copy
+// per value and materializing a warm trace stays far cheaper than
+// regenerating it.
 func decodeSection(p []byte, count int) (trace.Stream, error) {
 	var s trace.Stream
 	if count > len(p) {
@@ -356,12 +362,11 @@ func decodeSection(p []byte, count int) (trace.Stream, error) {
 		}
 		p = p[n:]
 	}
-	if big != nil {
-		// Sized exactly: resident traces carry no append slack.
-		s.BigGaps = make([]uint32, len(big))
-		copy(s.BigGaps, big)
-	}
-	s.Args = make([]uint32, count)
+	// The escape columns are sized exactly: resident traces carry no
+	// append slack.
+	s.BigGaps = exact(big)
+	big = big[:0]
+	s.Args = make([]uint16, count)
 	var prev uint64
 	for i := range s.Args {
 		var d int64
@@ -384,12 +389,28 @@ func decodeSection(p []byte, count int) (trace.Stream, error) {
 		if prev > 1<<32-1 {
 			return trace.Stream{}, fmt.Errorf("store: op %d arg leaves uint32", i)
 		}
-		s.Args[i] = uint32(prev)
+		if prev < trace.ArgEscape {
+			s.Args[i] = uint16(prev)
+		} else {
+			s.Args[i] = trace.ArgEscape
+			big = append(big, uint32(prev))
+		}
 	}
 	if len(p) != 0 {
 		return trace.Stream{}, fmt.Errorf("store: %d trailing bytes in section", len(p))
 	}
+	s.BigArgs = exact(big)
 	return s, nil
+}
+
+// exact copies v into a new slice of capacity len(v); empty stays nil.
+func exact(v []uint32) []uint32 {
+	if len(v) == 0 {
+		return nil
+	}
+	out := make([]uint32, len(v))
+	copy(out, v)
+	return out
 }
 
 // uvar reads one unsigned varint, returning the remaining bytes.

@@ -14,27 +14,29 @@
 //
 // Each processor's stream is stored column-wise (struct of arrays), with
 // no column wider than its values need: a Stream holds Kinds ([]Kind,
-// one byte per op), Gaps ([]uint8, one byte per op), BigGaps ([]uint32)
-// and Args ([]uint32, four bytes per op) — 6 B/op of payload, half the
-// 12 B of a padded Op row. Almost every compute gap is under 255
-// cycles, so the gap column stores it in one byte; the value 255 is an
-// escape meaning "the gap is the next entry of BigGaps", which holds the
-// few large gaps in op order. Args are block numbers and sync ids, which
-// fit in 32 bits (the Recorder panics on one that does not). Generation
-// appends straight into the columns through the Recorder, which trims
-// them to their length at Finish so no append slack stays resident, and
-// the on-disk format of trace/store serializes each column independently
-// so per-CPU sections encode and decode in parallel.
+// one byte per op), Gaps ([]uint8, one byte per op), Args ([]uint16, two
+// bytes per op) and the escape columns BigGaps and BigArgs ([]uint32) —
+// 4 B/op of payload, a third of the 12 B of a padded Op row. Almost
+// every compute gap is under 255 cycles, so the gap column stores it in
+// one byte; the value 255 is an escape meaning "the gap is the next
+// entry of BigGaps", which holds the few large gaps in op order. Args
+// are block numbers and sync ids. Every paper input's block numbers fit
+// in 16 bits except radix at scales 1 and 2, so the arg column escapes
+// the same way: 65535 means "the arg is the next entry of BigArgs". An
+// arg must fit in 32 bits (the Recorder panics on one that does not).
+// Generation appends straight into the columns through the Recorder,
+// which trims them to their length at Finish so no append slack stays
+// resident, and the on-disk format of trace/store serializes each column
+// independently so per-CPU sections encode and decode in parallel.
 //
 // Cursor is the one sequential reader: replay, validation, comparison
 // and encoding all walk a stream through it, and it alone resolves the
-// gap escape. The Op struct is the row it yields; Stream.Append scatters
-// a row onto the columns, the convenient form for tests and hand-built
-// traces.
+// gap and arg escapes. The Op struct is the row it yields;
+// Stream.Append scatters a row onto the columns, the convenient form for
+// tests and hand-built traces.
 package trace
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/memory"
@@ -100,14 +102,20 @@ type Op struct {
 // it is the next unread entry of BigGaps.
 const GapEscape = 1<<8 - 1
 
+// ArgEscape in the Args column means the op's arg did not fit in 16
+// bits: it is the next unread entry of BigArgs.
+const ArgEscape = 1<<16 - 1
+
 // Stream is one processor's op sequence in columnar form. Kinds, Gaps
 // and Args always have equal length, and index i across them is op i;
-// BigGaps holds one entry per GapEscape in Gaps, in op order.
+// BigGaps holds one entry per GapEscape in Gaps and BigArgs one entry
+// per ArgEscape in Args, each in op order.
 type Stream struct {
 	Kinds   []Kind
 	Gaps    []uint8
 	BigGaps []uint32
-	Args    []uint32
+	Args    []uint16
+	BigArgs []uint32
 }
 
 // StreamOf builds a stream from rows (test and hand-built-trace helper).
@@ -131,7 +139,12 @@ func (s *Stream) Append(op Op) {
 		s.Gaps = append(s.Gaps, GapEscape)
 		s.BigGaps = append(s.BigGaps, op.Gap)
 	}
-	s.Args = append(s.Args, op.Arg)
+	if op.Arg < ArgEscape {
+		s.Args = append(s.Args, uint16(op.Arg))
+	} else {
+		s.Args = append(s.Args, ArgEscape)
+		s.BigArgs = append(s.BigArgs, op.Arg)
+	}
 }
 
 // Ops materializes the stream as rows (tests and the AoS baseline
@@ -166,15 +179,30 @@ func (s Stream) Equal(o Stream) bool {
 }
 
 // check reports a stream whose columns disagree: ragged lengths, or an
-// escape count that does not match BigGaps. Cursor relies on both.
+// escape count that does not match BigGaps or BigArgs. Cursor relies on
+// all three.
 func (s Stream) check() error {
 	if len(s.Gaps) != len(s.Kinds) || len(s.Args) != len(s.Kinds) {
 		return fmt.Errorf("ragged columns: %d kinds, %d gaps, %d args", len(s.Kinds), len(s.Gaps), len(s.Args))
 	}
-	if n := bytes.Count(s.Gaps, []byte{GapEscape}); n != len(s.BigGaps) {
+	if n := count(s.Gaps, GapEscape); n != len(s.BigGaps) {
 		return fmt.Errorf("%d escaped gaps but %d big gaps", n, len(s.BigGaps))
 	}
+	if n := count(s.Args, ArgEscape); n != len(s.BigArgs) {
+		return fmt.Errorf("%d escaped args but %d big args", n, len(s.BigArgs))
+	}
 	return nil
+}
+
+// count returns how many entries of col equal v.
+func count[T comparable](col []T, v T) int {
+	n := 0
+	for _, x := range col {
+		if x == v {
+			n++
+		}
+	}
+	return n
 }
 
 // exact copies v into a slice of capacity len(v); nil stays nil.
@@ -187,35 +215,51 @@ func exact[T any](v []T) []T {
 	return out
 }
 
-// Cursor iterates a stream row by row, resolving gap escapes. The
-// columns are shared with the underlying stream, not copied. It is the
-// replay engine's per-op reader, so Next stays within the compiler's
-// inlining budget and never allocates.
+// Cursor iterates a stream row by row, resolving gap and arg escapes.
+// The columns are shared with the underlying stream, not copied. It is
+// the replay engine's per-op reader, so Next stays within the
+// compiler's inlining budget and never allocates (CI checks the
+// inlining).
 type Cursor struct {
-	s   Stream
-	i   int // next op
-	big int // next BigGaps entry
+	// The columns are fields of their own, not a Stream: indexing
+	// through a nested struct costs Next enough inlining budget that a
+	// second escape branch would push it over.
+	kinds   []Kind
+	gaps    []uint8
+	args    []uint16
+	bigGaps []uint32
+	bigArgs []uint32
+	i       int // next op
+	gi      int // next BigGaps entry
+	ai      int // next BigArgs entry
 }
 
 // Cursor returns an iterator positioned before the first op.
-func (s Stream) Cursor() Cursor { return Cursor{s: s} }
+func (s Stream) Cursor() Cursor {
+	return Cursor{kinds: s.Kinds, gaps: s.Gaps, args: s.Args, bigGaps: s.BigGaps, bigArgs: s.BigArgs}
+}
 
-// Next returns the next op, or ok=false past the end. The escape branch
-// is written in place rather than as a helper call: a call that is not
-// itself inlined costs more than Go's whole inlining budget, and this
-// body is two instructions on a path taken by a few dozen ops per trace.
+// Next returns the next op, or ok=false past the end. The row is built
+// once from the narrow columns and its escapes patched in place rather
+// than through a helper call: a call that is not itself inlined costs
+// more than Go's whole inlining budget, and each branch is two
+// instructions on a path few ops take.
 func (c *Cursor) Next() (op Op, ok bool) {
 	i := c.i
-	if i >= len(c.s.Kinds) {
+	if i >= len(c.kinds) {
 		return Op{}, false
 	}
 	c.i = i + 1
-	gap := uint32(c.s.Gaps[i])
-	if gap == GapEscape {
-		gap = c.s.BigGaps[c.big]
-		c.big++
+	op = Op{Kind: c.kinds[i], Gap: uint32(c.gaps[i]), Arg: uint32(c.args[i])}
+	if op.Gap == GapEscape {
+		op.Gap = c.bigGaps[c.gi]
+		c.gi++
 	}
-	return Op{Kind: c.s.Kinds[i], Gap: gap, Arg: c.s.Args[i]}, true
+	if op.Arg == ArgEscape {
+		op.Arg = c.bigArgs[c.ai]
+		c.ai++
+	}
+	return op, true
 }
 
 // Trace is a complete multi-processor trace.
@@ -322,9 +366,10 @@ func (t *Trace) Validate() error {
 // coalescing, appending directly into the stream's columns. It is the
 // only way application generators should emit memory references.
 //
-// The arg column is 32 bits wide: recording a block number at or above
-// 2^32 (a shared address space beyond 256 GiB), or a negative or
-// oversized sync id, panics with a message naming the op and the value.
+// Args are stored in 16 bits with an escape to 32: recording a block
+// number at or above 2^32 (a shared address space beyond 256 GiB), or a
+// negative or oversized sync id, panics with a message naming the op
+// and the value.
 type Recorder struct {
 	s Stream
 
@@ -351,8 +396,7 @@ const maxGap = 1<<32 - 1
 const maxArg = 1<<32 - 1
 
 // emit appends an op carrying the pending gap, splitting oversized gaps
-// into leading Pad ops. It panics if arg does not fit the 32-bit arg
-// column.
+// into leading Pad ops. It panics if arg does not fit in 32 bits.
 func (r *Recorder) emit(k Kind, arg uint64) {
 	if arg > maxArg {
 		panic(fmt.Sprintf("trace: %v arg %d does not fit in 32 bits (block numbers cover 256 GiB)", k, arg))
@@ -450,6 +494,7 @@ func (r *Recorder) Finish() Stream {
 		Gaps:    exact(r.s.Gaps),
 		BigGaps: exact(r.s.BigGaps),
 		Args:    exact(r.s.Args),
+		BigArgs: exact(r.s.BigArgs),
 	}
 	// Drop the untrimmed columns: the recorder may outlive the call
 	// (a World keeps its recorders) and must not pin them.
