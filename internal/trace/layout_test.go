@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -151,6 +152,35 @@ func TestStreamBytesPerOp(t *testing.T) {
 		}
 		checkBytesPerOp(t, info.Name+" decoded", back)
 	}
+}
+
+// TestRecorderAllocatesTwiceTheStream bounds what building a stream of
+// unescaped ops allocates: the chunks it fills and the exact columns
+// Finish gathers them into, about twice the stream's bytes. Growing one
+// set of columns by append allocated several times more, and that
+// garbage set the heap's peak wherever a collection happened to catch
+// it.
+func TestRecorderAllocatesTwiceTheStream(t *testing.T) {
+	const ops = 1 << 18
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := trace.NewRecorder()
+	for i := range ops {
+		r.Compute(i % 200)
+		r.Access(memory.Addr(i%(1<<15)*config.BlockBytes), i%3 == 0)
+	}
+	s := r.Finish()
+	runtime.ReadMemStats(&after)
+	if s.Len() != ops {
+		t.Fatalf("recorded %d ops, want %d", s.Len(), ops)
+	}
+	held := columnBytes(s)
+	alloc := int(after.TotalAlloc - before.TotalAlloc)
+	if alloc > 2*held+held/4 {
+		t.Errorf("recording %d ops (%d bytes of columns) allocated %d bytes, %.2fx the stream; want at most 2.25x",
+			ops, held, alloc, float64(alloc)/float64(held))
+	}
+	t.Logf("%d ops: %d bytes of columns, %d allocated (%.2fx)", ops, held, alloc, float64(alloc)/float64(held))
 }
 
 // TestArgEscape drives args across the 16-bit escape and up to the

@@ -24,10 +24,11 @@
 // in 16 bits except radix at scales 1 and 2, so the arg column escapes
 // the same way: 65535 means "the arg is the next entry of BigArgs". An
 // arg must fit in 32 bits (the Recorder panics on one that does not).
-// Generation appends straight into the columns through the Recorder,
-// which trims them to their length at Finish so no append slack stays
-// resident, and the on-disk format of trace/store serializes each column
-// independently so per-CPU sections encode and decode in parallel.
+// Generation appends into fixed-size column chunks through the
+// Recorder, which gathers them into exact-length columns at Finish so
+// no append slack stays resident, and the on-disk format of trace/store
+// serializes each column independently so per-CPU sections encode and
+// decode in parallel.
 //
 // Cursor is the one sequential reader: replay, validation, comparison
 // and encoding all walk a stream through it, and it alone resolves the
@@ -205,16 +206,6 @@ func count[T comparable](col []T, v T) int {
 	return n
 }
 
-// exact copies v into a slice of capacity len(v); nil stays nil.
-func exact[T any](v []T) []T {
-	if v == nil {
-		return nil
-	}
-	out := make([]T, len(v))
-	copy(out, v)
-	return out
-}
-
 // Cursor iterates a stream row by row, resolving gap and arg escapes.
 // The columns are shared with the underlying stream, not copied. It is
 // the replay engine's per-op reader, so Next stays within the
@@ -363,15 +354,23 @@ func (t *Trace) Validate() error {
 }
 
 // Recorder builds one processor's op stream with same-block run
-// coalescing, appending directly into the stream's columns. It is the
-// only way application generators should emit memory references.
+// coalescing, appending into fixed-capacity column chunks that Finish
+// gathers into the stream. It is the only way application generators
+// should emit memory references.
 //
 // Args are stored in 16 bits with an escape to 32: recording a block
 // number at or above 2^32 (a shared address space beyond 256 GiB), or a
 // negative or oversized sync id, panics with a message naming the op
 // and the value.
 type Recorder struct {
-	s Stream
+	// The stream grows in chunks, not by reslicing one set of columns:
+	// append's 1.25x growth on large slices leaves about five times the
+	// finished stream behind as garbage, which set the heap's high-water
+	// mark wherever a collection happened to catch it. done holds the
+	// filled chunks in op order and cur the one being filled; Finish
+	// gathers them into exact-length columns.
+	done []Stream
+	cur  Stream
 
 	// pending is compute time accumulated before the next emitted op.
 	pending uint64
@@ -388,6 +387,51 @@ type Recorder struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
+// Chunk capacities in ops: a recorder's first chunk holds
+// firstChunkOps, and each later one twice its predecessor up to
+// maxChunkOps (16 KiB of columns), so short streams stay small and long
+// ones add one fixed-size chunk at a time.
+const (
+	firstChunkOps = 256
+	maxChunkOps   = 4096
+)
+
+// push appends one row to the current chunk, starting a new chunk when
+// it is full.
+func (r *Recorder) push(op Op) {
+	if len(r.cur.Kinds) == cap(r.cur.Kinds) {
+		r.nextChunk()
+	}
+	r.cur.Append(op)
+}
+
+// nextChunk retires the full current chunk and starts an empty one.
+func (r *Recorder) nextChunk() {
+	n := firstChunkOps
+	if c := cap(r.cur.Kinds); c > 0 {
+		r.done = append(r.done, r.cur)
+		n = min(2*c, maxChunkOps)
+	}
+	r.cur = Stream{Kinds: make([]Kind, 0, n), Gaps: make([]uint8, 0, n), Args: make([]uint16, 0, n)}
+}
+
+// gather concatenates one column of the chunks into a slice of exactly
+// their total length; no entries gives nil.
+func gather[T any](chunks []Stream, col func(*Stream) []T) []T {
+	n := 0
+	for i := range chunks {
+		n += len(col(&chunks[i]))
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for i := range chunks {
+		out = append(out, col(&chunks[i])...)
+	}
+	return out
+}
+
 const maxGap = 1<<32 - 1
 
 // maxArg is the largest block number or sync id a stream can hold: a
@@ -402,10 +446,10 @@ func (r *Recorder) emit(k Kind, arg uint64) {
 		panic(fmt.Sprintf("trace: %v arg %d does not fit in 32 bits (block numbers cover 256 GiB)", k, arg))
 	}
 	for r.pending > maxGap {
-		r.s.Append(Op{Kind: Pad, Gap: maxGap})
+		r.push(Op{Kind: Pad, Gap: maxGap})
 		r.pending -= maxGap
 	}
-	r.s.Append(Op{Kind: k, Gap: uint32(r.pending), Arg: uint32(arg)})
+	r.push(Op{Kind: k, Gap: uint32(r.pending), Arg: uint32(arg)})
 	r.pending = 0
 }
 
@@ -480,8 +524,8 @@ func (r *Recorder) Phase() {
 }
 
 // Finish flushes any pending run and returns the columnar stream, its
-// columns copied to capacity equal to their length so no append slack
-// stays resident. The recorder must not be used afterwards.
+// chunks gathered into columns of capacity equal to their length so no
+// slack stays resident. The recorder must not be used afterwards.
 func (r *Recorder) Finish() Stream {
 	r.flushRun()
 	if r.pending > 0 {
@@ -489,18 +533,25 @@ func (r *Recorder) Finish() Stream {
 		// it on a Pad op.
 		r.emit(Pad, 0)
 	}
+	chunks := append(r.done, r.cur)
 	s := Stream{
-		Kinds:   exact(r.s.Kinds),
-		Gaps:    exact(r.s.Gaps),
-		BigGaps: exact(r.s.BigGaps),
-		Args:    exact(r.s.Args),
-		BigArgs: exact(r.s.BigArgs),
+		Kinds:   gather(chunks, func(c *Stream) []Kind { return c.Kinds }),
+		Gaps:    gather(chunks, func(c *Stream) []uint8 { return c.Gaps }),
+		BigGaps: gather(chunks, func(c *Stream) []uint32 { return c.BigGaps }),
+		Args:    gather(chunks, func(c *Stream) []uint16 { return c.Args }),
+		BigArgs: gather(chunks, func(c *Stream) []uint32 { return c.BigArgs }),
 	}
-	// Drop the untrimmed columns: the recorder may outlive the call
-	// (a World keeps its recorders) and must not pin them.
-	r.s = Stream{}
+	// Drop the chunks: the recorder may outlive the call (a World keeps
+	// its recorders) and must not pin them.
+	r.done, r.cur = nil, Stream{}
 	return s
 }
 
 // Len returns the number of ops emitted so far (excluding a pending run).
-func (r *Recorder) Len() int { return r.s.Len() }
+func (r *Recorder) Len() int {
+	n := r.cur.Len()
+	for _, c := range r.done {
+		n += c.Len()
+	}
+	return n
+}
