@@ -1,168 +1,28 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation section, plus ablations over the design choices DESIGN.md
-// calls out and microbenchmarks of the simulator's hot paths.
-//
-// Each BenchmarkFigN/BenchmarkTable4 iteration performs the full
-// experiment (all systems on a reduced-scale workload set) and reports
-// simulated-cycles-per-wall-second style throughput via custom metrics.
-// Run the real full-scale reproduction with cmd/experiments.
+// Ablations over the simulator's design choices, plus
+// microbenchmarks of two helpers no end-to-end measurement isolates.
+// The experiments, replay, generation and hot paths are timed by
+// cmd/dsmbench; the hot paths' allocations are guarded by
+// alloc_guard_test.go.
 package repro
 
 import (
 	"fmt"
-	"io"
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/bench"
 	"repro/internal/config"
 	"repro/internal/dsm"
 	"repro/internal/engine"
-	"repro/internal/harness"
 	"repro/internal/memory"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-// benchScale keeps one experiment iteration around a second.
+// benchScale keeps one ablation iteration well under a second.
 const benchScale = 8
 
-func benchOpts() harness.Options {
-	return harness.Options{Scale: benchScale, Parallel: 4, Out: io.Discard}
-}
-
-// reportMeans attaches each system's mean normalized execution time as a
-// benchmark metric, so `go test -bench` output carries the figures'
-// headline numbers.
-func reportMeans(b *testing.B, r *harness.Result) {
-	b.Helper()
-	for _, sys := range r.Systems {
-		b.ReportMetric(r.MeanNorm(sys), "norm-"+sys)
-	}
-}
-
-// BenchmarkFig5 regenerates Figure 5: the base comparison of CC-NUMA,
-// Rep, Mig, MigRep, R-NUMA and R-NUMA-Inf over the seven applications.
-func BenchmarkFig5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig5(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportMeans(b, r)
-		}
-	}
-}
-
-// BenchmarkTable4 regenerates Table 4: per-node page operations and
-// remote miss breakdowns.
-func BenchmarkTable4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := harness.Table4(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportMeans(b, r)
-		}
-	}
-}
-
-// BenchmarkFig6 regenerates Figure 6: fast versus slow page-operation
-// support.
-func BenchmarkFig6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig6(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportMeans(b, r)
-		}
-	}
-}
-
-// BenchmarkFig7 regenerates Figure 7: the 4x network latency study.
-func BenchmarkFig7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig7(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportMeans(b, r)
-		}
-	}
-}
-
-// BenchmarkFig8 regenerates Figure 8: page-cache halving and the
-// R-NUMA+MigRep integration.
-func BenchmarkFig8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := harness.Fig8(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportMeans(b, r)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------
-// Per-application replay benchmarks: simulator throughput on each
-// workload (trace generated once outside the timed loop).
-
-func benchReplay(b *testing.B, app string, spec dsm.Spec) {
-	info, err := apps.ByName(app)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := info.Generate(apps.Params{CPUs: 32, Scale: benchScale})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cl := config.DefaultCluster()
-	tm, th := config.Default(), config.DefaultThresholds()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dsm.Run(tr, spec, cl, tm, th); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(tr.Ops()), "trace-ops")
-}
-
-func BenchmarkReplay(b *testing.B) {
-	for _, app := range []string{"barnes", "cholesky", "fmm", "lu", "ocean", "radix", "raytrace"} {
-		for _, spec := range []dsm.Spec{dsm.CCNUMA(), dsm.MigRep(), dsm.RNUMA()} {
-			b.Run(fmt.Sprintf("%s/%s", app, spec.Name), func(b *testing.B) {
-				benchReplay(b, app, spec)
-			})
-		}
-	}
-}
-
-// BenchmarkTraceGeneration measures workload generation alone.
-func BenchmarkTraceGeneration(b *testing.B) {
-	for _, app := range []string{"lu", "radix", "barnes"} {
-		b.Run(app, func(b *testing.B) {
-			info, err := apps.ByName(app)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := info.Generate(apps.Params{CPUs: 32, Scale: benchScale}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---------------------------------------------------------------------
-// Ablations: design choices called out in DESIGN.md.
+// Ablations: the simulator's design choices.
 
 // BenchmarkAblationBlockCacheSize sweeps the CC-NUMA block cache from a
 // quarter to 4x the paper's 64 KB: how much SRAM does the cluster cache
@@ -313,29 +173,9 @@ func BenchmarkResourceAcquire(b *testing.B) {
 	}
 }
 
-func BenchmarkSchedulerStep(b *testing.B) {
-	s := engine.NewScheduler(32)
-	for i := 0; i < b.N; i++ {
-		c := s.Next()
-		c.Clock += int64(i%7) + 1
-		s.Yield(c)
-	}
-}
-
 func BenchmarkRecorderAccess(b *testing.B) {
 	r := trace.NewRecorder()
 	for i := 0; i < b.N; i++ {
 		r.Access(memory.Addr(i*8), i%5 == 0)
-	}
-}
-
-// BenchmarkHotPath runs the shared internal/bench suite: cache probes,
-// the fault path per miss class, engine dispatch, and the Figure 5
-// macrobenchmark. cmd/benchreport runs the same bodies to produce the
-// committed BENCH_*.json baselines, and the allocation-regression guard
-// in bench_guard_test.go compares the guarded cases against them.
-func BenchmarkHotPath(b *testing.B) {
-	for _, c := range bench.Cases() {
-		b.Run(c.Name, c.Bench)
 	}
 }

@@ -98,9 +98,9 @@
 // allocating constructs in functions annotated //repro:hotpath, and
 // requires every telemetry hook in the core to sit behind a nil guard.
 // The invariants the golden files, the content-addressed trace store
-// and the benchmark guards test by example are thus also checked at
+// and the allocation guard test by example are thus also checked at
 // compile time, on every path.
 //
 // See README.md for a quickstart, cmd/experiments for the reproduction
-// driver, and bench_test.go (this directory) for per-figure benchmarks.
+// driver, and cmd/dsmbench for the end-to-end benchmark.
 package repro

@@ -32,8 +32,8 @@
 //   - hotalloc: functions annotated `//repro:hotpath` may not use
 //     fmt, string concatenation, closures, map literals/makes, or
 //     interface-boxing conversions — the allocation sources the
-//     dynamic allocs/op guard (bench_guard_test) detects after the
-//     fact. Arguments of panic calls are exempt: a terminating path
+//     dynamic allocs/op guard (alloc_guard_test.go) detects after
+//     the fact. Arguments of panic calls are exempt: a terminating path
 //     may format its last words.
 //   - nilhook: every telemetry-collector call site in dsm and
 //     interconnect must sit behind a nil guard, preserving the PR 6

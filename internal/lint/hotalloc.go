@@ -10,19 +10,19 @@ import (
 //
 // The replay loop dispatches one memory access per trace op; the
 // fault, probe and dispatch paths it drives are pinned to 0 allocs/op
-// by the dynamic benchmark guard (bench_guard_test). That guard only
-// fires for regressions a guarded benchmark happens to exercise; the
-// analyzer rejects the allocation sources themselves — fmt calls,
-// string concatenation, closures, map literals and map makes,
-// interface-boxing conversions — in any function carrying the
+// by the dynamic allocation guard (alloc_guard_test.go at the module
+// root). That guard only fires for regressions a guarded case happens
+// to exercise; the analyzer rejects the allocation sources themselves
+// — fmt calls, string concatenation, closures, map literals and map
+// makes, interface-boxing conversions — in any function carrying the
 // `//repro:hotpath` annotation, on every path. Arguments of panic
 // calls are exempt: a terminating path may format its last words, and
 // the compiler keeps the formatting out of the happy path.
 //
 // The check is not transitive: a hot function may call a cold helper
 // (amortized growth, lazy construction); the helper is simply not
-// annotated. Annotations are cross-checked against internal/bench's
-// guarded benchmarks by the lint suite's own tests.
+// annotated. TestHotPathAnnotationsPresent (lint_test.go at the module
+// root) checks that the guarded hot-path files keep their annotations.
 var HotAllocAnalyzer = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "forbid allocating constructs (fmt, string concat, closures, map literals, interface boxing) in //repro:hotpath functions",

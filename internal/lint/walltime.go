@@ -26,11 +26,10 @@ var WallTimeAnalyzer = &Analyzer{
 
 // wallTimeExemptSegments are the package-path elements allowed to
 // observe wall time: the harness (progress lines, run manifests), the
-// binaries, the example programs, the benchmark bodies (which measure
-// wall time by definition), and the serving stack (request latencies,
-// uptime, load-test percentiles are wall-clock quantities; simulated
-// time never leaves the harness below it).
-var wallTimeExemptSegments = []string{"harness", "cmd", "examples", "bench", "serve"}
+// binaries, the example programs, and the serving stack (request
+// latencies, uptime, load-test percentiles are wall-clock quantities;
+// simulated time never leaves the harness below it).
+var wallTimeExemptSegments = []string{"harness", "cmd", "examples", "serve"}
 
 // forbiddenTimeFuncs are the wall-clock entry points of package time.
 // (time.Since/Until call time.Now internally.)

@@ -3,6 +3,6 @@
 package repro
 
 // raceEnabled reports whether the race detector instruments this build.
-// The allocation-regression guard skips under race: instrumentation adds
-// allocations that the committed baselines do not account for.
+// The allocation guard skips under race: instrumentation adds
+// allocations that its ceilings do not account for.
 const raceEnabled = false
