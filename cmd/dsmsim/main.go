@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,41 +38,48 @@ import (
 	"repro/internal/trace/store"
 )
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+// main delegates to run, which parses its flags into the given set and
+// prints to stdout, so tests can drive the command in-process. os.Exit
+// lives only here.
+func main() {
+	if err := run(flag.CommandLine, os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }
 
-func main() {
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	var (
-		appName  = flag.String("app", "lu", "application (see -list)")
-		system   = flag.String("system", "ccnuma", "system to simulate (see -list)")
-		systems  = flag.String("systems", "", "comma-separated systems to simulate in sequence (overrides -system)")
-		scale    = flag.Int("scale", 1, "problem-size divisor (1 = full size)")
-		slow     = flag.Bool("slow", false, "use slow page-operation support")
-		netScale = flag.Int64("netscale", 1, "network latency multiplier")
-		audit    = flag.Bool("audit", true, "run with event-time and traffic-conservation audits (internal/audit)")
-		baseline = flag.Bool("normalize", false, "also run perfect CC-NUMA and print normalized time")
-		perNode  = flag.Bool("pernode", false, "print the per-node statistics table")
-		list     = flag.Bool("list", false, "list applications and systems, then exit")
-		tsDir    = flag.String("tracestore", "", "directory of the on-disk trace store (empty = off; generation timings stay cold)")
-		telDir   = flag.String("telemetry", "", "collect time-resolved telemetry and write windowed-series CSVs and a run manifest into this directory")
-		timeline = flag.Bool("timeline", false, "with -telemetry, also record the page-operation timeline (Chrome trace JSON + CSV)")
-		window   = flag.Int64("window", 0, "telemetry window width in simulated cycles (0 = default, 2^20)")
-		progress = flag.Bool("progress", false, "log per-run completion with wall time to stderr")
+		appName  = fs.String("app", "lu", "application (see -list)")
+		system   = fs.String("system", "ccnuma", "system to simulate (see -list)")
+		systems  = fs.String("systems", "", "comma-separated systems to simulate in sequence (overrides -system)")
+		scale    = fs.Int("scale", 1, "problem-size divisor (1 = full size)")
+		slow     = fs.Bool("slow", false, "use slow page-operation support")
+		netScale = fs.Int64("netscale", 1, "network latency multiplier")
+		audit    = fs.Bool("audit", true, "run with event-time and traffic-conservation audits (internal/audit)")
+		baseline = fs.Bool("normalize", false, "also run perfect CC-NUMA and print normalized time")
+		perNode  = fs.Bool("pernode", false, "print the per-node statistics table")
+		list     = fs.Bool("list", false, "list applications and systems, then exit")
+		tsDir    = fs.String("tracestore", "", "directory of the on-disk trace store (empty = off; generation timings stay cold)")
+		telDir   = fs.String("telemetry", "", "collect time-resolved telemetry and write windowed-series CSVs and a run manifest into this directory")
+		timeline = fs.Bool("timeline", false, "with -telemetry, also record the page-operation timeline (Chrome trace JSON + CSV)")
+		window   = fs.Int64("window", 0, "telemetry window width in simulated cycles (0 = default, 2^20)")
+		progress = fs.Bool("progress", false, "log per-run completion with wall time to stderr")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
-		fmt.Println("applications:")
+		fmt.Fprintln(stdout, "applications:")
 		for _, i := range apps.All() {
-			fmt.Printf("  %-10s %s (default input: %s)\n", i.Name, i.Description, i.Input)
+			fmt.Fprintf(stdout, "  %-10s %s (default input: %s)\n", i.Name, i.Description, i.Input)
 		}
-		fmt.Println("systems:")
+		fmt.Fprintln(stdout, "systems:")
 		for _, s := range dsm.Systems() {
-			fmt.Printf("  %-18s %s\n", s.Name, s.Description)
+			fmt.Fprintf(stdout, "  %-18s %s\n", s.Name, s.Description)
 		}
-		return
+		return nil
 	}
 
 	tm, th := config.Default(), config.DefaultThresholds()
@@ -85,7 +93,7 @@ func main() {
 
 	app, err := apps.ByName(*appName)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	names := []string{*system}
 	if *systems != "" {
@@ -93,27 +101,27 @@ func main() {
 	}
 	specs, err := dsm.ResolveSpecs(names, th)
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	params := apps.Params{CPUs: cl.TotalCPUs(), Scale: *scale}
 	var ts *store.Store // nil disables persistence
 	if *tsDir != "" {
 		if ts, err = store.Open(*tsDir); err != nil {
-			fail(err)
+			return err
 		}
 	}
 	key := store.Key{App: app.Name, CPUs: params.CPUs, Scale: params.Scale, Seed: params.Seed}
 	tr, hit, err := ts.LoadOrGenerate(key,
 		func() (*trace.Trace, error) { return app.Generate(params) })
 	if err != nil {
-		fail(err)
+		return err
 	}
 	src := "generated"
 	if hit {
 		src = "loaded from " + *tsDir
 	}
-	fmt.Printf("trace: %d ops, %.2f MB shared footprint, %d barriers, %d locks (%s)\n",
+	fmt.Fprintf(stdout, "trace: %d ops, %.2f MB shared footprint, %d barriers, %d locks (%s)\n",
 		tr.Ops(), float64(tr.Footprint)/(1<<20), tr.Barriers, tr.Locks, src)
 
 	// The normalization baseline is system-independent: run it once.
@@ -123,7 +131,7 @@ func main() {
 	if *baseline {
 		base, err = dsm.RunBaseline(tr, cl, dsm.RunOptions{Audit: *audit})
 		if err != nil {
-			fail(err)
+			return err
 		}
 	}
 
@@ -138,23 +146,23 @@ func main() {
 		runStart := time.Now()
 		sim, err := dsm.RunWithOptions(tr, spec, cl, tm, th, ro)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if *progress {
 			fmt.Fprintf(os.Stderr, "# run %s/%s done in %.2fs\n",
 				app.Name, spec.Name, time.Since(runStart).Seconds())
 		}
-		fmt.Print(sim.Summary())
+		fmt.Fprint(stdout, sim.Summary())
 		if *perNode {
-			fmt.Print(sim.PerNodeReport())
+			fmt.Fprint(stdout, sim.PerNodeReport())
 		}
 		if base != nil {
-			fmt.Printf("  normalized:     %.3f vs perfect CC-NUMA (%d cycles)\n",
+			fmt.Fprintf(stdout, "  normalized:     %.3f vs perfect CC-NUMA (%d cycles)\n",
 				sim.Normalized(base), base.ExecCycles)
 		}
 		if col != nil {
 			if err := writeTelemetry(*telDir, app.Name, spec.Name, col); err != nil {
-				fail(err)
+				return err
 			}
 		}
 	}
@@ -176,9 +184,10 @@ func main() {
 		man.WallSeconds = time.Since(start).Seconds()
 		path := filepath.Join(*telDir, "dsmsim_"+app.Name+".manifest.json")
 		if err := man.WriteFile(path); err != nil {
-			fail(err)
+			return err
 		}
 	}
+	return nil
 }
 
 // writeTelemetry renders one run's collector into dir as

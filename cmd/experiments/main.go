@@ -79,40 +79,43 @@ func printSystems() {
 	}
 }
 
-// main delegates to run so that run's defers — in particular stopping
-// and flushing the profiles — execute on every exit path, including
-// errors. os.Exit lives only here.
+// main delegates to run, which parses its flags into the given set, so
+// that run's defers — in particular stopping and flushing the profiles
+// — execute on every exit path, including errors. os.Exit lives only
+// here.
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(fs *flag.FlagSet, args []string) error {
 	var (
-		exp         = flag.String("experiment", "all", "experiment: fig5, table4, fig6, fig7, fig8, toposweep, scalesweep, params, all")
-		scale       = flag.Int("scale", 1, "problem-size divisor (1 = full size)")
-		seed        = flag.Uint64("seed", 0, "workload-generator seed (0 = the paper's inputs)")
-		fabric      = flag.String("fabric", "", "interconnect override for every run: crossbar, ring, mesh, fattree (empty = experiment default)")
-		scalesFlag  = flag.String("scales", "", "comma-separated scale ladder for -experiment scalesweep (default 8,16,32,64)")
-		appsFlag    = flag.String("apps", "", "comma-separated app subset (default: the paper's seven)")
-		systemsFlag = flag.String("systems", "", "comma-separated system override from the dsm registry (see -list-systems)")
-		parallel    = flag.Int("parallel", runtime.NumCPU(), "concurrent simulations per app (0 = serial)")
-		verbose     = flag.Bool("verbose", false, "print per-run progress")
-		audit       = flag.Bool("audit", true, "run every simulation with event-time and traffic-conservation audits (internal/audit)")
-		csvPath     = flag.String("csv", "", "also write machine-readable CSV rows to this file")
-		jsonPath    = flag.String("json", "", "also write the structured records as JSON to this file")
-		listSystems = flag.Bool("list-systems", false, "list the registered memory systems and exit")
-		traceStore  = flag.String("tracestore", "", "directory of the on-disk trace store (empty = off; generation timings stay cold)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memProfile  = flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
-		telemetry   = flag.String("telemetry", "", "collect time-resolved telemetry and write windowed-series CSVs and a run manifest into this directory")
-		timeline    = flag.Bool("timeline", false, "with -telemetry, also record per-run page-operation timelines (Chrome trace JSON + CSV)")
-		window      = flag.Int64("window", 0, "telemetry window width in simulated cycles (0 = default, 2^20)")
-		progress    = flag.Bool("progress", false, "log per-run completion with wall time to stderr")
+		exp         = fs.String("experiment", "all", "experiment: fig5, table4, fig6, fig7, fig8, toposweep, scalesweep, params, all")
+		scale       = fs.Int("scale", 1, "problem-size divisor (1 = full size)")
+		seed        = fs.Uint64("seed", 0, "workload-generator seed (0 = the paper's inputs)")
+		fabric      = fs.String("fabric", "", "interconnect override for every run: crossbar, ring, mesh, fattree (empty = experiment default)")
+		scalesFlag  = fs.String("scales", "", "comma-separated scale ladder for -experiment scalesweep (default 8,16,32,64)")
+		appsFlag    = fs.String("apps", "", "comma-separated app subset (default: the paper's seven)")
+		systemsFlag = fs.String("systems", "", "comma-separated system override from the dsm registry (see -list-systems)")
+		parallel    = fs.Int("parallel", runtime.NumCPU(), "concurrent simulations per app (0 = serial)")
+		verbose     = fs.Bool("verbose", false, "print per-run progress")
+		audit       = fs.Bool("audit", true, "run every simulation with event-time and traffic-conservation audits (internal/audit)")
+		csvPath     = fs.String("csv", "", "also write machine-readable CSV rows to this file")
+		jsonPath    = fs.String("json", "", "also write the structured records as JSON to this file")
+		listSystems = fs.Bool("list-systems", false, "list the registered memory systems and exit")
+		traceStore  = fs.String("tracestore", "", "directory of the on-disk trace store (empty = off; generation timings stay cold)")
+		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memProfile  = fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
+		telemetry   = fs.String("telemetry", "", "collect time-resolved telemetry and write windowed-series CSVs and a run manifest into this directory")
+		timeline    = fs.Bool("timeline", false, "with -telemetry, also record per-run page-operation timelines (Chrome trace JSON + CSV)")
+		window      = fs.Int64("window", 0, "telemetry window width in simulated cycles (0 = default, 2^20)")
+		progress    = fs.Bool("progress", false, "log per-run completion with wall time to stderr")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
