@@ -14,10 +14,11 @@
 // rnuma-half-migrep, scoma, migrep-contend, and anything registered
 // since.
 //
-// -tracestore names a directory of the content-addressed on-disk trace
-// store (internal/trace/store): the workload is loaded from disk when
-// present and saved after generation otherwise. It defaults to off so
-// generation timings stay cold.
+// dsmsim is a client of internal/harness, as cmd/experiments is: both
+// declare their shared flags with harness.NewFlags, fetch traces from a
+// harness.TraceCache over the optional -tracestore store, and write
+// -telemetry artifacts with Result.WriteTelemetry, here as
+// dsmsim_<app>_<system>.* per system plus dsmsim.manifest.json.
 package main
 
 import (
@@ -25,17 +26,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"repro/internal/apps"
 	"repro/internal/config"
 	"repro/internal/dsm"
+	"repro/internal/harness"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
-	"repro/internal/trace/store"
 )
 
 // main delegates to run, which parses its flags into the given set and
@@ -53,18 +52,12 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		appName  = fs.String("app", "lu", "application (see -list)")
 		system   = fs.String("system", "ccnuma", "system to simulate (see -list)")
 		systems  = fs.String("systems", "", "comma-separated systems to simulate in sequence (overrides -system)")
-		scale    = fs.Int("scale", 1, "problem-size divisor (1 = full size)")
 		slow     = fs.Bool("slow", false, "use slow page-operation support")
 		netScale = fs.Int64("netscale", 1, "network latency multiplier")
-		audit    = fs.Bool("audit", true, "run with event-time and traffic-conservation audits (internal/audit)")
 		baseline = fs.Bool("normalize", false, "also run perfect CC-NUMA and print normalized time")
 		perNode  = fs.Bool("pernode", false, "print the per-node statistics table")
 		list     = fs.Bool("list", false, "list applications and systems, then exit")
-		tsDir    = fs.String("tracestore", "", "directory of the on-disk trace store (empty = off; generation timings stay cold)")
-		telDir   = fs.String("telemetry", "", "collect time-resolved telemetry and write windowed-series CSVs and a run manifest into this directory")
-		timeline = fs.Bool("timeline", false, "with -telemetry, also record the page-operation timeline (Chrome trace JSON + CSV)")
-		window   = fs.Int64("window", 0, "telemetry window width in simulated cycles (0 = default, 2^20)")
-		progress = fs.Bool("progress", false, "log per-run completion with wall time to stderr")
+		shared   = harness.NewFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,13 +75,14 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		return nil
 	}
 
+	if *netScale < 1 {
+		return fmt.Errorf("dsmsim: -netscale %d: the multiplier must be at least 1", *netScale)
+	}
 	tm, th := config.Default(), config.DefaultThresholds()
 	if *slow {
 		tm, th = config.Slow(), config.SlowThresholds()
 	}
-	if *netScale > 1 {
-		tm = tm.ScaleNetwork(*netScale)
-	}
+	tm = tm.ScaleNetwork(*netScale)
 	cl := config.DefaultCluster()
 
 	app, err := apps.ByName(*appName)
@@ -99,27 +93,25 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	if *systems != "" {
 		names = strings.Split(*systems, ",")
 	}
+	if err := harness.CheckDistinct(nil, names, nil); err != nil {
+		return err
+	}
 	specs, err := dsm.ResolveSpecs(names, th)
 	if err != nil {
 		return err
 	}
-
-	params := apps.Params{CPUs: cl.TotalCPUs(), Scale: *scale}
-	var ts *store.Store // nil disables persistence
-	if *tsDir != "" {
-		if ts, err = store.Open(*tsDir); err != nil {
-			return err
-		}
+	o, err := shared.Options(stdout)
+	if err != nil {
+		return err
 	}
-	key := store.Key{App: app.Name, CPUs: params.CPUs, Scale: params.Scale, Seed: params.Seed}
-	tr, hit, err := ts.LoadOrGenerate(key,
-		func() (*trace.Trace, error) { return app.Generate(params) })
+
+	tr, ref, err := o.Traces.Trace(app, apps.Params{CPUs: cl.TotalCPUs(), Scale: o.Scale})
 	if err != nil {
 		return err
 	}
 	src := "generated"
-	if hit {
-		src = "loaded from " + *tsDir
+	if o.Traces.Stats().DiskHits > 0 {
+		src = "loaded from " + shared.TraceStore
 	}
 	fmt.Fprintf(stdout, "trace: %d ops, %.2f MB shared footprint, %d barriers, %d locks (%s)\n",
 		tr.Ops(), float64(tr.Footprint)/(1<<20), tr.Barriers, tr.Locks, src)
@@ -129,27 +121,26 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	// and -netscale, like every other normalized number.
 	var base *stats.Sim
 	if *baseline {
-		base, err = dsm.RunBaseline(tr, cl, dsm.RunOptions{Audit: *audit})
+		base, err = dsm.RunBaseline(tr, cl, dsm.RunOptions{Audit: o.Audit})
 		if err != nil {
 			return err
 		}
 	}
 
+	// Every run is recorded in a harness.Result, whose WriteTelemetry
+	// renders the artifacts and the manifest.
+	res := &harness.Result{Name: "dsmsim", AppOrder: []string{app.Name}, Scale: o.Scale,
+		Traces: []telemetry.TraceRef{ref}, Runs: map[string]map[string]*harness.Run{app.Name: {}}}
 	start := time.Now()
 	for _, spec := range specs {
-		ro := dsm.RunOptions{Audit: *audit}
-		var col *telemetry.Collector
-		if *telDir != "" {
-			col = telemetry.New(telemetry.Config{Window: *window, Timeline: *timeline})
-			ro.Telemetry = col
-		}
+		ro := dsm.RunOptions{Audit: o.Audit, Telemetry: o.Telemetry.Collector()}
 		runStart := time.Now()
 		sim, err := dsm.RunWithOptions(tr, spec, cl, tm, th, ro)
 		if err != nil {
 			return err
 		}
-		if *progress {
-			fmt.Fprintf(os.Stderr, "# run %s/%s done in %.2fs\n",
+		if o.Progress != nil {
+			fmt.Fprintf(o.Progress, "# run %s/%s done in %.2fs\n",
 				app.Name, spec.Name, time.Since(runStart).Seconds())
 		}
 		fmt.Fprint(stdout, sim.Summary())
@@ -160,64 +151,14 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "  normalized:     %.3f vs perfect CC-NUMA (%d cycles)\n",
 				sim.Normalized(base), base.ExecCycles)
 		}
-		if col != nil {
-			if err := writeTelemetry(*telDir, app.Name, spec.Name, col); err != nil {
-				return err
-			}
+		res.Systems = append(res.Systems, spec.Name)
+		res.Runs[app.Name][spec.Name] = &harness.Run{
+			App: app.Name, System: spec.Name, Label: spec.Name, Fabric: cl.Net.Kind(),
+			Stats: sim, Telemetry: ro.Telemetry,
 		}
 	}
-	if *telDir != "" {
-		man := telemetry.NewManifestAt(time.Now())
-		man.App = app.Name
-		man.Systems = names
-		man.Fabric = cl.Net.Kind()
-		man.Scale = *scale
-		man.Seed = params.Seed
-		man.Traces = []telemetry.TraceRef{{
-			App: key.App, CPUs: key.CPUs, Scale: key.Scale, Seed: key.Seed, Hash: key.Filename(),
-		}}
-		man.WindowCycles = *window
-		if man.WindowCycles <= 0 {
-			man.WindowCycles = telemetry.DefaultWindow
-		}
-		man.Timeline = *timeline
-		man.WallSeconds = time.Since(start).Seconds()
-		path := filepath.Join(*telDir, "dsmsim_"+app.Name+".manifest.json")
-		if err := man.WriteFile(path); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeTelemetry renders one run's collector into dir as
-// dsmsim_<app>_<system>.windows.csv plus, when the timeline was
-// recorded, .timeline.json (Chrome trace event format) and
-// .timeline.csv.
-func writeTelemetry(dir, app, system string, col *telemetry.Collector) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	stem := filepath.Join(dir, "dsmsim_"+app+"_"+system)
-	write := func(path string, render func(w *os.File) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := render(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(stem+".windows.csv", func(f *os.File) error { return col.WriteWindowsCSV(f) }); err != nil {
-		return err
-	}
-	if !col.TimelineEnabled() {
+	if o.Telemetry == nil {
 		return nil
 	}
-	if err := write(stem+".timeline.json", func(f *os.File) error { return col.WriteChromeTrace(f) }); err != nil {
-		return err
-	}
-	return write(stem+".timeline.csv", func(f *os.File) error { return col.WriteTimelineCSV(f) })
+	return res.WriteTelemetry(shared.Telemetry, time.Since(start))
 }

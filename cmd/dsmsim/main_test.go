@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"flag"
 	"io"
@@ -11,7 +12,10 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite the stdout golden files")
@@ -68,8 +72,9 @@ func TestStdoutGolden(t *testing.T) {
 }
 
 // TestTelemetryArtifacts pins the artifact files a telemetry run writes
-// and the bytes of each per-run artifact (the manifest carries a
-// timestamp and build metadata, so only its name is pinned).
+// and the bytes of each per-run artifact. The manifest carries a
+// timestamp and build metadata, so only its identity fields are
+// checked.
 func TestTelemetryArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := dsmsim(t, "-app", "migratory", "-system", "migrep", "-scale", "8",
@@ -77,7 +82,7 @@ func TestTelemetryArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]string{
-		"dsmsim_migratory.manifest.json":        "",
+		"dsmsim.manifest.json":                  "",
 		"dsmsim_migratory_MigRep.timeline.csv":  "87591fb6359e55b1",
 		"dsmsim_migratory_MigRep.timeline.json": "e58ed654653bc240",
 		"dsmsim_migratory_MigRep.windows.csv":   "a36f7814f3a72c4e",
@@ -100,6 +105,88 @@ func TestTelemetryArtifacts(t *testing.T) {
 	}
 	if !maps.Equal(got, want) {
 		t.Errorf("telemetry artifacts (name: sha256 prefix)\n got %v\nwant %v", got, want)
+	}
+	man := readManifest(t, filepath.Join(dir, "dsmsim.manifest.json"))
+	if man.Experiment != "dsmsim" || man.App != "migratory" || !slices.Equal(man.Systems, []string{"MigRep"}) ||
+		man.Scale != 8 || len(man.Traces) != 1 || !man.Timeline {
+		t.Errorf("manifest identity: %+v", man)
+	}
+}
+
+func readManifest(t *testing.T, path string) telemetry.Manifest {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man telemetry.Manifest
+	if err := json.Unmarshal(b, &man); err != nil {
+		t.Fatal(err)
+	}
+	return man
+}
+
+// TestHalfCacheTelemetry runs the half-page-cache systems, whose names
+// contain '/', with telemetry on: their artifact names must be
+// flattened to filesystem-safe stems.
+func TestHalfCacheTelemetry(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := dsmsim(t, "-app", "migratory", "-systems", "rnuma-half,rnuma-half-migrep", "-scale", "8",
+		"-telemetry", dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"dsmsim_migratory_R-NUMA-1-2.windows.csv",
+		"dsmsim_migratory_R-NUMA-1-2-MigRep.windows.csv",
+		"dsmsim.manifest.json",
+	} {
+		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: missing or empty (%v)", name, err)
+		}
+	}
+}
+
+// TestScaleBelowOneSharesStore runs -scale 0 and then -scale 1 against
+// one trace store: both are the full-size workload, so the second run
+// loads the first run's trace instead of storing a second copy.
+func TestScaleBelowOneSharesStore(t *testing.T) {
+	ts, tel := t.TempDir(), t.TempDir()
+	if _, err := dsmsim(t, "-app", "migratory", "-scale", "0", "-tracestore", ts, "-telemetry", tel); err != nil {
+		t.Fatal(err)
+	}
+	out, err := dsmsim(t, "-app", "migratory", "-scale", "1", "-tracestore", ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "(loaded from "+ts+")") {
+		t.Errorf("second run did not load the stored trace:\n%s", out)
+	}
+	traces, err := filepath.Glob(filepath.Join(ts, "*.trace"))
+	if err != nil || len(traces) != 1 {
+		t.Errorf("store holds %v (err %v), want one .trace file", traces, err)
+	}
+	if man := readManifest(t, filepath.Join(tel, "dsmsim.manifest.json")); man.Scale != 1 {
+		t.Errorf("manifest scale %d, want 1", man.Scale)
+	}
+}
+
+// TestRejectsBadInput checks that values no run could honour fail with
+// an error naming the problem instead of running something else.
+func TestRejectsBadInput(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-app", "migratory", "-scale", "8", "-systems", "ccnuma,CCNUMA"}, `system "CCNUMA" listed twice`},
+		{[]string{"-app", "migratory", "-scale", "8", "-netscale", "0"}, "-netscale 0"},
+	} {
+		out, err := dsmsim(t, c.args...)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: got error %v, want one containing %q", c.args, err, c.want)
+		}
+		if out != "" {
+			t.Errorf("%v: printed %q before failing", c.args, out)
+		}
 	}
 }
 

@@ -43,7 +43,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/dsm"
 	"repro/internal/harness"
-	"repro/internal/trace/store"
 )
 
 func printParams() {
@@ -93,7 +92,6 @@ func main() {
 func run(fs *flag.FlagSet, args []string) error {
 	var (
 		exp         = fs.String("experiment", "all", "experiment: fig5, table4, fig6, fig7, fig8, toposweep, scalesweep, params, all")
-		scale       = fs.Int("scale", 1, "problem-size divisor (1 = full size)")
 		seed        = fs.Uint64("seed", 0, "workload-generator seed (0 = the paper's inputs)")
 		fabric      = fs.String("fabric", "", "interconnect override for every run: crossbar, ring, mesh, fattree (empty = experiment default)")
 		scalesFlag  = fs.String("scales", "", "comma-separated scale ladder for -experiment scalesweep (default 8,16,32,64)")
@@ -101,17 +99,12 @@ func run(fs *flag.FlagSet, args []string) error {
 		systemsFlag = fs.String("systems", "", "comma-separated system override from the dsm registry (see -list-systems)")
 		parallel    = fs.Int("parallel", runtime.NumCPU(), "concurrent simulations per app (0 = serial)")
 		verbose     = fs.Bool("verbose", false, "print per-run progress")
-		audit       = fs.Bool("audit", true, "run every simulation with event-time and traffic-conservation audits (internal/audit)")
 		csvPath     = fs.String("csv", "", "also write machine-readable CSV rows to this file")
 		jsonPath    = fs.String("json", "", "also write the structured records as JSON to this file")
 		listSystems = fs.Bool("list-systems", false, "list the registered memory systems and exit")
-		traceStore  = fs.String("tracestore", "", "directory of the on-disk trace store (empty = off; generation timings stay cold)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile  = fs.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
-		telemetry   = fs.String("telemetry", "", "collect time-resolved telemetry and write windowed-series CSVs and a run manifest into this directory")
-		timeline    = fs.Bool("timeline", false, "with -telemetry, also record per-run page-operation timelines (Chrome trace JSON + CSV)")
-		window      = fs.Int64("window", 0, "telemetry window width in simulated cycles (0 = default, 2^20)")
-		progress    = fs.Bool("progress", false, "log per-run completion with wall time to stderr")
+		shared      = harness.NewFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -156,32 +149,12 @@ func run(fs *flag.FlagSet, args []string) error {
 		return nil
 	}
 
-	// The in-memory cache always shares each workload across
-	// experiments; -tracestore adds the persistent tier underneath it.
-	traces := harness.NewTraceCache()
-	if *traceStore != "" {
-		st, err := store.Open(*traceStore)
-		if err != nil {
-			return err
-		}
-		traces = harness.NewTraceCacheWithStore(st)
+	// The trace cache shares each workload across experiments.
+	o, err := shared.Options(os.Stdout)
+	if err != nil {
+		return err
 	}
-	o := harness.Options{
-		Scale:    *scale,
-		Seed:     *seed,
-		Fabric:   *fabric,
-		Parallel: *parallel,
-		Verbose:  *verbose,
-		Audit:    *audit,
-		Traces:   traces,
-		Out:      os.Stdout,
-	}
-	if *telemetry != "" {
-		o.Telemetry = &harness.TelemetryOptions{Window: *window, Timeline: *timeline}
-	}
-	if *progress {
-		o.Progress = os.Stderr
-	}
+	o.Seed, o.Fabric, o.Parallel, o.Verbose = *seed, *fabric, *parallel, *verbose
 	if *appsFlag != "" {
 		o.Apps = strings.Split(*appsFlag, ",")
 	}
@@ -222,11 +195,11 @@ func run(fs *flag.FlagSet, args []string) error {
 		if err != nil {
 			return err
 		}
-		if *progress {
-			fmt.Fprintf(os.Stderr, "# experiment %s done in %.2fs\n", n, time.Since(expStart).Seconds())
+		if o.Progress != nil {
+			fmt.Fprintf(o.Progress, "# experiment %s done in %.2fs\n", n, time.Since(expStart).Seconds())
 		}
-		if *telemetry != "" {
-			if err := r.WriteTelemetry(*telemetry, time.Since(expStart)); err != nil {
+		if o.Telemetry != nil {
+			if err := r.WriteTelemetry(shared.Telemetry, time.Since(expStart)); err != nil {
 				return err
 			}
 		}
@@ -249,9 +222,9 @@ func run(fs *flag.FlagSet, args []string) error {
 			return err
 		}
 	}
-	if *progress {
-		s := traces.Stats()
-		fmt.Fprintf(os.Stderr, "# tracecache: %d hits, %d coalesced, %d disk hits, %d generated\n",
+	if o.Progress != nil {
+		s := o.Traces.Stats()
+		fmt.Fprintf(o.Progress, "# tracecache: %d hits, %d coalesced, %d disk hits, %d generated\n",
 			s.Hits, s.Coalesced, s.DiskHits, s.Generated)
 	}
 	return nil

@@ -42,7 +42,7 @@ func TestBaselineAnchor(t *testing.T) {
 	}
 	ring := config.DefaultCluster()
 	ring.Net = config.Network{Topology: config.TopoRing}
-	tr, err := o.Traces.generate(info, apps.Params{CPUs: ring.TotalCPUs(), Scale: o.Scale})
+	tr, _, err := o.Traces.Trace(info, apps.Params{CPUs: ring.TotalCPUs(), Scale: o.Scale})
 	if err != nil {
 		t.Fatal(err)
 	}

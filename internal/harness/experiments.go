@@ -223,7 +223,7 @@ func RunByNameContext(ctx context.Context, name string, o Options) (*Result, err
 // "scalesweep"). An application, system or scale listed twice in o is
 // an error.
 func RunByName(name string, o Options) (*Result, error) {
-	if err := checkDistinct(o.Apps, o.Systems, o.Scales); err != nil {
+	if err := CheckDistinct(o.Apps, o.Systems, o.Scales); err != nil {
 		return nil, err
 	}
 	switch name {

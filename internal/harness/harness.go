@@ -39,7 +39,6 @@ import (
 	"repro/internal/dsm"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/trace/store"
 )
 
 // Options configures an experiment run.
@@ -307,14 +306,11 @@ func runExperiment(name string, systems []systemRun, o Options) (*Result, error)
 		}
 		params := apps.Params{CPUs: cl.TotalCPUs(), Scale: o.Scale, Seed: o.Seed}
 		genStart := time.Now()
-		tr, err := o.Traces.generate(app, params)
+		tr, ref, err := o.Traces.Trace(app, params)
 		if err != nil {
 			return nil, fmt.Errorf("harness: generating %s: %w", app.Name, err)
 		}
-		key := store.Key{App: app.Name, CPUs: params.CPUs, Scale: params.Scale, Seed: params.Seed}
-		res.Traces = append(res.Traces, telemetry.TraceRef{
-			App: key.App, CPUs: key.CPUs, Scale: key.Scale, Seed: key.Seed, Hash: key.Filename(),
-		})
+		res.Traces = append(res.Traces, ref)
 		if o.Progress != nil {
 			fmt.Fprintf(o.Progress, "# trace %s scale %d ready in %.2fs (%d ops)\n",
 				app.Name, o.Scale, time.Since(genStart).Seconds(), tr.Ops())
@@ -330,10 +326,8 @@ func runExperiment(name string, systems []systemRun, o Options) (*Result, error)
 		cols := make([]*telemetry.Collector, len(all))
 		if err := forEach(o.ctx, all, o.Parallel, func(i int, s systemRun) error {
 			ro := dsm.RunOptions{Audit: o.Audit}
-			if o.Telemetry != nil && i > 0 {
-				cols[i] = telemetry.New(telemetry.Config{
-					Window: o.Telemetry.Window, Timeline: o.Telemetry.Timeline,
-				})
+			if i > 0 {
+				cols[i] = o.Telemetry.Collector()
 				ro.Telemetry = cols[i]
 			}
 			runStart := time.Now()

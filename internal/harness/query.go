@@ -99,7 +99,7 @@ func trimEach(in []string, lower bool) []string {
 // topology sweep. It expects a normalized query (Validate on a raw
 // query may miss aliases Normalize folds).
 func (q Query) Validate() error {
-	if err := checkDistinct(q.Apps, q.Systems, q.Scales); err != nil {
+	if err := CheckDistinct(q.Apps, q.Systems, q.Scales); err != nil {
 		return err
 	}
 	known := false
@@ -138,13 +138,13 @@ func (q Query) Validate() error {
 	return nil
 }
 
-// checkDistinct rejects an application, system or scale listed twice.
+// CheckDistinct rejects an application, system or scale listed twice.
 // A repeat adds no information: reports key runs by application and
 // system label, so it would print duplicate rows, collapse columns or
 // repeat a sweep table. Names compare the way their registries resolve
-// them (systems case-insensitively). RunByName and Validate both call
-// it, so the CLIs and the server refuse the same lists.
-func checkDistinct(appNames, systems []string, scales []int) error {
+// them (systems case-insensitively). RunByName, Validate and cmd/dsmsim
+// all call it, so the CLIs and the server refuse the same lists.
+func CheckDistinct(appNames, systems []string, scales []int) error {
 	if a, dup := repeated(appNames, strings.TrimSpace); dup {
 		return fmt.Errorf("harness: application %q listed twice", a)
 	}

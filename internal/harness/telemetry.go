@@ -23,6 +23,14 @@ type TelemetryOptions struct {
 	Timeline bool
 }
 
+// Collector returns a fresh collector configured by t, or nil if t is.
+func (t *TelemetryOptions) Collector() *telemetry.Collector {
+	if t == nil {
+		return nil
+	}
+	return telemetry.New(telemetry.Config{Window: t.Window, Timeline: t.Timeline})
+}
+
 // artifactName flattens an experiment/app/label tuple into a filename
 // stem: anything outside [A-Za-z0-9._-] becomes '-', so labels like
 // "CC-NUMA@ring" and "migrep@s8" stay readable and filesystem-safe.

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/apps"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/trace/store"
 )
@@ -123,15 +124,17 @@ func (tc *TraceCache) Len() int {
 	return n
 }
 
-// generate returns the cached trace for (app, params), materializing
-// (disk load, else generation) and caching it on first use; concurrent
-// requests for the same key share one materialization. A nil receiver
-// generates without caching.
-func (tc *TraceCache) generate(app apps.Info, p apps.Params) (*trace.Trace, error) {
-	if tc == nil {
-		return app.Generate(p)
-	}
+// Trace returns the trace for (app, params) with its content address,
+// materializing it (disk load, else generation) and caching it on first
+// use; concurrent requests for the same key share one materialization.
+// A nil receiver generates without caching.
+func (tc *TraceCache) Trace(app apps.Info, p apps.Params) (*trace.Trace, telemetry.TraceRef, error) {
 	key := store.Key{App: app.Name, CPUs: p.CPUs, Scale: p.Scale, Seed: p.Seed}
+	ref := telemetry.TraceRef{App: key.App, CPUs: key.CPUs, Scale: key.Scale, Seed: key.Seed, Hash: key.Filename()}
+	if tc == nil {
+		tr, err := app.Generate(p)
+		return tr, ref, err
+	}
 	tc.mu.Lock()
 	if e, ok := tc.m[key]; ok {
 		tc.mu.Unlock()
@@ -142,7 +145,7 @@ func (tc *TraceCache) generate(app apps.Info, p apps.Params) (*trace.Trace, erro
 			tc.coalesced.Add(1)
 		}
 		<-e.done
-		return e.tr, e.err
+		return e.tr, ref, e.err
 	}
 	e := &traceEntry{done: make(chan struct{})}
 	tc.m[key] = e
@@ -168,5 +171,5 @@ func (tc *TraceCache) generate(app apps.Info, p apps.Params) (*trace.Trace, erro
 	}
 	tc.inFlight.Add(-1)
 	close(e.done)
-	return e.tr, e.err
+	return e.tr, ref, e.err
 }
