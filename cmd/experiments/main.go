@@ -154,7 +154,10 @@ func run(fs *flag.FlagSet, args []string) error {
 	if err != nil {
 		return err
 	}
-	o.Seed, o.Fabric, o.Parallel, o.Verbose = *seed, *fabric, *parallel, *verbose
+	o.Seed = *seed
+	o.Fabric = *fabric
+	o.Parallel = *parallel
+	o.Verbose = *verbose
 	if *appsFlag != "" {
 		o.Apps = strings.Split(*appsFlag, ",")
 	}

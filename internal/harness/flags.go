@@ -47,8 +47,7 @@ func (f *Flags) Options(out io.Writer) (Options, error) {
 	}
 	o := Options{Scale: f.scale, Audit: f.audit, Traces: NewTraceCacheWithStore(st), Out: out}
 	if f.Telemetry != "" {
-		tel := f.tel
-		o.Telemetry = &tel
+		o.Telemetry = &f.tel
 	}
 	if f.progress {
 		o.Progress = os.Stderr
