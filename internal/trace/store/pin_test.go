@@ -30,6 +30,24 @@ var encodePins = map[string]string{
 	"synthetic": "94bfb706f96ffd3c5460e42256e8b22d084c1a8a7f435eb905f0890f12db5488",
 }
 
+// largePins are literal digests of store.Encode at the paper's input
+// size (scale 1, seed 0) and at scale 2 with another seed, for the
+// generators whose set-up runs at those sizes: raytrace's BVH is built
+// over 8192 spheres at scale 1 but only 128 at scale 64. They pin the
+// trace bytes exactly as encodePins do.
+var largePins = []struct {
+	app    string
+	scale  int
+	seed   uint64
+	digest string
+}{
+	{"ocean", 1, 0, "592ed6dccf28d79a1a7a858492309475f33e440b41929c530395d3c00a53db36"},
+	{"fmm", 1, 0, "aaf3fc71994f95630280711607a7d1c1e5afa1eae55f457474c8ca16eb364ada"},
+	{"raytrace", 1, 0, "28a39de02b39c2e1522d039d9985ee7652ca96a6d16840d3d2ef81377383a749"},
+	{"fmm", 2, 3, "82b747983fb9d7fb796502145d2390f6451271fba59fe84ab8a7f1d4eb134402"},
+	{"raytrace", 2, 3, "c1e9686b6bca350a990d085622a1ba259c9d1817e185290eb21fc8fe70ce6ca3"},
+}
+
 // edgePin is the digest of store.Encode(edgePinTrace()).
 const edgePin = "b9e17cb415353b11af10feab41158dcd2716c63c7e3688bed9d1b97008e1e89e"
 
@@ -92,5 +110,24 @@ func TestEncodePinned(t *testing.T) {
 	}
 	if err := back.Validate(); err != nil || !back.Equal(edge) {
 		t.Errorf("edge trace: round trip not identical (validate: %v)", err)
+	}
+}
+
+// TestEncodePinnedLarge proves the paper-size trace bytes do not move.
+func TestEncodePinnedLarge(t *testing.T) {
+	cpus := config.DefaultCluster().TotalCPUs()
+	for _, pin := range largePins {
+		info, err := apps.ByName(pin.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := info.Generate(apps.Params{CPUs: cpus, Scale: pin.scale, Seed: pin.seed})
+		if err != nil {
+			t.Fatalf("%s scale %d seed %d: %v", pin.app, pin.scale, pin.seed, err)
+		}
+		if got := digest(store.Encode(tr)); got != pin.digest {
+			t.Errorf("%s scale %d seed %d: encoding moved: digest %s, pinned %s",
+				pin.app, pin.scale, pin.seed, got, pin.digest)
+		}
 	}
 }
