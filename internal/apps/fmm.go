@@ -25,6 +25,7 @@ type fmmApp struct {
 const (
 	fmmPartBytes = 64  // pos(16) vel(16) q(8) pot(16) pad
 	fmmExpBytes  = 160 // p complex coefficients (16B each) for p=10
+	fmmTerms     = 10  // p, the multipole terms
 )
 
 func newFMM(p Params) *fmmApp {
@@ -37,7 +38,7 @@ func newFMM(p Params) *fmmApp {
 	for (1<<(2*(levels-1)))*8 > n && levels > 2 {
 		levels--
 	}
-	return &fmmApp{n: n, levels: levels, p: 10, steps: 2, cpus: p.CPUs, seed: p.Seed}
+	return &fmmApp{n: n, levels: levels, p: fmmTerms, steps: 2, cpus: p.CPUs, seed: p.Seed}
 }
 
 // boxesAt returns the box count per side and total at a level.
@@ -132,7 +133,7 @@ func GenerateFMM(p Params) (*trace.Trace, []complex128, []complex128, []float64,
 
 	// Parallel first touch: each owner touches its leaf boxes'
 	// expansions and (approximately) its particle range.
-	w.Parallel(func(c *Ctx) {
+	w.ParallelIndep(func(c *Ctx) {
 		for l := 0; l < a.levels; l++ {
 			_, total := boxesAt(l)
 			for b := 0; b < total; b++ {
@@ -181,7 +182,7 @@ func GenerateFMM(p Params) (*trace.Trace, []complex128, []complex128, []float64,
 		}
 
 		// --- P2M: leaf multipoles from their particles.
-		w.Parallel(func(c *Ctx) {
+		w.ParallelIndep(func(c *Ctx) {
 			for b := 0; b < leafTotal; b++ {
 				if owner(leafLevel, b) != c.CPU {
 					continue
@@ -207,7 +208,7 @@ func GenerateFMM(p Params) (*trace.Trace, []complex128, []complex128, []float64,
 		// --- M2M: upward pass.
 		for l := leafLevel - 1; l >= 0; l-- {
 			ll := l
-			w.Parallel(func(c *Ctx) {
+			w.ParallelIndep(func(c *Ctx) {
 				side, total := boxesAt(ll)
 				for b := 0; b < total; b++ {
 					if owner(ll, b) != c.CPU {
@@ -233,7 +234,7 @@ func GenerateFMM(p Params) (*trace.Trace, []complex128, []complex128, []float64,
 		// --- M2L: interaction lists at every level below the root.
 		for l := 1; l <= leafLevel; l++ {
 			ll := l
-			w.Parallel(func(c *Ctx) {
+			w.ParallelIndep(func(c *Ctx) {
 				side, total := boxesAt(ll)
 				for b := 0; b < total; b++ {
 					if owner(ll, b) != c.CPU {
@@ -266,7 +267,7 @@ func GenerateFMM(p Params) (*trace.Trace, []complex128, []complex128, []float64,
 		// --- L2L: downward pass.
 		for l := 1; l <= leafLevel; l++ {
 			ll := l
-			w.Parallel(func(c *Ctx) {
+			w.ParallelIndep(func(c *Ctx) {
 				side, total := boxesAt(ll)
 				for b := 0; b < total; b++ {
 					if owner(ll, b) != c.CPU {
@@ -285,7 +286,7 @@ func GenerateFMM(p Params) (*trace.Trace, []complex128, []complex128, []float64,
 		}
 
 		// --- L2P + P2P: evaluate local expansions and near field.
-		w.Parallel(func(c *Ctx) {
+		w.ParallelIndep(func(c *Ctx) {
 			for b := 0; b < leafTotal; b++ {
 				if owner(leafLevel, b) != c.CPU {
 					continue
@@ -330,7 +331,7 @@ func GenerateFMM(p Params) (*trace.Trace, []complex128, []complex128, []float64,
 
 		// --- Jiggle particle positions for the next step (local).
 		if step+1 < a.steps {
-			w.Parallel(func(c *Ctx) {
+			w.ParallelIndep(func(c *Ctx) {
 				per := (a.n + a.cpus - 1) / a.cpus
 				lo, hi := c.CPU*per, (c.CPU+1)*per
 				if hi > a.n {
@@ -376,7 +377,7 @@ func shiftM2M(child, parent []complex128, s complex128, p int) {
 	for l := 1; l <= p; l++ {
 		v := -child[0] * sp[l] / complex(float64(l), 0)
 		for k := 1; k <= l; k++ {
-			v += child[k] * sp[l-k] * complex(binom(l-1, k-1), 0)
+			v += child[k] * sp[l-k] * complex(binomTable[l-1][k-1], 0)
 		}
 		parent[l] += v
 	}
@@ -411,7 +412,7 @@ func shiftM2L(m, local []complex128, c, z0 complex128, p int) {
 			if k&1 == 1 {
 				sign = -1
 			}
-			v += m[k] * ipk * complex(sign*binom(l+k-1, k-1), 0)
+			v += m[k] * ipk * complex(sign*binomTable[l+k-1][k-1], 0)
 		}
 		local[l] += v
 	}
@@ -428,11 +429,25 @@ func shiftL2L(parent, child []complex128, s complex128, p int) {
 	for j := 0; j <= p; j++ {
 		var v complex128
 		for l := j; l <= p; l++ {
-			v += parent[l] * complex(binom(l, j), 0) * sp[l-j]
+			v += parent[l] * complex(binomTable[l][j], 0) * sp[l-j]
 		}
 		child[j] += v
 	}
 }
+
+// binomTable[n][k] is binom(n, k) for every n the translations of a
+// p = fmmTerms expansion need (shiftM2L reaches C(2p-1, p-1)), computed
+// once by binom itself so the floats are the ones it returns.
+var binomTable = func() [][]float64 {
+	t := make([][]float64, 2*fmmTerms)
+	for n := range t {
+		t[n] = make([]float64, n+1)
+		for k := range t[n] {
+			t[n][k] = binom(n, k)
+		}
+	}
+	return t
+}()
 
 // binom returns the binomial coefficient C(n, k) as a float64.
 func binom(n, k int) float64 {

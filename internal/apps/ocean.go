@@ -196,7 +196,7 @@ func GenerateOcean(p Params) (*trace.Trace, []float64, error) {
 	w.Phase()
 
 	// Parallel first touch of each subgrid.
-	w.Parallel(func(c *Ctx) {
+	w.ParallelIndep(func(c *Ctx) {
 		r0, r1, c0, c1 := a.ownerRange(c.CPU, a.n)
 		for i := r0; i < r1; i++ {
 			c.TouchRange(psi.a.Addr(psi.idx(i, c0)), (c1-c0)*8, false)
@@ -210,7 +210,9 @@ func GenerateOcean(p Params) (*trace.Trace, []float64, error) {
 	h2 := 1.0 / float64(a.n*a.n)
 	for step := 0; step < a.steps; step++ {
 		// Advect vorticity into the Poisson right-hand side (Jacobi
-		// smoothing of vort plus copy to rhs).
+		// smoothing of vort plus copy to rhs). This segment stays
+		// Parallel: it smooths vort in place, reading neighbours that
+		// another CPU writes, so the CPU order is part of the result.
 		w.Parallel(func(c *Ctx) {
 			r0, r1, c0, c1 := a.ownerRange(c.CPU, a.n)
 			for i := r0; i < r1; i++ {
@@ -237,14 +239,14 @@ func GenerateOcean(p Params) (*trace.Trace, []float64, error) {
 			interior := a.n >> l
 			for sweep := 0; sweep < 2; sweep++ {
 				for color := 0; color < 2; color++ {
-					w.Parallel(func(c *Ctx) {
+					w.ParallelIndep(func(c *Ctx) {
 						a.relaxColor(c, gs[l], rs[l], interior, color, h2*float64(int(1)<<(2*l)))
 					})
 					w.Barrier()
 				}
 			}
 			if l+1 < a.levels {
-				w.Parallel(func(c *Ctx) {
+				w.ParallelIndep(func(c *Ctx) {
 					a.restrictTo(c, gs[l], rs[l], gs[l+1], rs[l+1], interior)
 				})
 				w.Barrier()
@@ -252,12 +254,12 @@ func GenerateOcean(p Params) (*trace.Trace, []float64, error) {
 		}
 		for l := a.levels - 2; l >= 0; l-- {
 			interior := a.n >> l
-			w.Parallel(func(c *Ctx) {
+			w.ParallelIndep(func(c *Ctx) {
 				a.prolong(c, gs[l+1], gs[l], interior)
 			})
 			w.Barrier()
 			for color := 0; color < 2; color++ {
-				w.Parallel(func(c *Ctx) {
+				w.ParallelIndep(func(c *Ctx) {
 					a.relaxColor(c, gs[l], rs[l], interior, color, h2*float64(int(1)<<(2*l)))
 				})
 				w.Barrier()

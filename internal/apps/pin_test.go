@@ -5,7 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"runtime"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // resultPins are literal SHA-256 digests of the values the kernels
@@ -39,29 +42,34 @@ func complexParts(cs []complex128) []float64 {
 	return out
 }
 
-// pinnedResults runs the three pinned kernels at scale 4 and returns
-// their result slices by app name.
-func pinnedResults(t *testing.T) map[string][]float64 {
+// generatePinned runs ocean, fmm and raytrace at scale 4 under the
+// given GOMAXPROCS and returns their traces and result slices by app
+// name.
+func generatePinned(t *testing.T, procs int) (map[string]*trace.Trace, map[string][]float64) {
 	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(prev)
 	p := Params{CPUs: 32, Scale: 4}
-	_, pot, _, _, err := GenerateFMM(p)
+	fmmTr, pot, _, _, err := GenerateFMM(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, psi, err := GenerateOcean(p)
+	oceanTr, psi, err := GenerateOcean(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fb, err := GenerateRaytrace(p)
+	rayTr, fb, err := GenerateRaytrace(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string][]float64{"fmm": complexParts(pot), "ocean": psi, "raytrace": fb}
+	return map[string]*trace.Trace{"fmm": fmmTr, "ocean": oceanTr, "raytrace": rayTr},
+		map[string][]float64{"fmm": complexParts(pot), "ocean": psi, "raytrace": fb}
 }
 
 // TestResultsPinned proves the computed results do not move.
 func TestResultsPinned(t *testing.T) {
-	for name, vs := range pinnedResults(t) {
+	_, results := generatePinned(t, runtime.GOMAXPROCS(0))
+	for name, vs := range results {
 		if got := floatDigest(vs); got != resultPins[name] {
 			t.Errorf("%s: result moved: digest %s, pinned %s", name, got, resultPins[name])
 		}

@@ -1,8 +1,10 @@
 package apps
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -84,28 +86,12 @@ func buildBVH(sp []sphere) ([]bvhNode, []int) {
 			nodes[idx] = n
 			return idx
 		}
-		// median split on axis: nth-element by insertion into halves
-		seg := order[lo:hi]
-		key := func(i int) float64 {
-			switch axis {
-			case 0:
-				return sp[i].center.x
-			case 1:
-				return sp[i].center.y
-			default:
-				return sp[i].center.z
-			}
-		}
-		// simple deterministic sort of the segment by key
-		for a := 1; a < len(seg); a++ {
-			v := seg[a]
-			b := a - 1
-			for b >= 0 && key(seg[b]) > key(v) {
-				seg[b+1] = seg[b]
-				b--
-			}
-			seg[b+1] = v
-		}
+		// Median split on axis: a stable sort of the segment by key,
+		// so equal keys keep their order and the permutation is
+		// deterministic.
+		slices.SortStableFunc(order[lo:hi], func(i, j int) int {
+			return cmp.Compare(axisKey(sp[i].center, axis), axisKey(sp[j].center, axis))
+		})
 		mid := (lo + hi) / 2
 		n.left = build(lo, mid, (axis+1)%3)
 		n.right = build(mid, hi, (axis+1)%3)
@@ -114,6 +100,18 @@ func buildBVH(sp []sphere) ([]bvhNode, []int) {
 	}
 	build(0, len(sp), 0)
 	return nodes, order
+}
+
+// axisKey returns the coordinate of c along axis (0 x, 1 y, 2 z).
+func axisKey(c vec3, axis int) float64 {
+	switch axis {
+	case 0:
+		return c.x
+	case 1:
+		return c.y
+	default:
+		return c.z
+	}
 }
 
 type ray struct {
@@ -310,9 +308,16 @@ func GenerateRaytrace(p Params) (*trace.Trace, []float64, error) {
 	// queues with stealing assign tiles dynamically; round-robin keeps
 	// the trace deterministic while preserving the queue lock traffic
 	// and the all-processors-read-the-scene pattern).
+	//
+	// The queue locks are named before the segment, in the order the
+	// processors first use them, because its bodies run concurrently.
 	tiles := (a.img / a.tile) * (a.img / a.tile)
-	w.Parallel(func(c *Ctx) {
-		qlock := c.w.LockID(fmt.Sprintf("tilequeue%d", c.CPU%8))
+	qlocks := make([]int, min(8, a.cpus))
+	for i := range qlocks {
+		qlocks[i] = w.LockID(fmt.Sprintf("tilequeue%d", i))
+	}
+	w.ParallelIndep(func(c *Ctx) {
+		qlock := qlocks[c.CPU%len(qlocks)]
 		tilesPerRow := a.img / a.tile
 		for tIdx := c.CPU; tIdx < tiles; tIdx += c.N {
 			c.Lock(qlock)

@@ -11,16 +11,18 @@
 // through Locks, so generating them sequentially (CPU 0, then CPU 1, ...)
 // produces one legal parallel interleaving. This mirrors how the paper's
 // applications are structured and keeps trace generation deterministic.
-// Segments whose bodies are fully independent in Go data (record-only
-// sweeps: TouchRange plus Compute) may use ParallelIndep instead, which
-// fans the per-processor bodies out over goroutines — recorders are
-// per-processor, so the resulting trace is byte-identical to the
-// sequential schedule and only generation wall-clock changes.
+// A segment whose bodies write only their own elements and read nothing
+// another body writes in that segment may use ParallelIndep instead,
+// which fans the bodies out over trace.EachCPU's worker pool: recorders
+// are per-processor, so the trace and every computed value are
+// byte-identical to the sequential schedule and only generation
+// wall-clock changes. Such bodies may write disjoint elements of shared
+// arrays, but must not name locks, allocate regions or emit barriers;
+// the World panics if they try. Name a segment's locks before it.
 package apps
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/memory"
 	"repro/internal/trace"
@@ -37,6 +39,10 @@ type World struct {
 	nextBarrier int
 	nextLock    int
 	lockIDs     map[string]int
+
+	// indep is set while a ParallelIndep segment runs, whose bodies
+	// must leave the World's own state alone.
+	indep bool
 }
 
 // NewWorld creates a world for an application running on ncpus
@@ -81,28 +87,29 @@ func (w *World) Parallel(body func(c *Ctx)) {
 	}
 }
 
-// ParallelIndep is Parallel for bodies whose per-processor work is fully
-// independent in Go data: each body may record (recorders are
-// per-processor), charge compute, and read data no concurrent body
-// writes, but must not mutate shared Go state or allocate/name locks.
-// Such segments fan out over real goroutines — the trace is byte-
-// identical to the sequential schedule, only generation wall-clock
-// changes. Generators whose bodies carry real data dependences (the
-// SPLASH kernels compute actual results) must keep using Parallel.
+// ParallelIndep is Parallel for bodies that write only their own
+// elements and read nothing another body writes in the segment. Each
+// body may record (recorders are per-processor), charge compute, read
+// shared data and write disjoint elements of shared arrays, but must not
+// name locks, allocate regions or emit barriers: those mutate the World
+// and panic here. The bodies fan out over trace.EachCPU's worker pool,
+// so the trace is byte-identical to the sequential schedule and only
+// generation wall-clock changes. Bodies with real cross-processor
+// dependences within the segment must keep using Parallel.
 func (w *World) ParallelIndep(body func(c *Ctx)) {
-	if w.ncpu == 1 {
-		w.Parallel(body)
-		return
+	w.indep = true
+	trace.EachCPU(w.ncpu, func(i int) {
+		body(&Ctx{CPU: i, N: w.ncpu, w: w, r: w.recs[i]})
+	})
+	w.indep = false
+}
+
+// serialOnly panics if a ParallelIndep segment is running: op would
+// mutate World state the concurrent bodies share.
+func (w *World) serialOnly(op string) {
+	if w.indep {
+		panic("apps: " + op + " inside ParallelIndep; do it before the segment")
 	}
-	var wg sync.WaitGroup
-	wg.Add(w.ncpu)
-	for i := 0; i < w.ncpu; i++ {
-		go func(i int) {
-			defer wg.Done()
-			body(&Ctx{CPU: i, N: w.ncpu, w: w, r: w.recs[i]})
-		}(i)
-	}
-	wg.Wait()
 }
 
 // Serial runs body on processor 0 only (sequential sections).
@@ -112,6 +119,7 @@ func (w *World) Serial(body func(c *Ctx)) {
 
 // Barrier emits a global barrier on every processor.
 func (w *World) Barrier() {
+	w.serialOnly("Barrier")
 	id := w.nextBarrier
 	w.nextBarrier++
 	for _, r := range w.recs {
@@ -130,8 +138,10 @@ func (w *World) Phase() {
 	}
 }
 
-// LockID names a lock, creating it on first use.
+// LockID names a lock, creating it on first use. It panics inside
+// ParallelIndep, whose bodies run concurrently.
 func (w *World) LockID(name string) int {
+	w.serialOnly("LockID")
 	id, ok := w.lockIDs[name]
 	if !ok {
 		id = w.nextLock
@@ -150,9 +160,7 @@ func (w *World) Finish() (*trace.Trace, error) {
 		Locks:     w.nextLock,
 		Footprint: w.alloc.Bytes(),
 	}
-	for i, r := range w.recs {
-		t.CPUs[i] = r.Finish()
-	}
+	trace.EachCPU(w.ncpu, func(i int) { t.CPUs[i] = w.recs[i].Finish() })
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -180,6 +188,13 @@ func (c *Ctx) Unlock(id int) { c.r.Unlock(id) }
 // Access records a raw shared-memory access (for AoS data structures).
 func (c *Ctx) Access(addr memory.Addr, write bool) { c.r.Access(addr, write) }
 
+// region allocates a named shared region; allocation order fixes the
+// address map, so it panics inside ParallelIndep.
+func (w *World) region(name string, bytes uint64) memory.Region {
+	w.serialOnly("region allocation")
+	return w.alloc.Alloc(name, bytes)
+}
+
 // F64 is a shared array of float64 backed by real data.
 type F64 struct {
 	Reg  memory.Region
@@ -189,7 +204,7 @@ type F64 struct {
 // AllocF64 allocates a shared float64 array.
 func (w *World) AllocF64(name string, n int) *F64 {
 	return &F64{
-		Reg:  w.alloc.Alloc(name, uint64(n)*8),
+		Reg:  w.region(name, uint64(n)*8),
 		Data: make([]float64, n),
 	}
 }
@@ -227,7 +242,7 @@ type I64 struct {
 // AllocI64 allocates a shared int64 array.
 func (w *World) AllocI64(name string, n int) *I64 {
 	return &I64{
-		Reg:  w.alloc.Alloc(name, uint64(n)*8),
+		Reg:  w.region(name, uint64(n)*8),
 		Data: make([]int64, n),
 	}
 }
@@ -259,7 +274,7 @@ type I32 struct {
 // AllocI32 allocates a shared int32 array.
 func (w *World) AllocI32(name string, n int) *I32 {
 	return &I32{
-		Reg:  w.alloc.Alloc(name, uint64(n)*4),
+		Reg:  w.region(name, uint64(n)*4),
 		Data: make([]int32, n),
 	}
 }
@@ -295,7 +310,7 @@ type Rec struct {
 // rounded up so records do not straddle blocks unnecessarily.
 func (w *World) AllocRec(name string, n, elemBytes int) *Rec {
 	return &Rec{
-		Reg:       w.alloc.Alloc(name, uint64(n)*uint64(elemBytes)),
+		Reg:       w.region(name, uint64(n)*uint64(elemBytes)),
 		ElemBytes: elemBytes,
 		N:         n,
 	}

@@ -1,0 +1,45 @@
+package trace
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
+
+// parallelThreshold is the CPU count below which EachCPU stays on the
+// calling goroutine: tiny traces and hostile decoder inputs do not pay
+// for a pool.
+const parallelThreshold = 4
+
+// EachCPU calls f once for every index in [0, n), fanning the calls out
+// over up to GOMAXPROCS worker goroutines that claim indices from a
+// shared counter. With fewer than parallelThreshold indices, or a single
+// usable core, it runs them in order on the calling goroutine. It
+// returns when every call has; f must be safe to run concurrently for
+// distinct indices. It is the one per-CPU fan-out of trace generation,
+// validation and the on-disk store.
+func EachCPU(n int, f func(cpu int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if n < parallelThreshold || workers < 2 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
+}

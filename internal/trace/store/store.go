@@ -55,9 +55,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/framed"
 	"repro/internal/trace"
@@ -155,9 +152,8 @@ func (s *Store) LoadOrGenerate(k Key, gen func() (*trace.Trace, error)) (tr *tra
 // Encode serializes a trace into the store's binary format.
 func Encode(tr *trace.Trace) []byte {
 	sections := make([][]byte, len(tr.CPUs))
-	encodeEachCPU(len(tr.CPUs), func(cpu int) error {
+	trace.EachCPU(len(tr.CPUs), func(cpu int) {
 		sections[cpu] = encodeSection(&tr.CPUs[cpu])
-		return nil
 	})
 
 	size := 10 + len(tr.Name) + 4*10 + 20*len(tr.CPUs)
@@ -303,16 +299,16 @@ func Decode(data []byte) (*trace.Trace, error) {
 	for i, l := range lens {
 		offs[i+1] = offs[i] + l
 	}
-	err = decodeEachCPU(int(ncpu), func(cpu int) error {
-		s, err := decodeSection(p[offs[cpu]:offs[cpu+1]], int(counts[cpu]))
-		if err != nil {
-			return err
-		}
-		tr.CPUs[cpu] = s
-		return nil
+	// The section table makes per-CPU sections independently
+	// parseable; a corrupt file reports its lowest failing section.
+	errs := make([]error, ncpu)
+	trace.EachCPU(int(ncpu), func(cpu int) {
+		tr.CPUs[cpu], errs[cpu] = decodeSection(p[offs[cpu]:offs[cpu+1]], int(counts[cpu]))
 	})
-	if err != nil {
-		return nil, err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return tr, nil
 }
@@ -420,49 +416,4 @@ func uvar(p []byte) (uint64, []byte, error) {
 		return 0, nil, errShort
 	}
 	return v, p[n:], nil
-}
-
-// parallelThreshold is the CPU count below which section work stays on
-// one goroutine (tiny traces, hostile fuzz inputs).
-const parallelThreshold = 4
-
-// encodeEachCPU runs f over every CPU index, fanning out when there is
-// enough work to amortize the goroutines.
-func encodeEachCPU(n int, f func(cpu int) error) error { return eachCPU(n, f) }
-
-// decodeEachCPU is encodeEachCPU for the decode direction; the section
-// table in the header makes per-CPU sections independently parseable.
-func decodeEachCPU(n int, f func(cpu int) error) error { return eachCPU(n, f) }
-
-func eachCPU(n int, f func(cpu int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if n < parallelThreshold || workers < 2 {
-		for i := 0; i < n; i++ {
-			if err := f(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = f(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }

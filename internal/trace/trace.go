@@ -303,54 +303,70 @@ func (t *Trace) Equal(o *Trace) bool {
 // agree, barrier sequences must be identical across processors (same
 // ids in the same order), every lock must be released by its acquirer
 // before the next lock op of that processor uses it again, and each
-// processor must hold at most one lock at a time per id.
+// processor must hold at most one lock at a time per id. The streams
+// are checked concurrently through EachCPU; the error returned is the
+// one a check of CPU 0, then CPU 1, and so on would meet first.
 func (t *Trace) Validate() error {
-	var ref []uint32
-	for cpu := range t.CPUs {
-		if err := t.CPUs[cpu].check(); err != nil {
-			return fmt.Errorf("trace %s: cpu %d: %w", t.Name, cpu, err)
-		}
-		var barriers []uint32
-		held := map[uint32]bool{}
-		c := t.CPUs[cpu].Cursor()
-		for i := 0; ; i++ {
-			op, ok := c.Next()
-			if !ok {
-				break
-			}
-			switch op.Kind {
-			case Barrier:
-				barriers = append(barriers, op.Arg)
-			case Lock:
-				if held[op.Arg] {
-					return fmt.Errorf("trace %s: cpu %d op %d: recursive lock %d", t.Name, cpu, i, op.Arg)
-				}
-				held[op.Arg] = true
-			case Unlock:
-				if !held[op.Arg] {
-					return fmt.Errorf("trace %s: cpu %d op %d: unlock of unheld lock %d", t.Name, cpu, i, op.Arg)
-				}
-				delete(held, op.Arg)
-			}
-		}
-		if len(held) != 0 {
-			return fmt.Errorf("trace %s: cpu %d ends holding %d locks", t.Name, cpu, len(held))
+	barriers := make([][]uint32, len(t.CPUs))
+	errs := make([]error, len(t.CPUs))
+	EachCPU(len(t.CPUs), func(cpu int) {
+		barriers[cpu], errs[cpu] = t.validateStream(cpu)
+	})
+	for cpu, err := range errs {
+		if err != nil {
+			return err
 		}
 		if cpu == 0 {
-			ref = barriers
-		} else if len(barriers) != len(ref) {
+			continue
+		}
+		ref, got := barriers[0], barriers[cpu]
+		if len(got) != len(ref) {
 			return fmt.Errorf("trace %s: cpu %d passes %d barriers, cpu 0 passes %d",
-				t.Name, cpu, len(barriers), len(ref))
-		} else {
-			for i := range barriers {
-				if barriers[i] != ref[i] {
-					return fmt.Errorf("trace %s: cpu %d barrier %d is id %d, cpu 0 has id %d",
-						t.Name, cpu, i, barriers[i], ref[i])
-				}
+				t.Name, cpu, len(got), len(ref))
+		}
+		for i := range got {
+			if got[i] != ref[i] {
+				return fmt.Errorf("trace %s: cpu %d barrier %d is id %d, cpu 0 has id %d",
+					t.Name, cpu, i, got[i], ref[i])
 			}
 		}
 	}
 	return nil
+}
+
+// validateStream checks one processor's stream on its own — columns and
+// lock discipline — and returns the barrier ids it passes, in order.
+func (t *Trace) validateStream(cpu int) ([]uint32, error) {
+	if err := t.CPUs[cpu].check(); err != nil {
+		return nil, fmt.Errorf("trace %s: cpu %d: %w", t.Name, cpu, err)
+	}
+	var barriers []uint32
+	held := map[uint32]bool{}
+	c := t.CPUs[cpu].Cursor()
+	for i := 0; ; i++ {
+		op, ok := c.Next()
+		if !ok {
+			break
+		}
+		switch op.Kind {
+		case Barrier:
+			barriers = append(barriers, op.Arg)
+		case Lock:
+			if held[op.Arg] {
+				return nil, fmt.Errorf("trace %s: cpu %d op %d: recursive lock %d", t.Name, cpu, i, op.Arg)
+			}
+			held[op.Arg] = true
+		case Unlock:
+			if !held[op.Arg] {
+				return nil, fmt.Errorf("trace %s: cpu %d op %d: unlock of unheld lock %d", t.Name, cpu, i, op.Arg)
+			}
+			delete(held, op.Arg)
+		}
+	}
+	if len(held) != 0 {
+		return nil, fmt.Errorf("trace %s: cpu %d ends holding %d locks", t.Name, cpu, len(held))
+	}
+	return barriers, nil
 }
 
 // Recorder builds one processor's op stream with same-block run

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -135,6 +136,70 @@ func TestValidateCatchesLockErrors(t *testing.T) {
 	}
 	if err := leaked.Validate(); err == nil {
 		t.Error("trace ending with a held lock validated")
+	}
+}
+
+// faultyTrace has 12 CPUs passing one barrier. faults maps a CPU to
+// the ops it runs before that barrier.
+func faultyTrace(faults map[int][]Op) *Trace {
+	tr := &Trace{Name: "faulty", CPUs: make([]Stream, 12), Barriers: 1, Locks: 8}
+	for cpu := range tr.CPUs {
+		ops := append(faults[cpu], Op{Kind: Barrier, Arg: 0})
+		tr.CPUs[cpu] = StreamOf(ops...)
+	}
+	return tr
+}
+
+// TestValidateReportsLowestFailingCPU: the streams are checked
+// concurrently, but the error is the one a check in CPU order meets
+// first, worded exactly as the sequential check words it.
+func TestValidateReportsLowestFailingCPU(t *testing.T) {
+	cases := []struct {
+		name   string
+		faults map[int][]Op
+		want   string
+	}{
+		{
+			name: "stream faults on cpus 3 and 9",
+			faults: map[int][]Op{
+				3: {{Kind: Unlock, Arg: 5}},
+				9: {{Kind: Lock, Arg: 2}, {Kind: Lock, Arg: 2}},
+			},
+			want: "trace faulty: cpu 3 op 0: unlock of unheld lock 5",
+		},
+		{
+			name: "fault on cpu 9 only",
+			faults: map[int][]Op{
+				9: {{Kind: Lock, Arg: 2}, {Kind: Lock, Arg: 2}},
+			},
+			want: "trace faulty: cpu 9 op 1: recursive lock 2",
+		},
+		{
+			name: "barrier mismatch on cpu 2 before a stream fault on cpu 7",
+			faults: map[int][]Op{
+				2: {{Kind: Barrier, Arg: 4}},
+				7: {{Kind: Lock, Arg: 1}},
+			},
+			want: "trace faulty: cpu 2 passes 2 barriers, cpu 0 passes 1",
+		},
+		{
+			name: "held lock on cpu 5 before a barrier id mismatch on cpu 6",
+			faults: map[int][]Op{
+				5: {{Kind: Lock, Arg: 3}},
+				6: {{Kind: Barrier, Arg: 1}, {Kind: Unlock, Arg: 0}},
+			},
+			want: "trace faulty: cpu 5 ends holding 1 locks",
+		},
+	}
+	for _, tc := range cases {
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			err := faultyTrace(tc.faults).Validate()
+			runtime.GOMAXPROCS(prev)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s, GOMAXPROCS %d: got %v, want %q", tc.name, procs, err, tc.want)
+			}
+		}
 	}
 }
 
