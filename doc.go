@@ -84,10 +84,7 @@
 // coalesced into a single flight so a thundering herd runs one
 // simulation, and cold work bounded by a worker pool that sheds
 // overload with 429 + Retry-After and drains cleanly on SIGTERM.
-// cmd/dsmload (internal/serve/loadtest) load-tests a running server
-// with thousands of concurrent mixed hot/cold queries and reports
-// QPS, latency percentiles and per-layer hit counts. The server holds
-// a trace only while the query that needs it runs.
+// The server holds a trace only while the query that needs it runs.
 //
 // What the run-time audits enforce dynamically, internal/lint enforces
 // statically: repolint (cmd/repolint, also runnable as a go vet

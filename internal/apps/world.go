@@ -253,18 +253,6 @@ func (a *I64) Len() int { return len(a.Data) }
 // Addr returns the address of element i.
 func (a *I64) Addr(i int) memory.Addr { return a.Reg.Start + memory.Addr(i*8) }
 
-// LoadI reads element i through the memory system.
-func (c *Ctx) LoadI(a *I64, i int) int64 {
-	c.r.Access(a.Addr(i), false)
-	return a.Data[i]
-}
-
-// StoreI writes element i through the memory system.
-func (c *Ctx) StoreI(a *I64, i int, v int64) {
-	c.r.Access(a.Addr(i), true)
-	a.Data[i] = v
-}
-
 // I32 is a shared array of int32 backed by real data (radix keys).
 type I32 struct {
 	Reg  memory.Region

@@ -63,9 +63,6 @@ func New(numBlocks uint64, nodes int) *Directory {
 	return d
 }
 
-// NumBlocks returns the covered block count.
-func (d *Directory) NumBlocks() int { return len(d.entries) }
-
 // Entry returns a pointer to the block's record.
 func (d *Directory) Entry(b memory.Block) *Entry { return &d.entries[b] }
 

@@ -141,15 +141,6 @@ func (m *Machine) RefetchCounter(node int, p memory.Page) int {
 	return int(m.ref[node][p])
 }
 
-// PageCacheLen exposes the number of resident pages in a node's page
-// cache, for tests.
-func (m *Machine) PageCacheLen(node int) int {
-	if m.pc == nil {
-		return 0
-	}
-	return m.pc[node].Len()
-}
-
 // PageMode exposes the caching mode of page p at a node, for tests.
 func (m *Machine) PageMode(node int, p memory.Page) memory.PageMode {
 	return m.pt.Entry(p).Mode[node]

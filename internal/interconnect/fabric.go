@@ -141,7 +141,8 @@ func (f *Fabric) Violations() []string { return f.violations.All() }
 // SetObserver attaches a telemetry collector: every message charges its
 // bytes to the crossed link's windowed series at the simulated time the
 // message reaches that hop, alongside the existing aggregate counters.
-// The windowed totals therefore reconcile exactly with LinkBytes.
+// The windowed totals therefore reconcile exactly with the linkBytes
+// counters.
 func (f *Fabric) SetObserver(o *telemetry.Collector) { f.obs = o }
 
 // occupancy is how long a message of the given size holds each link.
@@ -199,9 +200,6 @@ func (f *Fabric) Traverse(src, dst int, bytes int64, now int64) int64 {
 func (f *Fabric) Deliver(src, dst int, bytes int64, now int64) {
 	f.Traverse(src, dst, bytes, now)
 }
-
-// LinkBytes returns the byte counter of one link.
-func (f *Fabric) LinkBytes(id int) int64 { return f.linkBytes[id] }
 
 // TotalLinkBytes sums the byte counters over all links.
 func (f *Fabric) TotalLinkBytes() int64 {

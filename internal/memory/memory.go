@@ -86,9 +86,6 @@ func (al *Allocator) Pages() uint64 { return uint64(al.next) >> config.PageShift
 // Bytes returns the total bytes allocated so far.
 func (al *Allocator) Bytes() uint64 { return uint64(al.next) }
 
-// Regions returns the allocation list in order.
-func (al *Allocator) Regions() []Region { return al.regs }
-
 // RegionOf returns the region containing a, if any.
 func (al *Allocator) RegionOf(a Addr) (Region, bool) {
 	for _, r := range al.regs {

@@ -36,10 +36,6 @@
 // server answers 429 with a Retry-After hint rather than accepting
 // unbounded work; SIGTERM drains accepted work before exit
 // (cmd/dsmserve wires the signal).
-//
-// The load-generator harness in the loadtest subpackage (cmd/dsmload)
-// drives the stack with thousands of concurrent mixed hot/cold queries
-// and reports QPS, latency percentiles and hit/coalesce/cold counts.
 package serve
 
 import (

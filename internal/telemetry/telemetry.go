@@ -243,14 +243,8 @@ func (c *Collector) MissWindow(cls stats.MissClass, remote bool, w int) int64 {
 	return c.local[cls].at(w)
 }
 
-// NodeBytesWindow returns node n's traffic bytes in window w.
-func (c *Collector) NodeBytesWindow(n, w int) int64 { return c.node[n].at(w) }
-
 // LinkBytesWindow returns link id's bytes in window w.
 func (c *Collector) LinkBytesWindow(id, w int) int64 { return c.link[id].at(w) }
-
-// DispatchWindow returns the dispatched trace ops in window w.
-func (c *Collector) DispatchWindow(w int) int64 { return c.dispatch.at(w) }
 
 // Links returns the number of fabric links the collector tracks.
 func (c *Collector) Links() int { return len(c.link) }
