@@ -56,9 +56,8 @@ func run() error {
 		resultStore = flag.String("resultstore", "", "directory of the on-disk result store (empty = memory only)")
 		traceStore  = flag.String("tracestore", "", "directory of the on-disk trace store (empty = traces are generated per query and not kept)")
 		cacheSize   = flag.Int("cache", 128, "in-memory result LRU capacity (entries)")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "cold-path simulation workers")
+		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "simulations run at once, shared by all cold queries")
 		queue       = flag.Int("queue", 0, "cold-path queue depth before 429 (0 = 4x workers)")
-		parallel    = flag.Int("parallel", 1, "per-simulation harness workers")
 	)
 	flag.Parse()
 
@@ -66,7 +65,6 @@ func run() error {
 		CacheEntries: *cacheSize,
 		Workers:      *workers,
 		QueueDepth:   *queue,
-		Parallel:     *parallel,
 	}
 	if *resultStore != "" {
 		rs, err := serve.OpenResultStore(*resultStore)

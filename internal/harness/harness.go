@@ -32,6 +32,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/apps"
@@ -80,6 +81,14 @@ type Options struct {
 	// this many workers (0 = serial). Simulations are deterministic and
 	// independent, so this only affects wall-clock time.
 	Parallel int
+
+	// Slots, when non-nil, bounds the simulations in flight across
+	// every run that shares it: each simulation holds one slot while it
+	// runs, on top of the run's own Parallel bound. A server hands one
+	// set to all of its queries, so a lone query can fill every slot
+	// and concurrent queries take turns. nil leaves Parallel as the
+	// only bound.
+	Slots *Slots
 
 	// Verbose streams per-run progress lines to Out.
 	Verbose bool
@@ -324,7 +333,7 @@ func runExperiment(name string, systems []systemRun, o Options) (*Result, error)
 		all := append([]systemRun{{label: "Perfect"}}, systems...)
 		sims := make([]*stats.Sim, len(all))
 		cols := make([]*telemetry.Collector, len(all))
-		if err := forEach(o.ctx, all, o.Parallel, func(i int, s systemRun) error {
+		if err := forEach(o.ctx, o.Slots, all, o.Parallel, func(i int, s systemRun) error {
 			ro := dsm.RunOptions{Audit: o.Audit}
 			if i > 0 {
 				cols[i] = o.Telemetry.Collector()
@@ -371,41 +380,58 @@ func runExperiment(name string, systems []systemRun, o Options) (*Result, error)
 	return res, nil
 }
 
-// forEach runs f over items, optionally with a worker pool. A non-nil
-// ctx stops dispatching new items once cancelled (items already running
-// complete normally).
-func forEach(ctx context.Context, items []systemRun, workers int, f func(int, systemRun) error) error {
-	cancelled := func() error {
-		if ctx == nil {
-			return nil
+// forEach runs f over items, optionally with a worker pool, each call
+// holding one of slots (when non-nil) while it runs. A non-nil ctx
+// stops dispatching new items once cancelled, also while waiting for a
+// slot; items already running complete normally. Dispatching also
+// stops once an item has failed, and the first error in item order is
+// returned.
+func forEach(ctx context.Context, slots *Slots, items []systemRun, workers int, f func(int, systemRun) error) error {
+	start := func() error {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
-		return ctx.Err()
+		return slots.acquire(ctx)
 	}
 	if workers <= 1 {
 		for i, it := range items {
-			if err := cancelled(); err != nil {
+			if err := start(); err != nil {
 				return err
 			}
-			if err := f(i, it); err != nil {
+			err := f(i, it)
+			slots.release()
+			if err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	var wg sync.WaitGroup
+	var failed atomic.Bool
 	sem := make(chan struct{}, workers)
 	errs := make([]error, len(items))
 	for i, it := range items {
-		if err := cancelled(); err != nil {
+		sem <- struct{}{}
+		if err := start(); err != nil {
 			errs[i] = err
 			break
 		}
+		// A failing item sets failed before it frees its worker and its
+		// slot, so a dispatcher that reuses either sees the failure.
+		if failed.Load() {
+			slots.release()
+			break
+		}
 		wg.Add(1)
-		sem <- struct{}{}
 		go func(i int, it systemRun) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs[i] = f(i, it)
+			defer slots.release()
+			if errs[i] = f(i, it); errs[i] != nil {
+				failed.Store(true)
+			}
 		}(i, it)
 	}
 	wg.Wait()

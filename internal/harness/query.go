@@ -96,8 +96,11 @@ func trimEach(in []string, lower bool) []string {
 // Validate rejects queries that could not run: unknown experiment,
 // application, system or fabric names, an application, system or scale
 // listed twice, non-positive sweep scales, and fabric overrides on the
-// topology sweep. It expects a normalized query (Validate on a raw
-// query may miss aliases Normalize folds).
+// topology sweep. It also caps the one list no registry bounds: more
+// than twice DefaultSweepScales' scales is refused, since each scale
+// is a whole sweep and a served query may hold every simulation slot.
+// It expects a normalized query (Validate on a raw query may miss
+// aliases Normalize folds).
 func (q Query) Validate() error {
 	if err := CheckDistinct(q.Apps, q.Systems, q.Scales); err != nil {
 		return err
@@ -129,6 +132,9 @@ func (q Query) Validate() error {
 		if q.Experiment == "toposweep" || q.Experiment == "all" {
 			return fmt.Errorf("harness: experiment %q already runs every fabric; drop the fabric override", q.Experiment)
 		}
+	}
+	if most := 2 * len(DefaultSweepScales()); len(q.Scales) > most {
+		return fmt.Errorf("harness: scalesweep: %d scales, at most %d", len(q.Scales), most)
 	}
 	for _, sc := range q.Scales {
 		if sc < 1 {

@@ -5,12 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// workPool is the bounded execution stage behind the server's cold
-// path: a fixed number of workers draining a fixed-depth queue. The
-// bound is the backpressure mechanism — TrySubmit refuses instead of
-// queueing without limit, and the HTTP layer turns that refusal into
-// 429 + Retry-After. Simulations are CPU-bound, so more concurrency
-// than cores buys queueing delay, not throughput.
+// workPool is the bounded admission stage behind the server's cold
+// path: a fixed number of workers, each running one cold query,
+// draining a fixed-depth queue. The bound is the backpressure
+// mechanism — TrySubmit refuses instead of queueing without limit, and
+// the HTTP layer turns that refusal into 429 + Retry-After. The pool
+// bounds queries, not cores: the simulations of running queries share
+// the server's harness.Slots, so they never exceed its worker count.
 type workPool struct {
 	queue chan func()
 	wg    sync.WaitGroup

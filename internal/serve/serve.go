@@ -31,11 +31,15 @@
 // the trace again, and concurrent cold queries on one workload each
 // generate it, store or not.
 //
-// Bounded execution with backpressure: cold work runs on a fixed-size
-// worker pool behind a fixed-depth queue. When the queue is full the
-// server answers 429 with a Retry-After hint rather than accepting
-// unbounded work; SIGTERM drains accepted work before exit
-// (cmd/dsmserve wires the signal).
+// Bounded execution with backpressure: cold queries run on a fixed-size
+// worker pool behind a fixed-depth queue, and their simulations draw
+// from one server-wide set of Workers slots (harness.Slots). A lone
+// cold query fills every slot; concurrent cold queries take freed
+// slots in turn, so a new query waits for one running simulation, not
+// a whole query, and simulations in flight never exceed Workers. When
+// the queue is full the server answers 429 with a Retry-After hint
+// rather than accepting unbounded work; SIGTERM drains accepted work
+// before exit (cmd/dsmserve wires the signal).
 package serve
 
 import (
@@ -87,17 +91,14 @@ type Config struct {
 	// CacheEntries bounds the in-memory result LRU (<= 0 selects 128).
 	CacheEntries int
 
-	// Workers is the cold-path worker count (<= 0 selects GOMAXPROCS).
+	// Workers is the number of simulations the server runs at once,
+	// shared by every cold query (<= 0 selects GOMAXPROCS). It also
+	// sizes the query pool: up to Workers cold queries run together.
 	Workers int
 
 	// QueueDepth bounds the cold-path queue; submissions beyond it are
 	// refused with ErrOverloaded (<= 0 selects 4x Workers).
 	QueueDepth int
-
-	// Parallel is the per-simulation worker count passed to the
-	// harness (<= 0 selects 1: the pool provides the concurrency, and
-	// one core per simulation keeps tail latency predictable).
-	Parallel int
 
 	// TraceStore is the persistent trace tier (nil = none). The server
 	// holds a trace only while the query that needs it runs; a later
@@ -130,13 +131,13 @@ type Server struct {
 	store      *ResultStore
 	cache      *resultLRU
 	pool       *workPool
+	slots      *harness.Slots
 	traceStore *store.Store
 	commit     string
 	run        runner
 
-	parallel int
-	workers  int
-	depth    int
+	workers int
+	depth   int
 
 	// baseCtx governs the simulations themselves (not individual
 	// requests: a flight outlives the request that led it). Abort
@@ -188,9 +189,6 @@ func newServer(cfg Config, run runner) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4 * cfg.Workers
 	}
-	if cfg.Parallel <= 0 {
-		cfg.Parallel = 1
-	}
 	if cfg.Commit == "" {
 		cfg.Commit = telemetry.BuildCommit()
 	}
@@ -199,10 +197,10 @@ func newServer(cfg Config, run runner) *Server {
 		store:      cfg.Store,
 		cache:      newResultLRU(cfg.CacheEntries),
 		pool:       newWorkPool(cfg.Workers, cfg.QueueDepth),
+		slots:      harness.NewSlots(cfg.Workers),
 		traceStore: cfg.TraceStore,
 		commit:     cfg.Commit,
 		run:        run,
-		parallel:   cfg.Parallel,
 		workers:    cfg.Workers,
 		depth:      cfg.QueueDepth,
 		baseCtx:    ctx,
@@ -217,7 +215,8 @@ func newServer(cfg Config, run runner) *Server {
 // through the harness and render the records as indented JSON — the
 // same construction, and therefore the same bytes, as cmd/experiments
 // -json for the equivalent flags. The query's traces live in a cache
-// of its own, shared by its experiments and dropped on return.
+// of its own, shared by its experiments and dropped on return. Its
+// simulations may use every worker, bounded by the server's slots.
 func (s *Server) simulate(ctx context.Context, q harness.Query) ([]byte, error) {
 	traces := harness.NewTraceCacheWithStore(s.traceStore)
 	s.mu.Lock()
@@ -228,7 +227,8 @@ func (s *Server) simulate(ctx context.Context, q harness.Query) ([]byte, error) 
 	var records []harness.Record
 	for _, name := range q.ExperimentNames() {
 		r, err := harness.RunByNameContext(ctx, name, q.Options(harness.Options{
-			Parallel: s.parallel,
+			Parallel: s.workers,
+			Slots:    s.slots,
 			Audit:    true,
 			Traces:   traces,
 			Out:      io.Discard,
@@ -377,8 +377,9 @@ func (s *Server) complete(key string, fl *flight, body []byte, err error) {
 // requests complete, new ones were already refused at the listener.
 func (s *Server) Drain() { s.pool.Drain() }
 
-// Abort cancels running simulations (they stop at the next experiment
-// boundary) and then drains. The forced-shutdown path.
+// Abort cancels running queries (each stops before its next
+// simulation, and a wait for a slot ends at once) and then drains. The
+// forced-shutdown path.
 func (s *Server) Abort() {
 	s.abort()
 	s.pool.Drain()
@@ -408,11 +409,14 @@ type Status struct {
 		InFlight  int   `json:"in_flight"`
 	} `json:"queries"`
 
+	// Pool counts queries (queued, running) and the simulations they
+	// run now (at most Workers).
 	Pool struct {
-		Workers    int   `json:"workers"`
-		QueueDepth int   `json:"queue_depth"`
-		Queued     int64 `json:"queued"`
-		Running    int64 `json:"running"`
+		Workers     int   `json:"workers"`
+		QueueDepth  int   `json:"queue_depth"`
+		Queued      int64 `json:"queued"`
+		Running     int64 `json:"running"`
+		Simulations int   `json:"simulations"`
 	} `json:"pool"`
 
 	ResultCache struct {
@@ -444,6 +448,7 @@ func (s *Server) StatusNow() Status {
 	st.Pool.QueueDepth = s.depth
 	st.Pool.Queued = s.pool.Queued()
 	st.Pool.Running = s.pool.Running()
+	st.Pool.Simulations = s.slots.InUse()
 	st.ResultCache.Entries = s.cache.len()
 	st.ResultCache.Capacity = s.cache.max
 	st.ResultCache.DiskDir = s.store.Dir()

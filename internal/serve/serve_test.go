@@ -355,6 +355,7 @@ func TestHTTPBadQuery(t *testing.T) {
 		{http.MethodGet, "/query?experiment=fig5&shards=4", "", http.StatusBadRequest},
 		{http.MethodPost, "/query", `{"experiment":"fig5","shards":4}`, http.StatusBadRequest},
 		{http.MethodGet, "/query?experiment=toposweep&fabric=ring", "", http.StatusBadRequest},
+		{http.MethodGet, "/query?experiment=scalesweep&apps=radix&scales=8,16,24,32,40,48,56,64,72", "", http.StatusBadRequest},
 		{http.MethodPost, "/query", `{"experiment":"fig5","bogus":1}`, http.StatusBadRequest},
 		{http.MethodPost, "/query", `not json`, http.StatusBadRequest},
 		{http.MethodDelete, "/query", "", http.StatusMethodNotAllowed},
@@ -470,8 +471,9 @@ func TestHTTPEquivalentQueriesShareKey(t *testing.T) {
 // TestServerMatchesHarnessJSON runs the real simulation path end to end
 // over HTTP and requires the response to be byte-identical to the JSON
 // cmd/experiments -json constructs for the same flags — the contract
-// that makes the server a drop-in for the CLI. The warm repeat must be
-// a memory hit with the same bytes.
+// that makes the server a drop-in for the CLI — whether the query's
+// simulations run one at a time or share two slots. The warm repeat
+// must be a memory hit with the same bytes.
 func TestServerMatchesHarnessJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real simulation")
@@ -492,41 +494,44 @@ func TestServerMatchesHarnessJSON(t *testing.T) {
 	}
 	want := append(buf, '\n')
 
-	s := New(Config{Commit: "test", Parallel: 1})
-	defer s.Drain()
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
 	body := []byte(`{"experiment":"fig5","apps":["radix"],"systems":["ccnuma"],"scale":64}`)
-	fetch := func() ([]byte, string) {
-		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		got, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d: %s", resp.StatusCode, got)
-		}
-		return got, resp.Header.Get("X-Dsm-Cache")
-	}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s := New(Config{Commit: "test", Workers: workers})
+			defer s.Drain()
+			ts := httptest.NewServer(s)
+			defer ts.Close()
+			fetch := func() ([]byte, string) {
+				resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				got, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("status %d: %s", resp.StatusCode, got)
+				}
+				return got, resp.Header.Get("X-Dsm-Cache")
+			}
 
-	cold, coldSrc := fetch()
-	if coldSrc != string(SourceMiss) {
-		t.Fatalf("cold query source = %q, want %q", coldSrc, SourceMiss)
-	}
-	if !bytes.Equal(cold, want) {
-		t.Fatalf("server response is not byte-identical to the harness JSON\nserver %d bytes, harness %d bytes", len(cold), len(want))
-	}
-	warm, warmSrc := fetch()
-	if warmSrc != string(SourceHit) {
-		t.Fatalf("warm query source = %q, want %q", warmSrc, SourceHit)
-	}
-	if !bytes.Equal(warm, cold) {
-		t.Fatal("warm response differs from cold response")
+			cold, coldSrc := fetch()
+			if coldSrc != string(SourceMiss) {
+				t.Fatalf("cold query source = %q, want %q", coldSrc, SourceMiss)
+			}
+			if !bytes.Equal(cold, want) {
+				t.Fatalf("server response is not byte-identical to the harness JSON\nserver %d bytes, harness %d bytes", len(cold), len(want))
+			}
+			warm, warmSrc := fetch()
+			if warmSrc != string(SourceHit) {
+				t.Fatalf("warm query source = %q, want %q", warmSrc, SourceHit)
+			}
+			if !bytes.Equal(warm, cold) {
+				t.Fatal("warm response differs from cold response")
+			}
+		})
 	}
 }
 
@@ -659,9 +664,11 @@ func TestTraceReuseThroughStatusz(t *testing.T) {
 	}
 }
 
-// TestTraceStatsUnderConcurrency reads /statusz's trace counters while
-// cold queries run on every worker, so the race detector sees the
-// per-query trace caches come and go.
+// TestTraceStatsUnderConcurrency reads /statusz's counters while cold
+// queries run on every worker, so the race detector sees the per-query
+// trace caches come and go. The queries' simulations share the
+// server's two slots: none of the snapshots may show more than two in
+// flight, and none are left after Drain.
 func TestTraceStatsUnderConcurrency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
@@ -682,18 +689,27 @@ func TestTraceStatsUnderConcurrency(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
+	peak := 0
 	for polling := true; polling; {
 		select {
 		case <-done:
 			polling = false
 		default:
-			s.StatusNow()
+			peak = max(peak, s.StatusNow().Pool.Simulations)
 			time.Sleep(time.Millisecond)
 		}
 	}
 	s.Drain()
-	if st := s.StatusNow().TraceCache; st.Generated != queries || st.InFlight != 0 {
-		t.Fatalf("trace_cache %+v, want generated %d and in_flight 0", st, queries)
+	t.Logf("peak simulations in flight: %d", peak)
+	if peak > 2 {
+		t.Errorf("statusz showed %d simulations in flight on 2 workers", peak)
+	}
+	st := s.StatusNow()
+	if st.Pool.Simulations != 0 {
+		t.Errorf("statusz simulations = %d after Drain, want 0", st.Pool.Simulations)
+	}
+	if st.TraceCache.Generated != queries || st.TraceCache.InFlight != 0 {
+		t.Fatalf("trace_cache %+v, want generated %d and in_flight 0", st.TraceCache, queries)
 	}
 }
 
