@@ -226,7 +226,7 @@ func fig5Sweep(tel *harness.TelemetryOptions) func(*testing.T) func() {
 			Scale: 8, Parallel: 4, Traces: harness.NewTraceCache(), Out: io.Discard, Telemetry: tel,
 		}
 		sweep := func() {
-			if _, err := harness.Fig5(opts); err != nil {
+			if _, err := harness.RunByName("fig5", opts); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -29,9 +29,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -45,13 +45,13 @@ import (
 	"repro/internal/harness"
 )
 
-func printParams() {
-	fmt.Println("Table 2: applications and input parameters")
+func printParams(w io.Writer) {
+	fmt.Fprintln(w, "Table 2: applications and input parameters")
 	for _, i := range apps.Paper() {
-		fmt.Printf("  %-10s %-48s %s\n", i.Name, i.Description, i.Input)
+		fmt.Fprintf(w, "  %-10s %-48s %s\n", i.Name, i.Description, i.Input)
 	}
-	fmt.Println()
-	fmt.Println("Table 3: base system cost assumptions (600 MHz processor cycles)")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Table 3: base system cost assumptions (600 MHz processor cycles)")
 	t := config.Default()
 	rows := [][2]string{
 		{"network latency", fmt.Sprint(t.NetworkLatency)},
@@ -64,17 +64,17 @@ func printParams() {
 		{"page copying", fmt.Sprintf("%d~%d", t.CopyCost(0), t.CopyCost(config.BlocksPerPage))},
 	}
 	for _, r := range rows {
-		fmt.Printf("  %-42s %s\n", r[0], r[1])
+		fmt.Fprintf(w, "  %-42s %s\n", r[0], r[1])
 	}
-	fmt.Println()
-	fmt.Println("Thresholds: MigRep 800 misses (reset 32000), R-NUMA 32 misses;")
-	fmt.Println("slow systems: 1200 and 64.")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Thresholds: MigRep 800 misses (reset 32000), R-NUMA 32 misses;")
+	fmt.Fprintln(w, "slow systems: 1200 and 64.")
 }
 
-func printSystems() {
-	fmt.Println("registered memory systems (dsm registry):")
+func printSystems(w io.Writer) {
+	fmt.Fprintln(w, "registered memory systems (dsm registry):")
 	for _, s := range dsm.Systems() {
-		fmt.Printf("  %-18s %s\n", s.Name, s.Description)
+		fmt.Fprintf(w, "  %-18s %s\n", s.Name, s.Description)
 	}
 }
 
@@ -83,22 +83,26 @@ func printSystems() {
 // — execute on every exit path, including errors. os.Exit lives only
 // here.
 func main() {
-	if err := run(flag.CommandLine, os.Args[1:]); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(fs *flag.FlagSet, args []string) error {
+// run parses args into fs and writes every report to stdout. It builds
+// a harness.Query from the identity flags and runs it the way
+// internal/serve does — Normalize, Validate, ExperimentNames, Options —
+// so an invalid query fails before any simulation and -json writes the
+// server's bytes.
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	var (
-		exp         = fs.String("experiment", "all", "experiment: fig5, table4, fig6, fig7, fig8, toposweep, scalesweep, params, all")
+		exp         = fs.String("experiment", "all", "experiment: "+strings.Join(harness.Experiments(), ", ")+", scalesweep (not in all), params, all")
 		seed        = fs.Uint64("seed", 0, "workload-generator seed (0 = the paper's inputs)")
 		fabric      = fs.String("fabric", "", "interconnect override for every run: crossbar, ring, mesh, fattree (empty = experiment default)")
 		scalesFlag  = fs.String("scales", "", "comma-separated scale ladder for -experiment scalesweep (default 8,16,32,64)")
 		appsFlag    = fs.String("apps", "", "comma-separated app subset (default: the paper's seven)")
 		systemsFlag = fs.String("systems", "", "comma-separated system override from the dsm registry (see -list-systems)")
 		parallel    = fs.Int("parallel", runtime.NumCPU(), "concurrent simulations per app (0 = serial)")
-		verbose     = fs.Bool("verbose", false, "print per-run progress")
 		csvPath     = fs.String("csv", "", "also write machine-readable CSV rows to this file")
 		jsonPath    = fs.String("json", "", "also write the structured records as JSON to this file")
 		listSystems = fs.Bool("list-systems", false, "list the registered memory systems and exit")
@@ -141,28 +145,26 @@ func run(fs *flag.FlagSet, args []string) error {
 	}
 
 	if *listSystems {
-		printSystems()
+		printSystems(stdout)
 		return nil
 	}
 	if *exp == "params" {
-		printParams()
+		printParams(stdout)
 		return nil
 	}
 
 	// The trace cache shares each workload across experiments.
-	o, err := shared.Options(os.Stdout)
+	base, err := shared.Options(stdout)
 	if err != nil {
 		return err
 	}
-	o.Seed = *seed
-	o.Fabric = *fabric
-	o.Parallel = *parallel
-	o.Verbose = *verbose
+	base.Parallel = *parallel
+	q := harness.Query{Experiment: *exp, Fabric: *fabric, Scale: base.Scale, Seed: *seed}
 	if *appsFlag != "" {
-		o.Apps = strings.Split(*appsFlag, ",")
+		q.Apps = strings.Split(*appsFlag, ",")
 	}
 	if *systemsFlag != "" {
-		o.Systems = strings.Split(*systemsFlag, ",")
+		q.Systems = strings.Split(*systemsFlag, ",")
 	}
 	if *scalesFlag != "" {
 		for _, f := range strings.Split(*scalesFlag, ",") {
@@ -170,9 +172,14 @@ func run(fs *flag.FlagSet, args []string) error {
 			if err != nil {
 				return fmt.Errorf("experiments: bad -scales entry %q: %w", f, err)
 			}
-			o.Scales = append(o.Scales, n)
+			q.Scales = append(q.Scales, n)
 		}
 	}
+	q = q.Normalize()
+	if err := q.Validate(); err != nil {
+		return err
+	}
+	o := q.Options(base)
 
 	var csvFile *os.File
 	if *csvPath != "" {
@@ -187,12 +194,8 @@ func run(fs *flag.FlagSet, args []string) error {
 		csvFile = f
 	}
 
-	names := harness.Experiments()
-	if *exp != "all" {
-		names = []string{*exp}
-	}
 	var records []harness.Record
-	for _, n := range names {
+	for _, n := range q.ExperimentNames() {
 		expStart := time.Now()
 		r, err := harness.RunByName(n, o)
 		if err != nil {
@@ -214,14 +217,14 @@ func run(fs *flag.FlagSet, args []string) error {
 		if *jsonPath != "" {
 			records = append(records, r.Records()...)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *jsonPath != "" {
-		buf, err := json.MarshalIndent(records, "", "  ")
+		buf, err := harness.RecordsJSON(records)
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*jsonPath, append(buf, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
 			return err
 		}
 	}

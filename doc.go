@@ -25,14 +25,17 @@
 //
 // # Experiments return structured results
 //
-// internal/harness runs each experiment (fig5, table4, fig6, fig7,
-// fig8, toposweep) over any registered system set (Options.Systems)
+// internal/harness holds the experiments as rows of one table (fig5,
+// table4, fig6, fig7, fig8, toposweep, and scalesweep outside "all"),
+// runs any of them over any registered system set (Options.Systems)
 // and returns a structured Result: one Record per (application,
 // system, fabric) run with normalized time, miss and page-operation
 // breakdowns, traffic, and interconnect hot-link/bisection statistics.
-// Rendering is separate from running — WriteText reproduces the
-// paper-style tables (locked byte-for-byte by golden tests), WriteCSV
-// and WriteJSON emit the flat records.
+// RunByName writes each experiment's paper-style text report (locked
+// byte-for-byte by golden tests); Records, WriteCSVRows and
+// RecordsJSON emit the flat records. cmd/experiments and cmd/dsmserve
+// run the same harness.Query, so -json and a served answer are the
+// same bytes.
 //
 // # Beyond the paper
 //

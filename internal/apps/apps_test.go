@@ -22,6 +22,20 @@ func TestRegistryHasPaperApps(t *testing.T) {
 	}
 }
 
+// TestApplicationsListed: Names lists the seven paper applications plus
+// the synthetic ones, and every listed name resolves.
+func TestApplicationsListed(t *testing.T) {
+	names := Names()
+	if len(names) < 8 {
+		t.Errorf("only %d applications", len(names))
+	}
+	for _, n := range names {
+		if _, err := ByName(n); err != nil {
+			t.Errorf("%s: %v", n, err)
+		}
+	}
+}
+
 func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName("nosuch"); err == nil {
 		t.Error("unknown app resolved")

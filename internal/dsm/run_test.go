@@ -5,8 +5,35 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/config"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
+
+// TestSimulateTrace drives the library path the customworkload example
+// takes for a caller's own trace: RunBaseline anchors it, RunWithOptions
+// replays it on R-NUMA with the audit on, and a streaming trace makes
+// R-NUMA relocate pages.
+func TestSimulateTrace(t *testing.T) {
+	tr, err := apps.GenerateSynthetic(apps.SynStream, apps.SyntheticParams{CPUs: 32, KBPerNode: 128, Iters: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, ro := config.DefaultCluster(), RunOptions{Audit: true}
+	base, err := RunBaseline(tr, cl, ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunWithOptions(tr, RNUMA(), cl, config.Default(), config.DefaultThresholds(), ro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Normalized(base) <= 0 {
+		t.Errorf("normalized = %v", r.Normalized(base))
+	}
+	if r.PageOpsByKind(stats.Relocation) == 0 {
+		t.Error("custom streaming trace triggered no relocations")
+	}
+}
 
 func barrierOp(id uint32, g uint32) trace.Op {
 	return trace.Op{Kind: trace.Barrier, Arg: id, Gap: g}

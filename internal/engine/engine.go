@@ -116,16 +116,12 @@ type CPU struct {
 
 // Scheduler advances a fixed set of CPUs in global simulated-time order.
 //
-// Two usage styles are supported. The classic pop/push cycle: Next pops
-// the earliest runnable CPU, the caller performs one unit of its work
-// (advancing its Clock), and Yield requeues it. And the cheaper in-place
-// cycle used by the replay hot loop: Peek returns the earliest runnable
+// Each dispatch is an in-place cycle: Peek returns the earliest runnable
 // CPU without removing it, the caller advances its Clock (and may push
 // other CPUs via Unblock), then Requeue restores heap order, or Park /
-// Retire removes the CPU when it blocks or finishes. The in-place cycle
-// performs one sift per dispatched event instead of two and never moves
-// the other elements twice; dispatch order is identical, since the heap
-// always pops the unique (Clock, ID) minimum either way.
+// Retire removes the CPU when it blocks or finishes. That is one sift
+// per dispatched event, and the heap always surfaces the unique
+// (Clock, ID) minimum.
 //
 // The heap is hand-rolled rather than container/heap: the comparison and
 // swap run inline on the concrete slice, which matters because the replay
@@ -135,8 +131,8 @@ type Scheduler struct {
 	heap []*CPU
 	done int
 
-	// dispatches counts scheduling decisions: every Peek or Next that
-	// handed the earliest runnable CPU to the caller. Run introspection
+	// dispatches counts scheduling decisions: every Peek that handed
+	// the earliest runnable CPU to the caller. Run introspection
 	// reads it as the event-dispatch total of the replay loop.
 	dispatches int64
 }
@@ -296,37 +292,6 @@ func (s *Scheduler) Retire(c *CPU) {
 	s.done++
 }
 
-// Next pops the runnable CPU with the smallest clock (ties broken by id).
-// It returns nil when no CPU is runnable: either all are done, or the
-// system has deadlocked on synchronization (which Done distinguishes).
-//
-//repro:hotpath
-func (s *Scheduler) Next() *CPU {
-	if len(s.heap) == 0 {
-		return nil
-	}
-	s.dispatches++
-	c := s.heap[0]
-	s.removeAt(0)
-	return c
-}
-
-// Yield requeues a CPU obtained from Next so it can run again.
-//
-//repro:hotpath
-func (s *Scheduler) Yield(c *CPU) {
-	if c.state != cpuRunnable {
-		panic(fmt.Sprintf("engine: yield of non-runnable cpu %d", c.ID))
-	}
-	s.push(c)
-}
-
-// Block marks a CPU (obtained from Next) as waiting on synchronization.
-// It must later be released with Unblock.
-//
-//repro:hotpath
-func (s *Scheduler) Block(c *CPU) { c.state = cpuBlocked }
-
 // Unblock makes a blocked CPU runnable at the given time and requeues it.
 //
 //repro:hotpath
@@ -339,12 +304,6 @@ func (s *Scheduler) Unblock(c *CPU, at Time) {
 	}
 	c.state = cpuRunnable
 	s.push(c)
-}
-
-// Finish retires a CPU obtained from Next.
-func (s *Scheduler) Finish(c *CPU) {
-	c.state = cpuDone
-	s.done++
 }
 
 // Done reports whether every CPU has finished.
@@ -393,7 +352,7 @@ func NewBarrier(population int, overhead Time) *Barrier {
 // returns the release time and the slice of previously waiting CPUs that
 // the caller must Unblock at that time; c itself remains runnable and its
 // clock is advanced to the release time. Otherwise Arrive returns ok =
-// false and the caller must Block (or Park) c.
+// false and the caller must Park c.
 //
 // The returned waiters slice is only valid until the barrier next
 // releases: its backing array is recycled for a later epoch's waiter
@@ -444,7 +403,7 @@ func NewLock() *Lock { return &Lock{holder: -1} }
 // Acquire attempts to take the lock for c at its current clock. On
 // success it returns ok = true (the caller keeps c runnable; c.Clock may
 // have been advanced to the time the lock became free). On failure the
-// caller must Block c; the CPU will be handed back by a later Release.
+// caller must Park c; the CPU will be handed back by a later Release.
 //
 //repro:hotpath
 func (l *Lock) Acquire(c *CPU) (ok bool) {

@@ -47,21 +47,23 @@ func TestBarrierPopulationValidation(t *testing.T) {
 	NewBarrier(0, 0)
 }
 
+// TestYieldNonRunnablePanics: handing a parked CPU back to the heap
+// with Requeue, as if it had run, panics.
 func TestYieldNonRunnablePanics(t *testing.T) {
 	s := NewScheduler(1)
-	c := s.Next()
-	s.Block(c)
+	c := s.Peek()
+	s.Park(c)
 	defer func() {
 		if recover() == nil {
-			t.Error("yield of blocked cpu did not panic")
+			t.Error("requeue of parked cpu did not panic")
 		}
 	}()
-	s.Yield(c)
+	s.Requeue(c)
 }
 
 func TestUnblockRunnablePanics(t *testing.T) {
 	s := NewScheduler(1)
-	c := s.Next()
+	c := s.Peek()
 	defer func() {
 		if recover() == nil {
 			t.Error("unblock of runnable cpu did not panic")
@@ -73,9 +75,9 @@ func TestUnblockRunnablePanics(t *testing.T) {
 func TestMaxClock(t *testing.T) {
 	s := NewScheduler(3)
 	for i := 0; i < 3; i++ {
-		c := s.Next()
+		c := s.Peek()
 		c.Clock = Time(100 * (i + 1))
-		s.Finish(c)
+		s.Retire(c)
 	}
 	if got := s.MaxClock(); got != 300 {
 		t.Errorf("max clock = %d, want 300", got)
@@ -85,7 +87,7 @@ func TestMaxClock(t *testing.T) {
 func TestBarrierWaitingCount(t *testing.T) {
 	b := NewBarrier(3, 0)
 	s := NewScheduler(3)
-	c := s.Next()
+	c := s.CPUByID(0)
 	b.Arrive(c)
 	if b.Waiting() != 1 {
 		t.Errorf("waiting = %d, want 1", b.Waiting())
@@ -99,10 +101,10 @@ func TestManyCPUsFairness(t *testing.T) {
 	s := NewScheduler(n)
 	steps := make([]int, n)
 	for i := 0; i < n*100; i++ {
-		c := s.Next()
+		c := s.Peek()
 		steps[c.ID]++
 		c.Clock += 10
-		s.Yield(c)
+		s.Requeue(c)
 	}
 	for id, got := range steps {
 		if got != 100 {

@@ -51,21 +51,21 @@ func TestResourceNeverOverlaps(t *testing.T) {
 
 func TestSchedulerOrdersByTime(t *testing.T) {
 	s := NewScheduler(3)
-	a := s.Next()
+	a := s.Peek()
 	a.Clock = 50
-	s.Yield(a)
-	b := s.Next()
+	s.Requeue(a)
+	b := s.Peek()
 	b.Clock = 10
-	s.Yield(b)
-	c := s.Next()
+	s.Requeue(b)
+	c := s.Peek()
 	c.Clock = 30
-	s.Yield(c)
-	// Expect pops in clock order: 10, 30, 50.
+	s.Requeue(c)
+	// Expect dispatches in clock order: 10, 30, 50.
 	var got []Time
 	for i := 0; i < 3; i++ {
-		c := s.Next()
+		c := s.Peek()
 		got = append(got, c.Clock)
-		s.Finish(c)
+		s.Retire(c)
 	}
 	want := []Time{10, 30, 50}
 	for i := range want {
@@ -80,35 +80,37 @@ func TestSchedulerOrdersByTime(t *testing.T) {
 
 func TestSchedulerTieBreaksByID(t *testing.T) {
 	s := NewScheduler(4)
-	// All clocks equal: pops must come in id order.
+	// All clocks equal: dispatches must come in id order.
 	for want := 0; want < 4; want++ {
-		c := s.Next()
+		c := s.Peek()
 		if c.ID != want {
-			t.Fatalf("pop id %d, want %d", c.ID, want)
+			t.Fatalf("dispatched id %d, want %d", c.ID, want)
 		}
-		s.Finish(c)
+		s.Retire(c)
 	}
 }
 
 func TestSchedulerBlockUnblock(t *testing.T) {
 	s := NewScheduler(2)
-	a := s.Next() // id 0
-	s.Block(a)
-	b := s.Next() // id 1
+	a := s.Peek() // id 0
+	s.Park(a)
+	b := s.Peek() // id 1
 	b.Clock = 42
+	// Unblocking while b is peeked, as the replay loop does when b
+	// releases a barrier or a lock.
 	s.Unblock(a, 42)
-	s.Yield(b)
+	s.Requeue(b)
 	// Both runnable at 42: id order applies.
-	if c := s.Next(); c.ID != 0 || c.Clock != 42 {
+	if c := s.Peek(); c.ID != 0 || c.Clock != 42 {
 		t.Fatalf("got cpu %d at %d, want cpu 0 at 42", c.ID, c.Clock)
 	}
 }
 
 func TestUnblockNeverRewindsClock(t *testing.T) {
 	s := NewScheduler(1)
-	c := s.Next()
+	c := s.Peek()
 	c.Clock = 100
-	s.Block(c)
+	s.Park(c)
 	s.Unblock(c, 50) // release time before the cpu's own clock
 	if c.Clock != 100 {
 		t.Errorf("clock rewound to %d", c.Clock)
@@ -118,19 +120,19 @@ func TestUnblockNeverRewindsClock(t *testing.T) {
 func TestBarrierReleasesAtMaxPlusOverhead(t *testing.T) {
 	b := NewBarrier(3, 7)
 	s := NewScheduler(3)
-	c0 := s.Next()
+	c0 := s.Peek()
 	c0.Clock = 10
 	if _, _, ok := b.Arrive(c0); ok {
 		t.Fatal("barrier released early")
 	}
-	s.Block(c0)
-	c1 := s.Next()
+	s.Park(c0)
+	c1 := s.Peek()
 	c1.Clock = 90
 	if _, _, ok := b.Arrive(c1); ok {
 		t.Fatal("barrier released early")
 	}
-	s.Block(c1)
-	c2 := s.Next()
+	s.Park(c1)
+	c2 := s.Peek()
 	c2.Clock = 40
 	release, waiters, ok := b.Arrive(c2)
 	if !ok {
@@ -153,7 +155,7 @@ func TestBarrierReleasesAtMaxPlusOverhead(t *testing.T) {
 func TestBarrierReuse(t *testing.T) {
 	b := NewBarrier(2, 0)
 	s := NewScheduler(2)
-	x, y := s.Next(), s.Next()
+	x, y := s.CPUByID(0), s.CPUByID(1)
 	for epoch := 1; epoch <= 5; epoch++ {
 		x.Clock = Time(epoch * 100)
 		if _, _, ok := b.Arrive(x); ok {
@@ -174,7 +176,7 @@ func TestBarrierReuse(t *testing.T) {
 func TestLockSerializes(t *testing.T) {
 	l := NewLock()
 	s := NewScheduler(3)
-	a := s.Next()
+	a := s.CPUByID(0)
 	a.Clock = 10
 	if !l.Acquire(a) {
 		t.Fatal("free lock refused acquisition")
@@ -182,7 +184,7 @@ func TestLockSerializes(t *testing.T) {
 	if l.Holder() != a.ID {
 		t.Fatalf("holder = %d, want %d", l.Holder(), a.ID)
 	}
-	b := s.Next()
+	b := s.CPUByID(1)
 	b.Clock = 15
 	if l.Acquire(b) {
 		t.Fatal("held lock granted twice")
@@ -205,13 +207,13 @@ func TestLockSerializes(t *testing.T) {
 func TestLockFreeTimeCarries(t *testing.T) {
 	l := NewLock()
 	s := NewScheduler(2)
-	a := s.Next()
+	a := s.CPUByID(0)
 	a.Clock = 10
 	l.Acquire(a)
 	l.Release(100)
 	// A later uncontended acquire at t=20 must not begin before the
 	// lock was actually free.
-	b := s.Next()
+	b := s.CPUByID(1)
 	b.Clock = 20
 	if !l.Acquire(b) {
 		t.Fatal("free lock refused")
@@ -224,11 +226,11 @@ func TestLockFreeTimeCarries(t *testing.T) {
 func TestLockFIFO(t *testing.T) {
 	l := NewLock()
 	s := NewScheduler(4)
-	holder := s.Next()
+	holder := s.CPUByID(0)
 	l.Acquire(holder)
 	var waiters []*CPU
 	for i := 0; i < 3; i++ {
-		c := s.Next()
+		c := s.CPUByID(i + 1)
 		if l.Acquire(c) {
 			t.Fatal("held lock granted")
 		}
@@ -255,22 +257,22 @@ func TestReleaseUnheldPanics(t *testing.T) {
 }
 
 func TestSchedulerDeterminism(t *testing.T) {
-	// Property: interleaving a fixed workload twice yields identical pop
-	// sequences.
+	// Property: interleaving a fixed workload twice yields identical
+	// dispatch sequences.
 	run := func() []int {
 		s := NewScheduler(4)
 		var order []int
 		steps := map[int]int{}
 		for !s.Done() {
-			c := s.Next()
+			c := s.Peek()
 			order = append(order, c.ID)
 			steps[c.ID]++
 			if steps[c.ID] >= 5 {
-				s.Finish(c)
+				s.Retire(c)
 				continue
 			}
 			c.Clock += Time((c.ID*7+steps[c.ID]*13)%29 + 1)
-			s.Yield(c)
+			s.Requeue(c)
 		}
 		return order
 	}

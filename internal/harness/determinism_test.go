@@ -12,12 +12,12 @@ func fig5Sweep(t *testing.T, parallel int) (report, csv []byte) {
 	var buf bytes.Buffer
 	o := goldenOptions(&buf)
 	o.Parallel = parallel
-	r, err := Fig5(o)
+	r, err := RunByName("fig5", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rows bytes.Buffer
-	if err := r.WriteCSV(&rows); err != nil {
+	if err := writeCSV(&rows, r); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), rows.Bytes()

@@ -5,6 +5,12 @@
 // experiment runs every application on its systems and normalizes
 // execution time against perfect CC-NUMA.
 //
+// The experiments are rows of one table (experiments.go): a name, a
+// title, default systems, the timing, threshold, fabric or scale
+// environments they run under, and an optional report body. RunByName,
+// Experiments, Query.Validate and the unknown-experiment errors all
+// read that table, and RunByName writes each report once.
+//
 // Systems resolve through the dsm registry: every experiment has the
 // paper's default set, and Options.Systems overrides it with any list
 // of registered system names — including systems added after the
@@ -14,21 +20,23 @@
 // An experiment returns a structured Result: one record per (app,
 // system, fabric) run carrying normalized time, miss and page-op
 // breakdowns, traffic, and interconnect hot-link/bisection stats.
-// Rendering is separate from running: WriteText reproduces the
-// paper-style tables (locked byte-for-byte by the golden tests),
-// WriteCSV and WriteJSON emit the flat records for downstream tooling.
+// WriteText reproduces the paper-style tables (locked byte-for-byte by
+// the golden tests); Records flattens the runs, which WriteCSVRows and
+// RecordsJSON render for downstream tooling.
 //
-// The topology-sweep experiment ("toposweep") goes beyond the paper:
-// it re-runs the Figure 5 comparison across interconnect fabrics
+// Two rows go beyond the paper. The topology sweep ("toposweep")
+// re-runs the Figure 5 comparison across interconnect fabrics
 // (crossbar, ring, 2D mesh, fat-tree) and reports each run's maximum
 // per-link load and bisection traffic from the per-link counters of
-// internal/interconnect.
+// internal/interconnect. The scale sweep ("scalesweep", runnable by
+// name but not part of "all") re-runs it across problem scales.
 package harness
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -90,9 +98,6 @@ type Options struct {
 	// only bound.
 	Slots *Slots
 
-	// Verbose streams per-run progress lines to Out.
-	Verbose bool
-
 	// Audit enables the machines' self-auditing mode: event-time
 	// discipline is enforced while each simulation runs and the
 	// internal/audit conservation checks (traffic ⇄ fabric byte
@@ -117,9 +122,9 @@ type Options struct {
 	Telemetry *TelemetryOptions
 
 	// Progress, when non-nil, receives one line per completed
-	// simulation with its wall-clock time (and one per generated
-	// trace). Unlike Verbose output it goes to its own writer, so it
-	// can stream to stderr while the report goes to stdout.
+	// simulation with its wall-clock time, and one per generated trace
+	// with its size and footprint. It has its own writer, so it can
+	// stream to stderr while the report goes to stdout.
 	Progress io.Writer
 
 	// Out receives the rendered report (required).
@@ -186,8 +191,8 @@ type Run struct {
 
 // Result is a completed experiment: the structured records of every
 // (app, system, fabric) run, plus the metadata the renderers need.
-// WriteText reproduces the paper-style report, WriteCSV and WriteJSON
-// emit the flat Records for downstream tooling.
+// WriteText reproduces the paper-style report; Records flattens the
+// runs for downstream tooling.
 type Result struct {
 	Name string
 	// Systems in presentation order.
@@ -205,8 +210,8 @@ type Result struct {
 	// one entry per generated trace, carrying the on-disk store hash.
 	Traces []telemetry.TraceRef
 
-	// render writes the experiment's text report; set by the
-	// experiment that produced the result.
+	// render writes the experiment's text report; set by RunByName
+	// from the experiment's row.
 	render func(w io.Writer, r *Result)
 }
 
@@ -246,137 +251,114 @@ func (r *Result) MeanNorm(system string) float64 {
 	return sum / float64(n)
 }
 
-// systemRun describes one simulation to execute: a system spec plus its
-// timing/threshold environment.
+// systemRun is one simulation of an experiment: a system spec under
+// one environment.
 type systemRun struct {
 	spec dsm.Spec
-	tm   config.Timing
-	th   config.Thresholds
-	// label overrides spec.Name in reports (e.g. "MigRep-Slow").
-	label string
-	// net selects the interconnect fabric; the zero value is the ideal
-	// crossbar every pre-topology experiment uses.
-	net config.Network
+	env  env
 }
 
-func (s systemRun) name() string {
-	if s.label != "" {
-		return s.label
-	}
-	return s.spec.Name
-}
+// name is the run's report label: the system name plus the
+// environment's suffix ("MigRep-Slow", "CC-NUMA@ring").
+func (s systemRun) name() string { return s.spec.Name + s.env.suffix }
 
-// systemRuns resolves an Options.Systems override through the dsm
-// registry into runs under the given timing/threshold environment, or
-// returns the experiment's defaults when no override is set. Unknown
-// names fail with the registry's error, which lists every registered
-// system.
-func (o Options) systemRuns(def []systemRun, tm config.Timing, th config.Thresholds) ([]systemRun, error) {
-	if len(o.Systems) == 0 {
-		return def, nil
-	}
-	specs, err := dsm.ResolveSpecs(o.Systems, th)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
-	out := make([]systemRun, 0, len(specs))
-	for _, spec := range specs {
-		out = append(out, systemRun{spec: spec, tm: tm, th: th})
-	}
-	return out, nil
-}
-
-// runExperiment generates each app's trace once and replays it on every
-// system in the set.
-func runExperiment(name string, systems []systemRun, o Options) (*Result, error) {
-	o = o.norm()
+// runExperiment generates each app's trace once per problem scale and
+// replays it on every run at that scale, after the normalization
+// anchor, perfect CC-NUMA at the same scale.
+func runExperiment(name string, runs []systemRun, o Options) (*Result, error) {
 	list, err := o.appList()
 	if err != nil {
 		return nil, err
 	}
 	cl := config.DefaultCluster()
 	if o.Fabric != "" {
-		net := config.Network{Topology: o.Fabric}
-		if err := net.Validate(cl.Nodes); err != nil {
-			return nil, fmt.Errorf("harness: -fabric %q: %w", o.Fabric, err)
-		}
-		for i := range systems {
-			systems[i].net = net
+		for i := range runs {
+			runs[i].env.net = config.Network{Topology: o.Fabric}
 		}
 	}
-	res := &Result{Name: name, Runs: map[string]map[string]*Run{}}
-	for _, s := range systems {
+	res := &Result{Name: name, Runs: map[string]map[string]*Run{}, Scale: o.Scale}
+	var scales []int
+	for _, s := range runs {
 		res.Systems = append(res.Systems, s.name())
+		if sc := s.env.scale; sc != 0 && !slices.Contains(scales, sc) {
+			scales = append(scales, sc)
+		}
+	}
+	if len(scales) > 0 {
+		res.Scale, res.Scales = 0, scales
+	} else {
+		scales = []int{o.Scale}
 	}
 
-	for _, app := range list {
-		if err := o.ctxErr(); err != nil {
-			return nil, fmt.Errorf("harness: %s cancelled: %w", name, err)
-		}
-		params := apps.Params{CPUs: cl.TotalCPUs(), Scale: o.Scale, Seed: o.Seed}
-		genStart := time.Now()
-		tr, ref, err := o.Traces.Trace(app, params)
-		if err != nil {
-			return nil, fmt.Errorf("harness: generating %s: %w", app.Name, err)
-		}
-		res.Traces = append(res.Traces, ref)
-		if o.Progress != nil {
-			fmt.Fprintf(o.Progress, "# trace %s scale %d ready in %.2fs (%d ops)\n",
-				app.Name, o.Scale, time.Since(genStart).Seconds(), tr.Ops())
-		}
-		if o.Verbose {
-			fmt.Fprintf(o.Out, "# %s: %d ops, %.1f MB footprint\n",
-				app.Name, tr.Ops(), float64(tr.Footprint)/(1<<20))
-		}
-		// all[0] is the normalization anchor, dsm.RunBaseline; its
-		// entry only names it in progress lines and errors.
-		all := append([]systemRun{{label: "Perfect"}}, systems...)
-		sims := make([]*stats.Sim, len(all))
-		cols := make([]*telemetry.Collector, len(all))
-		if err := forEach(o.ctx, o.Slots, all, o.Parallel, func(i int, s systemRun) error {
-			ro := dsm.RunOptions{Audit: o.Audit}
-			if i > 0 {
-				cols[i] = o.Telemetry.Collector()
-				ro.Telemetry = cols[i]
+	for _, sc := range scales {
+		var group []systemRun
+		for _, s := range runs {
+			if s.env.scale == 0 || s.env.scale == sc {
+				group = append(group, s)
 			}
-			runStart := time.Now()
-			var sim *stats.Sim
-			var err error
-			if i == 0 {
-				sim, err = dsm.RunBaseline(tr, cl, ro)
-			} else {
-				scl := cl
-				scl.Net = s.net
-				sim, err = dsm.RunWithOptions(tr, s.spec, scl, s.tm, s.th, ro)
+		}
+		for _, app := range list {
+			if err := o.ctxErr(); err != nil {
+				return nil, fmt.Errorf("harness: %s cancelled: %w", name, err)
 			}
+			params := apps.Params{CPUs: cl.TotalCPUs(), Scale: sc, Seed: o.Seed}
+			genStart := time.Now()
+			tr, ref, err := o.Traces.Trace(app, params)
 			if err != nil {
-				return fmt.Errorf("harness: %s on %s: %w", app.Name, s.name(), err)
+				return nil, fmt.Errorf("harness: generating %s: %w", app.Name, err)
 			}
+			res.Traces = append(res.Traces, ref)
 			if o.Progress != nil {
-				fmt.Fprintf(o.Progress, "# run %s/%s/%s done in %.2fs\n",
-					name, app.Name, s.name(), time.Since(runStart).Seconds())
+				fmt.Fprintf(o.Progress, "# trace %s scale %d ready in %.2fs (%d ops, %.1f MB footprint)\n",
+					app.Name, sc, time.Since(genStart).Seconds(), tr.Ops(), float64(tr.Footprint)/(1<<20))
 			}
-			sims[i] = sim
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		base := sims[0]
-		res.AppOrder = append(res.AppOrder, app.Name)
-		res.Runs[app.Name] = map[string]*Run{}
-		for i, s := range systems {
-			sim := sims[i+1]
-			res.Runs[app.Name][s.name()] = &Run{
-				App: app.Name, System: s.spec.Name, Label: s.name(), Fabric: s.net.Kind(),
-				Stats: sim, Norm: sim.Normalized(base), Telemetry: cols[i+1],
+			// all[0] is the normalization anchor, dsm.RunBaseline; its
+			// entry only names it in progress lines and errors.
+			all := append([]systemRun{{spec: dsm.PerfectCCNUMA()}}, group...)
+			sims := make([]*stats.Sim, len(all))
+			cols := make([]*telemetry.Collector, len(all))
+			if err := forEach(o.ctx, o.Slots, all, o.Parallel, func(i int, s systemRun) error {
+				ro := dsm.RunOptions{Audit: o.Audit}
+				if i > 0 {
+					cols[i] = o.Telemetry.Collector()
+					ro.Telemetry = cols[i]
+				}
+				runStart := time.Now()
+				var sim *stats.Sim
+				var err error
+				if i == 0 {
+					sim, err = dsm.RunBaseline(tr, cl, ro)
+				} else {
+					scl := cl
+					scl.Net = s.env.net
+					sim, err = dsm.RunWithOptions(tr, s.spec, scl, s.env.tm, s.env.th, ro)
+				}
+				if err != nil {
+					return fmt.Errorf("harness: %s on %s: %w", app.Name, s.name(), err)
+				}
+				if o.Progress != nil {
+					fmt.Fprintf(o.Progress, "# run %s/%s/%s done in %.2fs\n",
+						name, app.Name, s.name(), time.Since(runStart).Seconds())
+				}
+				sims[i] = sim
+				return nil
+			}); err != nil {
+				return nil, err
 			}
-			if o.Verbose {
-				fmt.Fprintf(o.Out, "#   %-22s %8.3f (exec %d cycles)\n",
-					s.name(), sim.Normalized(base), sim.ExecCycles)
+			base := sims[0]
+			if res.Runs[app.Name] == nil {
+				res.AppOrder = append(res.AppOrder, app.Name)
+				res.Runs[app.Name] = map[string]*Run{}
+			}
+			for i, s := range group {
+				sim := sims[i+1]
+				res.Runs[app.Name][s.name()] = &Run{
+					App: app.Name, System: s.spec.Name, Label: s.name(), Fabric: s.env.net.Kind(),
+					Stats: sim, Norm: sim.Normalized(base), Telemetry: cols[i+1],
+				}
 			}
 		}
 	}
-	res.Scale = o.Scale
 	return res, nil
 }
 

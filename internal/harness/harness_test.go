@@ -19,7 +19,7 @@ func opts(buf *bytes.Buffer, appNames ...string) Options {
 
 func TestFig5Structure(t *testing.T) {
 	var buf bytes.Buffer
-	r, err := Fig5(opts(&buf, "radix", "lu"))
+	r, err := RunByName("fig5", opts(&buf, "radix", "lu"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestFig5Structure(t *testing.T) {
 
 func TestTable4Structure(t *testing.T) {
 	var buf bytes.Buffer
-	r, err := Table4(opts(&buf))
+	r, err := RunByName("table4", opts(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestTable4Structure(t *testing.T) {
 
 func TestFig6SlowCostsMore(t *testing.T) {
 	var buf bytes.Buffer
-	r, err := Fig6(opts(&buf, "radix"))
+	r, err := RunByName("fig6", opts(&buf, "radix"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +80,12 @@ func TestFig6SlowCostsMore(t *testing.T) {
 
 func TestFig7LatencyHurtsCCNUMAMost(t *testing.T) {
 	var buf bytes.Buffer
-	r7, err := Fig7(opts(&buf, "radix"))
+	r7, err := RunByName("fig7", opts(&buf, "radix"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b5 bytes.Buffer
-	r5, err := Fig5(opts(&b5, "radix"))
+	r5, err := RunByName("fig5", opts(&b5, "radix"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestFig7LatencyHurtsCCNUMAMost(t *testing.T) {
 
 func TestFig8Structure(t *testing.T) {
 	var buf bytes.Buffer
-	r, err := Fig8(opts(&buf, "radix"))
+	r, err := RunByName("fig8", opts(&buf, "radix"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestRunByName(t *testing.T) {
 func TestUnknownAppRejected(t *testing.T) {
 	var buf bytes.Buffer
 	o := Options{Scale: 8, Apps: []string{"nosuch"}, Out: &buf, Audit: true}
-	if _, err := Fig5(o); err == nil {
+	if _, err := RunByName("fig5", o); err == nil {
 		t.Error("unknown app accepted")
 	}
 }
@@ -145,11 +145,11 @@ func TestSerialAndParallelAgree(t *testing.T) {
 	var b1, b2 bytes.Buffer
 	serial := Options{Scale: 8, Apps: []string{"radix"}, Parallel: 0, Out: &b1, Audit: true}
 	parallel := Options{Scale: 8, Apps: []string{"radix"}, Parallel: 8, Out: &b2, Audit: true}
-	r1, err := Fig5(serial)
+	r1, err := RunByName("fig5", serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Fig5(parallel)
+	r2, err := RunByName("fig5", parallel)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,15 +14,17 @@ import (
 // that determines the flat Record output of a run — which experiment,
 // on which applications and systems, over which fabric, at which
 // problem scale(s), from which generator seed. It is the unit the
-// serving layer (internal/serve) caches and coalesces on, and it maps
-// one-to-one onto the cmd/experiments flags, so a served response is
-// byte-identical to the equivalent CLI -json output.
+// serving layer (internal/serve) caches and coalesces on. cmd/experiments
+// builds one from its -experiment, -apps, -systems, -fabric, -scale,
+// -scales and -seed flags and runs it the way the server does, through
+// Normalize, Validate, ExperimentNames and Options, so a served
+// response is byte-identical to the equivalent CLI -json output.
 //
 // The zero value normalizes to the full Figure 5 comparison at scale 1.
 type Query struct {
-	// Experiment is any RunByName name ("fig5", "table4", ...,
-	// "toposweep", "scalesweep"), or "all" for the Experiments() set.
-	// Empty defaults to "fig5".
+	// Experiment is any name of the experiment table ("fig5",
+	// "table4", ..., "scalesweep"), or "all" for the Experiments()
+	// set. Empty defaults to "fig5".
 	Experiment string `json:"experiment,omitempty"`
 
 	// Apps restricts the run to the named applications (empty = the
@@ -62,7 +64,11 @@ func (q Query) Normalize() Query {
 	q.Apps = trimEach(q.Apps, false)
 	q.Systems = trimEach(q.Systems, true)
 	q.Fabric = strings.ToLower(strings.TrimSpace(q.Fabric))
-	if q.Experiment == "scalesweep" {
+	sweep := false
+	if e, err := lookup(q.Experiment); err == nil {
+		_, sweep = e.sweeps()
+	}
+	if sweep {
 		// The sweep sizes itself from Scales; Scale is ignored.
 		q.Scale = 0
 		if len(q.Scales) == 0 {
@@ -95,25 +101,21 @@ func trimEach(in []string, lower bool) []string {
 
 // Validate rejects queries that could not run: unknown experiment,
 // application, system or fabric names, an application, system or scale
-// listed twice, non-positive sweep scales, and fabric overrides on the
-// topology sweep. It also caps the one list no registry bounds: more
-// than twice DefaultSweepScales' scales is refused, since each scale
-// is a whole sweep and a served query may hold every simulation slot.
-// It expects a normalized query (Validate on a raw query may miss
-// aliases Normalize folds).
+// listed twice, non-positive sweep scales, and a fabric override on an
+// experiment that picks every run's fabric itself (the topology sweep,
+// and so "all"). It expects a normalized query (Validate on a raw query
+// may miss aliases Normalize folds).
 func (q Query) Validate() error {
 	if err := CheckDistinct(q.Apps, q.Systems, q.Scales); err != nil {
 		return err
 	}
-	known := false
-	for _, n := range append(Experiments(), "scalesweep", "all") {
-		if q.Experiment == n {
-			known = true
-			break
+	var rows []*experiment
+	for _, name := range q.ExperimentNames() {
+		e, err := lookup(name)
+		if err != nil {
+			return fmt.Errorf("%w, or all", err)
 		}
-	}
-	if !known {
-		return fmt.Errorf("harness: unknown experiment %q (have %v, scalesweep, all)", q.Experiment, Experiments())
+		rows = append(rows, e)
 	}
 	for _, a := range q.Apps {
 		if _, err := apps.ByName(a); err != nil {
@@ -129,12 +131,11 @@ func (q Query) Validate() error {
 		if err := (config.Network{Topology: q.Fabric}).Validate(config.DefaultCluster().Nodes); err != nil {
 			return fmt.Errorf("harness: fabric %q: %w", q.Fabric, err)
 		}
-		if q.Experiment == "toposweep" || q.Experiment == "all" {
-			return fmt.Errorf("harness: experiment %q already runs every fabric; drop the fabric override", q.Experiment)
+		for _, e := range rows {
+			if fabric, _ := e.sweeps(); fabric {
+				return fmt.Errorf("harness: experiment %q already runs every fabric; drop the fabric override", q.Experiment)
+			}
 		}
-	}
-	if most := 2 * len(DefaultSweepScales()); len(q.Scales) > most {
-		return fmt.Errorf("harness: scalesweep: %d scales, at most %d", len(q.Scales), most)
 	}
 	for _, sc := range q.Scales {
 		if sc < 1 {

@@ -139,19 +139,13 @@ func (r *Result) WriteCSVRows(w io.Writer) error {
 	return nil
 }
 
-// WriteCSV emits the experiment as machine-readable rows for
-// downstream plotting: a header plus one row per (application, system,
-// fabric) run.
-func (r *Result) WriteCSV(w io.Writer) error {
-	if err := WriteCSVHeader(w); err != nil {
-		return err
+// RecordsJSON renders records as the indented JSON array, with a
+// trailing newline, that cmd/experiments -json writes and
+// internal/serve answers, so both produce the same bytes.
+func RecordsJSON(recs []Record) ([]byte, error) {
+	buf, err := json.MarshalIndent(recs, "", "  ")
+	if err != nil {
+		return nil, err
 	}
-	return r.WriteCSVRows(w)
-}
-
-// WriteJSON emits the experiment's records as an indented JSON array.
-func (r *Result) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Records())
+	return append(buf, '\n'), nil
 }

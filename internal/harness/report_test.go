@@ -95,13 +95,13 @@ func TestRecordsFlattenInPresentationOrder(t *testing.T) {
 }
 
 func TestWriteJSONRoundTrips(t *testing.T) {
-	var buf bytes.Buffer
-	if err := cannedResult().WriteJSON(&buf); err != nil {
+	out, err := RecordsJSON(cannedResult().Records())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back []Record
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("WriteJSON emitted invalid JSON: %v", err)
+	if err := json.Unmarshal(out, &back); err != nil {
+		t.Fatalf("RecordsJSON emitted invalid JSON: %v", err)
 	}
 	want := cannedResult().Records()
 	if len(back) != len(want) {
@@ -117,7 +117,7 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 func TestWriteCSVMatchesRecords(t *testing.T) {
 	var buf bytes.Buffer
 	r := cannedResult()
-	if err := r.WriteCSV(&buf); err != nil {
+	if err := writeCSV(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")

@@ -12,7 +12,7 @@ import (
 // consistent with the records.
 func TestScaleSweepRunsAuditClean(t *testing.T) {
 	var buf bytes.Buffer
-	r, err := ScaleSweep(Options{
+	r, err := RunByName("scalesweep", Options{
 		Scales:   []int{32, 64},
 		Apps:     []string{"radix", "lu"},
 		Parallel: 4,
@@ -61,7 +61,7 @@ func TestScaleSweepRunsAuditClean(t *testing.T) {
 // divisor) moves at least as many bytes as the smaller one.
 func TestScaleSweepLargerWorkingSetMovesMoreBytes(t *testing.T) {
 	var buf bytes.Buffer
-	r, err := ScaleSweep(Options{
+	r, err := RunByName("scalesweep", Options{
 		Scales:   []int{16, 64},
 		Apps:     []string{"radix"},
 		Parallel: 4,
@@ -73,8 +73,8 @@ func TestScaleSweepLargerWorkingSetMovesMoreBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sys := range []string{"CC-NUMA", "MigRep", "R-NUMA"} {
-		big := r.Runs["radix"][scaleLabel(sys, 16)]
-		small := r.Runs["radix"][scaleLabel(sys, 64)]
+		big := r.Runs["radix"][sys+"@s16"]
+		small := r.Runs["radix"][sys+"@s64"]
 		if big == nil || small == nil {
 			t.Fatalf("%s: missing sweep runs", sys)
 		}
@@ -89,7 +89,7 @@ func TestScaleSweepLargerWorkingSetMovesMoreBytes(t *testing.T) {
 // Figure 5 set at every scale.
 func TestScaleSweepSystemOverride(t *testing.T) {
 	var buf bytes.Buffer
-	r, err := ScaleSweep(Options{
+	r, err := RunByName("scalesweep", Options{
 		Scales:  []int{64},
 		Apps:    []string{"radix"},
 		Systems: []string{"ccnuma", "migrep-contend"},
@@ -102,7 +102,7 @@ func TestScaleSweepSystemOverride(t *testing.T) {
 	if len(r.Systems) != 2 {
 		t.Fatalf("systems = %v, want 2 labels", r.Systems)
 	}
-	if r.Runs["radix"][scaleLabel("MigRep-Cont", 64)] == nil {
+	if r.Runs["radix"]["MigRep-Cont@s64"] == nil {
 		t.Errorf("override system missing from runs: %v", r.Systems)
 	}
 }
@@ -110,7 +110,7 @@ func TestScaleSweepSystemOverride(t *testing.T) {
 // TestScaleSweepRejectsBadScale: zero or negative scales fail fast.
 func TestScaleSweepRejectsBadScale(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := ScaleSweep(Options{Scales: []int{0}, Out: &buf}); err == nil {
+	if _, err := RunByName("scalesweep", Options{Scales: []int{0}, Out: &buf}); err == nil {
 		t.Error("scale 0 accepted")
 	}
 }

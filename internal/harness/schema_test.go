@@ -19,18 +19,18 @@ func TestRecordSchemaPinned(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	r, err := Fig5(opts(&buf, "radix"))
+	r, err := RunByName("fig5", opts(&buf, "radix"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	if err := r.WriteJSON(&out); err != nil {
+	out, err := RecordsJSON(r.Records())
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Every record in the emitted document declares the schema...
 	var recs []Record
-	if err := json.Unmarshal(out.Bytes(), &recs); err != nil {
+	if err := json.Unmarshal(out, &recs); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
 	if len(recs) == 0 {
@@ -44,7 +44,7 @@ func TestRecordSchemaPinned(t *testing.T) {
 
 	// ...as the raw field name "schema", first in the object, so a
 	// reader can dispatch on it without decoding the whole record.
-	first := strings.TrimSpace(out.String())
+	first := strings.TrimSpace(string(out))
 	if !strings.HasPrefix(first, "[\n  {\n    \"schema\": \"repro-record/v1\"") {
 		t.Errorf("schema is not the leading field:\n%.120s", first)
 	}
@@ -55,7 +55,7 @@ func TestRecordSchemaPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(append(again, '\n'), out.Bytes()) {
+	if !bytes.Equal(append(again, '\n'), out) {
 		t.Error("records did not round-trip to identical JSON")
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,7 +16,7 @@ func TestSystemsOverride(t *testing.T) {
 	var buf bytes.Buffer
 	o := opts(&buf, "radix")
 	o.Systems = []string{"ccnuma", "migrep-contend"}
-	r, err := Fig5(o)
+	r, err := RunByName("fig5", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,6 +30,34 @@ func TestSystemsOverride(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "MigRep-Cont") {
 		t.Error("report does not mention the overridden system")
+	}
+}
+
+// TestSystemsOverrideOrder: an override's systems report in the order
+// they were listed, each with a normalized run.
+func TestSystemsOverrideOrder(t *testing.T) {
+	for _, tc := range []struct {
+		systems []string
+		want    []string
+	}{
+		{[]string{"ccnuma", "rnuma"}, []string{"CC-NUMA", "R-NUMA"}},
+		{[]string{"rnuma", "ccnuma"}, []string{"R-NUMA", "CC-NUMA"}},
+	} {
+		var buf bytes.Buffer
+		o := opts(&buf, "radix")
+		o.Systems = tc.systems
+		r, err := RunByName("fig5", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(r.Systems, tc.want) {
+			t.Errorf("%v: systems = %v, want %v", tc.systems, r.Systems, tc.want)
+		}
+		for _, label := range tc.want {
+			if run := r.Runs["radix"][label]; run == nil || run.Norm <= 0 {
+				t.Errorf("%v: %s has no normalized run", tc.systems, label)
+			}
+		}
 	}
 }
 
@@ -56,7 +85,7 @@ func TestUnknownSystemListsRegistry(t *testing.T) {
 	var buf bytes.Buffer
 	o := opts(&buf)
 	o.Systems = []string{"nosuch-system"}
-	_, err := Fig5(o)
+	_, err := RunByName("fig5", o)
 	if err == nil {
 		t.Fatal("unknown system accepted")
 	}
@@ -71,7 +100,7 @@ func TestUnknownSystemListsRegistry(t *testing.T) {
 func TestUnknownAppListsRegistry(t *testing.T) {
 	var buf bytes.Buffer
 	o := Options{Scale: 8, Apps: []string{"nosuch-app"}, Out: &buf, Audit: true}
-	_, err := Fig5(o)
+	_, err := RunByName("fig5", o)
 	if err == nil {
 		t.Fatal("unknown app accepted")
 	}
@@ -82,20 +111,20 @@ func TestUnknownAppListsRegistry(t *testing.T) {
 	}
 }
 
-// TestWriteJSON round-trips the structured records through the JSON
-// renderer.
+// TestWriteJSON round-trips the structured records through RecordsJSON,
+// the renderer behind cmd/experiments -json and the server's answers.
 func TestWriteJSON(t *testing.T) {
 	var buf bytes.Buffer
-	r, err := Fig5(opts(&buf, "radix"))
+	r, err := RunByName("fig5", opts(&buf, "radix"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	if err := r.WriteJSON(&out); err != nil {
+	out, err := RecordsJSON(r.Records())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var recs []Record
-	if err := json.Unmarshal(out.Bytes(), &recs); err != nil {
+	if err := json.Unmarshal(out, &recs); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
 	if len(recs) != len(r.Systems) {
@@ -124,7 +153,7 @@ func TestTopoSweepWithContention(t *testing.T) {
 	var buf bytes.Buffer
 	o := opts(&buf, "radix")
 	o.Systems = []string{"migrep", "migrep-contend"}
-	r, err := TopoSweep(o)
+	r, err := RunByName("toposweep", o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 
 func TestTopoSweepStructure(t *testing.T) {
 	var buf bytes.Buffer
-	r, err := TopoSweep(opts(&buf, "migratory"))
+	r, err := RunByName("toposweep", opts(&buf, "migratory"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func TestTopoSweepStructure(t *testing.T) {
 // Figure 5 numbers exactly.
 func TestTopoSweepCrossbarMatchesFig5(t *testing.T) {
 	var b1, b2 bytes.Buffer
-	sweep, err := TopoSweep(opts(&b1, "radix"))
+	sweep, err := RunByName("toposweep", opts(&b1, "radix"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig5, err := Fig5(opts(&b2, "radix"))
+	fig5, err := RunByName("fig5", opts(&b2, "radix"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +74,10 @@ func TestTopoSweepCrossbarMatchesFig5(t *testing.T) {
 // rely on.
 func TestTopoSweepDeterministic(t *testing.T) {
 	var b1, b2 bytes.Buffer
-	if _, err := TopoSweep(opts(&b1, "migratory")); err != nil {
+	if _, err := RunByName("toposweep", opts(&b1, "migratory")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TopoSweep(opts(&b2, "migratory")); err != nil {
+	if _, err := RunByName("toposweep", opts(&b2, "migratory")); err != nil {
 		t.Fatal(err)
 	}
 	if b1.String() != b2.String() {

@@ -212,9 +212,9 @@ func newServer(cfg Config, run runner) *Server {
 }
 
 // simulate is the production cold path: run the query's experiments
-// through the harness and render the records as indented JSON — the
-// same construction, and therefore the same bytes, as cmd/experiments
-// -json for the equivalent flags. The query's traces live in a cache
+// through the harness and render the records with
+// harness.RecordsJSON — the same construction, and therefore the same
+// bytes, as cmd/experiments -json for the equivalent flags. The query's traces live in a cache
 // of its own, shared by its experiments and dropped on return. Its
 // simulations may use every worker, bounded by the server's slots.
 func (s *Server) simulate(ctx context.Context, q harness.Query) ([]byte, error) {
@@ -238,11 +238,7 @@ func (s *Server) simulate(ctx context.Context, q harness.Query) ([]byte, error) 
 		}
 		records = append(records, r.Records()...)
 	}
-	buf, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, '\n'), nil
+	return harness.RecordsJSON(records)
 }
 
 // retireTraces moves a finished simulation's trace counters into the
@@ -480,7 +476,7 @@ const maxQueryBytes = 8 << 10
 
 // handleQuery answers one query: 200 with the Record JSON (and an
 // X-Dsm-Cache header naming the layer that answered), 400 on a
-// malformed or unknown query, 413 on a POST body over maxQueryBytes,
+// malformed, unknown or over-long query (checkCost), 413 on a POST body over maxQueryBytes,
 // 429 + Retry-After under backpressure, 500 on a simulation failure.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q harness.Query
@@ -500,6 +496,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		q = q.Normalize()
 		err = q.Validate()
+	}
+	if err == nil {
+		err = checkCost(q)
 	}
 	var tooLarge *http.MaxBytesError
 	switch {
@@ -533,6 +532,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Dsm-Cache", string(src))
 	w.Header().Set("X-Dsm-Key", ResultKey(q, s.commit))
 	w.Write(body)
+}
+
+// checkCost refuses a valid query the server still will not run: more
+// than twice DefaultSweepScales' scales. Each scale is a whole sweep,
+// and a lone query may hold every simulation slot.
+func checkCost(q harness.Query) error {
+	if most := 2 * len(harness.DefaultSweepScales()); len(q.Scales) > most {
+		return fmt.Errorf("serve: %d scales, at most %d", len(q.Scales), most)
+	}
+	return nil
 }
 
 // handleStatus renders the counter snapshot.

@@ -29,6 +29,7 @@ func (s *Sim) PerNodeReport() string {
 	return b.String()
 }
 
-// CSV rendering of experiment results lives in internal/harness
-// (Result.WriteCSV / WriteJSON), which flattens each run — including
-// its fabric and interconnect stats — into one Record per row.
+// CSV and JSON rendering of experiment results lives in
+// internal/harness (Result.Records, WriteCSVRows, RecordsJSON), which
+// flattens each run — including its fabric and interconnect stats —
+// into one Record per row.

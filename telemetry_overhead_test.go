@@ -29,7 +29,7 @@ func TestTelemetryOverheadBudget(t *testing.T) {
 	traces := harness.NewTraceCache()
 	sweep := func(tel *harness.TelemetryOptions) time.Duration {
 		start := time.Now()
-		if _, err := harness.Fig5(harness.Options{
+		if _, err := harness.RunByName("fig5", harness.Options{
 			Scale: 8, Parallel: 4, Traces: traces, Out: io.Discard, Telemetry: tel,
 		}); err != nil {
 			t.Fatal(err)
