@@ -49,25 +49,41 @@ func TestGoldenReports(t *testing.T) {
 		})
 	}
 	t.Run("all-s8", func(t *testing.T) {
-		text, csv := fullSweep(t)
+		text, csv := renderQuery(t, Query{Experiment: "all", Scale: 8})
 		checkGolden(t, filepath.Join("testdata", "all-s8.golden"), text)
 		checkGolden(t, filepath.Join("testdata", "all-s8.csv.golden"), csv)
 	})
+	// all-s8 runs neither scoma nor migrep-contend: this case runs every
+	// registered system, on a multi-hop fabric where the contention
+	// gate has hot links to find, over every paper app plus migratory.
+	t.Run("systems-s8", func(t *testing.T) {
+		text, csv := renderQuery(t, Query{
+			Experiment: "fig5", Scale: 8, Fabric: "ring",
+			Apps: []string{"barnes", "cholesky", "fmm", "lu", "ocean", "radix", "raytrace", "migratory"},
+			Systems: []string{"perfect", "ccnuma", "rep", "mig", "migrep", "rnuma", "rnuma-inf",
+				"rnuma-half", "rnuma-half-migrep", "scoma", "migrep-contend"},
+		})
+		checkGolden(t, filepath.Join("testdata", "systems-s8.golden"), text)
+		checkGolden(t, filepath.Join("testdata", "systems-s8.csv.golden"), csv)
+	})
 }
 
-// fullSweep renders what `experiments -experiment all -scale 8 -csv`
-// writes: every Experiments() entry over all apps with audits on, the
-// text reports each followed by a blank line, and the CSV rows of all
-// experiments under one header. Text and CSV together pin every
-// experiment, system and fabric, down to exec cycles and traffic bytes.
-func fullSweep(t *testing.T) (text, csv []byte) {
+// renderQuery renders what `experiments ... -csv` writes for q, with
+// audits on: each experiment's text report followed by a blank line,
+// and the CSV rows of all its experiments under one header. Text and
+// CSV together pin every experiment, system and fabric the query
+// covers, down to exec cycles and traffic bytes.
+func renderQuery(t *testing.T, q Query) (text, csv []byte) {
 	t.Helper()
 	var textBuf, csvBuf bytes.Buffer
 	if err := WriteCSVHeader(&csvBuf); err != nil {
 		t.Fatal(err)
 	}
-	o := Options{Scale: 8, Parallel: 4, Audit: true, Traces: NewTraceCache(), Out: &textBuf}
-	for _, name := range Experiments() {
+	if err := q.Normalize().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	o := q.Options(Options{Parallel: 4, Audit: true, Traces: NewTraceCache(), Out: &textBuf})
+	for _, name := range q.ExperimentNames() {
 		r, err := RunByName(name, o)
 		if err != nil {
 			t.Fatal(err)
