@@ -6,22 +6,21 @@
 // shared-memory applications, and a harness regenerating every table and
 // figure of the paper's evaluation.
 //
-// # Memory systems are pluggable policies
+// # Memory systems are plain data
 //
-// The paper's whole contribution is a comparison across memory-system
-// policies, so the policy layer is a first-class API. A system is
-// described in three layers (internal/dsm): a Spec carries the
-// hardware configuration and is validated at construction; a Policy
-// supplies the decision hooks the fault paths call (remote-miss
-// handling, relocation decisions, page-cache eviction choice,
-// per-interval counter maintenance); and a package-level registry
-// (dsm.Register / dsm.Lookup / dsm.Systems) maps stable names —
-// "ccnuma", "migrep", "rnuma-half-migrep", ... — to Spec constructors,
-// mirroring how internal/apps registers workloads. Every CLI and the
-// harness resolve systems only by these names, so a new policy plugs
-// in end to end without touching the protocol core; the
-// contention-aware "migrep-contend" (defer page moves while their
-// route is the fabric's hot spot) is registered exactly this way.
+// The paper compares memory systems that differ only in which
+// mechanisms are switched on: a block cache, home-driven page
+// migration/replication, or R-NUMA relocation into a page cache. A
+// system is therefore a value (internal/dsm): a Spec carries the cache
+// sizes and the flags that switch each mechanism on, is validated at
+// construction, and is read by the fault paths to decide which page
+// operations run. A package-level registry (dsm.Register / dsm.Lookup
+// / dsm.Systems) maps stable names — "ccnuma", "migrep",
+// "rnuma-half-migrep", ... — to Spec constructors, mirroring how
+// internal/apps registers workloads. Every CLI and the harness resolve
+// systems only by these names; the contention-aware "migrep-contend"
+// is MigRep with one more flag (defer page moves while their route is
+// the fabric's hot spot).
 //
 // # Experiments return structured results
 //

@@ -6,9 +6,8 @@
 // bisection. Migration/replication's bulk 4-KB page moves concentrate
 // load on the links near hot pages' homes in ways fine-grain 64-byte
 // caching does not — visible here, invisible in the flat-latency
-// model. "migrep-contend" (a dsm-registry policy; no core or protocol
-// changes were needed to add it here) defers those moves while their
-// route is the fabric's hot spot.
+// model. "migrep-contend" (MigRep with the Spec's ContentionGate flag
+// set) defers those moves while their route is the fabric's hot spot.
 //
 //	go run ./examples/topologysweep [-app migratory] [-scale 4] [-hot 5]
 package main

@@ -168,9 +168,11 @@ func (m *Machine) access(c *engine.CPU, b memory.Block, write bool) {
 				tl.Event(telemetry.EvFaultCopy, uint64(p), e.Home, n, faultStart, c.Clock)
 			}
 		}
-		// Static-placement policies (AlwaysSCOMA) act on the fresh
-		// mapping.
-		m.pol.OnPageMapped(c, n, p)
+		// Static S-COMA placement: the page maps straight into the
+		// page cache; its blocks fetch on demand.
+		if m.spec.AlwaysSCOMA {
+			m.mapSCOMA(c, n, p)
+		}
 	}
 
 	// A write to a replicated page takes a protection fault and forces
@@ -250,11 +252,11 @@ func (m *Machine) upgrade(c *engine.CPU, n int, b memory.Block) {
 			pe.Dirty |= 1 << uint(b.Index())
 		}
 	}
-	// The policy hook runs after the upgrade's state changes: a page
+	// The decision runs after the upgrade's state changes: a page
 	// operation it triggers may gather this very page, including the
 	// copy just upgraded.
 	if remoteUpgrade {
-		m.pol.OnRemoteUpgrade(c, n, p)
+		m.onRemoteUpgrade(c, n, p)
 	}
 }
 
@@ -337,7 +339,9 @@ func (m *Machine) fill(c *engine.CPU, n int, b memory.Block, write bool) {
 	// migration can weigh the home's use against a remote requester's;
 	// they never count as remote read/write sharing.
 	if h == n {
-		m.pol.OnHomeMiss(c, n, p, write)
+		if m.mig != nil {
+			m.pokeMigRep(c, n, p, write)
+		}
 		if owner, dirty := m.dir.IsDirtyRemote(b, n); dirty {
 			// 3-hop fetch from the remote owner: the forward request
 			// travels home->owner, the data and ack return owner->home.
@@ -420,7 +424,7 @@ func (m *Machine) fill(c *engine.CPU, n int, b memory.Block, write bool) {
 			}
 			m.invalidateSharers(n, h, b, remote, end)
 			m.advance(c, ns, end)
-			m.pol.OnRemoteUpgrade(c, n, p)
+			m.onRemoteUpgrade(c, n, p)
 			m.completeFill(c, n, b, write)
 			return
 		}
@@ -463,11 +467,10 @@ func (m *Machine) fill(c *engine.CPU, n int, b memory.Block, write bool) {
 	}
 	m.advance(c, ns, end)
 
-	// Policy hook: home-side migration/replication counters and
-	// cacher-side R-NUMA refetch counters. Page operations the policy
-	// triggers run after the fill completes and are charged to this
-	// CPU.
-	m.pol.OnRemoteMiss(c, n, p, cls, write)
+	// Home-side migration/replication counters and cacher-side R-NUMA
+	// refetch counters. Page operations they trigger run after the fill
+	// completes and are charged to this CPU.
+	m.onRemoteMiss(c, n, p, cls, write)
 	m.completeFill(c, n, b, write)
 }
 

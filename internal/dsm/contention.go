@@ -4,7 +4,7 @@ package dsm
 // decides purely from per-page miss counters, which on a real fabric
 // can pile 4-KB page moves onto links that are already the cluster's
 // hot spot. This variant consults the interconnect's per-link byte
-// counters (the topology work of PR 1) before every page move and
+// counters (internal/interconnect) before every page move and
 // defers the move while the route it would take is the fabric's hot
 // spot. The miss counters stay in place, so a deferred move
 // re-triggers on a later miss once the route's share has evened out.
@@ -22,9 +22,9 @@ package dsm
 // any hot pair a "hot link" even though the crossbar models no
 // contention.
 //
-// The policy plugs in purely through the registration path: a Spec
-// whose NewPolicy gates the stock migRepPolicy, registered under
-// "migrep-contend". No fault-handling code knows it exists.
+// The gate is one Spec flag, ContentionGate: pokeMigRep asks routeHot
+// before every page move it would start, and counts each deferral in
+// the machine's throttled counter.
 
 // contentionFactor is the hot-spot test: a route is gated when its
 // hottest link has carried more than this multiple of the fabric-wide
@@ -39,24 +39,13 @@ const contentionFactor = 2
 func ContentionMigRep() Spec {
 	s := MigRep()
 	s.Name = "MigRep-Cont"
-	s.NewPolicy = newContentionPolicy
+	s.ContentionGate = true
 	return s
 }
 
-// newContentionPolicy builds the default policy for the spec and gates
-// its page moves on the fabric's per-link load.
-func newContentionPolicy(s Spec) Policy {
-	p := newSpecPolicy(s).(*specPolicy)
-	mr := p.mr
-	if mr == nil {
-		// A caller cleared the Spec's Migration/Replication flags:
-		// there are no page moves to gate, so behave as the plain
-		// derived policy instead of dereferencing a missing component.
-		return p
-	}
-	mr.moveOK = func(home, requester int) bool {
-		f := mr.m.Fabric()
-		return f.RouteMaxLinkBytes(home, requester) <= contentionFactor*f.MeanLinkBytes()
-	}
-	return p
+// routeHot reports whether the home→requester route is the fabric's
+// hot spot: its hottest link has carried more than contentionFactor
+// times the fabric-wide mean per-link bytes.
+func (m *Machine) routeHot(home, requester int) bool {
+	return m.fabric.RouteMaxLinkBytes(home, requester) > contentionFactor*m.fabric.MeanLinkBytes()
 }

@@ -29,18 +29,17 @@ func TestContentionDefersMovesOnHotRoute(t *testing.T) {
 	m := mkNet(t, ContentionMigRep(), config.Network{Topology: config.TopoRing})
 	m.pt.FirstTouch(0, 0)
 	c4 := m.sched.CPUByID(4)
-	pol := m.Policy().(*specPolicy)
 
 	// Saturate the 0<->1 route relative to an otherwise idle ring.
 	m.fabric.Deliver(0, 1, 1<<20, 0)
 
 	for i := 0; i < m.th.MigRepThreshold+5; i++ {
-		pol.OnRemoteMiss(c4, 1, 0, stats.Coherence, false)
+		m.onRemoteMiss(c4, 1, 0, stats.Coherence, false)
 	}
 	if got := m.st.Nodes[1].PageOps[stats.Replication]; got != 0 {
 		t.Fatalf("replication fired on a saturated route: %d ops", got)
 	}
-	if pol.Throttled() == 0 {
+	if m.throttled == 0 {
 		t.Fatal("no moves were throttled")
 	}
 
@@ -49,7 +48,7 @@ func TestContentionDefersMovesOnHotRoute(t *testing.T) {
 	for s := 1; s < m.cl.Nodes; s++ {
 		m.fabric.Deliver(s, (s+1)%m.cl.Nodes, 1<<20, 0)
 	}
-	pol.OnRemoteMiss(c4, 1, 0, stats.Coherence, false)
+	m.onRemoteMiss(c4, 1, 0, stats.Coherence, false)
 	if got := m.st.Nodes[1].PageOps[stats.Replication]; got != 1 {
 		t.Errorf("replication did not fire after the fabric evened out: %d ops", got)
 	}
@@ -65,15 +64,14 @@ func TestThrottledMoveSurvivesIntervalBoundary(t *testing.T) {
 	m := mkNet(t, ContentionMigRep(), config.Network{Topology: config.TopoRing})
 	m.pt.FirstTouch(0, 0)
 	c4 := m.sched.CPUByID(4)
-	pol := m.Policy().(*specPolicy)
 	m.fabric.Deliver(0, 1, 1<<20, 0) // hot route: the gate defers
 
 	cnt := m.migCounter(0)
 	cnt.sinceReset = int32(m.th.MigRepResetInterval) - 1
 	cnt.read[1] = int32(m.th.MigRepThreshold) - 1
-	pol.OnRemoteMiss(c4, 1, 0, stats.Coherence, false) // boundary + threshold, gated
-	if pol.Throttled() != 1 {
-		t.Fatalf("throttled = %d, want 1", pol.Throttled())
+	m.onRemoteMiss(c4, 1, 0, stats.Coherence, false) // boundary + threshold, gated
+	if m.throttled != 1 {
+		t.Fatalf("throttled = %d, want 1", m.throttled)
 	}
 	if cnt.read[1] != int32(m.th.MigRepThreshold) {
 		t.Fatalf("deferred move lost its counters: read[1] = %d", cnt.read[1])
@@ -84,7 +82,7 @@ func TestThrottledMoveSurvivesIntervalBoundary(t *testing.T) {
 	for s := 1; s < m.cl.Nodes; s++ {
 		m.fabric.Deliver(s, (s+1)%m.cl.Nodes, 1<<20, 0)
 	}
-	pol.OnRemoteMiss(c4, 1, 0, stats.Coherence, false)
+	m.onRemoteMiss(c4, 1, 0, stats.Coherence, false)
 	if got := m.st.Nodes[1].PageOps[stats.Replication]; got != 1 {
 		t.Errorf("pending move did not fire on the next ungated miss: %d ops", got)
 	}
@@ -94,8 +92,8 @@ func TestThrottledMoveSurvivesIntervalBoundary(t *testing.T) {
 }
 
 // TestContentionPolicyWithoutMovesDegrades pins that clearing the
-// Migration/Replication flags on the contention spec degrades to the
-// plain derived policy instead of crashing machine construction.
+// Migration/Replication flags on the contention spec leaves the gate
+// nothing to gate: the machine builds and throttles nothing.
 func TestContentionPolicyWithoutMovesDegrades(t *testing.T) {
 	s := ContentionMigRep()
 	s.Migration, s.Replication = false, false
@@ -104,7 +102,7 @@ func TestContentionPolicyWithoutMovesDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Policy().(*specPolicy).Throttled() != 0 {
+	if m.throttled != 0 {
 		t.Error("moveless policy reports throttles")
 	}
 }
@@ -116,12 +114,11 @@ func TestPlainMigRepNeverThrottles(t *testing.T) {
 	m.pt.FirstTouch(0, 0)
 	c4 := m.sched.CPUByID(4)
 	m.fabric.Deliver(0, 1, 1<<20, 0) // same hot route as above
-	pol := m.Policy().(*specPolicy)
 	for i := 0; i < m.th.MigRepThreshold; i++ {
-		pol.OnRemoteMiss(c4, 1, 0, stats.Coherence, false)
+		m.onRemoteMiss(c4, 1, 0, stats.Coherence, false)
 	}
-	if pol.Throttled() != 0 {
-		t.Errorf("ungated policy throttled %d moves", pol.Throttled())
+	if m.throttled != 0 {
+		t.Errorf("ungated policy throttled %d moves", m.throttled)
 	}
 	if got := m.st.Nodes[1].PageOps[stats.Replication]; got != 1 {
 		t.Errorf("stock replication did not fire: %d ops", got)

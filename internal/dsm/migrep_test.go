@@ -133,7 +133,7 @@ func TestMigRepCountersResetAtInterval(t *testing.T) {
 	// Drive one more poke through the public path: it must reset.
 	cpu := m.sched.CPUByID(4)
 	m.pt.FirstTouch(0, 0)
-	m.pol.OnRemoteMiss(cpu, 1, 0, stats.Coherence, false)
+	m.onRemoteMiss(cpu, 1, 0, stats.Coherence, false)
 	if cnt.sinceReset != 0 {
 		t.Errorf("sinceReset = %d after interval, want 0", cnt.sinceReset)
 	}
@@ -212,7 +212,7 @@ func TestBoundaryReferenceReachesThresholds(t *testing.T) {
 	cnt.sinceReset = int32(m.th.MigRepResetInterval) - 1
 	cnt.read[1] = int32(m.th.MigRepThreshold) - 1
 	c4 := m.sched.CPUByID(4)
-	m.pol.OnRemoteMiss(c4, 1, 0, stats.Coherence, false)
+	m.onRemoteMiss(c4, 1, 0, stats.Coherence, false)
 	if got := m.st.Nodes[1].PageOps[stats.Replication]; got != 1 {
 		t.Errorf("interval's final reference fired %d replications, want 1", got)
 	}
@@ -234,7 +234,7 @@ func TestMigrationWeighsHomeUseOnly(t *testing.T) {
 	c0 := m.sched.CPUByID(0)
 	c4 := m.sched.CPUByID(4)
 	for i := 0; i < 5; i++ {
-		m.pol.OnHomeMiss(c0, 0, 0, i%2 == 0)
+		m.pokeMigRep(c0, 0, 0, i%2 == 0)
 	}
 	// The dead term: home references never land in the read/write banks,
 	// so total(home) is identically zero and homeUse carries the whole
@@ -247,11 +247,11 @@ func TestMigrationWeighsHomeUseOnly(t *testing.T) {
 	}
 	thr := int32(m.th.MigRepThreshold)
 	cnt.read[1] = thr + 3
-	m.pol.OnRemoteMiss(c4, 1, 0, stats.Coherence, false) // total(1) = thr+4 < homeUse+thr = thr+5
+	m.onRemoteMiss(c4, 1, 0, stats.Coherence, false) // total(1) = thr+4 < homeUse+thr = thr+5
 	if got := m.st.Nodes[1].PageOps[stats.Migration]; got != 0 {
 		t.Fatalf("migration fired below homeUse+threshold: %d ops", got)
 	}
-	m.pol.OnRemoteMiss(c4, 1, 0, stats.Coherence, false) // total(1) = thr+5: fires
+	m.onRemoteMiss(c4, 1, 0, stats.Coherence, false) // total(1) = thr+5: fires
 	if got := m.st.Nodes[1].PageOps[stats.Migration]; got != 1 {
 		t.Errorf("migration did not fire at homeUse+threshold: %d ops", got)
 	}

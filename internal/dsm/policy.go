@@ -1,152 +1,49 @@
 package dsm
 
 import (
-	"repro/internal/cache"
 	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/stats"
 )
 
-// Policy is the page-relocation decision layer of a simulated system:
-// the software (and home-side monitoring firmware) that decides when a
-// page migrates, replicates, relocates into the S-COMA page cache, or
-// is evicted from it. The Machine owns the mechanism — protocol state,
-// counter banks, and the page operations themselves (migrate,
-// replicate, grantReplica, relocate, mapSCOMA) — and calls the policy
-// at the seams where the paper's systems differ:
+// The page-relocation decision layer: the software (and home-side
+// monitoring firmware) that decides when a page migrates, replicates or
+// relocates into the S-COMA page cache. The Spec's flags select which
+// decisions run, and the fault paths in access.go call these methods
+// at the seams where the paper's systems differ. The mechanisms they
+// invoke — migrate, replicate, grantReplica, relocate — live in
+// migrep.go and rnuma.go.
 //
-//   - OnPageMapped: a soft page fault just mapped page p at node n
-//     (static-placement policies such as AlwaysSCOMA act here).
-//   - OnHomeMiss: home node n missed on its own page p (feeds the
-//     home-use counter that weighs against migration).
-//   - OnRemoteUpgrade: node n completed a remote write upgrade on page
-//     p (an exclusivity request that moved no data).
-//   - OnRemoteMiss: node n completed a remote fetch on page p with
-//     miss class cls (the main trigger for every relocation policy).
-//   - ChooseVictim: the page cache at node n is full; pick, remove and
-//     return the frame to evict.
-//
-// Hooks run after the triggering access has completed and its state
-// changes are applied, so a page operation a hook starts may gather the
-// very copy that triggered it. Any operation the policy invokes is
-// charged to the requesting CPU c, which is the one waiting on the
-// page.
-//
-// Policies are attached per machine via Spec.NewPolicy (nil selects
-// the Spec-derived default) and systems are registered by name through
-// Register, so a new policy plugs in without touching the fault paths
-// in access.go.
-type Policy interface {
-	// Attach binds the policy to its machine before execution starts.
-	Attach(m *Machine)
+// Decisions run after the triggering access has completed and its
+// state changes are applied, so a page operation they start may gather
+// the very copy that triggered it. Any operation started is charged to
+// the requesting CPU c, which is the one waiting on the page.
 
-	OnPageMapped(c *engine.CPU, n int, p memory.Page)
-	OnHomeMiss(c *engine.CPU, n int, p memory.Page, write bool)
-	OnRemoteUpgrade(c *engine.CPU, n int, p memory.Page)
-	OnRemoteMiss(c *engine.CPU, n int, p memory.Page, cls stats.MissClass, write bool)
-
-	// ChooseVictim removes and returns the page-cache frame node n
-	// evicts to make room. It is only called when the cache is full.
-	ChooseVictim(n int) *cache.PageEntry
-}
-
-// specPolicy is the default Policy: the composition of the paper's
-// decision layers selected by a Spec's policy flags — home-driven
-// migration/replication, reactive R-NUMA relocation (optionally
-// delayed), and static S-COMA placement.
-type specPolicy struct {
-	m     *Machine
-	mr    *migRepPolicy // nil unless migration or replication is on
-	rn    *rnumaPolicy  // nil unless RNUMA is on
-	scoma bool          // static first-touch S-COMA placement
-}
-
-// newSpecPolicy derives the default decision layer from a Spec.
-func newSpecPolicy(s Spec) Policy {
-	p := &specPolicy{scoma: s.AlwaysSCOMA}
-	if s.MigRep() {
-		p.mr = &migRepPolicy{}
+// onRemoteMiss runs after node n completed a remote fetch on page p
+// with miss class cls: it feeds the home-side migration/replication
+// counters, then the cacher-side R-NUMA refetch counters.
+func (m *Machine) onRemoteMiss(c *engine.CPU, n int, p memory.Page, cls stats.MissClass, write bool) {
+	if m.mig != nil {
+		m.pokeMigRep(c, n, p, write)
 	}
-	if s.RNUMA {
-		p.rn = &rnumaPolicy{delayMisses: s.RelocDelayMisses}
-	}
-	return p
-}
-
-func (p *specPolicy) Attach(m *Machine) {
-	p.m = m
-	if p.mr != nil {
-		p.mr.m = m
-	}
-	if p.rn != nil {
-		p.rn.m = m
+	if m.spec.RNUMA {
+		m.rnumaMiss(c, n, p, cls)
 	}
 }
 
-func (p *specPolicy) OnPageMapped(c *engine.CPU, n int, pg memory.Page) {
-	if p.scoma {
-		// Static S-COMA: the page maps straight into the page cache;
-		// its blocks fetch on demand.
-		p.m.mapSCOMA(c, n, pg)
+// onRemoteUpgrade runs after node n completed a remote write upgrade on
+// page p (an exclusivity request that moved no data).
+func (m *Machine) onRemoteUpgrade(c *engine.CPU, n int, p memory.Page) {
+	if m.mig != nil && m.pt.Entry(p).Home != n {
+		m.pokeMigRep(c, n, p, true)
 	}
 }
 
-func (p *specPolicy) OnHomeMiss(c *engine.CPU, n int, pg memory.Page, write bool) {
-	if p.mr != nil {
-		p.mr.poke(c, n, pg, write)
-	}
-}
-
-func (p *specPolicy) OnRemoteUpgrade(c *engine.CPU, n int, pg memory.Page) {
-	if p.mr != nil && p.m.pt.Entry(pg).Home != n {
-		p.mr.poke(c, n, pg, true)
-	}
-}
-
-func (p *specPolicy) OnRemoteMiss(c *engine.CPU, n int, pg memory.Page, cls stats.MissClass, write bool) {
-	if p.mr != nil {
-		p.mr.poke(c, n, pg, write)
-	}
-	if p.rn != nil {
-		p.rn.onMiss(c, n, pg, cls)
-	}
-}
-
-func (p *specPolicy) ChooseVictim(n int) *cache.PageEntry {
-	return p.m.pc[n].EvictLRU()
-}
-
-// Throttled reports how many page moves the policy deferred under a
-// moveOK gate (zero for the ungated defaults).
-func (p *specPolicy) Throttled() int64 {
-	if p.mr == nil {
-		return 0
-	}
-	return p.mr.throttled
-}
-
-// migRepPolicy runs the home-side page reference monitoring of Section
-// 3.1: it maintains the per-page per-node miss counters, applies the
-// periodic reset, and invokes page replication or migration when the
-// thresholds fire.
-type migRepPolicy struct {
-	m *Machine
-
-	// moveOK, when non-nil, gates every page move the thresholds
-	// request (migration, replication, replica grant): returning false
-	// defers the move, leaving the counters in place so a later miss
-	// re-triggers the decision. Contention-aware variants use it to
-	// hold bulk page traffic off saturated links.
-	moveOK func(home, requester int) bool
-
-	// throttled counts the page moves moveOK deferred.
-	throttled int64
-}
-
-// poke records one request on page p issued by node n and applies the
-// migration/replication thresholds.
-func (mr *migRepPolicy) poke(c *engine.CPU, n int, p memory.Page, write bool) {
-	m := mr.m
+// pokeMigRep runs the home-side page reference monitoring of Section
+// 3.1: it records one request on page p issued by node n in the
+// per-page per-node miss counters, applies the periodic reset, and
+// invokes page replication or migration when the thresholds fire.
+func (m *Machine) pokeMigRep(c *engine.CPU, n int, p memory.Page, write bool) {
 	e := m.pt.Entry(p)
 	h := e.Home
 	cnt := m.migCounter(p)
@@ -181,8 +78,8 @@ func (mr *migRepPolicy) poke(c *engine.CPU, n int, p memory.Page, write bool) {
 	// stay ineligible until their counters reset.
 	if m.spec.Replication && !cnt.anyWrites() && !cnt.noRepl &&
 		cnt.read[n] >= thr && e.Mode[n] != memory.ModeReplica {
-		if mr.moveOK != nil && !mr.moveOK(h, n) {
-			mr.throttled++
+		if m.spec.ContentionGate && m.routeHot(h, n) {
+			m.throttled++
 			return // keep the counters: the move is pending, not denied
 		}
 		if e.Replicated {
@@ -202,8 +99,8 @@ func (mr *migRepPolicy) poke(c *engine.CPU, n int, p memory.Page, write bool) {
 	// so homeUse is the whole home-side weight of the comparison.
 	if m.spec.Migration && !e.Replicated &&
 		cnt.total(n) >= cnt.homeUse+thr {
-		if mr.moveOK != nil && !mr.moveOK(h, n) {
-			mr.throttled++
+		if m.spec.ContentionGate && m.routeHot(h, n) {
+			m.throttled++
 			return // keep the counters: the move is pending, not denied
 		}
 		m.migrate(c, n, p)
@@ -213,21 +110,13 @@ func (mr *migRepPolicy) poke(c *engine.CPU, n int, p memory.Page, write bool) {
 	}
 }
 
-// rnumaPolicy runs the cacher-side R-NUMA selection of Section 3.2:
+// rnumaMiss runs the cacher-side R-NUMA selection of Section 3.2:
 // capacity/conflict refetches of a remote page bump its refetch
 // counter, and crossing the threshold relocates the page into the
-// node's S-COMA page cache — unless a relocation delay gives
-// migration/replication first shot at the page (Section 6.4).
-type rnumaPolicy struct {
-	m *Machine
-
-	// delayMisses, when non-zero, forbids relocating a page until it
-	// has accumulated this many remote misses machine-wide.
-	delayMisses int
-}
-
-func (rn *rnumaPolicy) onMiss(c *engine.CPU, n int, p memory.Page, cls stats.MissClass) {
-	m := rn.m
+// node's S-COMA page cache — unless a relocation delay
+// (Spec.RelocDelayMisses) gives migration/replication first shot at
+// the page (Section 6.4).
+func (m *Machine) rnumaMiss(c *engine.CPU, n int, p memory.Page, cls stats.MissClass) {
 	if cls != stats.CapacityConflict || m.pt.Entry(p).Home == n || m.pc[n].Entry(p) != nil {
 		return
 	}
@@ -235,7 +124,7 @@ func (rn *rnumaPolicy) onMiss(c *engine.CPU, n int, p memory.Page, cls stats.Mis
 	if int(m.ref[n][p]) < m.th.RNUMAThreshold {
 		return
 	}
-	if rn.delayMisses > 0 && m.pageMissTotal[p] < int64(rn.delayMisses) {
+	if d := m.spec.RelocDelayMisses; d > 0 && m.pageMissTotal[p] < int64(d) {
 		return
 	}
 	m.relocate(c, n, p)

@@ -19,7 +19,7 @@ func TestCollapseBlocksImmediateReplication(t *testing.T) {
 
 	// Drive node 1 over the read threshold: first replication fires.
 	for i := 0; i < m.th.MigRepThreshold; i++ {
-		m.pol.OnRemoteMiss(c4, 1, 0, stats.Coherence, false)
+		m.onRemoteMiss(c4, 1, 0, stats.Coherence, false)
 	}
 	if m.st.Nodes[1].PageOps[stats.Replication] != 1 {
 		t.Fatalf("replications = %d, want 1", m.st.Nodes[1].PageOps[stats.Replication])
@@ -32,7 +32,7 @@ func TestCollapseBlocksImmediateReplication(t *testing.T) {
 		t.Fatal("collapse did not set the replication block")
 	}
 	for i := 0; i < m.th.MigRepThreshold+10; i++ {
-		m.pol.OnRemoteMiss(c4, 1, 0, stats.Coherence, false)
+		m.onRemoteMiss(c4, 1, 0, stats.Coherence, false)
 	}
 	if got := m.st.Nodes[1].PageOps[stats.Replication]; got != 1 {
 		t.Errorf("replication re-fired during cooldown: %d ops", got)
@@ -41,7 +41,7 @@ func TestCollapseBlocksImmediateReplication(t *testing.T) {
 	// After a reset the page is eligible again.
 	cnt.reset()
 	for i := 0; i < m.th.MigRepThreshold; i++ {
-		m.pol.OnRemoteMiss(c4, 1, 0, stats.Coherence, false)
+		m.onRemoteMiss(c4, 1, 0, stats.Coherence, false)
 	}
 	if got := m.st.Nodes[1].PageOps[stats.Replication]; got != 2 {
 		t.Errorf("replication did not re-fire after reset: %d ops", got)
@@ -57,8 +57,8 @@ func TestHomeUseWeighsAgainstMigration(t *testing.T) {
 
 	// The home uses the page as much as the remote node: no migration.
 	for i := 0; i < m.th.MigRepThreshold+20; i++ {
-		m.pol.OnHomeMiss(c0, 0, 0, i%2 == 0)                 // home accesses
-		m.pol.OnRemoteMiss(c4, 1, 0, stats.Coherence, false) // remote requests
+		m.pokeMigRep(c0, 0, 0, i%2 == 0)                 // home accesses
+		m.onRemoteMiss(c4, 1, 0, stats.Coherence, false) // remote requests
 	}
 	if got := m.st.Nodes[1].PageOps[stats.Migration]; got != 0 {
 		t.Errorf("page migrated away from an active home: %d ops", got)
@@ -72,7 +72,7 @@ func TestHomeUseWeighsAgainstMigration(t *testing.T) {
 	m2.pt.FirstTouch(0, 0)
 	c4b := m2.sched.CPUByID(4)
 	for i := 0; i < m2.th.MigRepThreshold; i++ {
-		m2.pol.OnRemoteMiss(c4b, 1, 0, stats.Coherence, false)
+		m2.onRemoteMiss(c4b, 1, 0, stats.Coherence, false)
 	}
 	if got := m2.st.Nodes[1].PageOps[stats.Migration]; got != 1 {
 		t.Errorf("page did not migrate from idle home: %d ops", got)
@@ -89,10 +89,10 @@ func TestHomeWritesDoNotBlockReplication(t *testing.T) {
 	c4 := m.sched.CPUByID(4)
 	// The home writes its own page; a remote node only reads it.
 	for i := 0; i < 50; i++ {
-		m.pol.OnHomeMiss(c0, 0, 0, true)
+		m.pokeMigRep(c0, 0, 0, true)
 	}
 	for i := 0; i < m.th.MigRepThreshold; i++ {
-		m.pol.OnRemoteMiss(c4, 1, 0, stats.Coherence, false)
+		m.onRemoteMiss(c4, 1, 0, stats.Coherence, false)
 	}
 	if got := m.st.Nodes[1].PageOps[stats.Replication]; got != 1 {
 		t.Errorf("home-local writes blocked replication: %d ops", got)

@@ -39,6 +39,16 @@ func TestLookupResolvesSpecs(t *testing.T) {
 			t.Errorf("%s: machine construction failed: %v", name, err)
 		}
 	}
+	// Spec is a comparable value (no func, slice or map field), so two
+	// constructions of one system compare equal and a Spec can key a
+	// cache as it stands.
+	for _, th := range []config.Thresholds{th, config.SlowThresholds()} {
+		for _, info := range Systems() {
+			if info.New(th) != info.New(th) {
+				t.Errorf("%s: two constructions of the spec differ", info.Name)
+			}
+		}
+	}
 	// Lookups are case-insensitive, matching the old CLI behavior.
 	if _, err := Lookup("MigRep"); err != nil {
 		t.Errorf("case-insensitive lookup failed: %v", err)

@@ -10,10 +10,10 @@ import (
 )
 
 // relocate runs the R-NUMA relocation interrupt for node n on page p
-// after the policy decided to relocate it. Relocation is a purely
+// after rnumaMiss decided to relocate it. Relocation is a purely
 // local operation: flush the node's cached copies of the page, unmap
-// it, allocate a frame in the S-COMA page cache (evicting a
-// policy-chosen victim if full), and remap; the necessary blocks are
+// it, allocate a frame in the S-COMA page cache (evicting the LRU
+// frame if full), and remap; the necessary blocks are
 // refetched on demand.
 func (m *Machine) relocate(c *engine.CPU, n int, p memory.Page) {
 	e := m.pt.Entry(p)
@@ -23,7 +23,7 @@ func (m *Machine) relocate(c *engine.CPU, n int, p memory.Page) {
 	pc := m.pc[n]
 	op := m.beginPageOp(c, n)
 
-	// Make room: deallocate the policy-chosen victim frame.
+	// Make room: deallocate the LRU frame.
 	if pc.Full() {
 		m.evictFrame(op, n)
 	}
@@ -76,16 +76,15 @@ func (m *Machine) mapSCOMA(c *engine.CPU, n int, p memory.Page) {
 	op.finish()
 }
 
-// evictFrame deallocates the page frame the policy's ChooseVictim
-// picks (LRU under every default policy): the frame's surviving blocks
-// are flushed home at the operation's current event time, the victim
-// page drops back to CC-NUMA mode, its refetch counter restarts, and
-// the node's mapping is cleared so the next touch re-faults. Both
-// eviction paths (reactive relocation and static S-COMA placement)
-// share this helper, so they cannot diverge on the mapping state
-// again.
+// evictFrame deallocates node n's least recently used page frame: the
+// frame's surviving blocks are flushed home at the operation's current
+// event time, the victim page drops back to CC-NUMA mode, its refetch
+// counter restarts, and the node's mapping is cleared so the next touch
+// re-faults. Both eviction paths (reactive relocation and static S-COMA
+// placement) share this helper, so they cannot diverge on the mapping
+// state again.
 func (m *Machine) evictFrame(op *pageOp, n int) {
-	victim := m.pol.ChooseVictim(n)
+	victim := m.pc[n].EvictLRU()
 	flushed := m.flushFrame(op, n, victim)
 	op.charge(m.tm.PageOpCost(flushed))
 	m.pt.Entry(victim.Page).Mode[n] = memory.ModeCCNUMA

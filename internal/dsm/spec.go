@@ -4,31 +4,28 @@
 // finite, halved or infinite S-COMA page cache, and the R-NUMA+MigRep
 // integration.
 //
-// A memory system is described in three layers:
+// A memory system is plain data:
 //
-//   - Spec is the hardware configuration: cache sizes, which counter
-//     banks exist, which policy family is wired in. Spec.Validate
-//     rejects contradictory configurations at construction time.
-//   - Policy is the decision layer: the hooks (OnRemoteMiss,
-//     OnRemoteUpgrade, OnHomeMiss, OnPageMapped, ChooseVictim) the
-//     machine calls at the seams where the paper's systems differ.
-//     Spec.NewPolicy installs a custom Policy; nil derives the default
-//     composition (MigRep thresholds, R-NUMA refetch selection, static
-//     S-COMA placement) from the Spec's flags.
+//   - Spec is a comparable value: cache sizes and the flags that
+//     switch each mechanism on (migration, replication, R-NUMA
+//     relocation and its delay, static S-COMA placement, the
+//     contention gate). Spec.Validate rejects contradictory
+//     configurations at construction time. The fault paths read the
+//     flags at the seams where the paper's systems differ and run the
+//     matching decisions (policy.go): the MigRep thresholds, R-NUMA
+//     refetch selection, static S-COMA placement.
 //   - The registry (Register / Lookup / Systems) maps stable system
 //     names — "ccnuma", "migrep", "rnuma-half-migrep", ... — to Spec
 //     constructors, mirroring how internal/apps registers workloads.
-//     CLIs and the harness resolve systems exclusively by these names,
-//     so a new system (see ContentionMigRep) plugs in end to end
-//     without touching the fault-handling core.
+//     CLIs and the harness resolve systems exclusively by these names.
 //
 // A single Machine executes a dependence-preserving application trace
-// under a configurable timing model, applying the Spec's hardware and
-// the Policy's decisions. Every protocol message — fills,
-// invalidations, writebacks, page moves and replica grants — is routed
-// over the internal/interconnect fabric selected by the cluster's Net
-// configuration, charging per-link traffic counters and, on multi-hop
-// or bandwidth-limited fabrics, hop latency and link queuing.
+// under a configurable timing model on the Spec's hardware. Every
+// protocol message — fills, invalidations, writebacks, page moves and
+// replica grants — is routed over the internal/interconnect fabric
+// selected by the cluster's Net configuration, charging per-link
+// traffic counters and, on multi-hop or bandwidth-limited fabrics, hop
+// latency and link queuing.
 //
 // Page operations run through a small pageop layer that carries each
 // operation's explicit event time, so their cost, traffic and
@@ -51,7 +48,8 @@ import (
 )
 
 // Spec selects the remote-caching hardware and page-relocation policies
-// of one simulated system.
+// of one simulated system. It holds no func, slice or map field, so
+// specs compare with ==.
 type Spec struct {
 	// Name labels the system in reports ("CC-NUMA", "R-NUMA", ...).
 	Name string
@@ -87,11 +85,11 @@ type Spec struct {
 	// R-NUMA against. Requires RNUMA.
 	AlwaysSCOMA bool
 
-	// NewPolicy, when non-nil, builds the machine's decision layer
-	// instead of the default Spec-derived composition. It is how a
-	// registered system installs a custom Policy (see
-	// ContentionMigRep) without any change to the protocol core.
-	NewPolicy func(Spec) Policy
+	// ContentionGate defers every page move migration/replication
+	// requests while the move's route is the fabric's hot spot (see
+	// ContentionMigRep). Without Migration or Replication it gates
+	// nothing.
+	ContentionGate bool
 }
 
 // Validate rejects contradictory or meaningless configurations before

@@ -19,11 +19,11 @@ func goldenOptions(buf *bytes.Buffer) Options {
 	return Options{Scale: 8, Apps: []string{"radix", "lu"}, Parallel: 4, Audit: true, Out: buf}
 }
 
-// TestGoldenReports locks the Figure 5 and Figure 8 text reports
-// byte-for-byte. The golden files were captured before the Policy/
-// registry redesign, so a passing run proves the redesigned systems
-// reproduce the pre-existing reports exactly. Regenerate deliberately
-// with `go test ./internal/harness -run Golden -update`.
+// TestGoldenReports locks the Figure 5 and Figure 8 text reports, the
+// full scale-8 sweep and an every-system query byte-for-byte, so a
+// refactor that must not move output proves it by passing them
+// unregenerated. Regenerate deliberately with
+// `go test ./internal/harness -run Golden -update`.
 func TestGoldenReports(t *testing.T) {
 	for _, name := range []string{"fig5", "fig8"} {
 		t.Run(name, func(t *testing.T) {

@@ -362,12 +362,13 @@ func runExperiment(name string, runs []systemRun, o Options) (*Result, error) {
 	return res, nil
 }
 
-// forEach runs f over items, optionally with a worker pool, each call
-// holding one of slots (when non-nil) while it runs. A non-nil ctx
-// stops dispatching new items once cancelled, also while waiting for a
-// slot; items already running complete normally. Dispatching also
-// stops once an item has failed, and the first error in item order is
-// returned.
+// forEach runs f over items on a pool of workers (at least one), each
+// call holding one of slots (when non-nil) while it runs. Items are
+// dispatched in order, so one worker runs them one after another. A
+// non-nil ctx stops dispatching new items once cancelled, also while
+// waiting for a slot; items already running complete normally.
+// Dispatching also stops once an item has failed, and the first error
+// in item order is returned.
 func forEach(ctx context.Context, slots *Slots, items []systemRun, workers int, f func(int, systemRun) error) error {
 	start := func() error {
 		if ctx != nil {
@@ -377,19 +378,7 @@ func forEach(ctx context.Context, slots *Slots, items []systemRun, workers int, 
 		}
 		return slots.acquire(ctx)
 	}
-	if workers <= 1 {
-		for i, it := range items {
-			if err := start(); err != nil {
-				return err
-			}
-			err := f(i, it)
-			slots.release()
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	workers = max(workers, 1)
 	var wg sync.WaitGroup
 	var failed atomic.Bool
 	sem := make(chan struct{}, workers)
