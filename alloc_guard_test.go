@@ -173,7 +173,7 @@ func faultPath(which int, spec dsm.Spec) func(*testing.T) func() {
 		cl := config.DefaultCluster()
 		tm, th := config.Default(), config.DefaultThresholds()
 		return func() {
-			if _, err := dsm.Run(tr, spec, cl, tm, th); err != nil {
+			if _, err := dsm.RunWithOptions(tr, spec, cl, tm, th, dsm.RunOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -41,7 +41,7 @@ func BenchmarkAblationBlockCacheSize(b *testing.B) {
 			spec.BlockCacheBytes = kb * 1024
 			var last *stats.Sim
 			for i := 0; i < b.N; i++ {
-				sim, err := dsm.Run(tr, spec, cl, tm, th)
+				sim, err := dsm.RunWithOptions(tr, spec, cl, tm, th, dsm.RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -68,7 +68,7 @@ func BenchmarkAblationPageCacheSize(b *testing.B) {
 			spec.PageCacheBytes = config.PageCacheBytes / frac
 			var last *stats.Sim
 			for i := 0; i < b.N; i++ {
-				sim, err := dsm.Run(tr, spec, cl, tm, th)
+				sim, err := dsm.RunWithOptions(tr, spec, cl, tm, th, dsm.RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -95,7 +95,7 @@ func BenchmarkAblationRNUMAThreshold(b *testing.B) {
 			th.RNUMAThreshold = thr
 			var last *stats.Sim
 			for i := 0; i < b.N; i++ {
-				sim, err := dsm.Run(tr, dsm.RNUMA(), cl, tm, th)
+				sim, err := dsm.RunWithOptions(tr, dsm.RNUMA(), cl, tm, th, dsm.RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -123,7 +123,7 @@ func BenchmarkAblationNetworkLatency(b *testing.B) {
 				tm := config.Default().ScaleNetwork(f)
 				var last *stats.Sim
 				for i := 0; i < b.N; i++ {
-					sim, err := dsm.Run(tr, spec, cl, tm, th)
+					sim, err := dsm.RunWithOptions(tr, spec, cl, tm, th, dsm.RunOptions{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -150,7 +150,7 @@ func BenchmarkAblationReactiveVsStatic(b *testing.B) {
 		b.Run(spec.Name, func(b *testing.B) {
 			var last *stats.Sim
 			for i := 0; i < b.N; i++ {
-				sim, err := dsm.Run(tr, spec, cl, tm, th)
+				sim, err := dsm.RunWithOptions(tr, spec, cl, tm, th, dsm.RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

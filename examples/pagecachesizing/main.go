@@ -62,7 +62,7 @@ func main() {
 			spec = dsm.RNUMAInf()
 			label = "infinite"
 		}
-		sim, err := dsm.Run(tr, spec, cl, tm, th)
+		sim, err := dsm.RunWithOptions(tr, spec, cl, tm, th, dsm.RunOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,12 +4,10 @@ import (
 	"math/bits"
 
 	"repro/internal/cache"
-	"repro/internal/config"
 	"repro/internal/directory"
 	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 )
 
 // localAccess models an L1 miss satisfied on the node: a bus transaction
@@ -131,43 +129,12 @@ func (m *Machine) access(c *engine.CPU, b memory.Block, write bool) {
 	}
 
 	// Soft page fault: first access by this node, or a mapping dropped
-	// by a migration/collapse (lazy TLB invalidation via poison bits).
+	// by a migration, collapse or frame eviction (lazy TLB invalidation:
+	// the stale mapping faults on its next touch).
 	if e.Home != n && !m.mapped[n][p] {
 		m.mapped[n][p] = true
 		ns.PageFaults++
-		faultStart := c.Clock
-		// The fault traps, consults the home's mapper, and the reply
-		// returns over the fabric.
-		end := m.fabric.Traverse(n, e.Home, msgHeaderBytes, c.Clock+m.tm.SoftTrap)
-		var copyCost int64
-		copied := false
-		if e.Replicated && m.spec.Replication {
-			// An unmapped fault on a replicated page fetches a full
-			// read-only copy into local memory.
-			copyCost = m.tm.CopyCost(config.BlocksPerPage)
-			m.fabric.Deliver(e.Home, n, int64(config.BlocksPerPage)*msgBlockBytes, end)
-			e.Mode[n] = memory.ModeReplica
-			ns.PageOps[stats.Replication]++
-			ns.TrafficBytes += int64(config.BlocksPerPage) * msgBlockBytes
-			if tl := m.tel; tl != nil {
-				tl.PageOp(stats.Replication, end)
-				tl.Traffic(n, int64(config.BlocksPerPage)*msgBlockBytes, end)
-			}
-			copied = true
-		} else if e.Mode[n] == memory.ModeUnmapped {
-			e.Mode[n] = memory.ModeCCNUMA
-		}
-		end = m.fabric.Traverse(e.Home, n, msgHeaderBytes, end)
-		lat := end - c.Clock + copyCost
-		ns.TrafficBytes += 2 * msgHeaderBytes
-		c.Clock += lat
-		ns.PageOpCycles += lat
-		if tl := m.tel; tl != nil {
-			tl.Traffic(n, 2*msgHeaderBytes, end)
-			if copied {
-				tl.Event(telemetry.EvFaultCopy, uint64(p), e.Home, n, faultStart, c.Clock)
-			}
-		}
+		m.softFault(c, n, p)
 		// Static S-COMA placement: the page maps straight into the
 		// page cache; its blocks fetch on demand.
 		if m.spec.AlwaysSCOMA {
@@ -204,50 +171,25 @@ func (m *Machine) upgrade(c *engine.CPU, n int, b memory.Block) {
 	de := m.dir.Entry(b)
 	p := b.Page()
 	h := m.pt.Entry(p).Home
-	start := c.Clock
 
 	remote := de.Sharers &^ (1 << uint(n))
-	remoteUpgrade := false
 	if remote != 0 {
-		// Remote upgrade through the home directory; invalidations to
-		// the sharers overlap, one ack wave adds a network latency
-		// (plus the farthest sharer's extra hops on multi-hop fabrics).
-		end := m.roundTrip(start, n, h, m.ackWaveLatency(h, remote),
-			msgHeaderBytes, msgHeaderBytes)
-		ns.Upgrades++
-		ns.TrafficBytes += 2 * msgHeaderBytes
-		if tl := m.tel; tl != nil {
-			tl.Traffic(n, 2*msgHeaderBytes, end)
-		}
-		m.invalidateSharers(n, h, b, remote, end)
-		ns.StallCycles += end - c.Clock
-		c.Clock = end
-		remoteUpgrade = true
+		m.remoteUpgrade(c, n, h, b, remote)
 	} else if m.l1count[n][b] > 1 {
 		// Node-local upgrade: one bus transaction invalidates siblings.
-		end := m.bus[n].Acquire(start, m.tm.BusOccupancy)
-		ns.StallCycles += end - c.Clock
-		c.Clock = end
+		m.advance(c, ns, m.bus[n].Acquire(c.Clock, m.tm.BusOccupancy))
 	}
 	// Invalidate sibling L1 copies on this node (the upgrading CPU's own
 	// copy accounts for one of the node's counted copies).
 	if m.l1count[n][b] > 1 {
-		lo, hi := m.cpusOf(n)
-		for i := lo; i < hi; i++ {
-			if i == c.ID {
-				continue
-			}
-			if present, _ := m.l1[i].Invalidate(b); present {
-				m.l1count[n][b]--
-			}
-		}
+		m.purgeL1s(n, b, c.ID)
 	}
 	m.dir.SetOwner(b, n)
 	m.l1[c.ID].SetState(b, cache.Modified)
-	if m.bc != nil && m.pt.Entry(p).Home != n {
+	if m.bc != nil && h != n {
 		m.bc[n].SetState(b, cache.Modified)
 	}
-	if m.pc != nil && m.pt.Entry(p).Home != n {
+	if m.pc != nil && h != n {
 		if pe := m.pc[n].Entry(p); pe != nil && pe.Valid&(1<<uint(b.Index())) != 0 {
 			pe.Dirty |= 1 << uint(b.Index())
 		}
@@ -255,9 +197,25 @@ func (m *Machine) upgrade(c *engine.CPU, n int, b memory.Block) {
 	// The decision runs after the upgrade's state changes: a page
 	// operation it triggers may gather this very page, including the
 	// copy just upgraded.
-	if remoteUpgrade {
+	if remote != 0 {
 		m.onRemoteUpgrade(c, n, p)
 	}
+}
+
+// remoteUpgrade obtains exclusivity of block b for node n, whose data
+// is already local, through home h's directory: the invalidations to
+// the sharers in remote overlap, and one ack wave adds a network
+// latency (plus the farthest sharer's extra hops on multi-hop fabrics).
+//
+//repro:hotpath
+func (m *Machine) remoteUpgrade(c *engine.CPU, n, h int, b memory.Block, remote uint64) {
+	ns := &m.st.Nodes[n]
+	end := m.roundTrip(c.Clock, n, h, m.ackWaveLatency(h, remote),
+		msgHeaderBytes, msgHeaderBytes)
+	ns.Upgrades++
+	m.traffic(n, 2*msgHeaderBytes, end)
+	m.invalidateSharers(n, h, b, remote, end)
+	m.advance(c, ns, end)
 }
 
 // invalidateSharers delivers invalidations for block b from home h to
@@ -267,30 +225,44 @@ func (m *Machine) upgrade(c *engine.CPU, n int, b memory.Block) {
 //
 //repro:hotpath
 func (m *Machine) invalidateSharers(n, h int, b memory.Block, mask uint64, t int64) {
-	ns := &m.st.Nodes[n]
 	for mask &^= 1 << uint(n); mask != 0; mask &= mask - 1 {
 		s := bits.TrailingZeros64(mask)
 		m.ni[s].Acquire(t, m.tm.NIOccupancy)
 		present, dirty := m.invalidateOnNode(s, b, true)
 		m.fabric.Deliver(h, s, msgHeaderBytes, t)
 		ackBytes := int64(msgHeaderBytes)
-		ns.TrafficBytes += 2 * msgHeaderBytes // inval + ack
 		if present && dirty {
-			ackBytes += msgBlockBytes - msgHeaderBytes
-			ns.TrafficBytes += msgBlockBytes - msgHeaderBytes
+			ackBytes = msgBlockBytes
 		}
-		if tl := m.tel; tl != nil {
-			tl.Traffic(n, msgHeaderBytes+ackBytes, t)
-		}
+		m.traffic(n, msgHeaderBytes+ackBytes, t) // inval + ack
 		// The ack leaves after the invalidation has crossed to s.
 		m.fabric.Deliver(s, h, ackBytes, t+m.wireLatency(h, s))
 	}
 }
 
-// fill services an L1 miss for CPU c on node n.
+// fill services an L1 miss for CPU c on node n. When a copy on the node
+// serves it, the miss completes locally: one bus transaction and the
+// local service time, with no network traffic.
 //
 //repro:hotpath
 func (m *Machine) fill(c *engine.CPU, n int, b memory.Block, write bool) {
+	cls := m.classify(n, b)
+	if m.fetch(c, n, b, cls, write) {
+		end := m.localAccess(c.Clock, n)
+		m.miss(n, cls, false, end)
+		m.advance(c, &m.st.Nodes[n], end)
+	}
+	m.completeFill(c, n, b, write)
+}
+
+// fetch finds the source of a miss of class cls on block b for CPU c on
+// node n. It reports true when a copy on the node can serve the miss,
+// leaving the local access to fill; otherwise it runs the protocol
+// transaction that brings the data or exclusivity, charging its
+// latency, traffic and miss, and any page operation it triggers.
+//
+//repro:hotpath
+func (m *Machine) fetch(c *engine.CPU, n int, b memory.Block, cls stats.MissClass, write bool) (local bool) {
 	p := b.Page()
 	e := m.pt.Entry(p)
 	h := e.Home
@@ -298,7 +270,6 @@ func (m *Machine) fill(c *engine.CPU, n int, b memory.Block, write bool) {
 	ns := &m.st.Nodes[n]
 	start := c.Clock
 
-	cls := m.classify(n, b)
 	remote := de.Sharers &^ (1 << uint(n))
 	// A write fill can complete locally only if no other node holds a
 	// copy; otherwise exclusivity must come from the home.
@@ -306,31 +277,17 @@ func (m *Machine) fill(c *engine.CPU, n int, b memory.Block, write bool) {
 
 	// 1. Another L1 on this node holds the block.
 	if m.l1count[n][b] > 0 && localOK {
-		end := m.localAccess(start, n)
-		ns.LocalMisses[cls]++
-		if tl := m.tel; tl != nil {
-			tl.Miss(cls, false, end)
-		}
-		m.advance(c, ns, end)
-		m.completeFill(c, n, b, write)
-		return
+		return true
 	}
 
 	// 2. The S-COMA page cache holds the block.
 	if m.pc != nil && localOK && h != n {
 		if pe := m.pc[n].Touch(p); pe != nil && pe.Valid&(1<<uint(b.Index())) != 0 {
-			end := m.localAccess(start, n)
-			ns.LocalMisses[cls]++
 			ns.PageCacheHits++
-			if tl := m.tel; tl != nil {
-				tl.Miss(cls, false, end)
-			}
 			if write {
 				pe.Dirty |= 1 << uint(b.Index())
 			}
-			m.advance(c, ns, end)
-			m.completeFill(c, n, b, write)
-			return
+			return true
 		}
 	}
 
@@ -351,82 +308,43 @@ func (m *Machine) fill(c *engine.CPU, n int, b memory.Block, write bool) {
 			// The forward leaves once the home has seen the request.
 			m.fabric.Deliver(h, owner, msgHeaderBytes, back-m.wireLatency(h, owner))
 			m.fabric.Deliver(owner, h, msgHeaderBytes+msgBlockBytes, back)
-			ns.RemoteMisses[cls]++
-			ns.TrafficBytes += 2*msgHeaderBytes + msgBlockBytes
-			if tl := m.tel; tl != nil {
-				tl.Miss(cls, true, end)
-				tl.Traffic(n, 2*msgHeaderBytes+msgBlockBytes, end)
-			}
+			m.miss(n, cls, true, end)
+			m.traffic(n, 2*msgHeaderBytes+msgBlockBytes, end)
 			m.retrieveDirty(n, owner, b, write)
 			m.advance(c, ns, end)
-			m.completeFill(c, n, b, write)
-			return
+			return false
 		}
 		if localOK {
-			end := m.localAccess(start, n)
-			ns.LocalMisses[cls]++
-			if tl := m.tel; tl != nil {
-				tl.Miss(cls, false, end)
-			}
-			m.advance(c, ns, end)
-			m.completeFill(c, n, b, write)
-			return
+			return true
 		}
 		// A write to a home block shared remotely: invalidation round;
 		// data comes from local memory on the same transaction.
 		end := m.roundTrip(start, n, h, m.ackWaveLatency(h, remote), 0, 0)
 		ns.Upgrades++
-		ns.LocalMisses[cls]++
-		if tl := m.tel; tl != nil {
-			tl.Miss(cls, false, end)
-		}
+		m.miss(n, cls, false, end)
 		m.invalidateSharers(n, h, b, remote, end)
 		m.advance(c, ns, end)
-		m.completeFill(c, n, b, write)
-		return
+		return false
 	}
 
 	// 4. A local read-only replica serves reads from local memory.
 	if e.Mode[n] == memory.ModeReplica && !write {
-		end := m.localAccess(start, n)
-		ns.LocalMisses[cls]++
-		if tl := m.tel; tl != nil {
-			tl.Miss(cls, false, end)
-		}
-		m.advance(c, ns, end)
-		m.completeFill(c, n, b, write)
-		return
+		return true
 	}
 
 	// 5. The block cache.
 	if m.bc != nil {
 		st := m.bc[n].Lookup(b)
 		if st == cache.Modified || (st == cache.Shared && localOK) {
-			end := m.localAccess(start, n)
-			ns.LocalMisses[cls]++
 			ns.BlockCacheHits++
-			if tl := m.tel; tl != nil {
-				tl.Miss(cls, false, end)
-			}
-			m.advance(c, ns, end)
-			m.completeFill(c, n, b, write)
-			return
+			return true
 		}
 		if st == cache.Shared {
 			// Data is local but exclusivity is not: remote upgrade.
-			end := m.roundTrip(start, n, h, m.ackWaveLatency(h, remote),
-				msgHeaderBytes, msgHeaderBytes)
-			ns.Upgrades++
 			ns.BlockCacheHits++
-			ns.TrafficBytes += 2 * msgHeaderBytes
-			if tl := m.tel; tl != nil {
-				tl.Traffic(n, 2*msgHeaderBytes, end)
-			}
-			m.invalidateSharers(n, h, b, remote, end)
-			m.advance(c, ns, end)
+			m.remoteUpgrade(c, n, h, b, remote)
 			m.onRemoteUpgrade(c, n, p)
-			m.completeFill(c, n, b, write)
-			return
+			return false
 		}
 	}
 
@@ -441,6 +359,7 @@ func (m *Machine) fill(c *engine.CPU, n int, b memory.Block, write bool) {
 		extra += m.ackWaveLatency(h, remote) // inval ack wave
 	}
 	end := m.roundTrip(start, n, h, extra, msgHeaderBytes, msgBlockBytes)
+	bytes := int64(msgHeaderBytes + msgBlockBytes)
 	if dirty {
 		if owner != h {
 			back := end - m.wireLatency(owner, h)
@@ -448,19 +367,12 @@ func (m *Machine) fill(c *engine.CPU, n int, b memory.Block, write bool) {
 			// The forward leaves once the home has seen the request.
 			m.fabric.Deliver(h, owner, msgHeaderBytes, back-m.wireLatency(h, owner))
 			m.fabric.Deliver(owner, h, msgHeaderBytes, back)
-			ns.TrafficBytes += 2 * msgHeaderBytes // forward + ack
-			if tl := m.tel; tl != nil {
-				tl.Traffic(n, 2*msgHeaderBytes, end)
-			}
+			bytes += 2 * msgHeaderBytes // forward + ack
 		}
 		m.retrieveDirty(n, owner, b, write)
 	}
-	ns.RemoteMisses[cls]++
-	ns.TrafficBytes += msgHeaderBytes + msgBlockBytes
-	if tl := m.tel; tl != nil {
-		tl.Miss(cls, true, end)
-		tl.Traffic(n, msgHeaderBytes+msgBlockBytes, end)
-	}
+	m.miss(n, cls, true, end)
+	m.traffic(n, bytes, end)
 	m.pageMissTotal[p]++
 	if write && remote != 0 {
 		m.invalidateSharers(n, h, b, remote, end)
@@ -471,7 +383,7 @@ func (m *Machine) fill(c *engine.CPU, n int, b memory.Block, write bool) {
 	// refetch counters. Page operations they trigger run after the fill
 	// completes and are charged to this CPU.
 	m.onRemoteMiss(c, n, p, cls, write)
-	m.completeFill(c, n, b, write)
+	return false
 }
 
 // advance moves the CPU clock to end, accounting the stall.
@@ -511,17 +423,7 @@ func (m *Machine) completeFill(c *engine.CPU, n int, b memory.Block, write bool)
 		}
 		// Intra-node: sibling L1s lose their copies (the filling CPU does
 		// not hold the block yet, so any counted copy is a sibling's).
-		if m.l1count[n][b] > 0 {
-			lo, hi := m.cpusOf(n)
-			for i := lo; i < hi; i++ {
-				if i == c.ID {
-					continue
-				}
-				if present, _ := m.l1[i].Invalidate(b); present {
-					m.l1count[n][b]--
-				}
-			}
-		}
+		m.purgeL1s(n, b, c.ID)
 	} else {
 		// An intra-node read of a block this node owns dirty must not
 		// downgrade the directory: the data is still dirty on the node
@@ -626,17 +528,8 @@ func (m *Machine) evictFromL1(n int, v cache.Victim, now int64) {
 //repro:hotpath
 func (m *Machine) evictFromBlockCache(n int, v cache.Victim, now int64) {
 	b := v.Block
-	dirty := v.Dirty
-	if m.l1count[n][b] > 0 {
-		lo, hi := m.cpusOf(n)
-		for c := lo; c < hi; c++ {
-			if present, d := m.l1[c].Invalidate(b); present {
-				m.l1count[n][b]--
-				dirty = dirty || d
-			}
-		}
-	}
-	if dirty {
+	_, dirty := m.purgeL1s(n, b, -1)
+	if v.Dirty || dirty {
 		m.writebackRemote(n, m.pt.Entry(b.Page()).Home, b, now)
 	}
 	m.flags[n][b] &^= flagDepartInval // capacity departure

@@ -52,11 +52,11 @@ func TestGeometryDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Run(tr, RNUMA(), cl, config.Default(), config.DefaultThresholds())
+	a, err := RunWithOptions(tr, RNUMA(), cl, config.Default(), config.DefaultThresholds(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(tr, RNUMA(), cl, config.Default(), config.DefaultThresholds())
+	b, err := RunWithOptions(tr, RNUMA(), cl, config.Default(), config.DefaultThresholds(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -280,6 +280,35 @@ func (m *Machine) AttachTelemetry(c *telemetry.Collector) {
 // Telemetry returns the attached collector (nil when telemetry is off).
 func (m *Machine) Telemetry() *telemetry.Collector { return m.tel }
 
+// traffic charges bytes put on the network by node n at event time t:
+// the node's TrafficBytes and, under telemetry, the window of t. It is
+// the only place TrafficBytes grows.
+//
+//repro:hotpath
+func (m *Machine) traffic(n int, bytes, t int64) {
+	m.st.Nodes[n].TrafficBytes += bytes
+	if tl := m.tel; tl != nil {
+		tl.Traffic(n, bytes, t)
+	}
+}
+
+// miss charges one L1 miss of class cls on node n, served remotely or
+// on the node, completing at event time t: the node's miss breakdown
+// and, under telemetry, the window of t. It is the only place the miss
+// counters grow.
+//
+//repro:hotpath
+func (m *Machine) miss(n int, cls stats.MissClass, remote bool, t int64) {
+	if remote {
+		m.st.Nodes[n].RemoteMisses[cls]++
+	} else {
+		m.st.Nodes[n].LocalMisses[cls]++
+	}
+	if tl := m.tel; tl != nil {
+		tl.Miss(cls, remote, t)
+	}
+}
+
 // setPageBusy extends page p's busy horizon to t. Page operations only
 // ever push the horizon forward — every accessor waits it out before
 // starting a new operation — so a regression means an operation
@@ -349,16 +378,7 @@ func (c *mrCounter) anyWrites() bool {
 // whether any copy existed and whether any copy was dirty (the caller
 // owns writeback accounting).
 func (m *Machine) invalidateOnNode(n int, b memory.Block, byInval bool) (present, dirty bool) {
-	if m.l1count[n][b] > 0 {
-		lo, hi := m.cpusOf(n)
-		for c := lo; c < hi; c++ {
-			if p, d := m.l1[c].Invalidate(b); p {
-				present = true
-				dirty = dirty || d
-				m.l1count[n][b]--
-			}
-		}
-	}
+	present, dirty = m.purgeL1s(n, b, -1)
 	if m.bc != nil {
 		if p, d := m.bc[n].Invalidate(b); p {
 			present = true
@@ -382,6 +402,27 @@ func (m *Machine) invalidateOnNode(n int, b memory.Block, byInval bool) (present
 			m.flags[n][b] |= flagDepartInval
 		} else {
 			m.flags[n][b] &^= flagDepartInval
+		}
+	}
+	return present, dirty
+}
+
+// purgeL1s invalidates block b in the L1 of every CPU on node n except
+// CPU except (-1 spares none), keeping the node's copy count, and
+// reports whether any copy was present and whether any was dirty.
+func (m *Machine) purgeL1s(n int, b memory.Block, except int) (present, dirty bool) {
+	if m.l1count[n][b] == 0 {
+		return false, false
+	}
+	lo, hi := m.cpusOf(n)
+	for c := lo; c < hi; c++ {
+		if c == except {
+			continue
+		}
+		if p, d := m.l1[c].Invalidate(b); p {
+			present = true
+			dirty = dirty || d
+			m.l1count[n][b]--
 		}
 	}
 	return present, dirty

@@ -67,8 +67,7 @@ func (m *Machine) gatherPage(op *pageOp, p memory.Page) (flushed int) {
 
 // replicate creates the first read-only replica of page p at node n: the
 // home gathers dirty blocks, marks the page replicated, and copies it
-// into n's local memory once the gather has completed. Poison bits cover
-// the gathered blocks for lazy TLB invalidation.
+// into n's local memory once the gather has completed.
 func (m *Machine) replicate(c *engine.CPU, n int, p memory.Page) {
 	e := m.pt.Entry(p)
 	op := m.beginPageOp(c, n)
@@ -147,22 +146,21 @@ func (m *Machine) collapse(c *engine.CPU, n int, p memory.Page) {
 	op.finishBusy(p)
 }
 
-// migrate moves page p's home to node n: all cached copies are gathered
-// with directory poisoning, every node's mapping is shot down lazily,
-// and the page data moves to the new home once the gather completes.
+// migrate moves page p's home to node n: all cached copies are gathered,
+// every node's mapping is shot down lazily (dropped, so the node's next
+// touch faults), and the page data moves to the new home once the
+// gather completes.
 func (m *Machine) migrate(c *engine.CPU, n int, p memory.Page) {
 	e := m.pt.Entry(p)
 	oldHome := e.Home
 	op := m.beginPageOp(c, n)
 	flushed := m.gatherPage(op, p)
 	op.charge(m.tm.GatherCost(flushed))
-	m.pt.PoisonAll(p)
 	for s := 0; s < m.cl.Nodes; s++ {
 		m.mapped[s][p] = false
 	}
 	m.pt.SetHome(p, n)
 	m.mapped[n][p] = true
-	m.pt.ClearPoison(p)
 
 	op.xfer(oldHome, n, n, int64(config.BlocksPerPage)*msgBlockBytes)
 	op.charge(m.tm.CopyCost(config.BlocksPerPage))

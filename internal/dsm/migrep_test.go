@@ -17,7 +17,7 @@ func runSynthetic(t *testing.T, spec Spec, kind apps.SyntheticKind, kb, iters in
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := Run(tr, spec, config.DefaultCluster(), config.Default(), config.DefaultThresholds())
+	sim, err := RunWithOptions(tr, spec, config.DefaultCluster(), config.Default(), config.DefaultThresholds(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestWriteToReplicatedPageCollapses(t *testing.T) {
 	}
 	tr.CPUs[8].Append(trace.Op{Kind: trace.Write, Arg: last})
 
-	sim, err := Run(tr, MigRep(), config.DefaultCluster(), config.Default(), config.DefaultThresholds())
+	sim, err := RunWithOptions(tr, MigRep(), config.DefaultCluster(), config.Default(), config.DefaultThresholds(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +185,11 @@ func TestSlowThresholdsReduceOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Run(tr, MigRep(), config.DefaultCluster(), config.Default(), config.DefaultThresholds())
+	fast, err := RunWithOptions(tr, MigRep(), config.DefaultCluster(), config.Default(), config.DefaultThresholds(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := Run(tr, MigRep(), config.DefaultCluster(), config.Slow(), config.SlowThresholds())
+	slow, err := RunWithOptions(tr, MigRep(), config.DefaultCluster(), config.Slow(), config.SlowThresholds(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,23 @@
 package dsm
 
 import (
+	"repro/internal/config"
 	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
-// pageOp is one in-flight page operation: an R-NUMA relocation, a
-// migration, a replication or replica grant, a collapse, or a
-// page-cache replacement riding on one of those. It carries the
-// operation's explicit event time and accumulates its cost, so that
-// every protocol message the operation emits enters the fabric at the
-// simulated instant it actually happens — never in the simulated past
-// — and so that cost, traffic and page-busy accounting cannot drift
-// apart. It replaces the ad-hoc int64 time threading the page paths
-// used (and, in flushFrame's case, forgot).
+// pageOp is one in-flight page operation: a soft page fault (with or
+// without a replica copy), an R-NUMA relocation, a migration, a
+// replication or replica grant, a collapse, or a page-cache replacement
+// riding on one of those. It carries the operation's explicit event
+// time and accumulates its cost, so that every protocol message the
+// operation emits enters the fabric at the simulated instant it
+// actually happens — never in the simulated past — and so that cost,
+// traffic and page-busy accounting cannot drift apart. Its bytes are
+// charged through Machine.traffic like every other message's, and
+// count is the only place a page operation is counted.
 type pageOp struct {
 	m     *Machine
 	c     *engine.CPU
@@ -56,10 +58,7 @@ func (op *pageOp) elapsed() int64 { return op.now - op.start }
 //
 //repro:hotpath
 func (op *pageOp) xfer(src, dst, pay int, bytes int64) {
-	op.m.st.Nodes[pay].TrafficBytes += bytes
-	if tl := op.m.tel; tl != nil {
-		tl.Traffic(pay, bytes, op.now)
-	}
+	op.m.traffic(pay, bytes, op.now)
 	op.m.fabric.Deliver(src, dst, bytes, op.now)
 }
 
@@ -107,6 +106,35 @@ func (op *pageOp) finishBusy(p memory.Page) {
 	op.m.setPageBusy(p, op.now)
 }
 
+// softFault maps page p at node n after a soft page fault: the CPU
+// traps, its request crosses to the home's page mapper and the reply
+// crosses back. On a replicated page (under replication) the home also
+// sends a full read-only copy when the request arrives, and the node
+// maps it as a local replica once the copy is in.
+//
+//repro:hotpath
+func (m *Machine) softFault(c *engine.CPU, n int, p memory.Page) {
+	e := m.pt.Entry(p)
+	op := m.beginPageOp(c, n)
+	op.charge(m.tm.SoftTrap)
+	op.now = m.fabric.Traverse(n, e.Home, msgHeaderBytes, op.now)
+	copied := e.Replicated && m.spec.Replication
+	if copied {
+		op.xfer(e.Home, n, n, int64(config.BlocksPerPage)*msgBlockBytes)
+		op.count(stats.Replication)
+		e.Mode[n] = memory.ModeReplica
+	} else if e.Mode[n] == memory.ModeUnmapped {
+		e.Mode[n] = memory.ModeCCNUMA
+	}
+	op.now = m.fabric.Traverse(e.Home, n, msgHeaderBytes, op.now)
+	m.traffic(n, 2*msgHeaderBytes, op.now) // request + reply
+	if copied {
+		op.charge(m.tm.CopyCost(config.BlocksPerPage))
+		op.note(telemetry.EvFaultCopy, p)
+	}
+	op.finish()
+}
+
 // writebackRemote sends a dirty block home asynchronously at the given
 // event time: the CPU does not wait, but the NIs, the fabric links and
 // the home controller are occupied and the directory is updated. now
@@ -119,8 +147,5 @@ func (m *Machine) writebackRemote(n, h int, b memory.Block, now int64) {
 	t = m.fabric.Traverse(n, h, msgBlockBytes, t)
 	m.home[h].Acquire(t, m.tm.HomeOccupancy)
 	m.dir.WriteBack(b, n)
-	m.st.Nodes[n].TrafficBytes += msgBlockBytes
-	if tl := m.tel; tl != nil {
-		tl.Traffic(n, msgBlockBytes, now)
-	}
+	m.traffic(n, msgBlockBytes, now)
 }

@@ -132,15 +132,15 @@ func TestPaperShapeHolds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cc, err := Run(tr, CCNUMA(), cl, tm, th)
+		cc, err := RunWithOptions(tr, CCNUMA(), cl, tm, th, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rn, err := Run(tr, RNUMA(), cl, tm, th)
+		rn, err := RunWithOptions(tr, RNUMA(), cl, tm, th, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mr, err := Run(tr, MigRep(), cl, tm, th)
+		mr, err := RunWithOptions(tr, MigRep(), cl, tm, th, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,10 +174,10 @@ func TestNetworkScalingHurtsCCNUMAMost(t *testing.T) {
 		t.Fatal(err)
 	}
 	slowNet := config.Default().ScaleNetwork(4)
-	ccBase, _ := Run(tr, CCNUMA(), cl, config.Default(), th)
-	cc4x, _ := Run(tr, CCNUMA(), cl, slowNet, th)
-	rnBase, _ := Run(tr, RNUMA(), cl, config.Default(), th)
-	rn4x, _ := Run(tr, RNUMA(), cl, slowNet, th)
+	ccBase, _ := RunWithOptions(tr, CCNUMA(), cl, config.Default(), th, RunOptions{})
+	cc4x, _ := RunWithOptions(tr, CCNUMA(), cl, slowNet, th, RunOptions{})
+	rnBase, _ := RunWithOptions(tr, RNUMA(), cl, config.Default(), th, RunOptions{})
+	rn4x, _ := RunWithOptions(tr, RNUMA(), cl, slowNet, th, RunOptions{})
 	ccGrowth := float64(cc4x.ExecCycles) / float64(ccBase.ExecCycles)
 	rnGrowth := float64(rn4x.ExecCycles) / float64(rnBase.ExecCycles)
 	if ccGrowth <= 1.0 {

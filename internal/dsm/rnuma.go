@@ -109,18 +109,9 @@ func (m *Machine) flushFrame(op *pageOp, n int, fr *cache.PageEntry) (flushed in
 		}
 		b := b0 + memory.Block(i)
 		flushed++
-		dirty := fr.Dirty&bit != 0
 		// Inclusion of the frame over the L1s: purge processor copies.
-		if m.l1count[n][b] > 0 {
-			lo, hi := m.cpusOf(n)
-			for c := lo; c < hi; c++ {
-				if present, d := m.l1[c].Invalidate(b); present {
-					m.l1count[n][b]--
-					dirty = dirty || d
-				}
-			}
-		}
-		if dirty {
+		_, dirty := m.purgeL1s(n, b, -1)
+		if fr.Dirty&bit != 0 || dirty {
 			m.writebackRemote(n, e.Home, b, op.now)
 		} else {
 			m.dir.DropSharer(b, n)

@@ -12,7 +12,7 @@ import (
 	"repro/internal/trace"
 )
 
-// RunOptions configures a Run beyond the machine parameters.
+// RunOptions configures a run beyond the machine parameters.
 type RunOptions struct {
 	// Audit enables the machine's self-auditing mode: event-time
 	// discipline is enforced while the trace executes and the
@@ -28,12 +28,6 @@ type RunOptions struct {
 	Telemetry *telemetry.Collector
 }
 
-// Run executes a trace on a freshly built machine and returns the
-// collected statistics.
-func Run(tr *trace.Trace, spec Spec, cl config.Cluster, tm config.Timing, th config.Thresholds) (*stats.Sim, error) {
-	return RunWithOptions(tr, spec, cl, tm, th, RunOptions{})
-}
-
 // RunBaseline runs tr on the normalization baseline: perfect CC-NUMA
 // under the base timing model and the default thresholds, on cl with
 // its fabric reset to the ideal crossbar. Every normalized time is a
@@ -44,7 +38,8 @@ func RunBaseline(tr *trace.Trace, cl config.Cluster, o RunOptions) (*stats.Sim, 
 	return RunWithOptions(tr, PerfectCCNUMA(), cl, config.Default(), config.DefaultThresholds(), o)
 }
 
-// RunWithOptions is Run with explicit RunOptions.
+// RunWithOptions executes a trace on a freshly built machine with the
+// given options and returns the collected statistics.
 func RunWithOptions(tr *trace.Trace, spec Spec, cl config.Cluster, tm config.Timing, th config.Thresholds, o RunOptions) (*stats.Sim, error) {
 	m, err := NewMachine(spec, cl, tm, th, tr.Footprint, tr.Name)
 	if err != nil {
@@ -244,10 +239,7 @@ func (m *Machine) chargeLock(c *engine.CPU, id uint64, requested int64) {
 		// fabrics the transfer pays the extra hops like any other
 		// remote transaction.
 		lat = m.tm.RemoteMiss + m.forwardExtra(n, last)
-		ns.TrafficBytes += msgHeaderBytes + msgBlockBytes
-		if tl := m.tel; tl != nil {
-			tl.Traffic(n, msgHeaderBytes+msgBlockBytes, c.Clock)
-		}
+		m.traffic(n, msgHeaderBytes+msgBlockBytes, c.Clock)
 		m.fabric.Deliver(n, last, msgHeaderBytes, c.Clock)
 		m.fabric.Deliver(last, n, msgBlockBytes, c.Clock+m.wireLatency(n, last))
 	}

@@ -106,11 +106,11 @@ func TestDeterministicReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, spec := range []Spec{CCNUMA(), MigRep(), RNUMA()} {
-		a, err := Run(tr, spec, config.DefaultCluster(), config.Default(), config.DefaultThresholds())
+		a, err := RunWithOptions(tr, spec, config.DefaultCluster(), config.Default(), config.DefaultThresholds(), RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Run(tr, spec, config.DefaultCluster(), config.Default(), config.DefaultThresholds())
+		b, err := RunWithOptions(tr, spec, config.DefaultCluster(), config.Default(), config.DefaultThresholds(), RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,9 +27,13 @@
 // traffic counters and, on multi-hop or bandwidth-limited fabrics, hop
 // latency and link queuing.
 //
-// Page operations run through a small pageop layer that carries each
-// operation's explicit event time, so their cost, traffic and
-// serialization accounting cannot drift apart; a machine in audit mode
+// Page operations — soft page faults included — run through a small
+// pageop layer that carries each operation's explicit event time, so
+// their cost, traffic and serialization accounting cannot drift apart.
+// Each counter the telemetry collector mirrors has one charging
+// function that also charges the collector at the event's time:
+// Machine.traffic for TrafficBytes, Machine.miss for the miss counts,
+// pageOp.count for the page-op counts. A machine in audit mode
 // (EnableAudit, or RunOptions.Audit) checks event-time discipline as it
 // runs and the internal/audit conservation checks afterwards.
 //

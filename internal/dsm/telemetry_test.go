@@ -12,17 +12,21 @@ import (
 	"repro/internal/trace"
 )
 
-// telemetryWorkloads are the (trace, spec, fabric) combinations the
-// telemetry integration tests run: together they exercise every hook —
-// migrations, replications/grants/collapses, relocations and frame
-// flushes, soft-fault copies, lock traffic — on both the crossbar and a
-// multi-hop fabric.
-func telemetryWorkloads(t *testing.T) []struct {
+// telemetryWorkload is one (trace, spec, fabric) combination the
+// telemetry integration tests run.
+type telemetryWorkload struct {
 	name string
 	tr   *trace.Trace
 	spec Spec
 	net  config.Network
-} {
+}
+
+// telemetryWorkloads are the combinations the telemetry integration
+// tests run: together they exercise every hook — migrations,
+// replications/grants/collapses, relocations and frame flushes,
+// soft-fault copies, lock traffic — under every registered system, on
+// the crossbar and on each multi-hop fabric.
+func telemetryWorkloads(t *testing.T) []telemetryWorkload {
 	t.Helper()
 	traces := map[string]*trace.Trace{}
 	gen := func(name string) *trace.Trace {
@@ -40,19 +44,20 @@ func telemetryWorkloads(t *testing.T) []struct {
 		traces[name] = tr
 		return tr
 	}
-	return []struct {
-		name string
-		tr   *trace.Trace
-		spec Spec
-		net  config.Network
-	}{
-		{"migratory/migrep", gen("migratory"), MigRep(), config.Network{}},
+	ws := []telemetryWorkload{
 		{"ocean/migrep", gen("ocean"), MigRep(), config.Network{}},
 		{"ocean/rnuma", gen("ocean"), RNUMA(), config.Network{}},
 		{"lu/scoma", gen("lu"), SCOMA(), config.Network{}},
 		{"migratory/migrep@ring", gen("migratory"), MigRep(), config.Network{Topology: config.TopoRing}},
+		{"migratory/migrep@mesh", gen("migratory"), MigRep(), config.Network{Topology: config.TopoMesh}},
+		{"ocean/migrep@fattree", gen("ocean"), MigRep(), config.Network{Topology: config.TopoFatTree}},
 		{"radix/rnuma", gen("radix"), RNUMA(), config.Network{}},
 	}
+	for _, sys := range Systems() {
+		ws = append(ws, telemetryWorkload{"migratory/" + sys.Name, gen("migratory"),
+			sys.New(config.DefaultThresholds()), config.Network{}})
+	}
+	return ws
 }
 
 // runWithTelemetry executes a trace with a collector attached and

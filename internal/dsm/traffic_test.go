@@ -32,7 +32,7 @@ func TestLocalWorkloadGeneratesNoTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := Run(tr, CCNUMA(), config.DefaultCluster(), config.Default(), config.DefaultThresholds())
+	sim, err := RunWithOptions(tr, CCNUMA(), config.DefaultCluster(), config.Default(), config.DefaultThresholds(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestRNUMATrafficLowerOnReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := Run(tr, CCNUMA(), config.DefaultCluster(), config.Default(), config.DefaultThresholds())
+	cc, err := RunWithOptions(tr, CCNUMA(), config.DefaultCluster(), config.Default(), config.DefaultThresholds(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rn, err := Run(tr, RNUMA(), config.DefaultCluster(), config.Default(), config.DefaultThresholds())
+	rn, err := RunWithOptions(tr, RNUMA(), config.DefaultCluster(), config.Default(), config.DefaultThresholds(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestStallAndSyncCyclesPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := Run(tr, CCNUMA(), config.DefaultCluster(), config.Default(), config.DefaultThresholds())
+	sim, err := RunWithOptions(tr, CCNUMA(), config.DefaultCluster(), config.Default(), config.DefaultThresholds(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

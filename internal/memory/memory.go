@@ -1,8 +1,9 @@
 // Package memory models the global shared address space of the DSM
 // cluster: a bump allocator applications allocate shared data from, and a
 // page table that tracks, for every page, its home node, its caching mode
-// on every node, replication state, and the poison bits used by lazy TLB
-// invalidation during page gathering.
+// on every node and its replication state. Lazy TLB invalidation is not
+// modelled here: the protocol layer keeps each node's mappings and drops
+// them when a page moves, so the node's next touch faults.
 package memory
 
 import (
@@ -140,10 +141,6 @@ type PageInfo struct {
 	// Replicated marks the page as read-only replicated; writes fault.
 	Replicated bool
 
-	// Poisoned marks blocks as poisoned during a page gather, forcing
-	// lazy TLB invalidation on next access. Bit i covers block i.
-	Poisoned uint64
-
 	// Mode is the per-node caching mode.
 	Mode []PageMode
 
@@ -226,24 +223,4 @@ func (pt *PageTable) SetHome(p Page, node int) {
 	}
 	e.Home = node
 	e.Mode[node] = ModeHome
-}
-
-// PoisonAll sets the poison bit for every block of the page.
-func (pt *PageTable) PoisonAll(p Page) {
-	pt.Entry(p).Poisoned = ^uint64(0) >> (64 - config.BlocksPerPage)
-}
-
-// ClearPoison clears all poison bits of the page.
-func (pt *PageTable) ClearPoison(p Page) { pt.Entry(p).Poisoned = 0 }
-
-// IsPoisoned reports whether the page's block with the given intra-page
-// index is poisoned.
-func (pt *PageTable) IsPoisoned(p Page, blockIndex int) bool {
-	return pt.Entry(p).Poisoned&(1<<uint(blockIndex)) != 0
-}
-
-// Unpoison clears the poison bit of a single block (lazy invalidation
-// completed on it).
-func (pt *PageTable) Unpoison(p Page, blockIndex int) {
-	pt.Entry(p).Poisoned &^= 1 << uint(blockIndex)
 }

@@ -123,29 +123,6 @@ func TestSetHome(t *testing.T) {
 	}
 }
 
-func TestPoisonBits(t *testing.T) {
-	pt := NewPageTable(2)
-	pt.PoisonAll(7)
-	for i := 0; i < config.BlocksPerPage; i++ {
-		if !pt.IsPoisoned(7, i) {
-			t.Fatalf("block %d not poisoned", i)
-		}
-	}
-	pt.Unpoison(7, 10)
-	if pt.IsPoisoned(7, 10) {
-		t.Error("block 10 still poisoned")
-	}
-	if !pt.IsPoisoned(7, 11) {
-		t.Error("block 11 lost its poison bit")
-	}
-	pt.ClearPoison(7)
-	for i := 0; i < config.BlocksPerPage; i++ {
-		if pt.IsPoisoned(7, i) {
-			t.Fatalf("block %d poisoned after clear", i)
-		}
-	}
-}
-
 func TestPageTableGrowsLazily(t *testing.T) {
 	pt := NewPageTable(2)
 	if pt.NumPages() != 0 {
