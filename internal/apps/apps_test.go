@@ -86,8 +86,8 @@ func TestAllTracesHavePhaseMarker(t *testing.T) {
 	for name, tr := range generateAll(t, 8) {
 		for cpu, ops := range tr.CPUs {
 			found := false
-			for _, k := range ops.Kinds {
-				if k == trace.Phase {
+			for _, h := range ops.Heads {
+				if trace.Kind(h&(1<<trace.KindBits-1)) == trace.Phase {
 					found = true
 					break
 				}
@@ -156,8 +156,8 @@ func TestMostCPUsDoWork(t *testing.T) {
 	for name, tr := range generateAll(t, 4) {
 		active := 0
 		for _, ops := range tr.CPUs {
-			for _, k := range ops.Kinds {
-				if k == trace.Read || k == trace.Write {
+			for _, h := range ops.Heads {
+				if k := trace.Kind(h & (1<<trace.KindBits - 1)); k == trace.Read || k == trace.Write {
 					active++
 					break
 				}

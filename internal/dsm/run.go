@@ -71,11 +71,11 @@ func RunWithOptions(tr *trace.Trace, spec Spec, cl config.Cluster, tm config.Tim
 // always surfaces the unique (Clock, ID) minimum.
 //
 // Replay reads each CPU's trace columns through one trace.Cursor per
-// CPU: a byte-wide kind steers the dispatch switch, a byte-wide gap
-// (escaping to the stream's few 32-bit gaps) advances the clock, and a
-// 16-bit arg (escaping to 32-bit args the same way) names the block or
-// sync id — 4 B of trace per op, instead of striding an array of padded
-// Op structs.
+// CPU: a head byte packs the kind that steers the dispatch switch with
+// the gap that advances the clock (escaping to the stream's few 32-bit
+// values), and a 16-bit arg (escaping to the same 32-bit column) names
+// the block or sync id — 3 B of trace per op, instead of striding an
+// array of padded Op structs.
 func (m *Machine) Execute(tr *trace.Trace) error {
 	if tr.NumCPUs() != m.cl.TotalCPUs() {
 		return fmt.Errorf("dsm: trace has %d cpus, machine has %d", tr.NumCPUs(), m.cl.TotalCPUs())

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -168,5 +169,39 @@ func TestTopoSweepWithContention(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "MigRep-Cont@ring") {
 		t.Error("sweep report missing the contention system on the ring")
+	}
+}
+
+// TestRNUMAFrameEviction runs R-NUMA's page-cache eviction end to end:
+// radix at scale 4 overflows the half-size page cache, so R-NUMA-1/2
+// replaces frames (evicting and flushing them) where full-size R-NUMA
+// never does. At scale 8 every R-NUMA size reads the same, so no
+// golden there covers eviction. The counts and cycles are pinned at
+// seed 0, audit on.
+func TestRNUMAFrameEviction(t *testing.T) {
+	o := Options{Scale: 4, Apps: []string{"radix"}, Systems: []string{"rnuma", "rnuma-half"},
+		Parallel: 2, Audit: true, Out: io.Discard}
+	r, err := RunByName("fig5", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]struct{ replacements, execCycles int64 }{
+		"R-NUMA":     {0, 56_001_997},
+		"R-NUMA-1/2": {1133, 59_319_817},
+	}
+	recs := r.Records()
+	if len(recs) != len(want) {
+		t.Fatalf("%d records, want %d", len(recs), len(want))
+	}
+	for _, rec := range recs {
+		w, ok := want[rec.Label]
+		if !ok {
+			t.Errorf("unexpected record %q", rec.Label)
+			continue
+		}
+		if rec.Replacements != w.replacements || rec.ExecCycles != w.execCycles {
+			t.Errorf("%s: %d replacements in %d cycles, want %d in %d",
+				rec.Label, rec.Replacements, rec.ExecCycles, w.replacements, w.execCycles)
+		}
 	}
 }

@@ -291,6 +291,13 @@ func (s *Server) Answer(ctx context.Context, q harness.Query) ([]byte, Source, e
 			return nil, SourceCoalesced, ctx.Err()
 		}
 	}
+	// A flight that completed between the probe above and the lock has
+	// already landed its result in the cache.
+	if body, ok := s.cache.get(key); ok {
+		s.mu.Unlock()
+		s.hits.Add(1)
+		return body, SourceHit, nil
+	}
 	fl := &flight{done: make(chan struct{})}
 	s.flights[key] = fl
 	s.mu.Unlock()

@@ -1,7 +1,6 @@
 package store_test
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/apps"
@@ -36,11 +35,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add(store.Reseal([]byte("DTRC\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01xxxx")))
 	// An arg delta that leaves uint32 must be rejected, not truncated.
 	f.Add(wideArgFile())
-	// Args on both sides of the 16-bit escape.
+	// Args on both sides of the 16-bit escape, gaps on both sides of
+	// the 5-bit one, and an op whose gap and arg both escape.
 	f.Add(store.Encode(&trace.Trace{Name: "escaped-args", CPUs: []trace.Stream{trace.StreamOf(
-		trace.Op{Kind: trace.Read, Arg: 65534},
+		trace.Op{Kind: trace.Read, Gap: 30, Arg: 65534},
 		trace.Op{Kind: trace.Write, Arg: 65535},
-		trace.Op{Kind: trace.Read, Arg: 65536},
+		trace.Op{Kind: trace.Read, Gap: 31, Arg: 65536},
 		trace.Op{Kind: trace.Read, Arg: 1<<32 - 1},
 	)}}))
 
@@ -57,29 +57,27 @@ func FuzzDecode(f *testing.F) {
 				continue
 			}
 			// A successful decode must be internally consistent: equal
-			// column lengths, one big gap per gap escape, one big arg per
-			// arg escape, in-range kinds.
+			// column lengths, one wide per gap escape and per arg escape,
+			// in-range kinds.
 			for cpu := range tr.CPUs {
 				s := &tr.CPUs[cpu]
-				if len(s.Kinds) != len(s.Gaps) || len(s.Kinds) != len(s.Args) {
-					t.Fatalf("cpu %d: ragged columns %d/%d/%d", cpu, len(s.Kinds), len(s.Gaps), len(s.Args))
+				if len(s.Heads) != len(s.Args) {
+					t.Fatalf("cpu %d: ragged columns %d/%d", cpu, len(s.Heads), len(s.Args))
 				}
-				if n := bytes.Count(s.Gaps, []byte{trace.GapEscape}); n != len(s.BigGaps) {
-					t.Fatalf("cpu %d: %d escapes but %d big gaps", cpu, n, len(s.BigGaps))
-				}
-				escapes := 0
-				for _, a := range s.Args {
-					if a == trace.ArgEscape {
-						escapes++
+				gapEscapes, argEscapes := 0, 0
+				for i, h := range s.Heads {
+					if h>>trace.KindBits == trace.GapEscape {
+						gapEscapes++
 					}
-				}
-				if escapes != len(s.BigArgs) {
-					t.Fatalf("cpu %d: %d arg escapes but %d big args", cpu, escapes, len(s.BigArgs))
-				}
-				for _, k := range s.Kinds {
-					if int(k) >= trace.KindCount {
+					if s.Args[i] == trace.ArgEscape {
+						argEscapes++
+					}
+					if k := h & (1<<trace.KindBits - 1); int(k) >= trace.KindCount {
 						t.Fatalf("cpu %d: out-of-range kind %d survived decode", cpu, k)
 					}
+				}
+				if gapEscapes+argEscapes != len(s.Wides) {
+					t.Fatalf("cpu %d: %d gap and %d arg escapes but %d wides", cpu, gapEscapes, argEscapes, len(s.Wides))
 				}
 			}
 			// And re-encoding a decoded trace must round-trip exactly.

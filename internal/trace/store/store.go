@@ -26,12 +26,13 @@
 // Each per-CPU section serializes the stream's three logical columns in
 // turn: the kind column raw (one byte per op), every op's full gap as
 // an unsigned varint, and every op's full arg as a zigzag varint of the
-// delta from the previous arg. The in-memory escapes to BigGaps and
-// BigArgs are resolved, so the bytes do not depend on them. Block
-// numbers and sync ids are locally sequential, so deltas keep most args
-// in one byte: ~4 B/op on the SPLASH traces, about as much as the
-// in-memory columns hold. The section table up front lets Decode fan
-// per-CPU sections out over goroutines.
+// delta from the previous arg. The in-memory packing of kind and gap
+// into one head byte and the escapes to Wides are resolved, so the
+// bytes do not depend on them. Block numbers and sync ids are locally
+// sequential, so deltas keep most args in one byte: ~4 B/op on the
+// SPLASH traces, a little more than the in-memory columns' 3 B/op plus
+// escapes. The section table up front lets Decode fan per-CPU sections
+// out over goroutines.
 //
 // # Versioning and invalidation
 //
@@ -184,8 +185,8 @@ func Encode(tr *trace.Trace) []byte {
 // cursor, which resolves their escapes.
 func encodeSection(s *trace.Stream) []byte {
 	out := make([]byte, 0, 4*s.Len())
-	for _, k := range s.Kinds {
-		out = append(out, byte(k))
+	for _, h := range s.Heads {
+		out = append(out, h&(1<<trace.KindBits-1))
 	}
 	for c := s.Cursor(); ; {
 		op, ok := c.Next()
@@ -314,32 +315,32 @@ func Decode(data []byte) (*trace.Trace, error) {
 }
 
 // decodeSection parses one stream's columns from its section bytes,
-// filling the in-memory columns directly: gaps of 255 and up go to
-// BigGaps and args of 65535 and up to BigArgs, each behind an escape,
-// and an arg outside 32 bits makes the section corrupt. The section
-// must be exactly consumed. The varint loops inline the one-byte fast
-// path: real traces keep most gaps under 128 cycles and most arg deltas
-// within ±63 blocks, so the common case is a single compare-and-copy
-// per value and materializing a warm trace stays far cheaper than
-// regenerating it.
+// filling the in-memory columns directly: a kind and its op's gap make
+// one head, gaps of GapEscape and up escape to Wides, args of 65535 and
+// up escape to Wides, and an arg outside 32 bits makes the section
+// corrupt. The head pass holds the escaped gaps aside; an escaped arg
+// takes its place in Wides behind every escaped gap up to its own op's,
+// so the arg pass reads no head unless an arg escapes. The section must
+// be exactly consumed. The varint loops inline the one-byte fast path:
+// real traces keep most gaps under 31 cycles and most arg deltas within
+// ±63 blocks, so the common case is a single compare-and-copy per value
+// and materializing a warm trace stays far cheaper than regenerating
+// it.
 func decodeSection(p []byte, count int) (trace.Stream, error) {
 	var s trace.Stream
 	if count > len(p) {
 		return s, errShort
 	}
-	s.Kinds = make([]trace.Kind, count)
-	for i, b := range p[:count] {
-		if int(b) >= trace.KindCount {
-			return trace.Stream{}, fmt.Errorf("store: invalid op kind %d", b)
-		}
-		s.Kinds[i] = trace.Kind(b)
-	}
+	kinds := p[:count]
 	p = p[count:]
-	s.Gaps = make([]uint8, count)
-	var big []uint32
-	for i := range s.Gaps {
-		if len(p) > 0 && p[0] < 0x80 {
-			s.Gaps[i] = p[0]
+	s.Heads = make([]uint8, count)
+	var gaps []uint32
+	for i, k := range kinds {
+		if int(k) >= trace.KindCount {
+			return trace.Stream{}, fmt.Errorf("store: invalid op kind %d", k)
+		}
+		if len(p) > 0 && p[0] < trace.GapEscape {
+			s.Heads[i] = k | p[0]<<trace.KindBits
 			p = p[1:]
 			continue
 		}
@@ -351,18 +352,16 @@ func decodeSection(p []byte, count int) (trace.Stream, error) {
 			return trace.Stream{}, fmt.Errorf("store: gap %d overflows uint32", g)
 		}
 		if g < trace.GapEscape {
-			s.Gaps[i] = uint8(g)
+			s.Heads[i] = k | uint8(g)<<trace.KindBits
 		} else {
-			s.Gaps[i] = trace.GapEscape
-			big = append(big, uint32(g))
+			s.Heads[i] = k | trace.GapEscape<<trace.KindBits
+			gaps = append(gaps, uint32(g))
 		}
 		p = p[n:]
 	}
-	// The escape columns are sized exactly: resident traces carry no
-	// append slack.
-	s.BigGaps = exact(big)
-	big = big[:0]
 	s.Args = make([]uint16, count)
+	var wides []uint32
+	placed := 0 // ops whose escaped gaps wides holds
 	var prev uint64
 	for i := range s.Args {
 		var d int64
@@ -387,15 +386,28 @@ func decodeSection(p []byte, count int) (trace.Stream, error) {
 		}
 		if prev < trace.ArgEscape {
 			s.Args[i] = uint16(prev)
-		} else {
-			s.Args[i] = trace.ArgEscape
-			big = append(big, uint32(prev))
+			continue
 		}
+		s.Args[i] = trace.ArgEscape
+		for ; placed <= i; placed++ {
+			if s.Heads[placed] >= trace.GapEscape<<trace.KindBits {
+				wides = append(wides, gaps[0])
+				gaps = gaps[1:]
+			}
+		}
+		wides = append(wides, uint32(prev))
 	}
 	if len(p) != 0 {
 		return trace.Stream{}, fmt.Errorf("store: %d trailing bytes in section", len(p))
 	}
-	s.BigArgs = exact(big)
+	// The gaps left belong to ops after the last escaped arg. Resident
+	// traces carry no append slack.
+	if wides == nil {
+		wides = gaps
+	} else {
+		wides = append(wides, gaps...)
+	}
+	s.Wides = exact(wides)
 	return s, nil
 }
 

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/config"
 	"repro/internal/trace"
 	"repro/internal/trace/store"
 )
@@ -40,8 +42,9 @@ func TestRoundTripEveryGenerator(t *testing.T) {
 }
 
 // TestRoundTripEdgeShapes covers stream shapes the generators do not
-// produce: empty traces, empty per-CPU streams, maximal gaps, and args
-// that go backwards (negative deltas).
+// produce: empty traces, empty per-CPU streams, maximal gaps, args
+// that go backwards (negative deltas), and escaped gaps before, with
+// and after escaped args, which Wides must hold in op order.
 func TestRoundTripEdgeShapes(t *testing.T) {
 	traces := []*trace.Trace{
 		{Name: "", CPUs: nil},
@@ -50,9 +53,11 @@ func TestRoundTripEdgeShapes(t *testing.T) {
 			Name: "edges",
 			CPUs: []trace.Stream{
 				trace.StreamOf(
+					trace.Op{Kind: trace.Read, Gap: 40, Arg: 3},
 					trace.Op{Kind: trace.Read, Gap: 1<<32 - 1, Arg: 1<<32 - 1},
 					trace.Op{Kind: trace.Write, Arg: 0}, // large negative delta
 					trace.Op{Kind: trace.Pad, Gap: 7},
+					trace.Op{Kind: trace.Pad, Gap: 31},
 				),
 				{},
 				trace.StreamOf(trace.Op{Kind: trace.Barrier, Arg: 9}),
@@ -70,6 +75,44 @@ func TestRoundTripEdgeShapes(t *testing.T) {
 		if !got.Equal(tr) {
 			t.Errorf("%s: round-trip not identical", tr.Name)
 		}
+	}
+}
+
+// TestDecodeAllocatesAboutTheColumns bounds what materializing a stored
+// trace allocates: the columns it returns plus the escaped gaps it
+// holds until the arg pass interleaves them into Wides. Decoding
+// through a per-op temporary, such as every gap into a []uint32 before
+// packing the heads, allocates over twice the columns and fails.
+func TestDecodeAllocatesAboutTheColumns(t *testing.T) {
+	cpus := config.DefaultCluster().TotalCPUs()
+	for _, name := range []string{"ocean", "radix", "fmm"} {
+		info, err := apps.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := info.Generate(apps.Params{CPUs: cpus, Scale: 8})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		data := store.Encode(tr)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := store.Decode(data)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		held := 0
+		for _, s := range got.CPUs {
+			held += cap(s.Heads) + 2*cap(s.Args) + 4*cap(s.Wides)
+		}
+		alloc := int(after.TotalAlloc - before.TotalAlloc)
+		ratio := float64(alloc) / float64(held)
+		if ratio > 1.5 {
+			t.Errorf("%s: decoding %d bytes of columns allocated %d bytes, %.2fx; want at most 1.5x",
+				name, held, alloc, ratio)
+		}
+		t.Logf("%s: %d bytes of columns, %d allocated (%.2fx)", name, held, alloc, ratio)
 	}
 }
 

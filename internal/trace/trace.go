@@ -13,22 +13,24 @@
 // # Columnar representation
 //
 // Each processor's stream is stored column-wise (struct of arrays), with
-// no column wider than its values need: a Stream holds Kinds ([]Kind,
-// one byte per op), Gaps ([]uint8, one byte per op), Args ([]uint16, two
-// bytes per op) and the escape columns BigGaps and BigArgs ([]uint32) —
-// 4 B/op of payload, a third of the 12 B of a padded Op row. Almost
-// every compute gap is under 255 cycles, so the gap column stores it in
-// one byte; the value 255 is an escape meaning "the gap is the next
-// entry of BigGaps", which holds the few large gaps in op order. Args
-// are block numbers and sync ids. Every paper input's block numbers fit
-// in 16 bits except radix at scales 1 and 2, so the arg column escapes
-// the same way: 65535 means "the arg is the next entry of BigArgs". An
-// arg must fit in 32 bits (the Recorder panics on one that does not).
-// Generation appends into fixed-size column chunks through the
-// Recorder, which gathers them into exact-length columns at Finish so
-// no append slack stays resident, and the on-disk format of trace/store
-// serializes each column independently so per-CPU sections encode and
-// decode in parallel.
+// no column wider than its values need: a Stream holds Heads ([]uint8,
+// one byte per op), Args ([]uint16, two bytes per op) and the escape
+// column Wides ([]uint32) — 3 B/op of payload plus 4 B per escaped
+// value, a quarter of the 12 B of a padded Op row. A head packs the
+// op's kind into its low 3 bits and its compute gap into the high 5.
+// Almost every gap the generators leave is under 31 cycles, so the gap
+// field holds it directly; the field value 31 is an escape meaning "the
+// gap is the next entry of Wides". Args are block numbers and sync ids.
+// Every paper input's block numbers fit in 16 bits except radix at
+// scales 1 and 2, so the arg column escapes into the same column: 65535
+// means "the arg is the next entry of Wides". Wides holds the escaped
+// values in op order, an op's gap before its arg. An arg must fit in 32
+// bits (the Recorder panics on one that does not). Generation appends
+// into fixed-size column chunks through the Recorder, which gathers
+// them into exact-length columns at Finish so no append slack stays
+// resident, and the on-disk format of trace/store serializes the
+// logical kind, gap and arg columns independently so per-CPU sections
+// encode and decode in parallel.
 //
 // Cursor is the one sequential reader: replay, validation, comparison
 // and encoding all walk a stream through it, and it alone resolves the
@@ -99,24 +101,27 @@ type Op struct {
 	Arg  uint32
 }
 
-// GapEscape in the Gaps column means the op's gap did not fit in a byte:
-// it is the next unread entry of BigGaps.
-const GapEscape = 1<<8 - 1
+// KindBits is the width of the kind field in the low bits of a head
+// byte; the gap field takes the rest.
+const KindBits = 3
+
+// GapEscape in a head's gap field means the op's gap did not fit in 5
+// bits: it is the next unread entry of Wides.
+const GapEscape = 1<<(8-KindBits) - 1
 
 // ArgEscape in the Args column means the op's arg did not fit in 16
-// bits: it is the next unread entry of BigArgs.
+// bits: it is the next unread entry of Wides.
 const ArgEscape = 1<<16 - 1
 
-// Stream is one processor's op sequence in columnar form. Kinds, Gaps
-// and Args always have equal length, and index i across them is op i;
-// BigGaps holds one entry per GapEscape in Gaps and BigArgs one entry
-// per ArgEscape in Args, each in op order.
+// Stream is one processor's op sequence in columnar form. Heads and
+// Args always have equal length, and index i across them is op i. Head
+// i holds op i's kind in its low KindBits bits and its gap, or
+// GapEscape, above them. Wides holds one entry per GapEscape in Heads
+// and per ArgEscape in Args, in op order, an op's gap before its arg.
 type Stream struct {
-	Kinds   []Kind
-	Gaps    []uint8
-	BigGaps []uint32
-	Args    []uint16
-	BigArgs []uint32
+	Heads []uint8
+	Args  []uint16
+	Wides []uint32
 }
 
 // StreamOf builds a stream from rows (test and hand-built-trace helper).
@@ -129,22 +134,24 @@ func StreamOf(ops ...Op) Stream {
 }
 
 // Len returns the op count.
-func (s Stream) Len() int { return len(s.Kinds) }
+func (s Stream) Len() int { return len(s.Heads) }
 
-// Append scatters one row onto the columns.
+// Append scatters one row onto the columns. The kind must be valid: it
+// shares the head byte with the gap.
 func (s *Stream) Append(op Op) {
-	s.Kinds = append(s.Kinds, op.Kind)
+	h := uint8(op.Kind)
 	if op.Gap < GapEscape {
-		s.Gaps = append(s.Gaps, uint8(op.Gap))
+		h |= uint8(op.Gap) << KindBits
 	} else {
-		s.Gaps = append(s.Gaps, GapEscape)
-		s.BigGaps = append(s.BigGaps, op.Gap)
+		h |= GapEscape << KindBits
+		s.Wides = append(s.Wides, op.Gap)
 	}
+	s.Heads = append(s.Heads, h)
 	if op.Arg < ArgEscape {
 		s.Args = append(s.Args, uint16(op.Arg))
 	} else {
 		s.Args = append(s.Args, ArgEscape)
-		s.BigArgs = append(s.BigArgs, op.Arg)
+		s.Wides = append(s.Wides, op.Arg)
 	}
 }
 
@@ -180,30 +187,24 @@ func (s Stream) Equal(o Stream) bool {
 }
 
 // check reports a stream whose columns disagree: ragged lengths, or an
-// escape count that does not match BigGaps or BigArgs. Cursor relies on
-// all three.
+// escape count that does not match Wides. Cursor relies on both.
 func (s Stream) check() error {
-	if len(s.Gaps) != len(s.Kinds) || len(s.Args) != len(s.Kinds) {
-		return fmt.Errorf("ragged columns: %d kinds, %d gaps, %d args", len(s.Kinds), len(s.Gaps), len(s.Args))
+	if len(s.Args) != len(s.Heads) {
+		return fmt.Errorf("ragged columns: %d heads, %d args", len(s.Heads), len(s.Args))
 	}
-	if n := count(s.Gaps, GapEscape); n != len(s.BigGaps) {
-		return fmt.Errorf("%d escaped gaps but %d big gaps", n, len(s.BigGaps))
-	}
-	if n := count(s.Args, ArgEscape); n != len(s.BigArgs) {
-		return fmt.Errorf("%d escaped args but %d big args", n, len(s.BigArgs))
-	}
-	return nil
-}
-
-// count returns how many entries of col equal v.
-func count[T comparable](col []T, v T) int {
 	n := 0
-	for _, x := range col {
-		if x == v {
+	for i, h := range s.Heads {
+		if h>>KindBits == GapEscape {
+			n++
+		}
+		if s.Args[i] == ArgEscape {
 			n++
 		}
 	}
-	return n
+	if n != len(s.Wides) {
+		return fmt.Errorf("%d escaped gaps and args but %d wides", n, len(s.Wides))
+	}
+	return nil
 }
 
 // Cursor iterates a stream row by row, resolving gap and arg escapes.
@@ -215,40 +216,39 @@ type Cursor struct {
 	// The columns are fields of their own, not a Stream: indexing
 	// through a nested struct costs Next enough inlining budget that a
 	// second escape branch would push it over.
-	kinds   []Kind
-	gaps    []uint8
-	args    []uint16
-	bigGaps []uint32
-	bigArgs []uint32
-	i       int // next op
-	gi      int // next BigGaps entry
-	ai      int // next BigArgs entry
+	heads []uint8
+	args  []uint16
+	wides []uint32
+	i     int // next op
+	w     int // next Wides entry
 }
 
 // Cursor returns an iterator positioned before the first op.
 func (s Stream) Cursor() Cursor {
-	return Cursor{kinds: s.Kinds, gaps: s.Gaps, args: s.Args, bigGaps: s.BigGaps, bigArgs: s.BigArgs}
+	return Cursor{heads: s.Heads, args: s.Args, wides: s.Wides}
 }
 
-// Next returns the next op, or ok=false past the end. The row is built
-// once from the narrow columns and its escapes patched in place rather
-// than through a helper call: a call that is not itself inlined costs
-// more than Go's whole inlining budget, and each branch is two
-// instructions on a path few ops take.
+// Next returns the next op, or ok=false past the end. Every step is
+// shaped by the inlining budget (cost 79 of 80): past the end the bare
+// return yields the still-zero results, the head and arg are loaded once
+// and their raw values tested for the escapes, and the escapes are
+// patched in place rather than through a helper call, since a call that
+// is not itself inlined costs more than the whole budget and each
+// branch is two instructions on a path few ops take.
 func (c *Cursor) Next() (op Op, ok bool) {
-	i := c.i
-	if i >= len(c.kinds) {
-		return Op{}, false
+	if c.i >= len(c.heads) {
+		return
 	}
-	c.i = i + 1
-	op = Op{Kind: c.kinds[i], Gap: uint32(c.gaps[i]), Arg: uint32(c.args[i])}
-	if op.Gap == GapEscape {
-		op.Gap = c.bigGaps[c.gi]
-		c.gi++
+	h, a := c.heads[c.i], c.args[c.i]
+	c.i++
+	op = Op{Kind: Kind(h & (1<<KindBits - 1)), Gap: uint32(h >> KindBits), Arg: uint32(a)}
+	if h >= GapEscape<<KindBits {
+		op.Gap = c.wides[c.w]
+		c.w++
 	}
-	if op.Arg == ArgEscape {
-		op.Arg = c.bigArgs[c.ai]
-		c.ai++
+	if a == ArgEscape {
+		op.Arg = c.wides[c.w]
+		c.w++
 	}
 	return op, true
 }
@@ -378,13 +378,20 @@ func (t *Trace) validateStream(cpu int) ([]uint32, error) {
 // number at or above 2^32 (a shared address space beyond 256 GiB), or a
 // negative or oversized sync id, panics with a message naming the op
 // and the value.
+//
+// A Recorder's size is a whole number of 64-byte cache lines, so the
+// recorders a World's generators write concurrently share none;
+// TestRecorderFillsWholeCacheLines holds it there and records why.
 type Recorder struct {
 	// The stream grows in chunks, not by reslicing one set of columns:
 	// append's 1.25x growth on large slices leaves about five times the
 	// finished stream behind as garbage, which set the heap's high-water
-	// mark wherever a collection happened to catch it. done holds the
-	// filled chunks in op order and cur the one being filled; Finish
-	// gathers them into exact-length columns.
+	// mark wherever a collection happened to catch it. cur holds the
+	// chunks being filled and done the filled ones in the order they
+	// filled. The head and arg chunks fill together and Wides on its
+	// own, since how many ops escape varies from none to most, so each
+	// entry of done retires either Heads and Args or Wides; Finish
+	// gathers each column over the entries into an exact-length one.
 	done []Stream
 	cur  Stream
 
@@ -395,40 +402,57 @@ type Recorder struct {
 	// since it elapses after the run's fetch.
 	runGap uint64
 
-	runValid bool
+	// Apart, each flag would pad to a word of its own.
 	runBlock memory.Block
+	runValid bool
 	runWrite bool
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Chunk capacities in ops: a recorder's first chunk holds
-// firstChunkOps, and each later one twice its predecessor up to
-// maxChunkOps (16 KiB of columns), so short streams stay small and long
-// ones add one fixed-size chunk at a time.
+// Chunk capacities in entries: a recorder's first chunk of a column
+// holds firstChunkOps, and each later one twice its predecessor up to
+// maxChunkOps (12 KiB of heads and args, 16 KiB of wides), so short
+// streams stay small and long ones add one fixed-size chunk at a time.
 const (
 	firstChunkOps = 256
 	maxChunkOps   = 4096
 )
 
-// push appends one row to the current chunk, starting a new chunk when
-// it is full.
+// push appends one row to the current chunks, starting a new one for
+// each that is full: Heads and Args take one entry, and Wides up to
+// two when the row escapes.
 func (r *Recorder) push(op Op) {
-	if len(r.cur.Kinds) == cap(r.cur.Kinds) {
-		r.nextChunk()
+	if len(r.cur.Heads) == cap(r.cur.Heads) {
+		r.nextOpChunk()
+	}
+	if cap(r.cur.Wides)-len(r.cur.Wides) < 2 && (op.Gap >= GapEscape || op.Arg >= ArgEscape) {
+		r.nextWideChunk()
 	}
 	r.cur.Append(op)
 }
 
-// nextChunk retires the full current chunk and starts an empty one.
-func (r *Recorder) nextChunk() {
+// nextOpChunk retires the full head and arg chunks and starts empty
+// ones.
+func (r *Recorder) nextOpChunk() {
 	n := firstChunkOps
-	if c := cap(r.cur.Kinds); c > 0 {
-		r.done = append(r.done, r.cur)
+	if c := cap(r.cur.Heads); c > 0 {
+		r.done = append(r.done, Stream{Heads: r.cur.Heads, Args: r.cur.Args})
 		n = min(2*c, maxChunkOps)
 	}
-	r.cur = Stream{Kinds: make([]Kind, 0, n), Gaps: make([]uint8, 0, n), Args: make([]uint16, 0, n)}
+	r.cur.Heads, r.cur.Args = make([]uint8, 0, n), make([]uint16, 0, n)
+}
+
+// nextWideChunk retires the wide chunk, which has no room for a row's
+// two escapes, and starts an empty one.
+func (r *Recorder) nextWideChunk() {
+	n := firstChunkOps
+	if c := cap(r.cur.Wides); c > 0 {
+		r.done = append(r.done, Stream{Wides: r.cur.Wides})
+		n = min(2*c, maxChunkOps)
+	}
+	r.cur.Wides = make([]uint32, 0, n)
 }
 
 // gather concatenates one column of the chunks into a slice of exactly
@@ -551,11 +575,9 @@ func (r *Recorder) Finish() Stream {
 	}
 	chunks := append(r.done, r.cur)
 	s := Stream{
-		Kinds:   gather(chunks, func(c *Stream) []Kind { return c.Kinds }),
-		Gaps:    gather(chunks, func(c *Stream) []uint8 { return c.Gaps }),
-		BigGaps: gather(chunks, func(c *Stream) []uint32 { return c.BigGaps }),
-		Args:    gather(chunks, func(c *Stream) []uint16 { return c.Args }),
-		BigArgs: gather(chunks, func(c *Stream) []uint32 { return c.BigArgs }),
+		Heads: gather(chunks, func(c *Stream) []uint8 { return c.Heads }),
+		Args:  gather(chunks, func(c *Stream) []uint16 { return c.Args }),
+		Wides: gather(chunks, func(c *Stream) []uint32 { return c.Wides }),
 	}
 	// Drop the chunks: the recorder may outlive the call (a World keeps
 	// its recorders) and must not pin them.
