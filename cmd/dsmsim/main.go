@@ -15,13 +15,15 @@
 // since.
 //
 // dsmsim is a client of internal/harness, as cmd/experiments is: both
-// declare their shared flags with harness.NewFlags, fetch traces from a
+// declare their shared flags with harness.NewFlags, run on the harness
+// executor (here harness.RunSystems) with traces from a
 // harness.TraceCache over the optional -tracestore store, and write
 // -telemetry artifacts with Result.WriteTelemetry, here as
 // dsmsim_<app>_<system>.* per system plus dsmsim.manifest.json.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -33,8 +35,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/dsm"
 	"repro/internal/harness"
-	"repro/internal/stats"
-	"repro/internal/telemetry"
 )
 
 // main delegates to run, which parses its flags into the given set and
@@ -83,7 +83,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		tm, th = config.Slow(), config.SlowThresholds()
 	}
 	tm = tm.ScaleNetwork(*netScale)
-	cl := config.DefaultCluster()
 
 	app, err := apps.ByName(*appName)
 	if err != nil {
@@ -93,19 +92,22 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	if *systems != "" {
 		names = strings.Split(*systems, ",")
 	}
-	if err := harness.CheckDistinct(nil, names, nil); err != nil {
-		return err
-	}
-	specs, err := dsm.ResolveSpecs(names, th)
-	if err != nil {
-		return err
-	}
 	o, err := shared.Options(stdout)
 	if err != nil {
 		return err
 	}
+	o.Apps, o.Systems = []string{app.Name}, names
 
-	tr, ref, err := o.Traces.Trace(app, apps.Params{CPUs: cl.TotalCPUs(), Scale: o.Scale})
+	// The anchor, dsm.RunBaseline, keeps the base timing and thresholds
+	// under -slow and -netscale, like every other normalized number.
+	start := time.Now()
+	res, err := harness.RunSystems(context.Background(), "dsmsim", tm, th, *baseline, o)
+	if err != nil {
+		return err
+	}
+
+	// A cache hit: the runs fetched the trace.
+	tr, err := o.Traces.Trace(app, apps.Params{CPUs: config.DefaultCluster().TotalCPUs(), Scale: o.Scale})
 	if err != nil {
 		return err
 	}
@@ -115,46 +117,15 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "trace: %d ops, %.2f MB shared footprint, %d barriers, %d locks (%s)\n",
 		tr.Ops(), float64(tr.Footprint)/(1<<20), tr.Barriers, tr.Locks, src)
-
-	// The normalization baseline is system-independent: run it once.
-	// dsm.RunBaseline keeps the base timing and thresholds under -slow
-	// and -netscale, like every other normalized number.
-	var base *stats.Sim
-	if *baseline {
-		base, err = dsm.RunBaseline(tr, cl, dsm.RunOptions{Audit: o.Audit})
-		if err != nil {
-			return err
-		}
-	}
-
-	// Every run is recorded in a harness.Result, whose WriteTelemetry
-	// renders the artifacts and the manifest.
-	res := &harness.Result{Name: "dsmsim", AppOrder: []string{app.Name}, Scale: o.Scale,
-		Traces: []telemetry.TraceRef{ref}, Runs: map[string]map[string]*harness.Run{app.Name: {}}}
-	start := time.Now()
-	for _, spec := range specs {
-		ro := dsm.RunOptions{Audit: o.Audit, Telemetry: o.Telemetry.Collector()}
-		runStart := time.Now()
-		sim, err := dsm.RunWithOptions(tr, spec, cl, tm, th, ro)
-		if err != nil {
-			return err
-		}
-		if o.Progress != nil {
-			fmt.Fprintf(o.Progress, "# run %s/%s done in %.2fs\n",
-				app.Name, spec.Name, time.Since(runStart).Seconds())
-		}
-		fmt.Fprint(stdout, sim.Summary())
+	for _, label := range res.Systems {
+		run := res.Runs[app.Name][label]
+		fmt.Fprint(stdout, run.Stats.Summary())
 		if *perNode {
-			fmt.Fprint(stdout, sim.PerNodeReport())
+			fmt.Fprint(stdout, run.Stats.PerNodeReport())
 		}
-		if base != nil {
+		if run.Base != nil {
 			fmt.Fprintf(stdout, "  normalized:     %.3f vs perfect CC-NUMA (%d cycles)\n",
-				sim.Normalized(base), base.ExecCycles)
-		}
-		res.Systems = append(res.Systems, spec.Name)
-		res.Runs[app.Name][spec.Name] = &harness.Run{
-			App: app.Name, System: spec.Name, Label: spec.Name, Fabric: cl.Net.Kind(),
-			Stats: sim, Telemetry: ro.Telemetry,
+				run.Norm, run.Base.ExecCycles)
 		}
 	}
 	if o.Telemetry == nil {

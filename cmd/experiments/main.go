@@ -29,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -90,10 +91,9 @@ func main() {
 }
 
 // run parses args into fs and writes every report to stdout. It builds
-// a harness.Query from the identity flags and runs it the way
-// internal/serve does — Normalize, Validate, ExperimentNames, Options —
-// so an invalid query fails before any simulation and -json writes the
-// server's bytes.
+// a harness.Query from the identity flags and runs it through
+// harness.RunQuery, as internal/serve does, so an invalid query fails
+// before any simulation and -json writes the server's bytes.
 func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	var (
 		exp         = fs.String("experiment", "all", "experiment: "+strings.Join(harness.Experiments(), ", ")+", scalesweep (not in all), params, all")
@@ -102,7 +102,7 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		scalesFlag  = fs.String("scales", "", "comma-separated scale ladder for -experiment scalesweep (default 8,16,32,64)")
 		appsFlag    = fs.String("apps", "", "comma-separated app subset (default: the paper's seven)")
 		systemsFlag = fs.String("systems", "", "comma-separated system override from the dsm registry (see -list-systems)")
-		parallel    = fs.Int("parallel", runtime.NumCPU(), "concurrent simulations per app (0 = serial)")
+		parallel    = fs.Int("parallel", runtime.NumCPU(), "concurrent simulations per query (0 = serial)")
 		csvPath     = fs.String("csv", "", "also write machine-readable CSV rows to this file")
 		jsonPath    = fs.String("json", "", "also write the structured records as JSON to this file")
 		listSystems = fs.Bool("list-systems", false, "list the registered memory systems and exit")
@@ -175,11 +175,9 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 			q.Scales = append(q.Scales, n)
 		}
 	}
-	q = q.Normalize()
-	if err := q.Validate(); err != nil {
+	if err := q.Normalize().Validate(); err != nil {
 		return err
 	}
-	o := q.Options(base)
 
 	var csvFile *os.File
 	if *csvPath != "" {
@@ -194,18 +192,18 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		csvFile = f
 	}
 
+	start := time.Now()
+	results, err := harness.RunQuery(context.Background(), q, base)
+	if err != nil {
+		return err
+	}
+	wall := time.Since(start)
 	var records []harness.Record
-	for _, n := range q.ExperimentNames() {
-		expStart := time.Now()
-		r, err := harness.RunByName(n, o)
-		if err != nil {
-			return err
-		}
-		if o.Progress != nil {
-			fmt.Fprintf(o.Progress, "# experiment %s done in %.2fs\n", n, time.Since(expStart).Seconds())
-		}
-		if o.Telemetry != nil {
-			if err := r.WriteTelemetry(shared.Telemetry, time.Since(expStart)); err != nil {
+	for _, r := range results {
+		r.WriteText(stdout)
+		if base.Telemetry != nil {
+			// The experiments share one run list, and its wall time.
+			if err := r.WriteTelemetry(shared.Telemetry, wall); err != nil {
 				return err
 			}
 		}
@@ -228,9 +226,9 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 			return err
 		}
 	}
-	if o.Progress != nil {
-		s := o.Traces.Stats()
-		fmt.Fprintf(o.Progress, "# tracecache: %d hits, %d coalesced, %d disk hits, %d generated\n",
+	if base.Progress != nil {
+		s := base.Traces.Stats()
+		fmt.Fprintf(base.Progress, "# tracecache: %d hits, %d coalesced, %d disk hits, %d generated\n",
 			s.Hits, s.Coalesced, s.DiskHits, s.Generated)
 	}
 	return nil

@@ -30,11 +30,11 @@
 // and returns a structured Result: one Record per (application,
 // system, fabric) run with normalized time, miss and page-operation
 // breakdowns, traffic, and interconnect hot-link/bisection statistics.
-// RunByName writes each experiment's paper-style text report (locked
+// RunQuery runs each distinct simulation of a harness.Query once.
+// RunByName writes an experiment's paper-style text report (locked
 // byte-for-byte by golden tests); Records, WriteCSVRows and
 // RecordsJSON emit the flat records. cmd/experiments and cmd/dsmserve
-// run the same harness.Query, so -json and a served answer are the
-// same bytes.
+// both call RunQuery, so -json and a served answer are the same bytes.
 //
 // # Beyond the paper
 //

@@ -243,61 +243,29 @@ func Experiments() []string {
 	return out
 }
 
-// RunByNameContext is RunByName with cancellation: the run stops
-// scheduling new simulations once ctx is cancelled and returns the
-// context's error. Simulations already executing finish — the engine
-// has no preemption points — so cancellation latency is one
-// simulation, not one experiment. This is the entry point a serving
-// layer wants: a drained server abandons queued sweeps without
-// killing the process.
-func RunByNameContext(ctx context.Context, name string, o Options) (*Result, error) {
-	o.ctx = ctx
-	return RunByName(name, o)
-}
-
-// RunByName runs one experiment of the table and writes its text report
-// to o.Out. It first checks o as Query.Validate does, so an
-// application, system or scale listed twice, an unknown name or a
-// fabric override the experiment cannot take fails before any
-// simulation runs.
+// RunByName runs one experiment of the table as a query (RunQuery) and
+// writes its text report to o.Out. An application, system or scale
+// listed twice, an unknown name or a fabric override the experiment
+// cannot take fails before any simulation runs.
 func RunByName(name string, o Options) (*Result, error) {
 	// Checked before normalization too, so the error quotes the
 	// caller's spelling.
-	if err := CheckDistinct(o.Apps, o.Systems, o.Scales); err != nil {
+	if err := checkDistinct(o.Apps, o.Systems, o.Scales); err != nil {
 		return nil, err
 	}
-	e, err := lookup(name)
-	if err != nil {
+	if _, err := lookup(name); err != nil {
 		return nil, err
+	}
+	if o.Out == nil {
+		panic("harness: Options.Out is required")
 	}
 	q := Query{Experiment: name, Apps: o.Apps, Systems: o.Systems, Fabric: o.Fabric, Scale: o.Scale, Scales: o.Scales, Seed: o.Seed}
-	if err := q.Normalize().Validate(); err != nil {
-		return nil, err
-	}
-	o = o.norm()
-	envs := e.environments(o.Scales)
-	runs, systems, err := e.runs(o, envs)
+	rs, err := RunQuery(context.Background(), q, o)
 	if err != nil {
 		return nil, err
 	}
-	r, err := runExperiment(e.name, runs, o)
-	if err != nil {
-		return nil, err
-	}
-	title, body := e.title, e.body
-	if len(o.Systems) > 0 && e.overrideTitle != "" {
-		title, body = e.overrideTitle, nil
-	}
-	r.render = func(w io.Writer, r *Result) {
-		header(w, title)
-		if body == nil {
-			renderNormTable(w, r)
-			return
-		}
-		body(w, r, systems, envs)
-	}
-	r.WriteText(o.Out)
-	return r, nil
+	rs[0].WriteText(o.Out)
+	return rs[0], nil
 }
 
 // renderTable4 prints the paper's Table 4 layout: MigRep's migrations

@@ -45,12 +45,12 @@ func (f *Flags) Options(out io.Writer) (Options, error) {
 			return Options{}, err
 		}
 	}
-	o := Options{Scale: f.scale, Audit: f.audit, Traces: NewTraceCacheWithStore(st), Out: out}
+	o := Options{Scale: max(f.scale, 1), Audit: f.audit, Traces: NewTraceCacheWithStore(st), Out: out}
 	if f.Telemetry != "" {
 		o.Telemetry = &f.tel
 	}
 	if f.progress {
 		o.Progress = os.Stderr
 	}
-	return o.norm(), nil
+	return o, nil
 }

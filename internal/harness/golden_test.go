@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -79,15 +80,12 @@ func renderQuery(t *testing.T, q Query) (text, csv []byte) {
 	if err := WriteCSVHeader(&csvBuf); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Normalize().Validate(); err != nil {
+	results, err := RunQuery(context.Background(), q, Options{Parallel: 4, Audit: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	o := q.Options(Options{Parallel: 4, Audit: true, Traces: NewTraceCache(), Out: &textBuf})
-	for _, name := range q.ExperimentNames() {
-		r, err := RunByName(name, o)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, r := range results {
+		r.WriteText(&textBuf)
 		if err := r.WriteCSVRows(&csvBuf); err != nil {
 			t.Fatal(err)
 		}

@@ -7,9 +7,10 @@
 //
 // The experiments are rows of one table (experiments.go): a name, a
 // title, default systems, the timing, threshold, fabric or scale
-// environments they run under, and an optional report body. RunByName,
-// Experiments, Query.Validate and the unknown-experiment errors all
-// read that table, and RunByName writes each report once.
+// environments they run under, and an optional report body. RunQuery,
+// RunByName, Experiments, Query.Validate and the unknown-experiment
+// errors all read that table, and RunQuery runs each distinct
+// simulation of a query once (plan.go).
 //
 // Systems resolve through the dsm registry: every experiment has the
 // paper's default set, and Options.Systems overrides it with any list
@@ -33,18 +34,11 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"slices"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/apps"
-	"repro/internal/config"
 	"repro/internal/dsm"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -85,9 +79,9 @@ type Options struct {
 	// which size themselves from Scale.
 	Scales []int
 
-	// Parallel runs the per-application system sets concurrently using
-	// this many workers (0 = serial). Simulations are deterministic and
-	// independent, so this only affects wall-clock time.
+	// Parallel runs this many of a query's simulations concurrently
+	// (0 = serial). Simulations are deterministic and independent, so
+	// this only affects wall-clock time.
 	Parallel int
 
 	// Slots, when non-nil, bounds the simulations in flight across
@@ -106,52 +100,27 @@ type Options struct {
 	// experiment. Auditing does not change simulated results.
 	Audit bool
 
-	// Traces, when non-nil, caches generated application traces keyed
-	// by (app, cpus, scale) and shares them across experiments: a run
-	// of all five paper experiments generates each workload once
-	// instead of once per experiment. Traces are read-only during
+	// Traces, when non-nil, shares generated application traces across
+	// queries (nil = a cache per query). Traces are read-only during
 	// replay, so sharing is safe even across Parallel workers.
 	Traces *TraceCache
 
 	// Telemetry, when non-nil, attaches a telemetry.Collector to every
-	// non-baseline run: windowed time series always, the page-operation
-	// timeline when TelemetryOptions.Timeline is set. Collectors hang
-	// off each Run; Result.WriteTelemetry renders them as artifacts.
-	// Collection is observational — reported statistics are
-	// byte-identical with or without it.
+	// simulation but the anchor: windowed time series always, the
+	// page-operation timeline when TelemetryOptions.Timeline is set.
+	// Collectors hang off each Run; Result.WriteTelemetry renders them
+	// as artifacts. Collection is observational — reported statistics
+	// are byte-identical with or without it.
 	Telemetry *TelemetryOptions
 
-	// Progress, when non-nil, receives one line per completed
-	// simulation with its wall-clock time, and one per generated trace
-	// with its size and footprint. It has its own writer, so it can
-	// stream to stderr while the report goes to stdout.
+	// Progress, when non-nil, receives the plan's run and simulation
+	// counts, then one line per completed simulation with its wall
+	// time and one per trace with its size. It has its own writer, so
+	// it can stream to stderr while the report goes to stdout.
 	Progress io.Writer
 
-	// Out receives the rendered report (required).
+	// Out receives the rendered report (required by RunByName).
 	Out io.Writer
-
-	// ctx cancels a run between simulations; set by RunByNameContext
-	// so long-running sweeps scheduled by a server can be abandoned
-	// when the server drains. nil means "never cancelled".
-	ctx context.Context
-}
-
-// ctxErr reports the cancellation state of the run's context.
-func (o Options) ctxErr() error {
-	if o.ctx == nil {
-		return nil
-	}
-	return o.ctx.Err()
-}
-
-func (o Options) norm() Options {
-	if o.Scale < 1 {
-		o.Scale = 1
-	}
-	if o.Out == nil {
-		panic("harness: Options.Out is required")
-	}
-	return o
 }
 
 // appList resolves the selected applications.
@@ -180,10 +149,11 @@ type Run struct {
 	Label  string
 	// Fabric is the interconnect topology the run used.
 	Fabric string
-	Stats  *stats.Sim
-	// Norm is execution time normalized to perfect CC-NUMA on the same
-	// application.
-	Norm float64
+	// Stats, Base (the anchor's) and Telemetry are read-only, shared by
+	// every run of one simulation. Norm is Stats over Base.
+	Stats *stats.Sim
+	Base  *stats.Sim
+	Norm  float64
 	// Telemetry is the run's collector when Options.Telemetry was set
 	// (nil otherwise, and always nil for the normalization baseline).
 	Telemetry *telemetry.Collector
@@ -262,165 +232,13 @@ type systemRun struct {
 // environment's suffix ("MigRep-Slow", "CC-NUMA@ring").
 func (s systemRun) name() string { return s.spec.Name + s.env.suffix }
 
-// runExperiment generates each app's trace once per problem scale and
-// replays it on every run at that scale, after the normalization
-// anchor, perfect CC-NUMA at the same scale.
-func runExperiment(name string, runs []systemRun, o Options) (*Result, error) {
-	list, err := o.appList()
-	if err != nil {
-		return nil, err
-	}
-	cl := config.DefaultCluster()
-	if o.Fabric != "" {
-		for i := range runs {
-			runs[i].env.net = config.Network{Topology: o.Fabric}
-		}
-	}
-	res := &Result{Name: name, Runs: map[string]map[string]*Run{}, Scale: o.Scale}
-	var scales []int
-	for _, s := range runs {
-		res.Systems = append(res.Systems, s.name())
-		if sc := s.env.scale; sc != 0 && !slices.Contains(scales, sc) {
-			scales = append(scales, sc)
-		}
-	}
-	if len(scales) > 0 {
-		res.Scale, res.Scales = 0, scales
-	} else {
-		scales = []int{o.Scale}
-	}
-
-	for _, sc := range scales {
-		var group []systemRun
-		for _, s := range runs {
-			if s.env.scale == 0 || s.env.scale == sc {
-				group = append(group, s)
-			}
-		}
-		for _, app := range list {
-			if err := o.ctxErr(); err != nil {
-				return nil, fmt.Errorf("harness: %s cancelled: %w", name, err)
-			}
-			params := apps.Params{CPUs: cl.TotalCPUs(), Scale: sc, Seed: o.Seed}
-			genStart := time.Now()
-			tr, ref, err := o.Traces.Trace(app, params)
-			if err != nil {
-				return nil, fmt.Errorf("harness: generating %s: %w", app.Name, err)
-			}
-			res.Traces = append(res.Traces, ref)
-			if o.Progress != nil {
-				fmt.Fprintf(o.Progress, "# trace %s scale %d ready in %.2fs (%d ops, %.1f MB footprint)\n",
-					app.Name, sc, time.Since(genStart).Seconds(), tr.Ops(), float64(tr.Footprint)/(1<<20))
-			}
-			// all[0] is the normalization anchor, dsm.RunBaseline; its
-			// entry only names it in progress lines and errors.
-			all := append([]systemRun{{spec: dsm.PerfectCCNUMA()}}, group...)
-			sims := make([]*stats.Sim, len(all))
-			cols := make([]*telemetry.Collector, len(all))
-			if err := forEach(o.ctx, o.Slots, all, o.Parallel, func(i int, s systemRun) error {
-				ro := dsm.RunOptions{Audit: o.Audit}
-				if i > 0 {
-					cols[i] = o.Telemetry.Collector()
-					ro.Telemetry = cols[i]
-				}
-				runStart := time.Now()
-				var sim *stats.Sim
-				var err error
-				if i == 0 {
-					sim, err = dsm.RunBaseline(tr, cl, ro)
-				} else {
-					scl := cl
-					scl.Net = s.env.net
-					sim, err = dsm.RunWithOptions(tr, s.spec, scl, s.env.tm, s.env.th, ro)
-				}
-				if err != nil {
-					return fmt.Errorf("harness: %s on %s: %w", app.Name, s.name(), err)
-				}
-				if o.Progress != nil {
-					fmt.Fprintf(o.Progress, "# run %s/%s/%s done in %.2fs\n",
-						name, app.Name, s.name(), time.Since(runStart).Seconds())
-				}
-				sims[i] = sim
-				return nil
-			}); err != nil {
-				return nil, err
-			}
-			base := sims[0]
-			if res.Runs[app.Name] == nil {
-				res.AppOrder = append(res.AppOrder, app.Name)
-				res.Runs[app.Name] = map[string]*Run{}
-			}
-			for i, s := range group {
-				sim := sims[i+1]
-				res.Runs[app.Name][s.name()] = &Run{
-					App: app.Name, System: s.spec.Name, Label: s.name(), Fabric: s.env.net.Kind(),
-					Stats: sim, Norm: sim.Normalized(base), Telemetry: cols[i+1],
-				}
-			}
-		}
-	}
-	return res, nil
-}
-
-// forEach runs f over items on a pool of workers (at least one), each
-// call holding one of slots (when non-nil) while it runs. Items are
-// dispatched in order, so one worker runs them one after another. A
-// non-nil ctx stops dispatching new items once cancelled, also while
-// waiting for a slot; items already running complete normally.
-// Dispatching also stops once an item has failed, and the first error
-// in item order is returned.
-func forEach(ctx context.Context, slots *Slots, items []systemRun, workers int, f func(int, systemRun) error) error {
-	start := func() error {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		return slots.acquire(ctx)
-	}
-	workers = max(workers, 1)
-	var wg sync.WaitGroup
-	var failed atomic.Bool
-	sem := make(chan struct{}, workers)
-	errs := make([]error, len(items))
-	for i, it := range items {
-		sem <- struct{}{}
-		if err := start(); err != nil {
-			errs[i] = err
-			break
-		}
-		// A failing item sets failed before it frees its worker and its
-		// slot, so a dispatcher that reuses either sees the failure.
-		if failed.Load() {
-			slots.release()
-			break
-		}
-		wg.Add(1)
-		go func(i int, it systemRun) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer slots.release()
-			if errs[i] = f(i, it); errs[i] != nil {
-				failed.Store(true)
-			}
-		}(i, it)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // renderNormTable prints a normalized-execution-time table: one row per
 // app, one column per system, plus the mean row the paper quotes.
 func renderNormTable(w io.Writer, r *Result) {
 	width := 10
 	fmt.Fprintf(w, "%-10s", "app")
 	for _, s := range r.Systems {
-		fmt.Fprintf(w, " %*s", width+len(s)-len(s), s)
+		fmt.Fprintf(w, " %*s", width, s)
 	}
 	fmt.Fprintln(w)
 	for _, app := range r.AppOrder {
@@ -435,14 +253,6 @@ func renderNormTable(w io.Writer, r *Result) {
 		fmt.Fprintf(w, " %*.3f", len(s), r.MeanNorm(s))
 	}
 	fmt.Fprintln(w)
-}
-
-// SortedApps returns the result's applications sorted by name (test
-// helper).
-func (r *Result) SortedApps() []string {
-	out := append([]string(nil), r.AppOrder...)
-	sort.Strings(out)
-	return out
 }
 
 // header prints an experiment banner.

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,7 +27,7 @@ func TestFig5Structure(t *testing.T) {
 	if len(r.Systems) != 6 {
 		t.Errorf("systems = %v, want 6", r.Systems)
 	}
-	if got := r.SortedApps(); len(got) != 2 || got[0] != "lu" || got[1] != "radix" {
+	if got := slices.Sorted(slices.Values(r.AppOrder)); len(got) != 2 || got[0] != "lu" || got[1] != "radix" {
 		t.Errorf("apps = %v", got)
 	}
 	for _, app := range r.AppOrder {

@@ -16,9 +16,9 @@ import (
 // problem scale(s), from which generator seed. It is the unit the
 // serving layer (internal/serve) caches and coalesces on. cmd/experiments
 // builds one from its -experiment, -apps, -systems, -fabric, -scale,
-// -scales and -seed flags and runs it the way the server does, through
-// Normalize, Validate, ExperimentNames and Options, so a served
-// response is byte-identical to the equivalent CLI -json output.
+// -scales and -seed flags and runs it through RunQuery, as the server
+// does, so a served response is byte-identical to the equivalent CLI
+// -json output.
 //
 // The zero value normalizes to the full Figure 5 comparison at scale 1.
 type Query struct {
@@ -106,7 +106,7 @@ func trimEach(in []string, lower bool) []string {
 // and so "all"). It expects a normalized query (Validate on a raw query
 // may miss aliases Normalize folds).
 func (q Query) Validate() error {
-	if err := CheckDistinct(q.Apps, q.Systems, q.Scales); err != nil {
+	if err := checkDistinct(q.Apps, q.Systems, q.Scales); err != nil {
 		return err
 	}
 	var rows []*experiment
@@ -145,13 +145,13 @@ func (q Query) Validate() error {
 	return nil
 }
 
-// CheckDistinct rejects an application, system or scale listed twice.
+// checkDistinct rejects an application, system or scale listed twice.
 // A repeat adds no information: reports key runs by application and
 // system label, so it would print duplicate rows, collapse columns or
 // repeat a sweep table. Names compare the way their registries resolve
-// them (systems case-insensitively). RunByName, Validate and cmd/dsmsim
+// them (systems case-insensitively). RunByName, RunSystems and Validate
 // all call it, so the CLIs and the server refuse the same lists.
-func CheckDistinct(appNames, systems []string, scales []int) error {
+func checkDistinct(appNames, systems []string, scales []int) error {
 	if a, dup := repeated(appNames, strings.TrimSpace); dup {
 		return fmt.Errorf("harness: application %q listed twice", a)
 	}

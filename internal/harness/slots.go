@@ -17,20 +17,16 @@ func NewSlots(n int) *Slots {
 // InUse returns the number of slots held right now.
 func (s *Slots) InUse() int { return len(s.held) }
 
-// acquire takes a slot, or returns the context's error if ctx ends
-// first. A nil set never blocks.
+// acquire takes a slot, or returns the context's error if ctx has
+// ended or ends first. A nil set never blocks.
 func (s *Slots) acquire(ctx context.Context) error {
-	if s == nil {
-		return nil
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
+	if err := ctx.Err(); err != nil || s == nil {
+		return err
 	}
 	select {
 	case s.held <- struct{}{}:
 		return nil
-	case <-done:
+	case <-ctx.Done():
 		return ctx.Err()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -122,17 +123,8 @@ func (r *Result) fabrics() string {
 	var out []string
 	for _, app := range r.AppOrder {
 		for _, sys := range r.Systems {
-			if run := r.Runs[app][sys]; run != nil {
-				found := false
-				for _, f := range out {
-					if f == run.Fabric {
-						found = true
-						break
-					}
-				}
-				if !found {
-					out = append(out, run.Fabric)
-				}
+			if run := r.Runs[app][sys]; run != nil && !slices.Contains(out, run.Fabric) {
+				out = append(out, run.Fabric)
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/apps"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/trace/store"
 )
@@ -28,9 +27,8 @@ import (
 // written back, so repeat CLI runs and sibling processes materialize
 // workloads from disk instead of re-running generators.
 //
-// The zero value is unusable; a nil *TraceCache disables caching
-// (every call generates afresh), which keeps the cache strictly
-// opt-in for callers that want cold-generation timings.
+// The zero value is unusable. A query run without a cache of the
+// caller's makes its own, so its traces are generated cold.
 type TraceCache struct {
 	mu sync.Mutex
 	// m is keyed directly on the store's content-address key — the
@@ -106,35 +104,11 @@ func NewTraceCacheWithStore(st *store.Store) *TraceCache {
 	return tc
 }
 
-// Len returns the number of completed cached traces.
-func (tc *TraceCache) Len() int {
-	if tc == nil {
-		return 0
-	}
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	n := 0
-	for _, e := range tc.m {
-		select {
-		case <-e.done:
-			n++
-		default:
-		}
-	}
-	return n
-}
-
-// Trace returns the trace for (app, params) with its content address,
-// materializing it (disk load, else generation) and caching it on first
-// use; concurrent requests for the same key share one materialization.
-// A nil receiver generates without caching.
-func (tc *TraceCache) Trace(app apps.Info, p apps.Params) (*trace.Trace, telemetry.TraceRef, error) {
+// Trace returns the trace for (app, params), materializing it (disk
+// load, else generation) and caching it on first use; concurrent
+// requests for the same key share one materialization.
+func (tc *TraceCache) Trace(app apps.Info, p apps.Params) (*trace.Trace, error) {
 	key := store.Key{App: app.Name, CPUs: p.CPUs, Scale: p.Scale, Seed: p.Seed}
-	ref := telemetry.TraceRef{App: key.App, CPUs: key.CPUs, Scale: key.Scale, Seed: key.Seed, Hash: key.Filename()}
-	if tc == nil {
-		tr, err := app.Generate(p)
-		return tr, ref, err
-	}
 	tc.mu.Lock()
 	if e, ok := tc.m[key]; ok {
 		tc.mu.Unlock()
@@ -145,7 +119,7 @@ func (tc *TraceCache) Trace(app apps.Info, p apps.Params) (*trace.Trace, telemet
 			tc.coalesced.Add(1)
 		}
 		<-e.done
-		return e.tr, ref, e.err
+		return e.tr, e.err
 	}
 	e := &traceEntry{done: make(chan struct{})}
 	tc.m[key] = e
@@ -171,5 +145,5 @@ func (tc *TraceCache) Trace(app apps.Info, p apps.Params) (*trace.Trace, telemet
 	}
 	tc.inFlight.Add(-1)
 	close(e.done)
-	return e.tr, ref, e.err
+	return e.tr, e.err
 }

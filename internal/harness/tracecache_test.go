@@ -53,7 +53,7 @@ func TestTraceCacheSingleFlight(t *testing.T) {
 			defer done.Done()
 			start.Done()
 			<-gate // maximize overlap: all workers request at once
-			tr, _, err := tc.Trace(app, apps.Params{CPUs: 4, Scale: 8})
+			tr, err := tc.Trace(app, apps.Params{CPUs: 4, Scale: 8})
 			if err != nil {
 				t.Error(err)
 				return
@@ -73,8 +73,8 @@ func TestTraceCacheSingleFlight(t *testing.T) {
 			t.Errorf("worker %d got a different trace pointer", i)
 		}
 	}
-	if tc.Len() != 1 {
-		t.Errorf("cache holds %d entries, want 1", tc.Len())
+	if s := tc.Stats(); s.Generated != 1 || s.InFlight != 0 {
+		t.Errorf("cache stats %+v, want one completed generation", s)
 	}
 }
 
@@ -92,7 +92,7 @@ func TestTraceCacheKeysOnParams(t *testing.T) {
 	}
 	for _, p := range params {
 		for rep := 0; rep < 3; rep++ {
-			if _, _, err := tc.Trace(app, p); err != nil {
+			if _, err := tc.Trace(app, p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -118,11 +118,11 @@ func TestTraceCacheErrorNotCached(t *testing.T) {
 		},
 	}
 	tc := NewTraceCache()
-	if _, _, err := tc.Trace(app, apps.Params{CPUs: 2, Scale: 1}); err == nil {
+	if _, err := tc.Trace(app, apps.Params{CPUs: 2, Scale: 1}); err == nil {
 		t.Fatal("expected error")
 	}
 	fail = false
-	if _, _, err := tc.Trace(app, apps.Params{CPUs: 2, Scale: 1}); err != nil {
+	if _, err := tc.Trace(app, apps.Params{CPUs: 2, Scale: 1}); err != nil {
 		t.Fatalf("retry after failure: %v", err)
 	}
 	if n := calls.Load(); n != 2 {
@@ -143,7 +143,7 @@ func TestTraceCacheReadsThroughStore(t *testing.T) {
 	p := apps.Params{CPUs: 4, Scale: 8}
 
 	cold := NewTraceCacheWithStore(st)
-	tr1, _, err := cold.Trace(app, p)
+	tr1, err := cold.Trace(app, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestTraceCacheReadsThroughStore(t *testing.T) {
 	}
 
 	warm := NewTraceCacheWithStore(st) // a "new process"
-	tr2, _, err := warm.Trace(app, p)
+	tr2, err := warm.Trace(app, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestTraceCacheNilDiskStore(t *testing.T) {
 	tc := NewTraceCacheWithStore(nil)
 	app := countingApp("nildisk", &calls)
 	for i := 0; i < 2; i++ {
-		if _, _, err := tc.Trace(app, apps.Params{CPUs: 2, Scale: 4}); err != nil {
+		if _, err := tc.Trace(app, apps.Params{CPUs: 2, Scale: 4}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,10 +193,10 @@ func TestTraceCacheStats(t *testing.T) {
 	p := apps.Params{CPUs: 4, Scale: 8}
 
 	cold := NewTraceCacheWithStore(st)
-	if _, _, err := cold.Trace(app, p); err != nil { // generated
+	if _, err := cold.Trace(app, p); err != nil { // generated
 		t.Fatal(err)
 	}
-	if _, _, err := cold.Trace(app, p); err != nil { // hit
+	if _, err := cold.Trace(app, p); err != nil { // hit
 		t.Fatal(err)
 	}
 	s := cold.Stats()
@@ -205,7 +205,7 @@ func TestTraceCacheStats(t *testing.T) {
 	}
 
 	warm := NewTraceCacheWithStore(st) // fresh process, warm disk
-	if _, _, err := warm.Trace(app, p); err != nil {
+	if _, err := warm.Trace(app, p); err != nil {
 		t.Fatal(err)
 	}
 	if s := warm.Stats(); s.DiskHits != 1 || s.Generated != 0 {
@@ -223,7 +223,7 @@ func TestTraceCacheStats(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-gate
-			if _, _, err := herd.Trace(app, apps.Params{CPUs: 2, Scale: 2}); err != nil {
+			if _, err := herd.Trace(app, apps.Params{CPUs: 2, Scale: 2}); err != nil {
 				t.Error(err)
 			}
 		}()

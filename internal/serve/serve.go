@@ -22,13 +22,13 @@
 //
 // Trace scope: the server holds a trace only while the query that
 // needs it runs. Each cold simulation materializes its workloads
-// through its own TraceCache, so the experiments of one query share a
-// generation per app, and the traces become garbage once the body is
-// rendered. Exact repeats are answered from the result tiers. A cold
-// query on a workload another query has generated (other systems or
-// another experiment on the same app, scale and seed) reads the trace
-// back from the optional on-disk trace store; without one it generates
-// the trace again, and concurrent cold queries on one workload each
+// through its own TraceCache, once per app for all its experiments,
+// and the traces become garbage once the body is rendered. Exact
+// repeats are answered from the result tiers. A cold query on a
+// workload another query has generated (other systems or another
+// experiment on the same app, scale and seed) reads the trace back
+// from the optional on-disk trace store; without one it generates the
+// trace again, and concurrent cold queries on one workload each
 // generate it, store or not.
 //
 // Bounded execution with backpressure: cold queries run on a fixed-size
@@ -47,7 +47,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -211,11 +210,9 @@ func newServer(cfg Config, run runner) *Server {
 	}
 }
 
-// simulate is the production cold path: run the query's experiments
-// through the harness and render the records with
-// harness.RecordsJSON — the same construction, and therefore the same
-// bytes, as cmd/experiments -json for the equivalent flags. The query's traces live in a cache
-// of its own, shared by its experiments and dropped on return. Its
+// simulate is the production cold path: harness.RunQuery rendered
+// with harness.RecordsJSON, as cmd/experiments -json renders it. The
+// query's traces live in a cache of its own, dropped on return; its
 // simulations may use every worker, bounded by the server's slots.
 func (s *Server) simulate(ctx context.Context, q harness.Query) ([]byte, error) {
 	traces := harness.NewTraceCacheWithStore(s.traceStore)
@@ -224,18 +221,17 @@ func (s *Server) simulate(ctx context.Context, q harness.Query) ([]byte, error) 
 	s.mu.Unlock()
 	defer s.retireTraces(traces)
 
+	results, err := harness.RunQuery(ctx, q, harness.Options{
+		Parallel: s.workers,
+		Slots:    s.slots,
+		Audit:    true,
+		Traces:   traces,
+	})
+	if err != nil {
+		return nil, err
+	}
 	var records []harness.Record
-	for _, name := range q.ExperimentNames() {
-		r, err := harness.RunByNameContext(ctx, name, q.Options(harness.Options{
-			Parallel: s.workers,
-			Slots:    s.slots,
-			Audit:    true,
-			Traces:   traces,
-			Out:      io.Discard,
-		}))
-		if err != nil {
-			return nil, err
-		}
+	for _, r := range results {
 		records = append(records, r.Records()...)
 	}
 	return harness.RecordsJSON(records)
