@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/memory"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -43,7 +44,7 @@ var allocCases = []allocCase{
 	{"FaultPathSCOMA", 20, faultPath(faultCapacity, scomaSpec()), 437, 1291279},
 	{"TraceReplaySoA", 20, traceReplaySoA, 0, 0},
 	{"Fig5Sweep", 1, fig5Sweep(nil), 28312, 17227008},
-	{"Fig5SweepTelemetry", 1, fig5Sweep(&harness.TelemetryOptions{Timeline: true}), 32440, 18422432},
+	{"Fig5SweepTelemetry", 1, fig5Sweep(&telemetry.Config{Timeline: true}), 32440, 18422432},
 }
 
 // TestBenchAllocationGuard runs every allocCase and fails if allocs/op
@@ -220,7 +221,7 @@ func traceReplaySoA(*testing.T) func() {
 // (nil for none). Its own TraceCache is warmed by one sweep outside
 // the measured runs, so an op is simulation and rendering, not
 // workload generation.
-func fig5Sweep(tel *harness.TelemetryOptions) func(*testing.T) func() {
+func fig5Sweep(tel *telemetry.Config) func(*testing.T) func() {
 	return func(t *testing.T) func() {
 		opts := harness.Options{
 			Scale: 8, Parallel: 4, Traces: harness.NewTraceCache(), Out: io.Discard, Telemetry: tel,

@@ -166,7 +166,7 @@ func BenchmarkAblationReactiveVsStatic(b *testing.B) {
 // Microbenchmarks of the simulator's hot paths.
 
 func BenchmarkResourceAcquire(b *testing.B) {
-	r := engine.NewResource("bus")
+	r := engine.NewResourceBank(1)[0]
 	var t engine.Time
 	for i := 0; i < b.N; i++ {
 		t = r.Acquire(t, 24)

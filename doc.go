@@ -39,9 +39,9 @@
 // # Beyond the paper
 //
 // internal/interconnect models the cluster fabric as an explicit graph
-// with pluggable topologies (ideal crossbar, ring, 2D mesh, fat-tree),
-// deterministic routing, per-link byte counters and optional finite
-// link bandwidth; every protocol message the machines exchange is
+// of one of four topologies (ideal crossbar, ring, 2D mesh, fat-tree)
+// with deterministic routing, a fixed latency per hop and per-link
+// byte counters; every protocol message the machines exchange is
 // routed over it. The default ideal crossbar reproduces the paper's
 // flat network-latency model exactly, while the topology-sweep
 // experiment (cmd/experiments -experiment toposweep) re-runs the

@@ -70,8 +70,8 @@ func Check(m Machine) error {
 	// Traffic conservation against the fabric's ground truth.
 	topo := f.Topology()
 	var pair, hopWeighted int64
-	for src := 0; src < topo.Nodes(); src++ {
-		for dst := 0; dst < topo.Nodes(); dst++ {
+	for src := 0; src < topo.Nodes; src++ {
+		for dst := 0; dst < topo.Nodes; dst++ {
 			b := f.PairBytes(src, dst)
 			pair += b
 			hopWeighted += b * int64(len(topo.Route(src, dst)))

@@ -78,8 +78,8 @@ func TestConservationSemantics(t *testing.T) {
 			f := m.Fabric()
 			topo := f.Topology()
 			var pair, hopWeighted int64
-			for s := 0; s < topo.Nodes(); s++ {
-				for d := 0; d < topo.Nodes(); d++ {
+			for s := 0; s < topo.Nodes; s++ {
+				for d := 0; d < topo.Nodes; d++ {
 					pair += f.PairBytes(s, d)
 					hopWeighted += f.PairBytes(s, d) * int64(len(topo.Route(s, d)))
 				}

@@ -123,10 +123,7 @@ func (m *Machine) access(c *engine.CPU, b memory.Block, write bool) {
 	}
 
 	// Wait out any page operation in flight on this page.
-	if t := m.pageBusy[p]; c.Clock < t {
-		ns.SyncCycles += t - c.Clock
-		c.Clock = t
-	}
+	m.waitPageBusy(c, n, p)
 
 	// Soft page fault: first access by this node, or a mapping dropped
 	// by a migration, collapse or frame eviction (lazy TLB invalidation:

@@ -9,19 +9,23 @@ import (
 	"testing"
 )
 
-// chargingFuncs names, for each counter the telemetry collector
-// mirrors, the one function allowed to write it. Each also charges the
-// collector, so a counter written anywhere else could drift from its
-// windowed series, and a later split by cause would miss that site.
+// chargingFuncs names, for each charged counter, the one function
+// allowed to write it. Those that the telemetry collector mirrors also
+// charge it there, so a counter written anywhere else could drift from
+// its windowed series; and a later split of any of them by cause, or a
+// check that the cycle counters add up, would miss that site.
 var chargingFuncs = map[string]string{
 	"TrafficBytes": "Machine.traffic",
 	"LocalMisses":  "Machine.miss",
 	"RemoteMisses": "Machine.miss",
 	"PageOps":      "pageOp.count",
+	"StallCycles":  "Machine.advance",
+	"SyncCycles":   "Machine.chargeSync",
+	"PageOpCycles": "pageOp.finish",
 }
 
 // TestCountersChargedInOnePlace parses the package's non-test sources
-// and fails on any write to a mirrored counter (an increment, an
+// and fails on any write to a charged counter (an increment, an
 // assignment or a taken address) outside its charging function, or on
 // a counter that is not written exactly once inside it.
 func TestCountersChargedInOnePlace(t *testing.T) {
@@ -98,7 +102,7 @@ func funcName(fd *ast.FuncDecl) string {
 	return fd.Name.Name
 }
 
-// counterField returns the mirrored counter x writes to, looking
+// counterField returns the charged counter x writes to, looking
 // through indexing, parentheses and dereferences, or "" if it writes
 // none.
 func counterField(x ast.Expr) string {

@@ -66,9 +66,9 @@ type Machine struct {
 	home []*engine.Resource // per node home protocol controller
 
 	// fabric is the interconnect model: every protocol message is
-	// routed over it, charging per-link byte counters and (on finite-
-	// bandwidth fabrics) per-link occupancy. The default ideal crossbar
-	// reproduces the flat network-latency model exactly.
+	// routed over it, charging per-link byte counters and one hop
+	// latency per link crossed. The default ideal crossbar reproduces
+	// the flat network-latency model exactly.
 	fabric *interconnect.Fabric
 
 	pt  *memory.PageTable
@@ -165,9 +165,9 @@ func NewMachine(spec Spec, cl config.Cluster, tm config.Timing, th config.Thresh
 	}
 	m.fabric = fab
 
-	m.bus = engine.NewResourceBank("bus", cl.Nodes)
-	m.ni = engine.NewResourceBank("ni", cl.Nodes)
-	m.home = engine.NewResourceBank("home", cl.Nodes)
+	m.bus = engine.NewResourceBank(cl.Nodes)
+	m.ni = engine.NewResourceBank(cl.Nodes)
+	m.home = engine.NewResourceBank(cl.Nodes)
 	m.l1count = make([][]uint8, cl.Nodes)
 	m.flags = make([][]uint8, cl.Nodes)
 	m.mapped = make([][]bool, cl.Nodes)
@@ -267,7 +267,7 @@ func (m *Machine) AttachTelemetry(c *telemetry.Collector) {
 	if c == nil {
 		return
 	}
-	links := m.fabric.Topology().Links()
+	links := m.fabric.Topology().Links
 	names := make([]string, len(links))
 	for i, l := range links {
 		names[i] = l.Name
@@ -306,6 +306,26 @@ func (m *Machine) miss(n int, cls stats.MissClass, remote bool, t int64) {
 	}
 	if tl := m.tel; tl != nil {
 		tl.Miss(cls, remote, t)
+	}
+}
+
+// chargeSync accounts cycles node n spent synchronizing: at a barrier,
+// on a lock (its wait and the lock word's transfer) or waiting out a
+// page operation in flight. It is the only place SyncCycles grows.
+//
+//repro:hotpath
+func (m *Machine) chargeSync(n int, cycles int64) {
+	m.st.Nodes[n].SyncCycles += cycles
+}
+
+// waitPageBusy stalls c, on node n, until any page operation in flight
+// on p has ended, charging the wait as synchronization time.
+//
+//repro:hotpath
+func (m *Machine) waitPageBusy(c *engine.CPU, n int, p memory.Page) {
+	if t := m.pageBusy[p]; c.Clock < t {
+		m.chargeSync(n, t-c.Clock)
+		c.Clock = t
 	}
 }
 

@@ -106,12 +106,8 @@ func (m *Machine) grantReplica(c *engine.CPU, n int, p memory.Page) {
 // read-write copy at home.
 func (m *Machine) collapse(c *engine.CPU, n int, p memory.Page) {
 	e := m.pt.Entry(p)
-	ns := &m.st.Nodes[n]
 	// Wait for any page operation already in flight.
-	if t := m.pageBusy[p]; c.Clock < t {
-		ns.SyncCycles += t - c.Clock
-		c.Clock = t
-	}
+	m.waitPageBusy(c, n, p)
 	if !e.Replicated {
 		return // another writer collapsed it while we waited
 	}

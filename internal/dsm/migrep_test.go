@@ -271,7 +271,6 @@ func TestGrantReplicaSerializesAndChargesHome(t *testing.T) {
 	c8 := m.sched.CPUByID(8)
 	m.EnableAudit()
 	m.replicate(c4, 1, 0)
-	homeBusy := m.home[0].Busy()
 	// A real accessor waits out pageBusy in access before any page
 	// operation starts; model that for the direct call.
 	c8.Clock = m.pageBusy[0]
@@ -284,8 +283,8 @@ func TestGrantReplicaSerializesAndChargesHome(t *testing.T) {
 	if got := m.pageBusy[0]; got != c8.Clock {
 		t.Errorf("pageBusy = %d after grant, want %d (the grant's end)", got, c8.Clock)
 	}
-	if got := m.home[0].Busy(); got != homeBusy+wantCost/4 {
-		t.Errorf("home busy = %d, want %d (one quarter of the grant)", got, homeBusy+wantCost/4)
+	if got := m.home[0].Peek(); got != start+wantCost/4 {
+		t.Errorf("home free at %d, want %d (busy for one quarter of the grant from its start)", got, start+wantCost/4)
 	}
 	if v := m.AuditViolations(); len(v) != 0 {
 		t.Errorf("audit violations: %v", v)

@@ -145,11 +145,9 @@ func (m *Machine) dispatch(c *engine.CPU, kind trace.Kind, gap uint32, arg uint6
 			sched.Park(c)
 			return nil
 		}
-		n := m.nodeOf(c.ID)
-		m.st.Nodes[n].SyncCycles += c.Clock - arrive
+		m.chargeSync(m.nodeOf(c.ID), c.Clock-arrive)
 		for _, w := range waiters {
-			wn := m.nodeOf(w.ID)
-			m.st.Nodes[wn].SyncCycles += release - w.Clock
+			m.chargeSync(m.nodeOf(w.ID), release-w.Clock)
 			sched.Unblock(w, release)
 		}
 		sched.Requeue(c)
@@ -226,9 +224,8 @@ func (m *Machine) lock(id uint64) *engine.Lock {
 //repro:hotpath
 func (m *Machine) chargeLock(c *engine.CPU, id uint64, requested int64) {
 	n := m.nodeOf(c.ID)
-	ns := &m.st.Nodes[n]
 	if c.Clock > requested {
-		ns.SyncCycles += c.Clock - requested
+		m.chargeSync(n, c.Clock-requested)
 	}
 	last, seen := m.lockOwn[id]
 	var lat int64
@@ -244,6 +241,6 @@ func (m *Machine) chargeLock(c *engine.CPU, id uint64, requested int64) {
 		m.fabric.Deliver(last, n, msgBlockBytes, c.Clock+m.wireLatency(n, last))
 	}
 	c.Clock += lat
-	ns.SyncCycles += lat
+	m.chargeSync(n, lat)
 	m.lockOwn[id] = n
 }

@@ -24,8 +24,7 @@
 // protocol message — fills, invalidations, writebacks, page moves and
 // replica grants — is routed over the internal/interconnect fabric
 // selected by the cluster's Net configuration, charging per-link
-// traffic counters and, on multi-hop or bandwidth-limited fabrics, hop
-// latency and link queuing.
+// traffic counters and, on multi-hop fabrics, the extra hop latency.
 //
 // Page operations — soft page faults included — run through a small
 // pageop layer that carries each operation's explicit event time, so

@@ -8,10 +8,7 @@
 // same simulated time, the lowest-numbered processor runs first.
 package engine
 
-import (
-	"fmt"
-	"strconv"
-)
+import "fmt"
 
 // Time is simulated time in processor cycles.
 type Time = int64
@@ -19,34 +16,17 @@ type Time = int64
 // Resource models a unit-capacity server with FIFO queuing: a request
 // arriving at time t begins service at max(t, nextFree) and holds the
 // resource for its occupancy. This is the standard analytic contention
-// model for split-transaction buses and network interfaces.
+// model for split-transaction buses and network interfaces. The zero
+// value is an idle resource.
 type Resource struct {
-	// name is the explicit label; when empty the label is prefix+id,
-	// formatted lazily so constructing a resource never allocates a
-	// string (machines build dozens per run, reports read few).
-	name   string
-	prefix string
-	id     int
-
 	nextFree Time
-	busy     Time // accumulated busy cycles, for utilization reports
-	uses     int64
 }
 
-// NewResource returns a named, initially idle resource.
-func NewResource(name string) *Resource {
-	return &Resource{name: name}
-}
-
-// NewResourceBank returns n resources labeled prefix0..prefix{n-1},
-// allocated in one block. Labels are formatted on demand by Name, so
-// building a bank costs two allocations regardless of n.
-func NewResourceBank(prefix string, n int) []*Resource {
+// NewResourceBank returns n idle resources allocated in one block.
+func NewResourceBank(n int) []*Resource {
 	backing := make([]Resource, n)
 	out := make([]*Resource, n)
 	for i := range backing {
-		backing[i].prefix = prefix
-		backing[i].id = i
 		out[i] = &backing[i]
 	}
 	return out
@@ -63,38 +43,14 @@ func (r *Resource) Acquire(now Time, occ Time) Time {
 	if r.nextFree > start {
 		start = r.nextFree
 	}
-	end := start + occ
-	r.nextFree = end
-	r.busy += occ
-	r.uses++
-	return end
+	r.nextFree = start + occ
+	return r.nextFree
 }
 
 // Peek returns the earliest time a new request could begin service.
 //
 //repro:hotpath
 func (r *Resource) Peek() Time { return r.nextFree }
-
-// Busy returns the total cycles the resource has been occupied.
-func (r *Resource) Busy() Time { return r.busy }
-
-// Uses returns the number of acquisitions.
-func (r *Resource) Uses() int64 { return r.uses }
-
-// Name returns the resource's label.
-func (r *Resource) Name() string {
-	if r.name != "" || r.prefix == "" {
-		return r.name
-	}
-	return r.prefix + strconv.Itoa(r.id)
-}
-
-// Reset returns the resource to its initial idle state.
-func (r *Resource) Reset() {
-	r.nextFree = 0
-	r.busy = 0
-	r.uses = 0
-}
 
 // cpuState is the scheduling state of one simulated processor.
 type cpuState int

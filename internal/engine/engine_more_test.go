@@ -1,42 +1,6 @@
 package engine
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestResourceReset(t *testing.T) {
-	r := NewResource("x")
-	r.Acquire(0, 100)
-	r.Reset()
-	if r.Busy() != 0 || r.Uses() != 0 || r.Peek() != 0 {
-		t.Errorf("reset left state: busy=%d uses=%d peek=%d", r.Busy(), r.Uses(), r.Peek())
-	}
-	if end := r.Acquire(5, 10); end != 15 {
-		t.Errorf("post-reset acquire = %d, want 15", end)
-	}
-	if r.Name() != "x" {
-		t.Errorf("name = %q", r.Name())
-	}
-}
-
-func TestResourceUtilizationAccounting(t *testing.T) {
-	// Property: total busy time equals the sum of occupancies.
-	f := func(occs []uint8) bool {
-		r := NewResource("u")
-		var want Time
-		var now Time
-		for _, o := range occs {
-			d := Time(o%20) + 1
-			want += d
-			now = r.Acquire(now, d)
-		}
-		return r.Busy() == want && r.Uses() == int64(len(occs))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
+import "testing"
 
 func TestBarrierPopulationValidation(t *testing.T) {
 	defer func() {

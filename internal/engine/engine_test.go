@@ -6,7 +6,7 @@ import (
 )
 
 func TestResourceQueuing(t *testing.T) {
-	r := NewResource("bus")
+	r := NewResourceBank(1)[0]
 	if end := r.Acquire(100, 10); end != 110 {
 		t.Fatalf("first acquire ends at %d, want 110", end)
 	}
@@ -18,19 +18,13 @@ func TestResourceQueuing(t *testing.T) {
 	if end := r.Acquire(500, 10); end != 510 {
 		t.Fatalf("idle acquire ends at %d, want 510", end)
 	}
-	if r.Busy() != 30 {
-		t.Errorf("busy = %d, want 30", r.Busy())
-	}
-	if r.Uses() != 3 {
-		t.Errorf("uses = %d, want 3", r.Uses())
-	}
 }
 
 func TestResourceNeverOverlaps(t *testing.T) {
 	// Property: service intervals never overlap and never start before
 	// the request time.
 	f := func(arrivals []uint16, occ uint8) bool {
-		r := NewResource("x")
+		r := NewResourceBank(1)[0]
 		o := Time(occ%50) + 1
 		var now, lastEnd Time
 		for _, a := range arrivals {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/telemetry"
 	"repro/internal/trace/store"
 )
 
@@ -17,7 +18,7 @@ type Flags struct {
 
 	scale           int
 	audit, progress bool
-	tel             TelemetryOptions
+	tel             telemetry.Config
 }
 
 // NewFlags declares the shared flags on fs.

@@ -107,11 +107,11 @@ type Options struct {
 
 	// Telemetry, when non-nil, attaches a telemetry.Collector to every
 	// simulation but the anchor: windowed time series always, the
-	// page-operation timeline when TelemetryOptions.Timeline is set.
+	// page-operation timeline when telemetry.Config.Timeline is set.
 	// Collectors hang off each Run; Result.WriteTelemetry renders them
 	// as artifacts. Collection is observational — reported statistics
 	// are byte-identical with or without it.
-	Telemetry *TelemetryOptions
+	Telemetry *telemetry.Config
 
 	// Progress, when non-nil, receives the plan's run and simulation
 	// counts, then one line per completed simulation with its wall

@@ -237,7 +237,9 @@ func (t *task) run(o Options) error {
 	if t.anchor {
 		t.sim, err = dsm.RunBaseline(tr, t.cl, dsm.RunOptions{Audit: o.Audit})
 	} else {
-		t.col = o.Telemetry.Collector()
+		if o.Telemetry != nil {
+			t.col = telemetry.New(*o.Telemetry)
+		}
 		t.sim, err = dsm.RunWithOptions(tr, t.spec, t.cl, t.tm, t.th, dsm.RunOptions{Audit: o.Audit, Telemetry: t.col})
 	}
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"unsafe"
+
+	"repro/internal/telemetry"
 )
 
 // TestPlanMergesEqualSimulations: an "all" query asks for 39 runs per
@@ -82,7 +84,7 @@ func TestPlanMergesEqualSimulations(t *testing.T) {
 // the simulations left them.
 func TestSharedRunsStayReadOnly(t *testing.T) {
 	results, err := RunQuery(context.Background(), Query{Experiment: "all", Apps: []string{"migratory"}, Scale: 8},
-		Options{Parallel: 4, Audit: true, Telemetry: &TelemetryOptions{Timeline: true}})
+		Options{Parallel: 4, Audit: true, Telemetry: &telemetry.Config{Timeline: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

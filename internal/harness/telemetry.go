@@ -12,26 +12,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TelemetryOptions configures the collectors Options.Telemetry attaches
-// to every run.
-type TelemetryOptions struct {
-	// Window is the width of one time window in simulated cycles
-	// (<= 0 selects telemetry.DefaultWindow).
-	Window int64
-
-	// Timeline additionally records each run's page-operation event
-	// timeline, exported as Chrome trace-event JSON and CSV.
-	Timeline bool
-}
-
-// Collector returns a fresh collector configured by t, or nil if t is.
-func (t *TelemetryOptions) Collector() *telemetry.Collector {
-	if t == nil {
-		return nil
-	}
-	return telemetry.New(telemetry.Config{Window: t.Window, Timeline: t.Timeline})
-}
-
 // artifactName flattens an experiment/app/label tuple into a filename
 // stem: anything outside [A-Za-z0-9._-] becomes '-', so labels like
 // "CC-NUMA@ring" and "migrep@s8" stay readable and filesystem-safe.

@@ -1,23 +1,18 @@
 package interconnect
 
 import (
-	"fmt"
-
 	"repro/internal/config"
-	"repro/internal/engine"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
-// Fabric is a Topology instantiated with timing: per-hop latency, an
-// engine.Resource per link modeling finite bandwidth with FIFO queuing,
-// and per-link byte/message counters. All methods are deterministic.
+// Fabric is a Topology instantiated with timing: a fixed per-hop
+// latency and per-link byte/message counters. Links have no bandwidth
+// limit, so messages never queue on them. All methods are deterministic.
 type Fabric struct {
-	topo          Topology
-	hopLatency    int64
-	bytesPerCycle int64 // 0 = infinite bandwidth (no link occupancy)
+	topo       *Topology
+	hopLatency int64
 
-	res       []*engine.Resource
 	linkBytes []int64
 	linkMsgs  []int64
 
@@ -32,8 +27,7 @@ type Fabric struct {
 	// Audit mode. When enabled, every injection is checked against the
 	// event-time floor the simulation advances as it dispatches events:
 	// a message injected at a time before the floor was emitted in the
-	// simulated past, which silently mis-times link occupancy and hides
-	// traffic from time-windowed views. Violations are recorded rather
+	// simulated past, which hides traffic from time-windowed views. Violations are recorded rather
 	// than panicking so a whole run can be audited in one pass.
 	auditing   bool
 	auditFloor int64
@@ -46,60 +40,28 @@ type Fabric struct {
 }
 
 // New builds the fabric described by a config.Network for the given node
-// count. The zero-value Network yields the ideal crossbar with hop
-// latency tm.NetworkLatency and infinite bandwidth — the paper's
-// original flat network model.
+// count, with hop latency tm.NetworkLatency. The zero-value Network
+// yields the ideal crossbar — the paper's original flat network model.
 func New(net config.Network, nodes int, tm config.Timing) (*Fabric, error) {
 	if err := net.Validate(nodes); err != nil {
 		return nil, err
 	}
-	var topo Topology
-	var err error
-	switch net.Kind() {
-	case config.TopoCrossbar:
-		topo = NewCrossbar(nodes)
-	case config.TopoRing:
-		topo = NewRing(nodes)
-	case config.TopoMesh:
-		topo, err = NewMesh(nodes, net.MeshWidth)
-	case config.TopoFatTree:
-		topo, err = NewFatTree(nodes, net.FatTreeArity)
-	default:
-		err = fmt.Errorf("interconnect: unknown topology %q", net.Topology)
-	}
-	if err != nil {
-		return nil, err
-	}
-	hop := net.HopLatency
-	if hop == 0 {
-		hop = tm.NetworkLatency
-	}
-	return NewFabric(topo, hop, net.LinkBytesPerCycle), nil
-}
-
-// NewFabric wraps a topology with timing parameters directly.
-func NewFabric(topo Topology, hopLatency, bytesPerCycle int64) *Fabric {
-	links := topo.Links()
+	topo := newTopology(net.Kind(), nodes)
 	f := &Fabric{
-		topo:          topo,
-		hopLatency:    hopLatency,
-		bytesPerCycle: bytesPerCycle,
-		res:           make([]*engine.Resource, len(links)),
-		linkBytes:     make([]int64, len(links)),
-		linkMsgs:      make([]int64, len(links)),
-		pairBytes:     make([][]int64, topo.Nodes()),
-	}
-	for i, l := range links {
-		f.res[i] = engine.NewResource(l.Name)
+		topo:       topo,
+		hopLatency: tm.NetworkLatency,
+		linkBytes:  make([]int64, len(topo.Links)),
+		linkMsgs:   make([]int64, len(topo.Links)),
+		pairBytes:  make([][]int64, nodes),
 	}
 	for i := range f.pairBytes {
-		f.pairBytes[i] = make([]int64, topo.Nodes())
+		f.pairBytes[i] = make([]int64, nodes)
 	}
-	return f
+	return f, nil
 }
 
 // Topology returns the underlying fabric graph.
-func (f *Fabric) Topology() Topology { return f.topo }
+func (f *Fabric) Topology() *Topology { return f.topo }
 
 // HopLatency returns the per-hop latency in cycles.
 func (f *Fabric) HopLatency() int64 { return f.hopLatency }
@@ -145,20 +107,9 @@ func (f *Fabric) Violations() []string { return f.violations.All() }
 // counters.
 func (f *Fabric) SetObserver(o *telemetry.Collector) { f.obs = o }
 
-// occupancy is how long a message of the given size holds each link.
-//
-//repro:hotpath
-func (f *Fabric) occupancy(bytes int64) int64 {
-	if f.bytesPerCycle <= 0 {
-		return 0
-	}
-	return (bytes + f.bytesPerCycle - 1) / f.bytesPerCycle
-}
-
 // Traverse routes one message of the given size from src to dst starting
 // at time now: every link on the route is charged the message's bytes
-// and, under finite bandwidth, occupied in sequence with FIFO queuing.
-// It returns the arrival time at dst. A message to the sending node
+// and adds one hop latency. It returns the arrival time at dst. A message to the sending node
 // itself crosses no link and arrives immediately; its bytes are
 // accounted as local.
 //
@@ -175,16 +126,12 @@ func (f *Fabric) Traverse(src, dst int, bytes int64, now int64) int64 {
 		return now
 	}
 	f.pairBytes[src][dst] += bytes
-	occ := f.occupancy(bytes)
 	t := now
 	for _, id := range route {
 		f.linkBytes[id] += bytes
 		f.linkMsgs[id]++
 		if f.obs != nil {
 			f.obs.Link(id, bytes, t)
-		}
-		if occ > 0 {
-			t = f.res[id].Acquire(t, occ)
 		}
 		t += f.hopLatency
 	}
@@ -193,8 +140,7 @@ func (f *Fabric) Traverse(src, dst int, bytes int64, now int64) int64 {
 
 // Deliver is Traverse for messages nothing waits on (asynchronous
 // writebacks, invalidation fan-out, bulk page copies overlapped with
-// their fixed cost): links are charged and occupied, the arrival time is
-// discarded.
+// their fixed cost): links are charged, the arrival time is discarded.
 //
 //repro:hotpath
 func (f *Fabric) Deliver(src, dst int, bytes int64, now int64) {
@@ -242,9 +188,9 @@ func (f *Fabric) PairBytes(src, dst int) int64 { return f.pairBytes[src][dst] }
 
 // Snapshot renders the fabric counters as a stats.NetStats view.
 func (f *Fabric) Snapshot() *stats.NetStats {
-	n := f.topo.Nodes()
+	n := f.topo.Nodes
 	out := &stats.NetStats{
-		Topology:   f.topo.Name(),
+		Topology:   f.topo.Name,
 		Links:      make([]stats.LinkStat, len(f.linkBytes)),
 		LocalBytes: f.localBytes,
 		LocalMsgs:  f.localMsgs,
@@ -253,7 +199,7 @@ func (f *Fabric) Snapshot() *stats.NetStats {
 	for s := 0; s < n; s++ {
 		out.Pairs[s] = append([]int64(nil), f.pairBytes[s]...)
 	}
-	for i, l := range f.topo.Links() {
+	for i, l := range f.topo.Links {
 		out.Links[i] = stats.LinkStat{Name: l.Name, Bytes: f.linkBytes[i], Msgs: f.linkMsgs[i]}
 	}
 	half := n / 2

@@ -1,23 +1,37 @@
 package interconnect
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"repro/internal/config"
 )
 
-// topologies under test, with the hop count each promises for a route.
-func testTopologies(t *testing.T, n int) []Topology {
+// newFabric builds an n-node fabric of the named topology whose links
+// cost hop cycles each.
+func newFabric(t *testing.T, kind string, n int, hop int64) *Fabric {
 	t.Helper()
-	mesh, err := NewMesh(n, 0)
+	tm := config.Default()
+	tm.NetworkLatency = hop
+	f, err := New(config.Network{Topology: kind}, n, tm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft, err := NewFatTree(n, 4)
-	if err != nil {
-		t.Fatal(err)
+	return f
+}
+
+var topoKinds = []string{config.TopoCrossbar, config.TopoRing, config.TopoMesh, config.TopoFatTree}
+
+// testTopologies returns every topology over n nodes.
+func testTopologies(t *testing.T, n int) []*Topology {
+	t.Helper()
+	var out []*Topology
+	for _, kind := range topoKinds {
+		out = append(out, newFabric(t, kind, n, 80).Topology())
 	}
-	return []Topology{NewCrossbar(n), NewRing(n), mesh, ft}
+	return out
 }
 
 // TestRoutesAreConnectedPaths checks the structural invariant every
@@ -25,39 +39,79 @@ func testTopologies(t *testing.T, n int) []Topology {
 // from src to dst, and is empty exactly when src == dst.
 func TestRoutesAreConnectedPaths(t *testing.T) {
 	for _, topo := range testTopologies(t, 8) {
-		links := topo.Links()
-		for src := 0; src < topo.Nodes(); src++ {
-			for dst := 0; dst < topo.Nodes(); dst++ {
+		links := topo.Links
+		for src := 0; src < topo.Nodes; src++ {
+			for dst := 0; dst < topo.Nodes; dst++ {
 				route := topo.Route(src, dst)
 				if src == dst {
 					if len(route) != 0 {
-						t.Errorf("%s: route %d->%d not empty", topo.Name(), src, dst)
+						t.Errorf("%s: route %d->%d not empty", topo.Name, src, dst)
 					}
 					continue
 				}
 				if len(route) == 0 {
-					t.Fatalf("%s: no route %d->%d", topo.Name(), src, dst)
+					t.Fatalf("%s: no route %d->%d", topo.Name, src, dst)
 				}
 				at := src
 				for _, id := range route {
 					l := links[id]
 					if l.Src != at {
 						t.Fatalf("%s: route %d->%d: link %s does not start at %d",
-							topo.Name(), src, dst, l.Name, at)
+							topo.Name, src, dst, l.Name, at)
 					}
 					at = l.Dst
 				}
 				if at != dst {
-					t.Errorf("%s: route %d->%d ends at %d", topo.Name(), src, dst, at)
+					t.Errorf("%s: route %d->%d ends at %d", topo.Name, src, dst, at)
 				}
 			}
 		}
 	}
 }
 
+// TestRouteTablesPinned hashes every topology's link list (id, src,
+// dst, name) and every Route(src, dst) at 4, 8 and 16 nodes. Link ids
+// key the per-link counters, telemetry series and report names, and the
+// routes decide every hop charge, so any change to either moves output.
+func TestRouteTablesPinned(t *testing.T) {
+	want := map[string]string{
+		"crossbar/4":  "48866e4410783d91db9719840cc2279c1699db93b0384ede2d88b2b6b403cea7",
+		"crossbar/8":  "56442b1c1d99b7c9f99a4c7ba0e78bcc6161284da0c298ac2050e76e71a82fa4",
+		"crossbar/16": "13cdfa8908e1ca56d9aab236b097d8990e222f4765a01329586a54cd43049a5d",
+		"ring/4":      "87afe1c5287db6126cc51266e8267c69128c15ecb961df18561be2bf9284f98b",
+		"ring/8":      "1b75abfc5faaea1af401895a6b8424ea9b9f69ef995bc97b5d84229aeb5b0745",
+		"ring/16":     "5c6358ac713ee8e20a17f6536a5da9d0d7236f7c1dcafd7cb0fe9708e213d113",
+		"mesh/4":      "4186c36c367cfc4046391908c24cbae50ca081fd5ef36d7338803988758ddddd",
+		"mesh/8":      "9ba48636d5116400de4983d5883a1706037982a4afa3779412a49decbe37ad13",
+		"mesh/16":     "6ecbfe2372d75ad569e72010e211c5ebf0841dc3b7e166f8554e4ab0e6656aa5",
+		"fattree/4":   "a63fc0b2ef600d2939a4a7899006c99c8cc6cbbf79207fa0f2fe16bd662a038b",
+		"fattree/8":   "d39e6a4e09550913fb173fe64c99e06184c5d1a2a1c83af7d393ec8c856cc02d",
+		"fattree/16":  "23816153927d77fce5bb2c89ae9b0e3f0b8605bab54135a1c351b0710b5742ba",
+	}
+	for _, kind := range topoKinds {
+		for _, n := range []int{4, 8, 16} {
+			topo := newFabric(t, kind, n, 80).Topology()
+			h := sha256.New()
+			for _, l := range topo.Links {
+				fmt.Fprintf(h, "link %d %d %d %s\n", l.ID, l.Src, l.Dst, l.Name)
+			}
+			for s := 0; s < n; s++ {
+				for d := 0; d < n; d++ {
+					fmt.Fprintf(h, "route %d %d %v\n", s, d, topo.Route(s, d))
+				}
+			}
+			key := fmt.Sprintf("%s/%d", kind, n)
+			got := hex.EncodeToString(h.Sum(nil))
+			if got != want[key] {
+				t.Errorf("%s: route table digest %s, want %s", key, got, want[key])
+			}
+		}
+	}
+}
+
 func TestCrossbarSingleHop(t *testing.T) {
-	c := NewCrossbar(8)
-	if got := len(c.Links()); got != 8*7 {
+	c := newFabric(t, config.TopoCrossbar, 8, 80).Topology()
+	if got := len(c.Links); got != 8*7 {
 		t.Errorf("crossbar links = %d, want 56", got)
 	}
 	for src := 0; src < 8; src++ {
@@ -69,7 +123,7 @@ func TestCrossbarSingleHop(t *testing.T) {
 			if len(r) != 1 {
 				t.Fatalf("crossbar route %d->%d has %d hops", src, dst, len(r))
 			}
-			l := c.Links()[r[0]]
+			l := c.Links[r[0]]
 			if l.Src != src || l.Dst != dst {
 				t.Errorf("crossbar route %d->%d uses link %s", src, dst, l.Name)
 			}
@@ -78,7 +132,7 @@ func TestCrossbarSingleHop(t *testing.T) {
 }
 
 func TestRingShortestPath(t *testing.T) {
-	r := NewRing(8)
+	r := newFabric(t, config.TopoRing, 8, 80).Topology()
 	for src := 0; src < 8; src++ {
 		for dst := 0; dst < 8; dst++ {
 			if src == dst {
@@ -101,13 +155,7 @@ func TestRingShortestPath(t *testing.T) {
 }
 
 func TestMeshDimensionOrder(t *testing.T) {
-	m, err := NewMesh(8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, h := m.Dims(); w != 4 || h != 2 {
-		t.Fatalf("mesh dims = %dx%d", w, h)
-	}
+	m := newFabric(t, config.TopoMesh, 8, 80).Topology() // 4x2
 	for src := 0; src < 8; src++ {
 		for dst := 0; dst < 8; dst++ {
 			if src == dst {
@@ -129,7 +177,7 @@ func TestMeshDimensionOrder(t *testing.T) {
 			// Y-direction link.
 			sawY := false
 			for _, id := range route {
-				l := m.Links()[id]
+				l := m.Links[id]
 				dYlink := l.Dst-l.Src == 4 || l.Src-l.Dst == 4
 				if dYlink {
 					sawY = true
@@ -142,26 +190,20 @@ func TestMeshDimensionOrder(t *testing.T) {
 }
 
 func TestFatTreeUpDown(t *testing.T) {
-	f, err := NewFatTree(8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFabric(t, config.TopoFatTree, 8, 80).Topology()
 	if got := len(f.Route(0, 1)); got != 2 {
 		t.Errorf("same-leaf route has %d hops, want 2", got)
 	}
 	if got := len(f.Route(0, 7)); got != 4 {
 		t.Errorf("cross-leaf route has %d hops, want 4", got)
 	}
-	if _, err := NewFatTree(8, 3); err == nil {
-		t.Error("arity 3 over 8 nodes should fail")
-	}
 }
 
 func TestMeshDims(t *testing.T) {
 	cases := map[int][2]int{8: {4, 2}, 16: {4, 4}, 12: {4, 3}, 7: {7, 1}, 1: {1, 1}}
 	for n, want := range cases {
-		if w, h := MeshDims(n); w != want[0] || h != want[1] {
-			t.Errorf("MeshDims(%d) = %dx%d, want %dx%d", n, w, h, want[0], want[1])
+		if w, h := meshDims(n); w != want[0] || h != want[1] {
+			t.Errorf("meshDims(%d) = %dx%d, want %dx%d", n, w, h, want[0], want[1])
 		}
 	}
 }
@@ -192,8 +234,9 @@ func TestCrossbarTraverseMatchesFlatLatency(t *testing.T) {
 // the per-link totals must equal the per-pair injected bytes multiplied
 // by each pair's route hop count.
 func TestTraverseConservation(t *testing.T) {
-	for _, topo := range testTopologies(t, 8) {
-		f := NewFabric(topo, 80, 0)
+	for _, kind := range topoKinds {
+		f := newFabric(t, kind, 8, 80)
+		topo := f.Topology()
 		var injected int64
 		for src := 0; src < 8; src++ {
 			for dst := 0; dst < 8; dst++ {
@@ -211,32 +254,17 @@ func TestTraverseConservation(t *testing.T) {
 			}
 		}
 		if got := f.TotalLinkBytes(); got != want {
-			t.Errorf("%s: link bytes %d, want %d", topo.Name(), got, want)
+			t.Errorf("%s: link bytes %d, want %d", topo.Name, got, want)
 		}
 		ns := f.Snapshot()
 		if got := ns.TotalLinkBytes(); got != want {
-			t.Errorf("%s: snapshot link bytes %d, want %d", topo.Name(), got, want)
+			t.Errorf("%s: snapshot link bytes %d, want %d", topo.Name, got, want)
 		}
-	}
-}
-
-// TestFiniteBandwidthQueues checks the contention model: two messages
-// injected at the same time on the same link serialize.
-func TestFiniteBandwidthQueues(t *testing.T) {
-	f := NewFabric(NewRing(4), 10, 8) // 8 bytes/cycle
-	// 64-byte message occupies each link for 8 cycles.
-	t1 := f.Traverse(0, 1, 64, 0)
-	t2 := f.Traverse(0, 1, 64, 0)
-	if t1 != 8+10 {
-		t.Errorf("first traverse = %d, want 18", t1)
-	}
-	if t2 != 16+10 {
-		t.Errorf("queued traverse = %d, want 26", t2)
 	}
 }
 
 func TestBisectionBytes(t *testing.T) {
-	f := NewFabric(NewRing(8), 80, 0)
+	f := newFabric(t, config.TopoRing, 8, 80)
 	f.Traverse(0, 7, 100, 0) // crosses the 0..3 | 4..7 cut
 	f.Traverse(1, 2, 50, 0)  // stays in the lower half
 	ns := f.Snapshot()
@@ -246,7 +274,7 @@ func TestBisectionBytes(t *testing.T) {
 }
 
 func TestExtraHopLatency(t *testing.T) {
-	xbar := NewFabric(NewCrossbar(8), 80, 0)
+	xbar := newFabric(t, config.TopoCrossbar, 8, 80)
 	for s := 0; s < 8; s++ {
 		for d := 0; d < 8; d++ {
 			if got := xbar.ExtraHopLatency(s, d); got != 0 {
@@ -254,7 +282,7 @@ func TestExtraHopLatency(t *testing.T) {
 			}
 		}
 	}
-	ring := NewFabric(NewRing(8), 80, 0)
+	ring := newFabric(t, config.TopoRing, 8, 80)
 	if got := ring.ExtraHopLatency(0, 4); got != 3*80 {
 		t.Errorf("ring extra 0->4 = %d, want 240", got)
 	}
@@ -277,7 +305,7 @@ func TestRouteDoesNotAllocate(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s: Route allocates %.1f per sweep, want 0", topo.Name(), allocs)
+			t.Errorf("%s: Route allocates %.1f per sweep, want 0", topo.Name, allocs)
 		}
 	}
 }
@@ -287,8 +315,8 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(config.Network{Topology: "torus"}, 8, tm); err == nil {
 		t.Error("unknown topology accepted")
 	}
-	if _, err := New(config.Network{Topology: config.TopoMesh, MeshWidth: 3}, 8, tm); err == nil {
-		t.Error("mesh width 3 over 8 nodes accepted")
+	if _, err := New(config.Network{Topology: config.TopoFatTree}, 6, tm); err == nil {
+		t.Error("fat-tree over 6 nodes accepted")
 	}
 }
 
@@ -298,7 +326,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 // violation, while injections at or after the floor — including ones at
 // an earlier absolute time after the floor moved back — are clean.
 func TestAuditFlagsPastInjection(t *testing.T) {
-	f := NewFabric(NewRing(8), 10, 0)
+	f := newFabric(t, config.TopoRing, 8, 10)
 	f.EnableAudit()
 	f.SetAuditFloor(1000)
 	f.Traverse(0, 1, 64, 1000) // at the floor: fine
@@ -325,7 +353,7 @@ func TestAuditFlagsPastInjection(t *testing.T) {
 
 // TestAuditOffRecordsNothing checks audit mode is strictly opt-in.
 func TestAuditOffRecordsNothing(t *testing.T) {
-	f := NewFabric(NewRing(8), 10, 0)
+	f := newFabric(t, config.TopoRing, 8, 10)
 	f.SetAuditFloor(1000)
 	f.Traverse(0, 1, 64, 0)
 	if got := f.Violations(); len(got) != 0 {
@@ -336,7 +364,7 @@ func TestAuditOffRecordsNothing(t *testing.T) {
 // TestSnapshotPairsMatchFabric checks the published NetStats pair
 // matrix is a faithful copy of the fabric's injection ground truth.
 func TestSnapshotPairsMatchFabric(t *testing.T) {
-	f := NewFabric(NewRing(4), 10, 0)
+	f := newFabric(t, config.TopoRing, 4, 10)
 	f.Traverse(0, 2, 100, 0)
 	f.Traverse(3, 1, 50, 0)
 	f.Traverse(1, 1, 8, 0) // local

@@ -26,8 +26,8 @@
 //     parameter (fabric Traverse/Deliver, Resource.Acquire,
 //     writebackRemote, ...). This is exactly the flushFrame bug class
 //     PR 2 fixed at run time: a message injected at t=0 instead of
-//     the emitting transaction's clock mis-times link occupancy and
-//     hides traffic from windowed views. A deliberate time-0 charge
+//     the emitting transaction's clock mis-times NI and home
+//     occupancy and hides traffic from windowed views. A deliberate time-0 charge
 //     carries a `//lint:eventtime` annotation.
 //   - hotalloc: functions annotated `//repro:hotpath` may not use
 //     fmt, string concatenation, closures, map literals/makes, or

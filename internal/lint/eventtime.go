@@ -15,8 +15,8 @@ import (
 // a literal 0 injects the message at the beginning of simulated time —
 // the exact flushFrame bug PR 2 fixed at run time: the dirty-frame
 // writeback charged the NI, fabric and home controller at t=0 instead
-// of the caller's clock, silently mis-timing link occupancy and hiding
-// the traffic from time-windowed views. The runtime audit
+// of the caller's clock, silently mis-timing NI and home occupancy and
+// hiding the traffic from time-windowed views. The runtime audit
 // (Fabric.EnableAudit) catches this class only on paths a sweep
 // exercises; the analyzer catches it on every path at compile time.
 // The rare legitimate time-0 call (initialization before the first

@@ -6,7 +6,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -247,25 +246,5 @@ func (s *Sim) Summary() string {
 		s.PageOpsByKind(Collapse), s.PageOpsByKind(Relocation),
 		s.PageOpsByKind(Replacement))
 	fmt.Fprintf(&b, "  traffic:        %d bytes\n", s.TotalTrafficBytes())
-	return b.String()
-}
-
-// Table formats a series of labeled values as an aligned two-column
-// table, sorted by label. It is used by harness reports.
-func Table(rows map[string]float64) string {
-	labels := make([]string, 0, len(rows))
-	w := 0
-	//lint:unordered label collection is sorted below
-	for k := range rows {
-		labels = append(labels, k)
-		if len(k) > w {
-			w = len(k)
-		}
-	}
-	sort.Strings(labels)
-	var b strings.Builder
-	for _, k := range labels {
-		fmt.Fprintf(&b, "  %-*s %8.3f\n", w, k, rows[k])
-	}
 	return b.String()
 }

@@ -92,17 +92,3 @@ func TestPageOpStrings(t *testing.T) {
 		}
 	}
 }
-
-func TestTableSortedAndAligned(t *testing.T) {
-	out := Table(map[string]float64{"zeta": 1.5, "alpha": 2.25})
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines", len(lines))
-	}
-	if !strings.Contains(lines[0], "alpha") || !strings.Contains(lines[1], "zeta") {
-		t.Errorf("rows not sorted:\n%s", out)
-	}
-	if !strings.Contains(lines[0], "2.250") {
-		t.Errorf("value not formatted:\n%s", out)
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/telemetry"
 )
 
 // TestTelemetryOverheadBudget pins the observability cost ceiling: the
@@ -27,7 +28,7 @@ func TestTelemetryOverheadBudget(t *testing.T) {
 	}
 
 	traces := harness.NewTraceCache()
-	sweep := func(tel *harness.TelemetryOptions) time.Duration {
+	sweep := func(tel *telemetry.Config) time.Duration {
 		start := time.Now()
 		if _, err := harness.RunByName("fig5", harness.Options{
 			Scale: 8, Parallel: 4, Traces: traces, Out: io.Discard, Telemetry: tel,
@@ -40,7 +41,7 @@ func TestTelemetryOverheadBudget(t *testing.T) {
 	sweep(nil) // warm the trace cache outside the measured iterations
 
 	const pairs = 4
-	timeline := &harness.TelemetryOptions{Timeline: true}
+	timeline := &telemetry.Config{Timeline: true}
 	within := false
 	for i := 0; i < pairs; i++ {
 		off := sweep(nil)
