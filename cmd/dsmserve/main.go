@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	dsmserve -addr :8080 -resultstore .resultstore -tracestore .tracestore
+//	dsmserve -addr :8080 -resultstore .resultstore
 //	curl 'http://localhost:8080/query?experiment=fig5&apps=radix&scale=64'
 //	curl -d '{"experiment":"fig5","apps":["radix"],"scale":64}' http://localhost:8080/query
 //	curl http://localhost:8080/statusz
@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"repro/internal/serve"
-	"repro/internal/trace/store"
 )
 
 func main() {
@@ -54,7 +53,6 @@ func run() error {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		resultStore = flag.String("resultstore", "", "directory of the on-disk result store (empty = memory only)")
-		traceStore  = flag.String("tracestore", "", "directory of the on-disk trace store (empty = traces are generated per query and not kept)")
 		cacheSize   = flag.Int("cache", 128, "in-memory result LRU capacity (entries)")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "simulations run at once, shared by all cold queries")
 		queue       = flag.Int("queue", 0, "cold-path queue depth before 429 (0 = 4x workers)")
@@ -72,13 +70,6 @@ func run() error {
 			return err
 		}
 		cfg.Store = rs
-	}
-	if *traceStore != "" {
-		st, err := store.Open(*traceStore)
-		if err != nil {
-			return err
-		}
-		cfg.TraceStore = st
 	}
 	srv := serve.New(cfg)
 

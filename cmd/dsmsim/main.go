@@ -5,7 +5,6 @@
 //
 //	dsmsim -app lu -system rnuma [-scale 4] [-slow] [-netscale 4] [-audit=false]
 //	dsmsim -app lu -systems ccnuma,migrep,migrep-contend -normalize
-//	dsmsim -app radix -tracestore .tracestore   # reuse traces across runs
 //	dsmsim -app migratory -system migrep -telemetry out/ -timeline
 //	dsmsim -list
 //
@@ -17,9 +16,9 @@
 // dsmsim is a client of internal/harness, as cmd/experiments is: both
 // declare their shared flags with harness.NewFlags, run on the harness
 // executor (here harness.RunSystems) with traces from a
-// harness.TraceCache over the optional -tracestore store, and write
-// -telemetry artifacts with Result.WriteTelemetry, here as
-// dsmsim_<app>_<system>.* per system plus dsmsim.manifest.json.
+// harness.TraceCache, and write -telemetry artifacts with
+// Result.WriteTelemetry, here as dsmsim_<app>_<system>.* per system
+// plus dsmsim.manifest.json.
 package main
 
 import (
@@ -92,10 +91,7 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	if *systems != "" {
 		names = strings.Split(*systems, ",")
 	}
-	o, err := shared.Options(stdout)
-	if err != nil {
-		return err
-	}
+	o := shared.Options(stdout)
 	o.Apps, o.Systems = []string{app.Name}, names
 
 	// The anchor, dsm.RunBaseline, keeps the base timing and thresholds
@@ -111,12 +107,8 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	src := "generated"
-	if o.Traces.Stats().DiskHits > 0 {
-		src = "loaded from " + shared.TraceStore
-	}
-	fmt.Fprintf(stdout, "trace: %d ops, %.2f MB shared footprint, %d barriers, %d locks (%s)\n",
-		tr.Ops(), float64(tr.Footprint)/(1<<20), tr.Barriers, tr.Locks, src)
+	fmt.Fprintf(stdout, "trace: %d ops, %.2f MB shared footprint, %d barriers, %d locks (generated)\n",
+		tr.Ops(), float64(tr.Footprint)/(1<<20), tr.Barriers, tr.Locks)
 	for _, label := range res.Systems {
 		run := res.Runs[app.Name][label]
 		fmt.Fprint(stdout, run.Stats.Summary())

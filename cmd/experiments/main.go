@@ -10,7 +10,6 @@
 //	experiments -experiment scalesweep -scales 8,16,32,64   # Figure 5 across problem scales
 //	experiments -scale 4 -parallel 8        # smaller inputs, concurrent runs
 //	experiments -json results.json -csv results.csv
-//	experiments -tracestore .tracestore     # persist generated traces on disk
 //	experiments -experiment params          # print the encoded Tables 2 and 3
 //	experiments -list-systems               # print the memory-system registry
 //	experiments -cpuprofile cpu.out -memprofile mem.out   # ad-hoc profiling
@@ -20,12 +19,6 @@
 // Systems resolve through the dsm registry, so -systems accepts any
 // registered name — including systems that postdate the paper, such as
 // the contention-aware "migrep-contend".
-//
-// -tracestore names a directory for the content-addressed on-disk
-// trace store (internal/trace/store): generated workloads are written
-// there and later runs materialize them from disk instead of
-// regenerating. It defaults to off so cold-generation timings stay
-// measurable.
 package main
 
 import (
@@ -154,10 +147,7 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	}
 
 	// The trace cache shares each workload across experiments.
-	base, err := shared.Options(stdout)
-	if err != nil {
-		return err
-	}
+	base := shared.Options(stdout)
 	base.Parallel = *parallel
 	q := harness.Query{Experiment: *exp, Fabric: *fabric, Scale: base.Scale, Seed: *seed}
 	if *appsFlag != "" {
@@ -228,8 +218,8 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	}
 	if base.Progress != nil {
 		s := base.Traces.Stats()
-		fmt.Fprintf(base.Progress, "# tracecache: %d hits, %d coalesced, %d disk hits, %d generated\n",
-			s.Hits, s.Coalesced, s.DiskHits, s.Generated)
+		fmt.Fprintf(base.Progress, "# tracecache: %d hits, %d coalesced, %d generated\n",
+			s.Hits, s.Coalesced, s.Generated)
 	}
 	return nil
 }

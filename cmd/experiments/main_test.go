@@ -43,7 +43,7 @@ func TestFlagSurface(t *testing.T) {
 		"apps=", "audit=true", "cpuprofile=", "csv=", "experiment=all", "fabric=",
 		"json=", "list-systems=false", "memprofile=", fmt.Sprintf("parallel=%d", runtime.NumCPU()),
 		"progress=false", "scale=1", "scales=", "seed=0", "systems=", "telemetry=",
-		"timeline=false", "tracestore=", "window=0",
+		"timeline=false", "window=0",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("flags\n got %v\nwant %v", got, want)

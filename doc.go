@@ -80,9 +80,8 @@
 // fabric, scale, seed) over HTTP/JSON with the exact Record documents
 // cmd/experiments -json emits — byte-identical, a tested invariant —
 // from a three-layer stack built for concurrent traffic: responses
-// memoized content-addressed (the trace store's cache-key discipline
-// applied to whole results, in a bounded LRU over an optional
-// CRC-framed on-disk store), identical concurrent cold queries
+// memoized content-addressed (in a bounded LRU over an optional
+// CRC-framed on-disk result store), identical concurrent cold queries
 // coalesced into a single flight so a thundering herd runs one
 // simulation, and cold work bounded by a worker pool that sheds
 // overload with 429 + Retry-After and drains cleanly on SIGTERM.
@@ -96,9 +95,9 @@
 // packages, literal-0 event times on fabric and page-op seams, and
 // allocating constructs in functions annotated //repro:hotpath, and
 // requires every telemetry hook in the core to sit behind a nil guard.
-// The invariants the golden files, the content-addressed trace store
-// and the allocation guard test by example are thus also checked at
-// compile time, on every path.
+// The invariants the golden files, the trace pins and the allocation
+// guard test by example are thus also checked at compile time, on
+// every path.
 //
 // See README.md for a quickstart, cmd/experiments for the reproduction
 // driver, and cmd/dsmbench for the end-to-end benchmark.

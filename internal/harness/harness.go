@@ -51,8 +51,8 @@ type Options struct {
 	Scale int
 
 	// Seed perturbs the deterministic workload generators (0 = the
-	// paper's inputs). It participates in the trace store's content
-	// address, so distinct seeds are distinct cached workloads.
+	// paper's inputs). It is part of the trace cache's key, so distinct
+	// seeds are distinct workloads.
 	Seed uint64
 
 	// Fabric overrides the interconnect topology of every non-baseline
@@ -176,8 +176,8 @@ type Result struct {
 	// for the run manifest (Scales only for the scale sweep).
 	Scale  int
 	Scales []int
-	// Traces content-addresses every workload the experiment replayed:
-	// one entry per generated trace, carrying the on-disk store hash.
+	// Traces identifies every workload the experiment replayed: one
+	// entry per generated trace.
 	Traces []telemetry.TraceRef
 
 	// render writes the experiment's text report; set by RunByName

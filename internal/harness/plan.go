@@ -13,7 +13,6 @@ import (
 	"repro/internal/dsm"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/trace/store"
 )
 
 // A job is one simulation: an application's trace replayed on one
@@ -113,8 +112,7 @@ func (p *plan) experiment(e *experiment, anchored bool) error {
 	for _, sc := range scales {
 		for _, app := range list {
 			params := apps.Params{CPUs: cl.TotalCPUs(), Scale: sc, Seed: o.Seed}
-			key := store.Key{App: app.Name, CPUs: params.CPUs, Scale: sc, Seed: o.Seed}
-			res.Traces = append(res.Traces, telemetry.TraceRef{App: key.App, CPUs: key.CPUs, Scale: sc, Seed: o.Seed, Hash: key.Filename()})
+			res.Traces = append(res.Traces, telemetry.TraceRef{App: app.Name, CPUs: params.CPUs, Scale: sc, Seed: o.Seed})
 			var base *task
 			if anchored {
 				base = p.add(app, job{app: app.Name, params: params, anchor: true, cl: cl},

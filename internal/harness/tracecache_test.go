@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/trace"
-	"repro/internal/trace/store"
 )
 
 // countingApp returns an apps.Info whose generator counts invocations
@@ -130,69 +129,15 @@ func TestTraceCacheErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestTraceCacheReadsThroughStore: with a disk tier, the first process
-// generation warms the store and a fresh cache (fresh process) loads
-// from disk without generating.
-func TestTraceCacheReadsThroughStore(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calls atomic.Int64
-	app := countingApp("disk", &calls)
-	p := apps.Params{CPUs: 4, Scale: 8}
-
-	cold := NewTraceCacheWithStore(st)
-	tr1, err := cold.Trace(app, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("cold path generated %d times, want 1", calls.Load())
-	}
-
-	warm := NewTraceCacheWithStore(st) // a "new process"
-	tr2, err := warm.Trace(app, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := calls.Load(); n != 1 {
-		t.Errorf("warm cache still ran the generator (%d calls total), want disk hit", n)
-	}
-	if !tr1.Equal(tr2) {
-		t.Error("disk-loaded trace differs from generated")
-	}
-}
-
-// TestTraceCacheNilDiskStore: NewTraceCacheWithStore(nil) degrades to
-// the memory-only cache.
-func TestTraceCacheNilDiskStore(t *testing.T) {
-	var calls atomic.Int64
-	tc := NewTraceCacheWithStore(nil)
-	app := countingApp("nildisk", &calls)
-	for i := 0; i < 2; i++ {
-		if _, err := tc.Trace(app, apps.Params{CPUs: 2, Scale: 4}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls.Load() != 1 {
-		t.Errorf("generator ran %d times, want 1", calls.Load())
-	}
-}
-
 // TestTraceCacheStats pins the observability counters: each request
-// resolves as exactly one of hit / coalesced / disk-hit / generated,
-// and the snapshot reflects the split.
+// resolves as exactly one of hit / coalesced / generated, and the
+// snapshot reflects the split.
 func TestTraceCacheStats(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var calls atomic.Int64
 	app := countingApp("stats", &calls)
 	p := apps.Params{CPUs: 4, Scale: 8}
 
-	cold := NewTraceCacheWithStore(st)
+	cold := NewTraceCache()
 	if _, err := cold.Trace(app, p); err != nil { // generated
 		t.Fatal(err)
 	}
@@ -200,16 +145,8 @@ func TestTraceCacheStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := cold.Stats()
-	if s.Generated != 1 || s.Hits != 1 || s.DiskHits != 0 || s.InFlight != 0 {
+	if s.Generated != 1 || s.Hits != 1 || s.InFlight != 0 {
 		t.Fatalf("cold cache stats = %+v, want 1 generated, 1 hit", s)
-	}
-
-	warm := NewTraceCacheWithStore(st) // fresh process, warm disk
-	if _, err := warm.Trace(app, p); err != nil {
-		t.Fatal(err)
-	}
-	if s := warm.Stats(); s.DiskHits != 1 || s.Generated != 0 {
-		t.Fatalf("warm cache stats = %+v, want 1 disk hit, 0 generated", s)
 	}
 
 	// The herd case: 32 concurrent requests for one cold key split into

@@ -80,8 +80,8 @@ func pathHasSegment(path string, segments ...string) bool {
 
 // coreSegments are the package-path elements of the deterministic core:
 // packages whose execution must be byte-reproducible because reports,
-// golden files and content-addressed traces are derived from them.
-var coreSegments = []string{"dsm", "engine", "interconnect", "trace", "store", "telemetry", "stats"}
+// golden files and traces are derived from them.
+var coreSegments = []string{"dsm", "engine", "interconnect", "trace", "telemetry", "stats"}
 
 // inDeterministicCore reports whether the package belongs to the
 // deterministic core.

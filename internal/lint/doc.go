@@ -14,7 +14,7 @@
 //     (dsm, engine, interconnect, trace, telemetry, stats). Map
 //     iteration order is randomized by the runtime, so any map range
 //     whose effect is order-sensitive breaks byte-stable reports and
-//     content-addressed traces. Loops that are genuinely
+//     deterministic traces. Loops that are genuinely
 //     order-insensitive (collecting keys to sort, building another
 //     map, pure accumulation) carry a `//lint:unordered` annotation.
 //   - walltime: forbids wall-clock and global-randomness sources

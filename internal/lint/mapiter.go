@@ -10,7 +10,7 @@ import (
 // Go randomizes map iteration order per run, so a map range whose
 // effect depends on visit order (rendering, message emission, anything
 // feeding a report, a hash or the fabric) silently breaks the
-// byte-stable outputs the golden tests, the content-addressed trace
+// byte-stable outputs the golden tests, the content-addressed result
 // store and the cross-PR sweep comparisons rely on. A loop that is
 // genuinely order-insensitive — collecting keys to sort afterwards,
 // building another map, commutative accumulation — is annotated

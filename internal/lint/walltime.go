@@ -12,7 +12,7 @@ import (
 // The simulator's only clock is the simulated one: a time.Now (or a
 // draw from the globally seeded math/rand source) anywhere in the
 // simulation core makes two runs of the same trace diverge, breaking
-// determinism tests, golden files and the content-addressed trace
+// determinism tests, golden files and the content-addressed result
 // store. Wall time is presentation-layer input — the harness
 // progress/manifest code and the cmd/ and examples/ binaries may
 // observe it and pass it down as a value (see

@@ -7,9 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/apps"
 	"repro/internal/harness"
-	"repro/internal/trace/store"
 )
 
 // Literal pins of the result store's on-disk identity. They were
@@ -73,22 +71,11 @@ func TestResultFilePinned(t *testing.T) {
 	}
 }
 
-// TestResultStoreRejectsTraceFile: a valid trace-store file copied
-// under a result-key name carries the trace magic, so the result store
-// treats it as a corrupt entry — a miss that deletes the file — and
-// never serves trace bytes as a response.
+// TestResultStoreRejectsTraceFile: an intact frame under another
+// magic — here the header of the retired trace files, "DTRC" version
+// 1 — copied under a result-key name is a miss that deletes the file,
+// so no other file kind is ever served as a response.
 func TestResultStoreRejectsTraceFile(t *testing.T) {
-	info, err := apps.ByName("radix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := info.Generate(apps.Params{CPUs: 8, Scale: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.Decode(store.Encode(tr)); err != nil {
-		t.Fatalf("trace file does not decode as a trace: %v", err)
-	}
 	dir := t.TempDir()
 	rs, err := OpenResultStore(dir)
 	if err != nil {
@@ -96,7 +83,7 @@ func TestResultStoreRejectsTraceFile(t *testing.T) {
 	}
 	key := ResultKey(pinQuery(), "test")
 	path := filepath.Join(dir, key+".result")
-	if err := os.WriteFile(path, store.Encode(tr), 0o644); err != nil {
+	if err := os.WriteFile(path, rawFrame("DTRC\x01", "trace payload"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if body, ok := rs.Load(key); ok {

@@ -7,10 +7,10 @@
 //
 // Result memoization: every response is content-addressed by ResultKey
 // — the SHA-256 of the query's canonical encoding (harness.Query
-// .Canonical), the result and trace-store format versions, the Record
+// .Canonical), the result and trace format versions, the Record
 // schema, and the build commit — and cached in a bounded in-memory LRU
-// backed by an on-disk ResultStore with the trace store's atomic
-// temp+rename and CRC-32C discipline. A repeated query is a map lookup;
+// backed by an on-disk ResultStore, whose files are checksummed and
+// written by atomic temp+rename. A repeated query is a map lookup;
 // a server restart warms from disk; a new build computes fresh results
 // instead of replaying a stale schema.
 //
@@ -21,15 +21,13 @@
 // single-flight pattern from traces to whole results.
 //
 // Trace scope: the server holds a trace only while the query that
-// needs it runs. Each cold simulation materializes its workloads
-// through its own TraceCache, once per app for all its experiments,
-// and the traces become garbage once the body is rendered. Exact
-// repeats are answered from the result tiers. A cold query on a
-// workload another query has generated (other systems or another
-// experiment on the same app, scale and seed) reads the trace back
-// from the optional on-disk trace store; without one it generates the
-// trace again, and concurrent cold queries on one workload each
-// generate it, store or not.
+// needs it runs. Each cold simulation generates its workloads through
+// its own TraceCache, once per app for all its experiments, and the
+// traces become garbage once the body is rendered. Exact repeats are
+// answered from the result tiers. A cold query on a workload another
+// query has generated (other systems or another experiment on the same
+// app, scale and seed) generates the trace again, and concurrent cold
+// queries on one workload each generate it.
 //
 // Bounded execution with backpressure: cold queries run on a fixed-size
 // worker pool behind a fixed-depth queue, and their simulations draw
@@ -57,11 +55,10 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/telemetry"
-	"repro/internal/trace/store"
 )
 
 // StatusSchema identifies the /statusz document format.
-const StatusSchema = "repro-serve-status/v1"
+const StatusSchema = "repro-serve-status/v2"
 
 // ErrOverloaded is returned when the cold-path queue is full; the HTTP
 // layer maps it to 429 Too Many Requests with a Retry-After hint.
@@ -99,12 +96,6 @@ type Config struct {
 	// refused with ErrOverloaded (<= 0 selects 4x Workers).
 	QueueDepth int
 
-	// TraceStore is the persistent trace tier (nil = none). The server
-	// holds a trace only while the query that needs it runs; a later
-	// query on the same workload reads it back from this store, or
-	// generates it again when there is none.
-	TraceStore *store.Store
-
 	// Commit pins result keys to a build ("" reads the running
 	// binary's VCS stamp via telemetry.BuildCommit; tests inject a
 	// fixed value).
@@ -127,13 +118,12 @@ type runner func(ctx context.Context, q harness.Query) ([]byte, error)
 // implements http.Handler; use New and mount it (cmd/dsmserve serves
 // it standalone).
 type Server struct {
-	store      *ResultStore
-	cache      *resultLRU
-	pool       *workPool
-	slots      *harness.Slots
-	traceStore *store.Store
-	commit     string
-	run        runner
+	store  *ResultStore
+	cache  *resultLRU
+	pool   *workPool
+	slots  *harness.Slots
+	commit string
+	run    runner
 
 	workers int
 	depth   int
@@ -197,7 +187,6 @@ func newServer(cfg Config, run runner) *Server {
 		cache:      newResultLRU(cfg.CacheEntries),
 		pool:       newWorkPool(cfg.Workers, cfg.QueueDepth),
 		slots:      harness.NewSlots(cfg.Workers),
-		traceStore: cfg.TraceStore,
 		commit:     cfg.Commit,
 		run:        run,
 		workers:    cfg.Workers,
@@ -215,7 +204,7 @@ func newServer(cfg Config, run runner) *Server {
 // query's traces live in a cache of its own, dropped on return; its
 // simulations may use every worker, bounded by the server's slots.
 func (s *Server) simulate(ctx context.Context, q harness.Query) ([]byte, error) {
-	traces := harness.NewTraceCacheWithStore(s.traceStore)
+	traces := harness.NewTraceCache()
 	s.mu.Lock()
 	s.liveTraces[traces] = struct{}{}
 	s.mu.Unlock()
@@ -246,12 +235,11 @@ func (s *Server) retireTraces(tc *harness.TraceCache) {
 	delete(s.liveTraces, tc)
 	s.doneTraces.Hits += st.Hits
 	s.doneTraces.Coalesced += st.Coalesced
-	s.doneTraces.DiskHits += st.DiskHits
 	s.doneTraces.Generated += st.Generated
 }
 
 // traceStats sums the trace counters of finished simulations and the
-// in-flight materializations of running ones.
+// in-flight generations of running ones.
 func (s *Server) traceStats() harness.TraceCacheStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

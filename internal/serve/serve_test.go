@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/trace/store"
 )
 
 // testQuery returns a distinct valid query per seed.
@@ -618,8 +617,8 @@ func TestTraceMemoryScopedToQuery(t *testing.T) {
 
 // TestTraceReuseThroughStatusz pins where a cold query's traces come
 // from, as /statusz reports it: the experiments of one query share a
-// generation per app, and a later query on the same workload reads the
-// trace store or, without one, generates the trace again.
+// generation per app, and a later query on the same workload generates
+// the trace again.
 func TestTraceReuseThroughStatusz(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
@@ -648,15 +647,8 @@ func TestTraceReuseThroughStatusz(t *testing.T) {
 	ccnuma, migrep := testQuery(3), testQuery(3)
 	migrep.Systems = []string{"migrep"}
 
-	if st := run(Config{}, ccnuma, migrep); st.Generated != 2 || st.DiskHits != 0 {
-		t.Errorf("no trace store: %+v, want generated 2, disk_hits 0", st)
-	}
-	traceStore, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := run(Config{TraceStore: traceStore}, ccnuma, migrep); st.Generated != 1 || st.DiskHits != 1 {
-		t.Errorf("with a trace store: %+v, want generated 1, disk_hits 1", st)
+	if st := run(Config{}, ccnuma, migrep); st.Generated != 2 {
+		t.Errorf("two queries on one workload: %+v, want generated 2", st)
 	}
 	all := harness.Query{Experiment: "all", Apps: []string{"lu"}, Scale: 64}.Normalize()
 	if st := run(Config{}, all); st.Generated != 1 || st.Hits == 0 {

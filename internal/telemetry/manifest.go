@@ -12,18 +12,16 @@ import (
 )
 
 // ManifestSchema identifies the manifest document format.
-const ManifestSchema = "repro-run-manifest/v1"
+const ManifestSchema = "repro-run-manifest/v2"
 
-// TraceRef identifies one generated workload by its content address in
-// the on-disk trace store: the hash is the store filename, a SHA-256 of
-// (format version, app, cpus, scale, seed), so two manifests with equal
-// hashes replayed byte-identical inputs.
+// TraceRef identifies one generated workload by the inputs that
+// determine it: generation is deterministic, so two manifests with
+// equal refs replayed byte-identical traces.
 type TraceRef struct {
 	App   string `json:"app"`
 	CPUs  int    `json:"cpus"`
 	Scale int    `json:"scale"`
 	Seed  uint64 `json:"seed"`
-	Hash  string `json:"hash"`
 }
 
 // Manifest records everything needed to reproduce (and attribute) a

@@ -279,7 +279,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	man.Experiment = "fig5"
 	man.Systems = []string{"CC-NUMA", "MigRep"}
 	man.Scale = 8
-	man.Traces = []TraceRef{{App: "lu", CPUs: 32, Scale: 8, Hash: "abc.trace"}}
+	ref := TraceRef{App: "lu", CPUs: 32, Scale: 8, Seed: 3}
+	man.Traces = []TraceRef{ref}
 	man.WallSeconds = 1.5
 	var sb strings.Builder
 	if err := man.Write(&sb); err != nil {
@@ -289,7 +290,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := json.Unmarshal([]byte(sb.String()), &back); err != nil {
 		t.Fatalf("manifest is not valid JSON: %v", err)
 	}
-	if back.Experiment != "fig5" || back.Scale != 8 || len(back.Traces) != 1 || back.Traces[0].Hash != "abc.trace" {
+	if back.Experiment != "fig5" || back.Scale != 8 || len(back.Traces) != 1 || back.Traces[0] != ref {
 		t.Errorf("round trip lost fields: %+v", back)
 	}
 }

@@ -12,13 +12,12 @@ import (
 	"repro/internal/config"
 	"repro/internal/memory"
 	"repro/internal/trace"
-	"repro/internal/trace/store"
 )
 
 // TestRecorderWideGaps drives gaps across the 5-bit escape and the
-// 32-bit limit through the Recorder and checks that the cursor, Ops and
-// a store round trip all read back the same rows, and that the columns
-// hold exactly the escapes the layout promises.
+// 32-bit limit through the Recorder and checks that the cursor and Ops
+// read back the same rows, and that the columns hold exactly the
+// escapes the layout promises.
 func TestRecorderWideGaps(t *testing.T) {
 	gaps := []uint64{30, 31, 256, 1<<32 - 1, 1<<32 + 7}
 	r := trace.NewRecorder()
@@ -58,19 +57,6 @@ func TestRecorderWideGaps(t *testing.T) {
 	}
 	if wantWides := []uint32{31, 256, 1<<32 - 1, 1<<32 - 1}; !slices.Equal(s.Wides, wantWides) {
 		t.Errorf("Wides = %v, want %v", s.Wides, wantWides)
-	}
-
-	tr := &trace.Trace{Name: "wide-gaps", CPUs: []trace.Stream{s}}
-	back, err := store.Decode(store.Encode(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := back.CPUs[0].Ops(); !slices.Equal(got, want) {
-		t.Errorf("store round trip = %+v, want %+v", got, want)
-	}
-	if !slices.Equal(back.CPUs[0].Heads, s.Heads) || !slices.Equal(back.CPUs[0].Wides, s.Wides) {
-		t.Errorf("store round trip columns = %v/%v, want %v/%v",
-			back.CPUs[0].Heads, back.CPUs[0].Wides, s.Heads, s.Wides)
 	}
 }
 
@@ -144,8 +130,7 @@ func checkBytesPerOp(t *testing.T, name string, tr *trace.Trace) float64 {
 const maxBytesPerOp = 3.3
 
 // TestStreamBytesPerOp is the deterministic memory guard on the trace
-// layout, for every generator's streams as the Recorder leaves them and
-// as a store round trip decodes them.
+// layout, for every generator's streams as the Recorder leaves them.
 func TestStreamBytesPerOp(t *testing.T) {
 	cpus := config.DefaultCluster().TotalCPUs()
 	for _, info := range apps.All() {
@@ -156,11 +141,6 @@ func TestStreamBytesPerOp(t *testing.T) {
 		if perOp := checkBytesPerOp(t, info.Name, tr); perOp > maxBytesPerOp {
 			t.Errorf("%s: %.3f B/op at scale 8, want at most %.1f", info.Name, perOp, maxBytesPerOp)
 		}
-		back, err := store.Decode(store.Encode(tr))
-		if err != nil {
-			t.Fatalf("%s: %v", info.Name, err)
-		}
-		checkBytesPerOp(t, info.Name+" decoded", back)
 	}
 }
 
@@ -196,7 +176,7 @@ func TestRecorderAllocatesTwiceTheStream(t *testing.T) {
 // TestArgEscape drives args across the 16-bit escape and up to the
 // 32-bit limit, one of them on an op whose gap escapes too, through
 // every path that writes or reads the columns: the Recorder,
-// Stream.Append, the Cursor, Equal and a store round trip. Each must
+// Stream.Append, the Cursor and Equal. Each must
 // agree on the rows and hold exactly the escapes the layout promises,
 // an op's escaped gap ahead of its escaped arg in Wides.
 func TestArgEscape(t *testing.T) {
@@ -222,12 +202,8 @@ func TestArgEscape(t *testing.T) {
 	wantArgs := []uint16{0, 65534, 65535, 65535, 65535}
 	wantWides := []uint32{65535, wideGap, 65536, 1<<32 - 1}
 	tr := &trace.Trace{Name: "wide-args", CPUs: []trace.Stream{recorded}}
-	back, err := store.Decode(store.Encode(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, s := range map[string]trace.Stream{
-		"recorder": recorded, "append": appended, "store": back.CPUs[0],
+		"recorder": recorded, "append": appended,
 	} {
 		if !slices.Equal(s.Heads, wantHeads) || !slices.Equal(s.Args, wantArgs) || !slices.Equal(s.Wides, wantWides) {
 			t.Errorf("%s: Heads/Args/Wides = %v/%v/%v, want %v/%v/%v",
@@ -249,7 +225,6 @@ func TestArgEscape(t *testing.T) {
 		}
 	}
 	checkBytesPerOp(t, "recorder", tr)
-	checkBytesPerOp(t, "store", back)
 
 	// Equal compares the escaped values, not only the markers.
 	for i := range wantWides {

@@ -28,12 +28,10 @@
 // bits (the Recorder panics on one that does not). Generation appends
 // into fixed-size column chunks through the Recorder, which gathers
 // them into exact-length columns at Finish so no append slack stays
-// resident, and the on-disk format of trace/store serializes the
-// logical kind, gap and arg columns independently so per-CPU sections
-// encode and decode in parallel.
+// resident.
 //
-// Cursor is the one sequential reader: replay, validation, comparison
-// and encoding all walk a stream through it, and it alone resolves the
+// Cursor is the one sequential reader: replay, validation and
+// comparison all walk a stream through it, and it alone resolves the
 // gap and arg escapes. The Op struct is the row it yields;
 // Stream.Append scatters a row onto the columns, the convenient form for
 // tests and hand-built traces.
@@ -285,7 +283,7 @@ func (t *Trace) Ops() int {
 }
 
 // Equal reports whether two traces are identical in metadata and op
-// content (store round-trip check).
+// content.
 func (t *Trace) Equal(o *Trace) bool {
 	if t.Name != o.Name || t.Barriers != o.Barriers || t.Locks != o.Locks ||
 		t.Footprint != o.Footprint || len(t.CPUs) != len(o.CPUs) {
