@@ -14,12 +14,19 @@ import (
 
 // resultPins are literal SHA-256 digests of the values the kernels
 // compute at scale 4: fmm's particle potentials, raytrace's
-// framebuffer and ocean's stream function, each hashed as the
-// little-endian IEEE-754 bits of its floats in order. A change to how
-// generation is scheduled must not move one bit of them.
+// framebuffer, ocean's stream function, lu's factored matrix,
+// cholesky's band factor, barnes' final body positions (x, y, z per
+// body) and radix's sorted keys (each key converted to float64, which
+// is exact), each hashed as the little-endian IEEE-754 bits of its
+// floats in order. A change to how generation is scheduled must not
+// move one bit of them.
 var resultPins = map[string]string{
+	"barnes":   "d76b6013d344f32628b59de510612fce499722654d51e222ea8d19098792dad4",
+	"cholesky": "533bcd026275774da3a89e739a9bb1e339bdeb999e94a4ab2c97df68cb93ae14",
 	"fmm":      "a82f5df91e746b1dff6df57fcdd022088e31a3905626751770b8de97d10904ce",
+	"lu":       "206f0c6babee3ea876f206e03cb6330db1f28139318ee4add64656cb51bcf22e",
 	"ocean":    "c75ad72a1c013df88d020ad700a20f504a42a6cd16d0cd968b3d42077de51118",
+	"radix":    "9943e889a530fb7cec0ab3090fcc7b7d58c638417375bf058f374fb6721e78e0",
 	"raytrace": "0df82d9ad93034eb0d3f3df2b667a53737edc2e48539e2990f856cc870659117",
 }
 
@@ -43,33 +50,73 @@ func complexParts(cs []complex128) []float64 {
 	return out
 }
 
-// generatePinned runs ocean, fmm and raytrace at scale 4 under the
-// given GOMAXPROCS and returns their traces and result slices by app
-// name.
+// vecParts flattens vectors into x, y, z triples.
+func vecParts(vs []vec3) []float64 {
+	out := make([]float64, 0, 3*len(vs))
+	for _, v := range vs {
+		out = append(out, v.x, v.y, v.z)
+	}
+	return out
+}
+
+// keyParts converts integer keys to float64, exactly.
+func keyParts(ks []int32) []float64 {
+	out := make([]float64, len(ks))
+	for i, k := range ks {
+		out[i] = float64(k)
+	}
+	return out
+}
+
+// generatePinned runs every generator with a ParallelIndep segment at
+// scale 4 under the given GOMAXPROCS and returns their traces and
+// result slices by app name. migratory computes nothing, so it has a
+// trace and no result.
 func generatePinned(t *testing.T, procs int) (map[string]*trace.Trace, map[string][]float64) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(procs)
 	defer runtime.GOMAXPROCS(prev)
 	p := Params{CPUs: 32, Scale: 4}
+	traces := map[string]*trace.Trace{}
+	results := map[string][]float64{}
+	add := func(name string, tr *trace.Trace, res []float64, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		traces[name] = tr
+		if res != nil {
+			results[name] = res
+		}
+	}
 	fmmTr, pot, _, _, err := GenerateFMM(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	add("fmm", fmmTr, complexParts(pot), err)
 	oceanTr, psi, err := GenerateOcean(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	add("ocean", oceanTr, psi, err)
 	rayTr, fb, err := GenerateRaytrace(p)
+	add("raytrace", rayTr, fb, err)
+	luTr, luMat, _, _, err := GenerateLU(p)
+	add("lu", luTr, luMat.Data, err)
+	cholTr, cholMat, _, _, _, err := GenerateCholesky(p)
+	add("cholesky", cholTr, cholMat.Data, err)
+	barnesTr, barnesPos, err := GenerateBarnes(p)
+	add("barnes", barnesTr, vecParts(barnesPos), err)
+	radixTr, keys, err := GenerateRadix(p)
+	add("radix", radixTr, keyParts(keys), err)
+	migInfo, err := ByName("migratory")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*trace.Trace{"fmm": fmmTr, "ocean": oceanTr, "raytrace": rayTr},
-		map[string][]float64{"fmm": complexParts(pot), "ocean": psi, "raytrace": fb}
+	migTr, err := migInfo.Generate(p)
+	add("migratory", migTr, nil, err)
+	return traces, results
 }
 
 // TestResultsPinned proves the computed results do not move.
 func TestResultsPinned(t *testing.T) {
 	_, results := generatePinned(t, runtime.GOMAXPROCS(0))
+	if len(results) != len(resultPins) {
+		t.Errorf("%d results, %d pins", len(results), len(resultPins))
+	}
 	for name, vs := range results {
 		if got := floatDigest(vs); got != resultPins[name] {
 			t.Errorf("%s: result moved: digest %s, pinned %s", name, got, resultPins[name])
@@ -98,7 +145,10 @@ var tracePins = map[string]string{
 // size (scale 1, seed 0) and at scale 2 with another seed, for the
 // generators whose set-up runs at those sizes: raytrace's BVH is built
 // over 8192 spheres at scale 1 but only 128 at scale 64, and lu's
-// 16-wide blocks shrink to 2 at scale 64.
+// 16-wide blocks shrink to 2 at scale 64. radix at scales 1 and 2 is
+// the only input whose block numbers escape 16 bits, so its pins are
+// the ones that exercise the Recorder's arg escape; migratory, barnes
+// and cholesky pin the other generators whose segments fan out.
 var largeTracePins = []struct {
 	app    string
 	scale  int
@@ -111,6 +161,11 @@ var largeTracePins = []struct {
 	{"raytrace", 1, 0, "f8824d3c5b7899a84b1fa6f23ee7c203d551b3aba2864aa038387bc95e3c0d7f"},
 	{"fmm", 2, 3, "936590d1921abfb127c580883a510be3f135a0717e2c5a2d2f0d0cca055c2d3c"},
 	{"raytrace", 2, 3, "663854567f702f3762f885444e45bd624cda536a6a3d99b026d14ba200949cf2"},
+	{"radix", 1, 0, "2d86fd81d5ad7a63ebd1a94332af410c7f60b9a1e99905bb6593dff1bb30978e"},
+	{"radix", 2, 0, "de7611c5fe0f31f58ae87204f0d519d4888a549e59a20d612e091a5aaa6c195d"},
+	{"migratory", 2, 0, "581dacd5e4871b3f30d854f34aa889707aa8331f931ef927c80fd5e88b4d77ff"},
+	{"barnes", 1, 0, "d8ce8df658592e727801f0f67bcd77a5aaeeacba9ecd2ba952fb0c2b453a826d"},
+	{"cholesky", 1, 0, "020b82e0f9417c533e1480914f81633366c3e4f8bd72d53d5a651c1468535ebc"},
 }
 
 // traceDigest hashes a trace's name (length first), CPU count,
