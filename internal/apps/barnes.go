@@ -103,7 +103,7 @@ func GenerateBarnes(p Params) (*trace.Trace, []vec3, error) {
 	}
 
 	// Parallel first touch of body partitions.
-	w.Parallel(func(c *Ctx) {
+	w.ParallelIndep(func(c *Ctx) {
 		lo, hi := partition(c.CPU)
 		for i := lo; i < hi; i++ {
 			c.TouchRec(bodies, i, 0, bodyBytes, false)
@@ -119,7 +119,9 @@ func GenerateBarnes(p Params) (*trace.Trace, []vec3, error) {
 
 	for step := 0; step < a.steps; step++ {
 		// --- Tree build: cells reset, then parallel insertion under
-		// hashed locks.
+		// hashed locks. Insertion stays Parallel: bodies name their
+		// cell locks inside the segment and grow the one shared tree,
+		// so the CPU order is part of the tree's shape.
 		cells = cells[:0]
 		cells = append(cells, cell{children: [8]int{-1, -1, -1, -1, -1, -1, -1, -1}})
 		root = 0
@@ -148,7 +150,7 @@ func GenerateBarnes(p Params) (*trace.Trace, []vec3, error) {
 
 		// --- Force computation: each processor traverses the shared
 		// tree for its bodies.
-		w.Parallel(func(c *Ctx) {
+		w.ParallelIndep(func(c *Ctx) {
 			lo, hi := partition(c.CPU)
 			for i := lo; i < hi; i++ {
 				c.TouchRec(bodies, i, bodyPosOff, 24, false)
@@ -160,7 +162,7 @@ func GenerateBarnes(p Params) (*trace.Trace, []vec3, error) {
 		w.Barrier()
 
 		// --- Integration: leapfrog update of the local partition.
-		w.Parallel(func(c *Ctx) {
+		w.ParallelIndep(func(c *Ctx) {
 			lo, hi := partition(c.CPU)
 			for i := lo; i < hi; i++ {
 				vel[i] = vel[i].add(acc[i].scale(dt))

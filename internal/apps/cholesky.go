@@ -91,7 +91,7 @@ func GenerateCholesky(p Params) (*trace.Trace, *F64, int, int, int, error) {
 	owner := func(j int) int { return j % a.cpus }
 
 	// Parallel first touch: owners touch their block columns.
-	w.Parallel(func(c *Ctx) {
+	w.ParallelIndep(func(c *Ctx) {
 		for j := 0; j < nb; j++ {
 			if owner(j) != c.CPU {
 				continue
@@ -107,7 +107,9 @@ func GenerateCholesky(p Params) (*trace.Trace, *F64, int, int, int, error) {
 	d := mat.Data
 	for k := 0; k < nb; k++ {
 		kk := k
-		// Factor the diagonal block: dense Cholesky in place.
+		// Factor the diagonal block: dense Cholesky in place. This
+		// segment stays Parallel because the owner names its queue
+		// lock inside the body.
 		w.Parallel(func(c *Ctx) {
 			if owner(kk) != c.CPU {
 				return
@@ -143,7 +145,7 @@ func GenerateCholesky(p Params) (*trace.Trace, *F64, int, int, int, error) {
 		w.Barrier()
 
 		// Triangular solves: L(i,k) = A(i,k) * L(k,k)^-T.
-		w.Parallel(func(c *Ctx) {
+		w.ParallelIndep(func(c *Ctx) {
 			for i := kk + 1; i < nb && i-kk <= bw; i++ {
 				if owner(i) != c.CPU {
 					continue
@@ -166,6 +168,11 @@ func GenerateCholesky(p Params) (*trace.Trace, *F64, int, int, int, error) {
 		w.Barrier()
 
 		// Trailing updates: A(i,j) -= L(i,k) * L(j,k)^T within the band.
+		// This segment stays Parallel: at the band edge (i-k == bw)
+		// at gives L(i,k)'s columns left of the band a negative
+		// in-row offset, so the update reads the previous row's
+		// storage, an upper-triangle slot of diagonal block (i,i) that
+		// owner(i) writes in this same segment.
 		w.Parallel(func(c *Ctx) {
 			for j := kk + 1; j < nb && j-kk <= bw; j++ {
 				if owner(j) != c.CPU {

@@ -97,7 +97,7 @@ func (a *luApp) generate() (*trace.Trace, *F64, error) {
 
 	// Parallel first-touch pass: every owner touches its working blocks
 	// so first-touch placement matches the scatter decomposition.
-	w.Parallel(func(c *Ctx) {
+	w.ParallelIndep(func(c *Ctx) {
 		for I := 0; I < nb; I++ {
 			for J := 0; J < nb; J++ {
 				if a.owner(I, J) != c.CPU {
@@ -131,7 +131,7 @@ func (a *luApp) oneFactorization(w *World) {
 	// matrix (checksum/validation pass). The original stays read-shared
 	// across every node for the entire run — the page-replication
 	// opportunity the paper attributes to lu.
-	w.Parallel(func(c *Ctx) {
+	w.ParallelIndep(func(c *Ctx) {
 		if c.CPU%2 != 0 {
 			return
 		}
@@ -144,7 +144,7 @@ func (a *luApp) oneFactorization(w *World) {
 
 	// Read phase part 2: owners copy their blocks into the working
 	// matrix.
-	w.Parallel(func(c *Ctx) {
+	w.ParallelIndep(func(c *Ctx) {
 		for I := 0; I < nb; I++ {
 			for J := 0; J < nb; J++ {
 				if a.owner(I, J) != c.CPU {
@@ -165,7 +165,7 @@ func (a *luApp) oneFactorization(w *World) {
 	for k := 0; k < nb; k++ {
 		// Factor diagonal block (no pivoting; the matrix is diagonally
 		// dominant).
-		w.Parallel(func(c *Ctx) {
+		w.ParallelIndep(func(c *Ctx) {
 			if a.owner(k, k) != c.CPU {
 				return
 			}
@@ -175,7 +175,7 @@ func (a *luApp) oneFactorization(w *World) {
 
 		// Perimeter: column blocks solve against U11, row blocks
 		// against L11.
-		w.Parallel(func(c *Ctx) {
+		w.ParallelIndep(func(c *Ctx) {
 			for I := k + 1; I < nb; I++ {
 				if a.owner(I, k) == c.CPU {
 					a.bdiv(c, I, k)
@@ -190,7 +190,7 @@ func (a *luApp) oneFactorization(w *World) {
 		w.Barrier()
 
 		// Interior rank-B updates.
-		w.Parallel(func(c *Ctx) {
+		w.ParallelIndep(func(c *Ctx) {
 			for I := k + 1; I < nb; I++ {
 				for J := k + 1; J < nb; J++ {
 					if a.owner(I, J) == c.CPU {

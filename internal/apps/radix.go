@@ -58,7 +58,7 @@ func GenerateRadix(p Params) (*trace.Trace, []int32, error) {
 
 	per := (n + cpus - 1) / cpus
 	// Parallel first touch of each partition of both key arrays.
-	w.Parallel(func(c *Ctx) {
+	w.ParallelIndep(func(c *Ctx) {
 		lo, hi := c.CPU*per, (c.CPU+1)*per
 		if hi > n {
 			hi = n
@@ -76,7 +76,7 @@ func GenerateRadix(p Params) (*trace.Trace, []int32, error) {
 	for d := 0; d < digits; d++ {
 		shift := uint(10 * d)
 		// Local histogram over the processor's partition.
-		w.Parallel(func(c *Ctx) {
+		w.ParallelIndep(func(c *Ctx) {
 			lo, hi := c.CPU*per, (c.CPU+1)*per
 			if hi > n {
 				hi = n
@@ -117,7 +117,7 @@ func GenerateRadix(p Params) (*trace.Trace, []int32, error) {
 		w.Barrier()
 
 		// Permutation: scatter keys to their ranked positions.
-		w.Parallel(func(c *Ctx) {
+		w.ParallelIndep(func(c *Ctx) {
 			lo, hi := c.CPU*per, (c.CPU+1)*per
 			if hi > n {
 				hi = n

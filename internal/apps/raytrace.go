@@ -64,6 +64,14 @@ func buildBVH(sp []sphere) ([]bvhNode, []int) {
 		order[i] = i
 	}
 	var nodes []bvhNode
+	// keys holds one segment's spheres for the split sort: each one's
+	// coordinate on the split axis, its position in the segment before
+	// the sort and its index.
+	type sortKey struct {
+		key      float64
+		pos, idx int
+	}
+	keys := make([]sortKey, len(sp))
 	var build func(lo, hi, axis int) int
 	build = func(lo, hi, axis int) int {
 		idx := len(nodes)
@@ -86,12 +94,22 @@ func buildBVH(sp []sphere) ([]bvhNode, []int) {
 			nodes[idx] = n
 			return idx
 		}
-		// Median split on axis: a stable sort of the segment by key,
-		// so equal keys keep their order and the permutation is
-		// deterministic.
-		slices.SortStableFunc(order[lo:hi], func(i, j int) int {
-			return cmp.Compare(axisKey(sp[i].center, axis), axisKey(sp[j].center, axis))
+		// Median split on axis: the segment sorted by (key, position),
+		// a total order, so equal keys keep their order and the
+		// permutation is the stable sort's.
+		ks := keys[:hi-lo]
+		for p, i := range order[lo:hi] {
+			ks[p] = sortKey{axisKey(sp[i].center, axis), p, i}
+		}
+		slices.SortFunc(ks, func(a, b sortKey) int {
+			if c := cmp.Compare(a.key, b.key); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.pos, b.pos)
 		})
+		for p, k := range ks {
+			order[lo+p] = k.idx
+		}
 		mid := (lo + hi) / 2
 		n.left = build(lo, mid, (axis+1)%3)
 		n.right = build(mid, hi, (axis+1)%3)

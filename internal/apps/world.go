@@ -19,6 +19,22 @@
 // wall-clock changes. Such bodies may write disjoint elements of shared
 // arrays, but must not name locks, allocate regions or emit barriers;
 // the World panics if they try. Name a segment's locks before it.
+//
+// Every per-processor segment of the generators is a ParallelIndep one
+// except these, which stay Parallel:
+//
+//   - barnes' tree insertion: bodies name hashed cell locks inside the
+//     segment and grow one shared octree, whose shape follows the CPU
+//     order;
+//   - cholesky's diagonal factor: its owner names its queue lock inside
+//     the body;
+//   - cholesky's trailing update: at the band edge a body reads storage
+//     left of its row's band, which is the previous row's upper-triangle
+//     slot of a diagonal block another body writes in the segment;
+//   - ocean's vorticity smoothing: it smooths in place, reading
+//     neighbours another body writes;
+//   - synthetic writeshared: its bodies read and write random elements
+//     of one shared region, by design.
 package apps
 
 import (
@@ -320,16 +336,7 @@ func (c *Ctx) TouchRec(r *Rec, i, off, width int, write bool) {
 // miss at most once and then stay L1-resident (the kernel's working set
 // fits the processor cache), which is how blocked dense kernels behave.
 func (c *Ctx) TouchRange(start memory.Addr, bytes int, write bool) {
-	if bytes <= 0 {
-		return
-	}
-	end := start + memory.Addr(bytes-1)
-	for a := start; ; a += 64 {
-		c.r.Access(a, write)
-		if a.Block() == end.Block() {
-			break
-		}
-	}
+	c.r.AccessRange(start, bytes, write)
 }
 
 // rng is a small deterministic linear congruential generator so traces

@@ -16,8 +16,8 @@ const parallelThreshold = 4
 // shared counter. With fewer than parallelThreshold indices, or a single
 // usable core, it runs them in order on the calling goroutine. It
 // returns when every call has; f must be safe to run concurrently for
-// distinct indices. It is the one per-CPU fan-out of trace generation,
-// validation and the on-disk store.
+// distinct indices. It is the one per-CPU fan-out of trace generation
+// (World.ParallelIndep and World.Finish) and validation.
 func EachCPU(n int, f func(cpu int)) {
 	workers := min(runtime.GOMAXPROCS(0), n)
 	if n < parallelThreshold || workers < 2 {

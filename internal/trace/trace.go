@@ -523,6 +523,46 @@ func (r *Recorder) Access(addr memory.Addr, write bool) {
 	r.runWrite = write
 }
 
+// AccessRange records one access per block over [start, start+bytes),
+// emitting exactly the ops per-block Access calls in address order
+// would. The first block goes through Access, so it may merge into the
+// open run; the blocks between the first and the last are written
+// straight into the current chunks as gap-0 ops, except where an op
+// carries the pending gap, escapes its arg or starts a chunk, which
+// take emit's path; the last block is left as the open run.
+func (r *Recorder) AccessRange(start memory.Addr, bytes int, write bool) {
+	if bytes <= 0 {
+		return
+	}
+	b, last := start.Block(), (start + memory.Addr(bytes-1)).Block()
+	r.Access(start, write)
+	if b == last {
+		return
+	}
+	r.flushRun()
+	k := Read
+	if write {
+		k = Write
+	}
+	for b++; b < last; {
+		heads := len(r.cur.Heads)
+		if r.pending != 0 || b >= ArgEscape || heads == cap(r.cur.Heads) {
+			r.emit(k, uint64(b))
+			b++
+			continue
+		}
+		n := int(min(last-b, ArgEscape-b, memory.Block(cap(r.cur.Heads)-heads)))
+		hs, as := r.cur.Heads[heads:heads+n], r.cur.Args[heads:heads+n]
+		for i := range hs {
+			hs[i] = uint8(k)
+			as[i] = uint16(b) + uint16(i)
+		}
+		r.cur.Heads, r.cur.Args = r.cur.Heads[:heads+n], r.cur.Args[:heads+n]
+		b += memory.Block(n)
+	}
+	r.runValid, r.runBlock, r.runWrite = true, last, write
+}
+
 // Compute adds cycles of pure computation. Compute interleaved with
 // same-block accesses does not break the run: the block stays cached
 // across it.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math/rand/v2"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -256,5 +257,149 @@ func TestKindStrings(t *testing.T) {
 		if s := k.String(); s == "" || s[0] == 'K' {
 			t.Errorf("kind %d has bad string %q", k, s)
 		}
+	}
+}
+
+// twinRecorders drives two recorders in step: got records each range
+// with one AccessRange call, and want expands it into per-block Access
+// calls in address order, the way callers recorded ranges before
+// AccessRange existed.
+type twinRecorders struct{ got, want *Recorder }
+
+func newTwinRecorders() twinRecorders {
+	return twinRecorders{got: NewRecorder(), want: NewRecorder()}
+}
+
+// both applies f to each recorder.
+func (tw twinRecorders) both(f func(r *Recorder)) { f(tw.got); f(tw.want) }
+
+func (tw twinRecorders) accessRange(start memory.Addr, bytes int, write bool) {
+	tw.got.AccessRange(start, bytes, write)
+	if bytes <= 0 {
+		return
+	}
+	end := start + memory.Addr(bytes-1)
+	for a := start; ; a += config.BlockBytes {
+		tw.want.Access(a, write)
+		if a.Block() == end.Block() {
+			return
+		}
+	}
+}
+
+// check finishes both recorders and requires equal streams, naming the
+// first op that differs.
+func (tw twinRecorders) check(t *testing.T) {
+	t.Helper()
+	got, want := tw.got.Finish(), tw.want.Finish()
+	if got.Equal(want) {
+		return
+	}
+	g, w := got.Ops(), want.Ops()
+	for i := range min(len(g), len(w)) {
+		if g[i] != w[i] {
+			t.Fatalf("op %d: AccessRange gives %+v, per-block Access %+v", i, g[i], w[i])
+		}
+	}
+	t.Fatalf("AccessRange gives %d ops, per-block Access %d", len(g), len(w))
+}
+
+// TestAccessRangeMatchesPerBlockAccess: AccessRange emits exactly the
+// ops of per-block Access calls, on hand-picked edges and on random
+// interleavings with single accesses, compute and sync ops.
+func TestAccessRangeMatchesPerBlockAccess(t *testing.T) {
+	const blk = config.BlockBytes
+	cases := map[string]func(tw twinRecorders){
+		"unaligned start": func(tw twinRecorders) {
+			tw.accessRange(10*blk+13, 200, false)
+			tw.accessRange(40*blk+63, 2, true)
+		},
+		"single block": func(tw twinRecorders) {
+			tw.accessRange(5*blk+8, 8, true)
+			tw.accessRange(5*blk+60, 4, false)
+			tw.accessRange(9*blk, blk, false)
+		},
+		"empty range": func(tw twinRecorders) {
+			tw.both(func(r *Recorder) { r.Access(3*blk, false) })
+			tw.accessRange(3*blk, 0, true)
+			tw.accessRange(4*blk, -8, true)
+		},
+		"first block merges into the open run": func(tw twinRecorders) {
+			tw.both(func(r *Recorder) { r.Access(7*blk, false); r.Compute(5) })
+			tw.accessRange(7*blk+32, 300, true)
+			tw.accessRange(7*blk+332, 300, false)
+		},
+		"pending gap escapes": func(tw twinRecorders) {
+			tw.both(func(r *Recorder) { r.Access(3*blk, false); r.Compute(40) })
+			tw.accessRange(3*blk+8, 500, false)
+			tw.both(func(r *Recorder) { r.Barrier(0); r.Compute(31) })
+			tw.accessRange(100*blk, 500, true)
+		},
+		"pending gap splits into pads": func(tw twinRecorders) {
+			tw.both(func(r *Recorder) { r.Access(3*blk, true); r.Compute(1 << 33) })
+			tw.accessRange(3*blk+8, 4*blk, false)
+		},
+		"crosses block 65535": func(tw twinRecorders) {
+			tw.accessRange((ArgEscape-100)*blk+5, 300*blk, true)
+			tw.accessRange((ArgEscape-1)*blk, 2*blk, false)
+			tw.accessRange(ArgEscape*blk+1, blk, false)
+		},
+		"crosses the chunk boundary": func(tw twinRecorders) {
+			tw.accessRange(blk+3, 10000*blk, false)
+			tw.accessRange((1<<20)*blk+1, 5000*blk, true)
+		},
+	}
+	for name, run := range cases {
+		t.Run(name, func(t *testing.T) {
+			tw := newTwinRecorders()
+			run(tw)
+			tw.check(t)
+		})
+	}
+	// Random interleavings: ranges of every length up to past a chunk,
+	// around blocks 0, 65535 and 2^20, mixed with single accesses near
+	// the last range (so ranges merge into open runs), compute of every
+	// gap width and sync ops.
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		tw := newTwinRecorders()
+		bases := []memory.Addr{0, (ArgEscape - 300) * blk, (1 << 20) * blk}
+		near := bases[0]
+		for range 2000 {
+			switch rng.IntN(8) {
+			case 0, 1, 2:
+				start := bases[rng.IntN(len(bases))] + memory.Addr(rng.IntN(600*blk))
+				if rng.IntN(3) == 0 {
+					start = near + memory.Addr(rng.IntN(blk))
+				}
+				bytes := 1 + rng.IntN(2*blk)
+				switch rng.IntN(4) {
+				case 0:
+					bytes = rng.IntN(100 * blk)
+				case 1:
+					bytes = rng.IntN(5000 * blk)
+				}
+				write := rng.IntN(2) == 0
+				tw.accessRange(start, bytes, write)
+				near = start + memory.Addr(max(bytes-1, 0))
+			case 3:
+				addr := near + memory.Addr(rng.IntN(2*blk))
+				write := rng.IntN(2) == 0
+				tw.both(func(r *Recorder) { r.Access(addr, write) })
+			case 4, 5:
+				cycles := rng.IntN(64)
+				if rng.IntN(50) == 0 {
+					cycles = 1<<32 + rng.IntN(100)
+				}
+				tw.both(func(r *Recorder) { r.Compute(cycles) })
+			case 6:
+				id := rng.IntN(4)
+				tw.both(func(r *Recorder) { r.Lock(id); r.Unlock(id) })
+			case 7:
+				id := rng.IntN(70000)
+				tw.both(func(r *Recorder) { r.Barrier(id) })
+			}
+		}
+		tw.check(t)
 	}
 }
