@@ -29,7 +29,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -157,13 +156,11 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		q.Systems = strings.Split(*systemsFlag, ",")
 	}
 	if *scalesFlag != "" {
-		for _, f := range strings.Split(*scalesFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				return fmt.Errorf("experiments: bad -scales entry %q: %w", f, err)
-			}
-			q.Scales = append(q.Scales, n)
+		scales, err := harness.ParseScales(*scalesFlag)
+		if err != nil {
+			return fmt.Errorf("experiments: -scales: %w", err)
 		}
+		q.Scales = scales
 	}
 	if err := q.Normalize().Validate(); err != nil {
 		return err

@@ -88,13 +88,12 @@
 // The server holds a trace only while the query that needs it runs.
 //
 // What the run-time audits enforce dynamically, internal/lint enforces
-// statically: repolint (cmd/repolint, also runnable as a go vet
-// -vettool and inside go test via the root lint_test.go) is a
-// go/analysis-style suite that rejects nondeterministic map iteration
-// in the core, wall-clock and global-randomness reads in simulation
-// packages, literal-0 event times on fabric and page-op seams, and
-// allocating constructs in functions annotated //repro:hotpath, and
-// requires every telemetry hook in the core to sit behind a nil guard.
+// statically: a go/analysis-style suite, run inside go test by the
+// root lint_test.go, rejects nondeterministic map iteration in the
+// core, wall-clock and global-randomness reads in simulation packages,
+// literal-0 event times on fabric and page-op seams, and allocating
+// constructs in functions annotated //repro:hotpath, and requires
+// every telemetry hook in the core to sit behind a nil guard.
 // The invariants the golden files, the trace pins and the allocation
 // guard test by example are thus also checked at compile time, on
 // every path.

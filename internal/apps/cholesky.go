@@ -45,9 +45,15 @@ func (a *choleskyApp) rowLen() int { return (a.bw + 1) * a.b }
 // touched by every factorization step whose band covers those rows —
 // the cross-step reuse the paper's cholesky traffic exhibits.
 func (a *choleskyApp) at(i, j int) int {
-	col0 := i - a.bw*a.b
-	return i*a.rowLen() + (j - col0)
+	return i*a.rowLen() + (j - a.first(i))
 }
+
+// first returns row i's first in-band column. L is zero left of it and
+// nothing stores those entries: at gives them a negative in-row offset,
+// which lands in the previous row's spare slots past its diagonal.
+// touch records whole band-edge blocks through such offsets, but no
+// value is read or written there.
+func (a *choleskyApp) first(i int) int { return i - a.bw*a.b }
 
 // GenerateCholesky builds the trace and returns the factor storage plus
 // geometry for verification (band layout, L in the lower band).
@@ -133,12 +139,6 @@ func GenerateCholesky(p Params) (*trace.Trace, *F64, int, int, int, error) {
 					d[a.at(o+i, o+p0)] = s / d[a.at(o+p0, o+p0)]
 				}
 			}
-			// zero the strict upper triangle of the factor block
-			for p0 := 0; p0 < b; p0++ {
-				for x := p0 + 1; x < b; x++ {
-					d[a.at(o+p0, o+x)] = 0
-				}
-			}
 			touch(c, kk, kk, true)
 			c.Compute(b * b * b / 3)
 		})
@@ -152,9 +152,12 @@ func GenerateCholesky(p Params) (*trace.Trace, *F64, int, int, int, error) {
 				}
 				ro, co := i*b, kk*b
 				for row := 0; row < b; row++ {
-					for col := 0; col < b; col++ {
+					// At the band edge (i-k == bw) the columns left of
+					// lo are outside the band: zero in L, never stored.
+					lo := max(0, a.first(ro+row)-co)
+					for col := lo; col < b; col++ {
 						s := d[a.at(ro+row, co+col)]
-						for x := 0; x < col; x++ {
+						for x := lo; x < col; x++ {
 							s -= d[a.at(ro+row, co+x)] * d[a.at(co+col, co+x)]
 						}
 						d[a.at(ro+row, co+col)] = s / d[a.at(co+col, co+col)]
@@ -168,12 +171,10 @@ func GenerateCholesky(p Params) (*trace.Trace, *F64, int, int, int, error) {
 		w.Barrier()
 
 		// Trailing updates: A(i,j) -= L(i,k) * L(j,k)^T within the band.
-		// This segment stays Parallel: at the band edge (i-k == bw)
-		// at gives L(i,k)'s columns left of the band a negative
-		// in-row offset, so the update reads the previous row's
-		// storage, an upper-triangle slot of diagonal block (i,i) that
-		// owner(i) writes in this same segment.
-		w.Parallel(func(c *Ctx) {
+		// owner(j) writes only block column j and every body reads only
+		// block column k, which the solves above wrote, so the bodies
+		// are independent.
+		w.ParallelIndep(func(c *Ctx) {
 			for j := kk + 1; j < nb && j-kk <= bw; j++ {
 				if owner(j) != c.CPU {
 					continue
@@ -181,9 +182,18 @@ func GenerateCholesky(p Params) (*trace.Trace, *F64, int, int, int, error) {
 				for i := j; i < nb && i-kk <= bw && i-j <= bw; i++ {
 					io, jo, ko := i*b, j*b, kk*b
 					for row := 0; row < b; row++ {
-						for col := 0; col < b; col++ {
+						// L(i,k) is zero left of row io+row's band;
+						// L(j,k) lies wholly inside it (j-k < bw).
+						lo := max(0, a.first(io+row)-ko)
+						// A diagonal block keeps only its lower triangle:
+						// its spare upper slots are not part of L.
+						cols := b
+						if i == j {
+							cols = row + 1
+						}
+						for col := 0; col < cols; col++ {
 							s := d[a.at(io+row, jo+col)]
-							for x := 0; x < b; x++ {
+							for x := lo; x < b; x++ {
 								s -= d[a.at(io+row, ko+x)] * d[a.at(jo+col, ko+x)]
 							}
 							d[a.at(io+row, jo+col)] = s

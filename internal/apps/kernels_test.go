@@ -7,100 +7,81 @@ import (
 	"testing"
 )
 
+// factorTol bounds the error of every reconstructed matrix entry: the
+// correct factors reproduce their inputs to round-off (about 1e-13 on
+// these sizes), so a wrong entry of the factor cannot hide under it.
+const factorTol = 1e-10
+
 // TestLUFactorizationCorrect multiplies the computed L and U factors and
-// compares against the original matrix.
+// compares every entry against the original matrix.
 func TestLUFactorizationCorrect(t *testing.T) {
-	_, mat, n, _, err := GenerateLU(Params{CPUs: 32, Scale: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rebuild the original matrix with the generator's seed.
-	r := newRNG(12345)
-	orig := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v := r.float64() - 0.5
-			if i == j {
-				v += float64(n)
-			}
-			orig[i*n+j] = v
+	for _, scale := range []int{8, 4} {
+		_, mat, n, _, err := GenerateLU(Params{CPUs: 32, Scale: scale})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	at := func(i, j int) float64 { return mat.Data[i*n+j] }
-	// Check A = L*U on a sample of entries (full check is O(n^3)).
-	for i := 0; i < n; i += 7 {
-		for j := 0; j < n; j += 5 {
-			var s float64
-			kmax := i
-			if j < i {
-				kmax = j
+		// Rebuild the original matrix with the generator's seed.
+		r := newRNG(12345)
+		orig := make([]float64, n*n)
+		for i := range orig {
+			orig[i] = r.float64() - 0.5
+			if i/n == i%n {
+				orig[i] += float64(n)
 			}
-			for k := 0; k <= kmax; k++ {
-				l := at(i, k)
-				if k == i {
-					l = 1 // unit lower triangle
+		}
+		at := func(i, j int) float64 { return mat.Data[i*n+j] }
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				// L is unit lower triangular, U upper triangular.
+				s := 0.0
+				for k := 0; k <= min(i, j); k++ {
+					l := at(i, k)
+					if k == i {
+						l = 1
+					}
+					s += l * at(k, j)
 				}
-				if k > i {
-					l = 0
+				if e := math.Abs(s - orig[i*n+j]); e > factorTol {
+					t.Fatalf("scale %d: LU mismatch at (%d,%d): %g vs %g (error %.2g)", scale, i, j, s, orig[i*n+j], e)
 				}
-				u := at(k, j)
-				if k > j {
-					u = 0
-				}
-				s += l * u
-			}
-			// add the remaining product terms: L(i,i)=1 handled above
-			if math.Abs(s-orig[i*n+j]) > 1e-6*float64(n) {
-				t.Fatalf("LU mismatch at (%d,%d): %g vs %g", i, j, s, orig[i*n+j])
 			}
 		}
 	}
 }
 
-// TestCholeskyFactorizationCorrect verifies L*L^T against the original
-// band matrix.
+// TestCholeskyFactorizationCorrect checks every in-band entry of L*L^T
+// against the original band matrix.
 func TestCholeskyFactorizationCorrect(t *testing.T) {
-	_, mat, nb, bw, b, err := GenerateCholesky(Params{CPUs: 32, Scale: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := nb * b
-	rowLen := (bw + 1) * b
-	at := func(i, j int) float64 {
-		if j > i || i-j > bw*b {
-			return 0
+	for _, scale := range []int{8, 4} {
+		_, mat, nb, bw, b, err := GenerateCholesky(Params{CPUs: 32, Scale: scale})
+		if err != nil {
+			t.Fatal(err)
 		}
-		col0 := i - bw*b
-		return mat.Data[i*rowLen+(j-col0)]
-	}
-	// Rebuild the original.
-	r := newRNG(2718)
-	orig := map[[2]int]float64{}
-	for i := 0; i < n; i++ {
-		lo := i - bw*b
-		if lo < 0 {
-			lo = 0
-		}
-		for j := lo; j <= i; j++ {
-			v := (r.float64() - 0.5) * 0.1
-			if i == j {
-				v = float64(bw*b) + 2 + r.float64()
+		n, band := nb*b, bw*b
+		rowLen := (bw + 1) * b
+		at := func(i, j int) float64 {
+			if j > i || i-j > band {
+				return 0
 			}
-			orig[[2]int{i, j}] = v
+			return mat.Data[i*rowLen+j-(i-band)]
 		}
-	}
-	for i := 0; i < n; i += 11 {
-		lo := i - bw*b
-		if lo < 0 {
-			lo = 0
-		}
-		for j := lo; j <= i; j += 3 {
-			var s float64
-			for k := 0; k <= j; k++ {
-				s += at(i, k) * at(j, k)
-			}
-			if math.Abs(s-orig[[2]int{i, j}]) > 1e-6*float64(n) {
-				t.Fatalf("LL^T mismatch at (%d,%d): %g vs %g", i, j, s, orig[[2]int{i, j}])
+		// Rebuild the original with the generator's seed, row by row in
+		// the order it draws.
+		r := newRNG(2718)
+		for i := 0; i < n; i++ {
+			lo := max(0, i-band)
+			for j := lo; j <= i; j++ {
+				v := (r.float64() - 0.5) * 0.1
+				if i == j {
+					v = float64(band) + 2 + r.float64()
+				}
+				s := 0.0
+				for k := max(0, i-band); k <= j; k++ {
+					s += at(i, k) * at(j, k)
+				}
+				if e := math.Abs(s - v); e > factorTol {
+					t.Fatalf("scale %d: LL^T mismatch at (%d,%d): %g vs %g (error %.2g)", scale, i, j, s, v, e)
+				}
 			}
 		}
 	}
@@ -265,11 +246,4 @@ func TestRaytraceDeterministic(t *testing.T) {
 			t.Fatalf("pixel %d differs", i)
 		}
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

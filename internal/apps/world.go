@@ -28,9 +28,6 @@
 //     order;
 //   - cholesky's diagonal factor: its owner names its queue lock inside
 //     the body;
-//   - cholesky's trailing update: at the band edge a body reads storage
-//     left of its row's band, which is the previous row's upper-triangle
-//     slot of a diagonal block another body writes in the segment;
 //   - ocean's vorticity smoothing: it smooths in place, reading
 //     neighbours another body writes;
 //   - synthetic writeshared: its bodies read and write random elements

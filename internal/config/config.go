@@ -115,11 +115,6 @@ type Thresholds struct {
 	// RNUMAThreshold is the per-page refetch-counter threshold after
 	// which a cacher relocates the page into its page cache.
 	RNUMAThreshold int
-
-	// RNUMADelayMisses, when non-zero, delays R-NUMA relocation of a
-	// page until the page has seen this many misses. It implements the
-	// R-NUMA+MigRep integration policy of Section 6.4 (32000).
-	RNUMADelayMisses int
 }
 
 // Default returns the base (fast hardware support) timing model of

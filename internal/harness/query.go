@@ -51,6 +51,21 @@ type Query struct {
 	Seed uint64 `json:"seed,omitempty"`
 }
 
+// ParseScales parses a comma-separated scale ladder ("8,16,32"), the
+// form the -scales flag and the server's scales= parameter take.
+// Validate checks the values.
+func ParseScales(s string) ([]int, error) {
+	var scales []int
+	for _, f := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return nil, fmt.Errorf("bad scales entry %q: %w", f, err)
+		}
+		scales = append(scales, n)
+	}
+	return scales, nil
+}
+
 // Normalize canonicalizes the query in place-free form: names are
 // trimmed (systems also lowercased, matching the registry's
 // case-insensitive lookup), defaults are made explicit, and fields the

@@ -67,3 +67,18 @@ func FuzzQuery(f *testing.F) {
 		}
 	})
 }
+
+// TestParseScales pins the scale-list syntax the -scales flag and the
+// server's scales= parameter share: spaces around entries are allowed,
+// and any entry that is not an integer rejects the list.
+func TestParseScales(t *testing.T) {
+	got, err := ParseScales("8, 16,32")
+	if err != nil || !reflect.DeepEqual(got, []int{8, 16, 32}) {
+		t.Errorf(`ParseScales("8, 16,32") = %v, %v; want [8 16 32]`, got, err)
+	}
+	for _, bad := range []string{"8,x", "8,,16", "1.5"} {
+		if got, err := ParseScales(bad); err == nil {
+			t.Errorf("ParseScales(%q) = %v, want an error", bad, got)
+		}
+	}
+}

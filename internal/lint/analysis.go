@@ -60,15 +60,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
 }
 
-// pathSegments splits an import path into its elements.
-func pathSegments(path string) []string { return strings.Split(path, "/") }
-
 // pathHasSegment reports whether any element of the import path equals
 // one of the given segments. Matching by element rather than by full
-// path keeps the analyzers testable against fixture packages ("dsm",
-// "a/dsm") while still scoping them to repro/internal/dsm and friends.
+// path keeps the analyzers testable against fixture packages
+// (repro/internal/lint/testdata/src/mapiter/dsm) while still scoping
+// them to repro/internal/dsm and friends.
 func pathHasSegment(path string, segments ...string) bool {
-	for _, el := range pathSegments(path) {
+	for _, el := range strings.Split(path, "/") {
 		for _, s := range segments {
 			if el == s {
 				return true
@@ -169,39 +167,35 @@ func walkWithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	})
 }
 
-// runAll applies every analyzer to every package and returns the
-// findings sorted by position.
-func runAll(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
+// Run loads the packages matching the patterns (resolved relative to
+// dir: "./..." or explicit directories such as a fixture's
+// "./testdata/src/mapiter/dsm"), applies the analyzers to every module
+// package among them and their dependencies, and returns the findings
+// sorted by position, then analyzer name. It is the suite's one entry
+// point: the repository-root lint test runs it over "./...", and
+// linttest over fixture directories.
+func Run(dir string, analyzers []*Analyzer, patterns ...string) (*token.FileSet, []Diagnostic, error) {
+	fset, pkgs, err := loadPackages(dir, patterns...)
+	if err != nil {
+		return nil, nil, err
+	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
+				Fset:      fset,
+				Files:     pkg.files,
+				Pkg:       pkg.types,
+				TypesInfo: pkg.info,
+				Report:    func(d Diagnostic) { diags = append(diags, d) },
 			}
-			pass.Report = func(d Diagnostic) { diags = append(diags, d) }
 			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
+				return nil, nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.path, err)
 			}
 		}
-	}
-	sortDiagnostics(pkgs, diags)
-	return diags, nil
-}
-
-// sortDiagnostics orders findings by file position then analyzer name.
-func sortDiagnostics(pkgs []*Package, diags []Diagnostic) {
-	var fset *token.FileSet
-	if len(pkgs) > 0 {
-		fset = pkgs[0].Fset
 	}
 	sort.SliceStable(diags, func(i, j int) bool {
-		if fset == nil {
-			return diags[i].Message < diags[j].Message
-		}
 		pi, pj := fset.Position(diags[i].Pos), fset.Position(diags[j].Pos)
 		if pi.Filename != pj.Filename {
 			return pi.Filename < pj.Filename
@@ -214,21 +208,5 @@ func sortDiagnostics(pkgs []*Package, diags []Diagnostic) {
 		}
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
-}
-
-// Run loads the packages matching the patterns (resolved relative to
-// dir) and applies the given analyzers, returning position-sorted
-// findings. It is the entry point shared by cmd/repolint and the
-// repository-root lint test.
-func Run(dir string, analyzers []*Analyzer, patterns ...string) (*token.FileSet, []Diagnostic, error) {
-	pkgs, err := LoadPackages(dir, patterns...)
-	if err != nil {
-		return nil, nil, err
-	}
-	var fset *token.FileSet
-	if len(pkgs) > 0 {
-		fset = pkgs[0].Fset
-	}
-	diags, err := runAll(analyzers, pkgs)
-	return fset, diags, err
+	return fset, diags, nil
 }

@@ -6,7 +6,7 @@
 // disciplined; these analyzers make the bug classes the audit has
 // caught — map-iteration nondeterminism, wall-clock leakage, time-0
 // fabric charges, unguarded observability hooks, hot-path allocation —
-// fail `go vet`, not a five-second sweep.
+// fail `go test`, not a five-second sweep.
 //
 // The five analyzers:
 //
@@ -40,10 +40,11 @@
 //     invariant that an uninstrumented run pays exactly one branch
 //     per hook.
 //
-// The suite runs three ways: standalone (`go run ./cmd/repolint
-// ./...`), as a vet tool (`go vet -vettool=$(which repolint) ./...`),
-// and inside `go test ./...` via the repository-root lint_test.go, so
-// tier-1 verification enforces it without CI.
+// The suite runs inside `go test ./...`: the repository-root
+// lint_test.go applies it to every package of the module, so tier-1
+// verification enforces it without CI, and the fixture tests apply each
+// analyzer to its packages under testdata/src. Both go through Run, the
+// one loader and runner.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) so the analyzers can migrate to the

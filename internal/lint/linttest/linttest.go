@@ -1,7 +1,7 @@
 // Package linttest runs lint analyzers over fixture packages, in the
-// style of golang.org/x/tools/go/analysis/analysistest: fixture
-// sources live under testdata/src/<importpath>/, and every line that
-// should be flagged carries a trailing
+// style of golang.org/x/tools/go/analysis/analysistest: each fixture
+// is a package of the module under testdata/src/<path>/, and every
+// line that should be flagged carries a trailing
 //
 //	// want "regexp"
 //
@@ -14,16 +14,10 @@ package linttest
 
 import (
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -31,164 +25,28 @@ import (
 	"repro/internal/lint"
 )
 
-// Run loads the fixture package at testdata/src/<path> (resolving
-// fixture-local imports from sibling directories and everything else
-// from compiler export data) and applies the analyzer, matching its
-// findings against the fixture's want comments.
+// Run loads the fixture packages at testdata/src/<path> through
+// lint.Run, applying the one analyzer, and matches its findings
+// against the fixtures' want comments. Packages a fixture imports are
+// module packages too, so lint.Run analyzes them as well; only
+// findings in the named fixtures count.
 func Run(t *testing.T, analyzer *lint.Analyzer, paths ...string) {
 	t.Helper()
-	l := newFixtureLoader(t, filepath.Join("testdata", "src"))
+	var patterns, dirs []string
 	for _, path := range paths {
-		pkg := l.load(path)
-		diags := runAnalyzer(t, analyzer, l.fset, pkg)
-		checkWants(t, analyzer.Name, l.fset, pkg, diags)
-	}
-}
-
-// fixtureLoader typechecks fixture packages, caching across loads so
-// cross-fixture imports share one type universe.
-type fixtureLoader struct {
-	t       *testing.T
-	root    string
-	fset    *token.FileSet
-	pkgs    map[string]*fixturePkg
-	gc      types.ImporterFrom
-	exports map[string]string
-}
-
-type fixturePkg struct {
-	path  string
-	files []*ast.File
-	types *types.Package
-	info  *types.Info
-}
-
-func newFixtureLoader(t *testing.T, root string) *fixtureLoader {
-	return &fixtureLoader{
-		t:    t,
-		root: root,
-		fset: token.NewFileSet(),
-		pkgs: map[string]*fixturePkg{},
-	}
-}
-
-// Import resolves an import during fixture typechecking:
-// fixture-local packages first, then export data.
-func (l *fixtureLoader) Import(path string) (*types.Package, error) {
-	return l.ImportFrom(path, "", 0)
-}
-
-func (l *fixtureLoader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if info, err := os.Stat(filepath.Join(l.root, path)); err == nil && info.IsDir() {
-		return l.load(path).types, nil
-	}
-	if l.gc == nil {
-		l.initExports()
-	}
-	return l.gc.ImportFrom(path, dir, mode)
-}
-
-// initExports builds the export-data lookup for non-fixture imports by
-// asking the go command for the union of external imports across all
-// fixture files.
-func (l *fixtureLoader) initExports() {
-	l.t.Helper()
-	external := map[string]bool{}
-	walkErr := filepath.WalkDir(l.root, func(p string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") {
-			return err
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.ImportsOnly)
+		dir := filepath.Join("testdata", "src", path)
+		abs, err := filepath.Abs(dir)
 		if err != nil {
-			return err
+			t.Fatalf("linttest: %v", err)
 		}
-		for _, imp := range f.Imports {
-			path, _ := strconv.Unquote(imp.Path.Value)
-			if info, err := os.Stat(filepath.Join(l.root, path)); err == nil && info.IsDir() {
-				continue
-			}
-			external[path] = true
-		}
-		return nil
-	})
-	if walkErr != nil {
-		l.t.Fatalf("linttest: scanning fixture imports: %v", walkErr)
+		patterns = append(patterns, "./"+filepath.ToSlash(dir))
+		dirs = append(dirs, abs)
 	}
-	var err error
-	l.exports, err = lint.ExportData(".", sortedKeys(external)...)
+	fset, diags, err := lint.Run(".", []*lint.Analyzer{analyzer}, patterns...)
 	if err != nil {
-		l.t.Fatalf("linttest: %v", err)
+		t.Fatalf("linttest: %v", err)
 	}
-	l.gc = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := l.exports[path]
-		if !ok {
-			return nil, fmt.Errorf("linttest: no export data for %q", path)
-		}
-		return os.Open(file)
-	}).(types.ImporterFrom)
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// load parses and typechecks the fixture package at root/<path>.
-func (l *fixtureLoader) load(path string) *fixturePkg {
-	l.t.Helper()
-	if p, ok := l.pkgs[path]; ok {
-		return p
-	}
-	dir := filepath.Join(l.root, path)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		l.t.Fatalf("linttest: fixture %s: %v", path, err)
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			l.t.Fatalf("linttest: parsing fixture %s: %v", path, err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		l.t.Fatalf("linttest: fixture %s has no Go files", path)
-	}
-	info := lint.NewTypesInfo()
-	conf := types.Config{Importer: l}
-	tpkg, err := conf.Check(path, l.fset, files, info)
-	if err != nil {
-		l.t.Fatalf("linttest: typechecking fixture %s: %v", path, err)
-	}
-	p := &fixturePkg{path: path, files: files, types: tpkg, info: info}
-	l.pkgs[path] = p
-	return p
-}
-
-// runAnalyzer applies one analyzer to one fixture package.
-func runAnalyzer(t *testing.T, a *lint.Analyzer, fset *token.FileSet, pkg *fixturePkg) []lint.Diagnostic {
-	t.Helper()
-	var diags []lint.Diagnostic
-	pass := &lint.Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     pkg.files,
-		Pkg:       pkg.types,
-		TypesInfo: pkg.info,
-		Report:    func(d lint.Diagnostic) { diags = append(diags, d) },
-	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("linttest: %s on %s: %v", a.Name, pkg.path, err)
-	}
-	return diags
+	checkWants(t, analyzer.Name, fset, dirs, diags)
 }
 
 // want is one expectation parsed from a fixture comment.
@@ -199,28 +57,39 @@ type want struct {
 	hit  bool
 }
 
-// checkWants compares findings against the fixture's want comments.
-func checkWants(t *testing.T, analyzer string, fset *token.FileSet, pkg *fixturePkg, diags []lint.Diagnostic) {
+// checkWants compares the findings in the fixture directories against
+// the want comments of their Go files.
+func checkWants(t *testing.T, analyzer string, fset *token.FileSet, dirs []string, diags []lint.Diagnostic) {
 	t.Helper()
 	var wants []*want
-	for _, f := range pkg.files {
-		name := fset.Position(f.Pos()).Filename
-		src, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatalf("linttest: %v", err)
+	named := map[string]bool{}
+	for _, dir := range dirs {
+		named[dir] = true
+		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(names) == 0 {
+			t.Fatalf("linttest: fixture %s has no Go files (%v)", dir, err)
 		}
-		for i, line := range strings.Split(string(src), "\n") {
-			idx := strings.Index(line, "// want ")
-			if idx < 0 {
-				continue
+		for _, name := range names {
+			src, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatalf("linttest: %v", err)
 			}
-			for _, pat := range parseWantPatterns(t, name, i+1, line[idx+len("// want "):]) {
-				wants = append(wants, &want{file: name, line: i + 1, re: pat})
+			for i, line := range strings.Split(string(src), "\n") {
+				idx := strings.Index(line, "// want ")
+				if idx < 0 {
+					continue
+				}
+				for _, pat := range parseWantPatterns(t, name, i+1, line[idx+len("// want "):]) {
+					wants = append(wants, &want{file: name, line: i + 1, re: pat})
+				}
 			}
 		}
 	}
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
+		if !named[filepath.Dir(pos.Filename)] {
+			continue
+		}
 		matched := false
 		for _, w := range wants {
 			if w.hit || w.file != pos.Filename || w.line != pos.Line {

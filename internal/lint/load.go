@@ -15,25 +15,21 @@ import (
 	"path/filepath"
 )
 
-// Package is one loaded, typechecked package presented to the
-// analyzers.
-type Package struct {
-	Path  string
-	Fset  *token.FileSet
-	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
+// loadedPackage is one typechecked package presented to the analyzers.
+type loadedPackage struct {
+	path  string
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
 }
 
 // listPackage is the subset of `go list -json` output the loader
 // consumes.
 type listPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	GoFiles    []string
 	Export     string
-	Standard   bool
 	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 }
@@ -43,7 +39,7 @@ type listPackage struct {
 func goList(dir string, patterns ...string) ([]*listPackage, error) {
 	args := []string{
 		"list", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,GoFiles,Export,Standard,Module,Error",
+		"-json=ImportPath,Dir,GoFiles,Export,Module,Error",
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
@@ -71,29 +67,17 @@ func goList(dir string, patterns ...string) ([]*listPackage, error) {
 	return pkgs, nil
 }
 
-// exportLookup builds the export-data lookup function the gc importer
-// resolves dependency packages through.
-func exportLookup(exports map[string]string) func(path string) (io.ReadCloser, error) {
-	return func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("lint: no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-}
-
-// ExportData resolves the given import paths (and their dependency
-// closures) to compiler export-data files via `go list -export`,
-// keyed by import path. linttest uses it to satisfy standard-library
-// imports of fixture packages.
-func ExportData(dir string, paths ...string) (map[string]string, error) {
-	if len(paths) == 0 {
-		return map[string]string{}, nil
-	}
-	listed, err := goList(dir, paths...)
+// loadPackages loads the packages matching the patterns (resolved
+// relative to dir: "./..." or explicit directories) together with
+// their dependency closure. Every module package in it is parsed and
+// typechecked from source, and every import — standard library or
+// module-internal — is satisfied from the compiler export data `go
+// list -export` reports. Only non-test Go files are analyzed, matching
+// what ships in the binaries the invariants protect.
+func loadPackages(dir string, patterns ...string) (*token.FileSet, []*loadedPackage, error) {
+	listed, err := goList(dir, patterns...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	exports := map[string]string{}
 	for _, p := range listed {
@@ -101,75 +85,52 @@ func ExportData(dir string, paths ...string) (map[string]string, error) {
 			exports[p.ImportPath] = p.Export
 		}
 	}
-	return exports, nil
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("lint: no export data for %q", path)
+		}
+		return os.Open(file)
+	})
+	var out []*loadedPackage
+	for _, p := range listed {
+		// -deps lists the full closure; only module packages are
+		// analysis targets.
+		if p.Module == nil || len(p.GoFiles) == 0 {
+			continue
+		}
+		pkg, err := typecheck(fset, imp, p)
+		if err != nil {
+			return nil, nil, err
+		}
+		out = append(out, pkg)
+	}
+	return fset, out, nil
 }
 
-// NewTypesInfo returns a types.Info with every map the analyzers read.
-func NewTypesInfo() *types.Info {
-	return &types.Info{
+// typecheck parses and typechecks one package from source, recording
+// every types.Info map the analyzers read.
+func typecheck(fset *token.FileSet, imp types.Importer, p *listPackage) (*loadedPackage, error) {
+	var files []*ast.File
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("lint: parsing %s: %v", name, err)
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-}
-
-// LoadPackages loads the packages matching the patterns (resolved
-// relative to dir, e.g. "./..."): module packages are parsed and
-// typechecked from source, and every import — standard library or
-// module-internal — is satisfied from the compiler export data `go
-// list -export` reports, the same mechanism vet's unitchecker uses.
-// Only non-test Go files are analyzed, matching what ships in the
-// binaries the invariants protect.
-func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
-	listed, err := goList(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	exports := map[string]string{}
-	var targets []*listPackage
-	for _, p := range listed {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		// -deps lists the full closure; only module packages are
-		// analysis targets.
-		if p.Module != nil {
-			targets = append(targets, p)
-		}
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", exportLookup(exports))
-	var out []*Package
-	for _, t := range targets {
-		if len(t.GoFiles) == 0 {
-			continue
-		}
-		pkg, err := typecheck(fset, imp, t)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkg)
-	}
-	return out, nil
-}
-
-// typecheck parses and typechecks one package from source.
-func typecheck(fset *token.FileSet, imp types.Importer, t *listPackage) (*Package, error) {
-	var files []*ast.File
-	for _, name := range t.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("lint: parsing %s: %v", name, err)
-		}
-		files = append(files, f)
-	}
-	info := NewTypesInfo()
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(t.ImportPath, fset, files, info)
+	tpkg, err := conf.Check(p.ImportPath, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("lint: typechecking %s: %v", t.ImportPath, err)
+		return nil, fmt.Errorf("lint: typechecking %s: %v", p.ImportPath, err)
 	}
-	return &Package{Path: t.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	return &loadedPackage{path: p.ImportPath, files: files, types: tpkg, info: info}, nil
 }

@@ -3,7 +3,7 @@
 // telemetry is attached.
 package dsm
 
-import "nilhook/telemetry"
+import "repro/internal/lint/testdata/src/nilhook/telemetry"
 
 type machine struct {
 	tel   *telemetry.Collector

@@ -9,17 +9,17 @@ import (
 
 // stamp reads the wall clock directly and must be flagged.
 func stamp() int64 {
-	return time.Now().UnixNano() // want `time\.Now in simulation package walltime/dsm`
+	return time.Now().UnixNano() // want `time\.Now in simulation package repro/internal/lint/testdata/src/walltime/dsm`
 }
 
 // elapsed uses time.Since, which reads the wall clock internally.
 func elapsed(start time.Time) time.Duration {
-	return time.Since(start) // want `time\.Since in simulation package walltime/dsm`
+	return time.Since(start) // want `time\.Since in simulation package repro/internal/lint/testdata/src/walltime/dsm`
 }
 
 // jitter draws from the globally seeded shared source.
 func jitter() int {
-	return rand.Intn(8) // want `global rand\.Intn in simulation package walltime/dsm`
+	return rand.Intn(8) // want `global rand\.Intn in simulation package repro/internal/lint/testdata/src/walltime/dsm`
 }
 
 // seededDelay draws from an explicitly seeded local source: the draw is

@@ -574,13 +574,11 @@ func queryFromURL(r *http.Request) (harness.Query, error) {
 		q.Scale = n
 	}
 	if s := v.Get("scales"); s != "" {
-		for _, f := range strings.Split(s, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				return q, fmt.Errorf("serve: bad scales entry %q: %w", f, err)
-			}
-			q.Scales = append(q.Scales, n)
+		scales, err := harness.ParseScales(s)
+		if err != nil {
+			return q, fmt.Errorf("serve: %w", err)
 		}
+		q.Scales = scales
 	}
 	if s := v.Get("seed"); s != "" {
 		n, err := strconv.ParseUint(s, 10, 64)

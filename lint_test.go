@@ -9,10 +9,11 @@ import (
 )
 
 // TestRepolintClean runs the full analyzer suite (internal/lint) over
-// every package in the module, so `go test ./...` fails on the same
-// findings `go run ./cmd/repolint ./...` reports: nondeterministic map
-// ranges, wall-clock reads, literal-0 event times, allocating
-// constructs on annotated hot paths, and unguarded telemetry hooks.
+// every non-test package in the module, so `go test ./...` fails on any
+// finding: nondeterministic map ranges, wall-clock reads, literal-0
+// event times, allocating constructs on annotated hot paths, and
+// unguarded telemetry hooks. Run it alone with
+// `go test -run TestRepolintClean -v .` to see just the findings.
 func TestRepolintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping whole-module analysis in -short mode")
