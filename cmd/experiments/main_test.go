@@ -14,6 +14,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/harness"
 	"repro/internal/serve"
 )
@@ -47,6 +48,30 @@ func TestFlagSurface(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("flags\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestParamsNameSimulatedThresholds: -experiment params prints the
+// thresholds the experiments run, DefaultThresholds and SlowThresholds,
+// beside the paper's, each on its own labelled row.
+func TestParamsNameSimulatedThresholds(t *testing.T) {
+	out, err := runCLI(t, "-experiment", "params")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, th := range map[string]config.Thresholds{
+		"paper, base systems":                config.PaperThresholds(),
+		"simulated, base systems":            config.DefaultThresholds(),
+		"simulated, slow systems (Figure 6)": config.SlowThresholds(),
+	} {
+		want := fmt.Sprintf("%-42s MigRep %d (reset %d), R-NUMA %d\n", label,
+			th.MigRepThreshold, th.MigRepResetInterval, th.RNUMAThreshold)
+		if !bytes.Contains(out, []byte(want)) {
+			t.Errorf("params output lacks %q:\n%s", want, out)
+		}
+	}
+	if !bytes.Contains(out, []byte("Every experiment runs the simulated thresholds")) {
+		t.Errorf("params output does not say which thresholds run:\n%s", out)
 	}
 }
 

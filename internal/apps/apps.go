@@ -18,7 +18,9 @@ type Params struct {
 	// problem for tests and quick runs. Values below 1 are treated as 1.
 	Scale int
 
-	// Seed perturbs the deterministic input generators.
+	// Seed perturbs the random inputs of barnes, fmm, radix and
+	// raytrace. cholesky, lu, ocean, migratory and synthetic ignore it:
+	// their traces are the same at every seed.
 	Seed uint64
 }
 

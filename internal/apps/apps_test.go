@@ -185,3 +185,33 @@ func TestScaleShrinksWork(t *testing.T) {
 		}
 	}
 }
+
+// seedIgnored lists the generators whose trace does not depend on
+// Params.Seed: their access patterns do not depend on their data (lu,
+// ocean, cholesky) or their inputs are not random (migratory,
+// synthetic). The Seed docs on Params, harness.Options, harness.Query
+// and the -seed flag name the other four.
+var seedIgnored = map[string]bool{
+	"cholesky": true, "lu": true, "ocean": true, "migratory": true, "synthetic": true,
+}
+
+// TestSeedReachesDocumentedApps generates every registered app at seeds
+// 0 and 1 and requires equal traces exactly for the apps in
+// seedIgnored, so the Seed docs cannot drift from the generators.
+func TestSeedReachesDocumentedApps(t *testing.T) {
+	for _, info := range All() {
+		t.Run(info.Name, func(t *testing.T) {
+			a, err := info.Generate(Params{CPUs: 32, Scale: 64, Seed: 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := info.Generate(Params{CPUs: 32, Scale: 64, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eq := a.Equal(b); eq != seedIgnored[info.Name] {
+				t.Errorf("seeds 0 and 1 give equal traces: %v, want %v", eq, seedIgnored[info.Name])
+			}
+		})
+	}
+}

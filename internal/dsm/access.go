@@ -102,7 +102,7 @@ func (m *Machine) roundTrip(now int64, n, h int, extra, reqBytes, respBytes int6
 func (m *Machine) access(c *engine.CPU, b memory.Block, write bool) {
 	n := m.nodeOf(c.ID)
 	p := b.Page()
-	e := m.pt.Entry(p)
+	pg := &m.pages[p]
 	ns := &m.st.Nodes[n]
 
 	// First-touch placement. Before the parallel phase, pages are homed
@@ -110,15 +110,15 @@ func (m *Machine) access(c *engine.CPU, b memory.Block, write bool) {
 	// directive at the start of the parallel phase re-homes each page to
 	// its first post-phase toucher, for free, as the paper's policy
 	// does.
-	if !e.Touched {
-		m.pt.FirstTouch(p, n)
-		m.mapped[n][p] = true
-		m.parallelPlaced[p] = m.phaseDone
-	} else if m.phaseDone && !m.parallelPlaced[p] {
-		m.parallelPlaced[p] = true
-		if e.Home != n && !e.Replicated {
-			m.pt.SetHome(p, n)
-			m.mapped[n][p] = true
+	if pg.home < 0 {
+		pg.home = n
+		pg.mapped |= 1 << uint(n)
+		pg.placed = m.phaseDone
+	} else if m.phaseDone && !pg.placed {
+		pg.placed = true
+		if pg.home != n && !pg.replicated {
+			pg.home = n
+			pg.mapped |= 1 << uint(n)
 		}
 	}
 
@@ -128,8 +128,8 @@ func (m *Machine) access(c *engine.CPU, b memory.Block, write bool) {
 	// Soft page fault: first access by this node, or a mapping dropped
 	// by a migration, collapse or frame eviction (lazy TLB invalidation:
 	// the stale mapping faults on its next touch).
-	if e.Home != n && !m.mapped[n][p] {
-		m.mapped[n][p] = true
+	if pg.home != n && pg.mapped&(1<<uint(n)) == 0 {
+		pg.mapped |= 1 << uint(n)
 		ns.PageFaults++
 		m.softFault(c, n, p)
 		// Static S-COMA placement: the page maps straight into the
@@ -141,7 +141,7 @@ func (m *Machine) access(c *engine.CPU, b memory.Block, write bool) {
 
 	// A write to a replicated page takes a protection fault and forces
 	// the home to collapse all replicas back to one read-write page.
-	if write && e.Replicated {
+	if write && pg.replicated {
 		m.collapse(c, n, p)
 	}
 
@@ -167,7 +167,7 @@ func (m *Machine) upgrade(c *engine.CPU, n int, b memory.Block) {
 	ns := &m.st.Nodes[n]
 	de := m.dir.Entry(b)
 	p := b.Page()
-	h := m.pt.Entry(p).Home
+	h := m.pages[p].home
 
 	remote := de.Sharers &^ (1 << uint(n))
 	if remote != 0 {
@@ -261,8 +261,8 @@ func (m *Machine) fill(c *engine.CPU, n int, b memory.Block, write bool) {
 //repro:hotpath
 func (m *Machine) fetch(c *engine.CPU, n int, b memory.Block, cls stats.MissClass, write bool) (local bool) {
 	p := b.Page()
-	e := m.pt.Entry(p)
-	h := e.Home
+	pg := &m.pages[p]
+	h := pg.home
 	de := m.dir.Entry(b)
 	ns := &m.st.Nodes[n]
 	start := c.Clock
@@ -293,7 +293,7 @@ func (m *Machine) fetch(c *engine.CPU, n int, b memory.Block, cls stats.MissClas
 	// migration can weigh the home's use against a remote requester's;
 	// they never count as remote read/write sharing.
 	if h == n {
-		if m.mig != nil {
+		if m.spec.MigRep() {
 			m.pokeMigRep(c, n, p, write)
 		}
 		if owner, dirty := m.dir.IsDirtyRemote(b, n); dirty {
@@ -325,7 +325,7 @@ func (m *Machine) fetch(c *engine.CPU, n int, b memory.Block, cls stats.MissClas
 	}
 
 	// 4. A local read-only replica serves reads from local memory.
-	if e.Mode[n] == memory.ModeReplica && !write {
+	if !write && pg.replica(n) {
 		return true
 	}
 
@@ -370,7 +370,7 @@ func (m *Machine) fetch(c *engine.CPU, n int, b memory.Block, cls stats.MissClas
 	}
 	m.miss(n, cls, true, end)
 	m.traffic(n, bytes, end)
-	m.pageMissTotal[p]++
+	pg.misses++
 	if write && remote != 0 {
 		m.invalidateSharers(n, h, b, remote, end)
 	}
@@ -443,11 +443,11 @@ func (m *Machine) install(c *engine.CPU, n int, b memory.Block, write bool) {
 		st = cache.Modified
 	}
 	p := b.Page()
-	e := m.pt.Entry(p)
+	pg := &m.pages[p]
 	now := c.Clock
 
 	// S-COMA frame: record block presence.
-	if m.pc != nil && e.Home != n {
+	if m.pc != nil && pg.home != n {
 		if pe := m.pc[n].Entry(p); pe != nil {
 			bit := uint64(1) << uint(b.Index())
 			pe.Valid |= bit
@@ -458,7 +458,7 @@ func (m *Machine) install(c *engine.CPU, n int, b memory.Block, write bool) {
 	}
 
 	// Block cache: remote pages only, maintaining inclusion.
-	if m.bc != nil && e.Home != n && e.Mode[n] != memory.ModeReplica {
+	if m.bc != nil && pg.home != n && !pg.replica(n) {
 		v := m.bc[n].Insert(b, st)
 		if v.Valid {
 			m.evictFromBlockCache(n, v, now)
@@ -482,10 +482,10 @@ func (m *Machine) evictFromL1(n int, v cache.Victim, now int64) {
 		m.l1count[n][b]--
 	}
 	p := b.Page()
-	e := m.pt.Entry(p)
+	pg := &m.pages[p]
 	if v.Dirty {
 		inPC := false
-		if m.pc != nil && e.Home != n {
+		if m.pc != nil && pg.home != n {
 			if pe := m.pc[n].Entry(p); pe != nil && pe.Valid&(1<<uint(b.Index())) != 0 {
 				pe.Dirty |= 1 << uint(b.Index())
 				inPC = true
@@ -494,15 +494,15 @@ func (m *Machine) evictFromL1(n int, v cache.Victim, now int64) {
 		switch {
 		case inPC:
 			// Dirty data lands in the S-COMA frame; no traffic.
-		case m.bc != nil && e.Home != n && e.Mode[n] != memory.ModeReplica &&
+		case m.bc != nil && pg.home != n && !pg.replica(n) &&
 			m.bc[n].Probe(b) != cache.Invalid:
 			// Dirty data folds into the inclusive block cache.
 			m.bc[n].SetState(b, cache.Modified)
-		case e.Home == n:
+		case pg.home == n:
 			// Writeback to local memory over the bus.
 			m.dir.WriteBack(b, n)
 		default:
-			m.writebackRemote(n, e.Home, b, now)
+			m.writebackRemote(n, pg.home, b, now)
 		}
 	}
 	if m.nodeHolds(n, b) {
@@ -527,7 +527,7 @@ func (m *Machine) evictFromBlockCache(n int, v cache.Victim, now int64) {
 	b := v.Block
 	_, dirty := m.purgeL1s(n, b, -1)
 	if v.Dirty || dirty {
-		m.writebackRemote(n, m.pt.Entry(b.Page()).Home, b, now)
+		m.writebackRemote(n, m.pages[b.Page()].home, b, now)
 	}
 	m.flags[n][b] &^= flagDepartInval // capacity departure
 }

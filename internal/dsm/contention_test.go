@@ -27,7 +27,7 @@ func mkNet(t *testing.T, spec Spec, net config.Network) *Machine {
 // carried comparable traffic.
 func TestContentionDefersMovesOnHotRoute(t *testing.T) {
 	m := mkNet(t, ContentionMigRep(), config.Network{Topology: config.TopoRing})
-	m.pt.FirstTouch(0, 0)
+	m.pages[0].home = 0
 	c4 := m.sched.CPUByID(4)
 
 	// Saturate the 0<->1 route relative to an otherwise idle ring.
@@ -62,7 +62,7 @@ func TestContentionDefersMovesOnHotRoute(t *testing.T) {
 // threshold.
 func TestThrottledMoveSurvivesIntervalBoundary(t *testing.T) {
 	m := mkNet(t, ContentionMigRep(), config.Network{Topology: config.TopoRing})
-	m.pt.FirstTouch(0, 0)
+	m.pages[0].home = 0
 	c4 := m.sched.CPUByID(4)
 	m.fabric.Deliver(0, 1, 1<<20, 0) // hot route: the gate defers
 
@@ -111,7 +111,7 @@ func TestContentionPolicyWithoutMovesDegrades(t *testing.T) {
 // the contention behavior exists only in the registered variant.
 func TestPlainMigRepNeverThrottles(t *testing.T) {
 	m := mkNet(t, MigRep(), config.Network{Topology: config.TopoRing})
-	m.pt.FirstTouch(0, 0)
+	m.pages[0].home = 0
 	c4 := m.sched.CPUByID(4)
 	m.fabric.Deliver(0, 1, 1<<20, 0) // same hot route as above
 	for i := 0; i < m.th.MigRepThreshold; i++ {

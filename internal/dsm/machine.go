@@ -42,6 +42,41 @@ type mrCounter struct {
 	noRepl bool
 }
 
+// page is the protocol state of one global page: its home, which
+// nodes map it and which hold a read-only replica, and the per-page
+// counters the page operations consult. Whether node n holds the page
+// in an S-COMA frame is pc[n].Entry's to say; R-NUMA's per-node refetch
+// counters live in Machine.ref.
+type page struct {
+	// home is the page's home node, or -1 before its first touch.
+	home int
+	// mapped and replicas are node bitmasks, like the directory's
+	// sharer sets. A node's mapped bit is set while it holds a valid
+	// mapping: lazy TLB invalidation drops the bit when the page moves,
+	// so the node's next touch faults. Its replicas bit is set while it
+	// holds a read-only replica in local memory.
+	mapped, replicas uint64
+	// busy is the time until which a page operation blocks access.
+	busy int64
+	// misses counts the page's lifetime remote misses (for
+	// Spec.RelocDelayMisses).
+	misses int64
+	// mig is the home-side migration/replication counter bank, built
+	// on first use (migCounter).
+	mig *mrCounter
+	// replicated marks the page read-only replicated: writes fault and
+	// collapse it.
+	replicated bool
+	// placed records that first-touch placement ran after the Phase
+	// marker.
+	placed bool
+}
+
+// replica reports whether node n holds a read-only replica of the page.
+//
+//repro:hotpath
+func (pg *page) replica(n int) bool { return pg.replicas&(1<<uint(n)) != 0 }
+
 // Machine is one simulated DSM cluster executing one trace.
 type Machine struct {
 	spec Spec
@@ -71,8 +106,8 @@ type Machine struct {
 	// the flat network-latency model exactly.
 	fabric *interconnect.Fabric
 
-	pt  *memory.PageTable
-	dir *directory.Directory
+	dir   *directory.Directory
+	pages []page // [page] per-page protocol state
 
 	l1 []*cache.L1         // per CPU
 	bc []*cache.BlockCache // per node, nil if absent
@@ -80,14 +115,7 @@ type Machine struct {
 
 	l1count [][]uint8 // [node][block] count of on-node L1 copies
 	flags   [][]uint8 // [node][block] classification flags
-	mapped  [][]bool  // [node][page] node has a valid mapping
-
-	pageBusy       []int64 // [page] time until which a page op blocks access
-	parallelPlaced []bool  // [page] first-touch placement consumed post-Phase
-	pageMissTotal  []int64 // [page] lifetime remote misses (for RelocDelay)
-
-	mig []*mrCounter // [page] home-side counters, lazily built
-	ref [][]int32    // [node][page] R-NUMA refetch counters
+	ref     [][]int32 // [node][page] R-NUMA refetch counters
 
 	// throttled counts the page moves the contention gate deferred
 	// (Spec.ContentionGate).
@@ -148,11 +176,13 @@ func NewMachine(spec Spec, cl config.Cluster, tm config.Timing, th config.Thresh
 		numPages:  numPages,
 		locks:     make(map[uint64]*engine.Lock),
 		lockOwn:   make(map[uint64]int),
-		pt:        memory.NewPageTable(cl.Nodes),
 		dir:       directory.New(numBlocks, cl.Nodes),
+		pages:     make([]page, numPages),
 		st:        stats.New(spec.Name, app, cl.Nodes),
 	}
-	m.pt.Presize(int(numPages))
+	for i := range m.pages {
+		m.pages[i].home = -1
+	}
 	m.sched = engine.NewScheduler(cl.TotalCPUs())
 	m.barrier = engine.NewBarrier(cl.TotalCPUs(), tm.LocalMiss)
 	m.cpuNode = make([]int32, cl.TotalCPUs())
@@ -170,14 +200,12 @@ func NewMachine(spec Spec, cl config.Cluster, tm config.Timing, th config.Thresh
 	m.home = engine.NewResourceBank(cl.Nodes)
 	m.l1count = make([][]uint8, cl.Nodes)
 	m.flags = make([][]uint8, cl.Nodes)
-	m.mapped = make([][]bool, cl.Nodes)
 	m.ref = make([][]int32, cl.Nodes)
 	// The per-node state tables share one backing array per table, so a
 	// machine costs a handful of allocations instead of several per node.
 	nb, np := int(numBlocks), int(numPages)
 	l1flat := make([]uint8, cl.Nodes*nb)
 	flagflat := make([]uint8, cl.Nodes*nb)
-	mapflat := make([]bool, cl.Nodes*np)
 	var refflat []int32
 	if spec.RNUMA {
 		refflat = make([]int32, cl.Nodes*np)
@@ -185,16 +213,9 @@ func NewMachine(spec Spec, cl config.Cluster, tm config.Timing, th config.Thresh
 	for n := 0; n < cl.Nodes; n++ {
 		m.l1count[n] = l1flat[n*nb : (n+1)*nb : (n+1)*nb]
 		m.flags[n] = flagflat[n*nb : (n+1)*nb : (n+1)*nb]
-		m.mapped[n] = mapflat[n*np : (n+1)*np : (n+1)*np]
 		if spec.RNUMA {
 			m.ref[n] = refflat[n*np : (n+1)*np : (n+1)*np]
 		}
-	}
-	m.pageBusy = make([]int64, numPages)
-	m.parallelPlaced = make([]bool, numPages)
-	m.pageMissTotal = make([]int64, numPages)
-	if spec.MigRep() {
-		m.mig = make([]*mrCounter, numPages)
 	}
 
 	m.l1 = make([]*cache.L1, cl.TotalCPUs())
@@ -323,7 +344,7 @@ func (m *Machine) chargeSync(n int, cycles int64) {
 //
 //repro:hotpath
 func (m *Machine) waitPageBusy(c *engine.CPU, n int, p memory.Page) {
-	if t := m.pageBusy[p]; c.Clock < t {
+	if t := m.pages[p].busy; c.Clock < t {
 		m.chargeSync(n, t-c.Clock)
 		c.Clock = t
 	}
@@ -334,13 +355,14 @@ func (m *Machine) waitPageBusy(c *engine.CPU, n int, p memory.Page) {
 // starting a new operation — so a regression means an operation
 // completed in the simulated past and is flagged under audit.
 func (m *Machine) setPageBusy(p memory.Page, t int64) {
-	if t < m.pageBusy[p] {
+	pg := &m.pages[p]
+	if t < pg.busy {
 		if m.auditing {
-			m.violations.Addf("dsm: pageBusy[%d] regressed from %d to %d", p, m.pageBusy[p], t)
+			m.violations.Addf("dsm: page %d busy horizon regressed from %d to %d", p, pg.busy, t)
 		}
 		return
 	}
-	m.pageBusy[p] = t
+	pg.busy = t
 }
 
 // Fabric returns the interconnect model the machine routes protocol
@@ -357,14 +379,13 @@ func (m *Machine) cpusOf(node int) (lo, hi int) {
 
 // migCounter returns the page's counter bank, creating it on first use.
 func (m *Machine) migCounter(p memory.Page) *mrCounter {
-	c := m.mig[p]
-	if c == nil {
+	pg := &m.pages[p]
+	if pg.mig == nil {
 		n := m.cl.Nodes
 		rw := make([]int32, 2*n)
-		c = &mrCounter{read: rw[:n:n], write: rw[n:]}
-		m.mig[p] = c
+		pg.mig = &mrCounter{read: rw[:n:n], write: rw[n:]}
 	}
-	return c
+	return pg.mig
 }
 
 // reset zeroes a counter bank and lifts any replication block.

@@ -1,6 +1,8 @@
 package dsm
 
 import (
+	"math/bits"
+
 	"repro/internal/config"
 	"repro/internal/directory"
 	"repro/internal/engine"
@@ -13,7 +15,7 @@ import (
 // the operation's current event time, downgrading the owners to Shared.
 // It returns the number of blocks flushed, which sizes the gather cost.
 func (m *Machine) cleanPage(op *pageOp, p memory.Page) (flushed int) {
-	h := m.pt.Entry(p).Home
+	h := m.pages[p].home
 	b0 := p.FirstBlock()
 	for i := 0; i < config.BlocksPerPage; i++ {
 		b := b0 + memory.Block(i)
@@ -34,10 +36,12 @@ func (m *Machine) cleanPage(op *pageOp, p memory.Page) (flushed int) {
 
 // gatherPage invalidates every cached copy of page p cluster-wide at
 // the operation's current event time, flushing dirty blocks home, and
-// removes any S-COMA frames holding the page. It returns the number of
-// block copies flushed.
+// removes any S-COMA frames holding the page. A node whose frame goes
+// also loses any replica it was granted while holding the frame. It
+// returns the number of block copies flushed.
 func (m *Machine) gatherPage(op *pageOp, p memory.Page) (flushed int) {
-	h := m.pt.Entry(p).Home
+	pg := &m.pages[p]
+	h := pg.home
 	b0 := p.FirstBlock()
 	for i := 0; i < config.BlocksPerPage; i++ {
 		b := b0 + memory.Block(i)
@@ -58,7 +62,7 @@ func (m *Machine) gatherPage(op *pageOp, p memory.Page) (flushed int) {
 	if m.pc != nil {
 		for s := 0; s < m.cl.Nodes; s++ {
 			if m.pc[s].Remove(p) != nil {
-				m.pt.Entry(p).Mode[s] = memory.ModeCCNUMA
+				pg.replicas &^= 1 << uint(s)
 			}
 		}
 	}
@@ -69,17 +73,17 @@ func (m *Machine) gatherPage(op *pageOp, p memory.Page) (flushed int) {
 // home gathers dirty blocks, marks the page replicated, and copies it
 // into n's local memory once the gather has completed.
 func (m *Machine) replicate(c *engine.CPU, n int, p memory.Page) {
-	e := m.pt.Entry(p)
+	pg := &m.pages[p]
 	op := m.beginPageOp(c, n)
 	flushed := m.cleanPage(op, p)
 	op.charge(m.tm.GatherCost(flushed))
-	op.xfer(e.Home, n, n, int64(config.BlocksPerPage)*msgBlockBytes)
+	op.xfer(pg.home, n, n, int64(config.BlocksPerPage)*msgBlockBytes)
 	op.charge(m.tm.CopyCost(config.BlocksPerPage))
-	e.Replicated = true
-	e.Mode[n] = memory.ModeReplica
+	pg.replicated = true
+	pg.replicas |= 1 << uint(n)
 	op.count(stats.Replication)
 	op.note(telemetry.EvReplicate, p)
-	m.home[e.Home].Acquire(op.start, op.elapsed()/4)
+	m.home[pg.home].Acquire(op.start, op.elapsed()/4)
 	op.finishBusy(p)
 }
 
@@ -88,15 +92,15 @@ func (m *Machine) replicate(c *engine.CPU, n int, p memory.Page) {
 // the copy keeps the page busy — concurrent accessors wait it out — and
 // occupies the home controller that serves it.
 func (m *Machine) grantReplica(c *engine.CPU, n int, p memory.Page) {
-	e := m.pt.Entry(p)
+	pg := &m.pages[p]
 	op := m.beginPageOp(c, n)
 	op.charge(m.tm.SoftTrap)
-	op.xfer(e.Home, n, n, int64(config.BlocksPerPage)*msgBlockBytes)
+	op.xfer(pg.home, n, n, int64(config.BlocksPerPage)*msgBlockBytes)
 	op.charge(m.tm.CopyCost(config.BlocksPerPage))
-	e.Mode[n] = memory.ModeReplica
+	pg.replicas |= 1 << uint(n)
 	op.count(stats.Replication)
 	op.note(telemetry.EvGrant, p)
-	m.home[e.Home].Acquire(op.start, op.elapsed()/4)
+	m.home[pg.home].Acquire(op.start, op.elapsed()/4)
 	op.finishBusy(p)
 }
 
@@ -105,32 +109,31 @@ func (m *Machine) grantReplica(c *engine.CPU, n int, p memory.Page) {
 // all replicas and cached copies, and switches the page back to a single
 // read-write copy at home.
 func (m *Machine) collapse(c *engine.CPU, n int, p memory.Page) {
-	e := m.pt.Entry(p)
+	pg := &m.pages[p]
 	// Wait for any page operation already in flight.
 	m.waitPageBusy(c, n, p)
-	if !e.Replicated {
+	if !pg.replicated {
 		return // another writer collapsed it while we waited
 	}
 	op := m.beginPageOp(c, n)
 	op.charge(m.tm.SoftTrap) // the writer traps before the home acts
 	flushed := m.gatherPage(op, p)
 	op.charge(m.tm.GatherCost(flushed))
-	replicas := 0
-	for s := 0; s < m.cl.Nodes; s++ {
-		if e.Mode[s] == memory.ModeReplica {
-			replicas++
-			e.Mode[s] = memory.ModeCCNUMA
-			m.mapped[s][p] = false // replica mapping dropped; re-fault
-			if s == n {
-				m.mapped[s][p] = true // the writer remaps immediately
-			}
-			// Replica invalidation and ack between home and holder,
-			// charged to the writer that forced the collapse.
-			op.xfer(e.Home, s, n, msgHeaderBytes)
-			op.xfer(s, e.Home, n, msgHeaderBytes)
+	replicas := bits.OnesCount64(pg.replicas)
+	for mask := pg.replicas; mask != 0; mask &= mask - 1 {
+		s := bits.TrailingZeros64(mask)
+		if s == n {
+			pg.mapped |= 1 << uint(s) // the writer remaps immediately
+		} else {
+			pg.mapped &^= 1 << uint(s) // replica mapping dropped; re-fault
 		}
+		// Replica invalidation and ack between home and holder,
+		// charged to the writer that forced the collapse.
+		op.xfer(pg.home, s, n, msgHeaderBytes)
+		op.xfer(s, pg.home, n, msgHeaderBytes)
 	}
-	e.Replicated = false
+	pg.replicas = 0
+	pg.replicated = false
 	// The write proves the page is not read-only: zero its counters and
 	// block re-replication until the next reset interval.
 	cnt := m.migCounter(p)
@@ -147,16 +150,13 @@ func (m *Machine) collapse(c *engine.CPU, n int, p memory.Page) {
 // touch faults), and the page data moves to the new home once the
 // gather completes.
 func (m *Machine) migrate(c *engine.CPU, n int, p memory.Page) {
-	e := m.pt.Entry(p)
-	oldHome := e.Home
+	pg := &m.pages[p]
+	oldHome := pg.home
 	op := m.beginPageOp(c, n)
 	flushed := m.gatherPage(op, p)
 	op.charge(m.tm.GatherCost(flushed))
-	for s := 0; s < m.cl.Nodes; s++ {
-		m.mapped[s][p] = false
-	}
-	m.pt.SetHome(p, n)
-	m.mapped[n][p] = true
+	pg.home = n
+	pg.mapped = 1 << uint(n) // every other mapping is shot down
 
 	op.xfer(oldHome, n, n, int64(config.BlocksPerPage)*msgBlockBytes)
 	op.charge(m.tm.CopyCost(config.BlocksPerPage))

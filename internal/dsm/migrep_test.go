@@ -132,7 +132,7 @@ func TestMigRepCountersResetAtInterval(t *testing.T) {
 	}
 	// Drive one more poke through the public path: it must reset.
 	cpu := m.sched.CPUByID(4)
-	m.pt.FirstTouch(0, 0)
+	m.pages[0].home = 0
 	m.onRemoteMiss(cpu, 1, 0, stats.Coherence, false)
 	if cnt.sinceReset != 0 {
 		t.Errorf("sinceReset = %d after interval, want 0", cnt.sinceReset)
@@ -158,11 +158,9 @@ func TestGatherFlushesDirtyBlocks(t *testing.T) {
 	m := mk(t, MigRep())
 	cpu := m.sched.CPUByID(0)
 	// Home page 0 at node 0 and dirty a block at node 1.
-	m.pt.FirstTouch(0, 0)
-	m.mapped[0][0] = true
+	m.pages[0].home = 0
+	m.pages[0].mapped = 1<<0 | 1<<1
 	c4 := m.sched.CPUByID(4)
-	m.mapped[1][0] = true
-	m.pt.Entry(0).Mode[1] = 1 // ccnuma
 	m.access(c4, 0, true)
 	if owner, dirty := m.dir.IsDirtyRemote(0, 0); !dirty || owner != 1 {
 		t.Fatalf("setup failed: owner=%d dirty=%v", owner, dirty)
@@ -207,7 +205,7 @@ func TestSlowThresholdsReduceOps(t *testing.T) {
 // triggered the operation.
 func TestBoundaryReferenceReachesThresholds(t *testing.T) {
 	m := mk(t, Rep())
-	m.pt.FirstTouch(0, 0)
+	m.pages[0].home = 0
 	cnt := m.migCounter(0)
 	cnt.sinceReset = int32(m.th.MigRepResetInterval) - 1
 	cnt.read[1] = int32(m.th.MigRepThreshold) - 1
@@ -229,7 +227,7 @@ func TestBoundaryReferenceReachesThresholds(t *testing.T) {
 // exactly when the requester's misses reach homeUse + threshold.
 func TestMigrationWeighsHomeUseOnly(t *testing.T) {
 	m := mk(t, Mig())
-	m.pt.FirstTouch(0, 0)
+	m.pages[0].home = 0
 	cnt := m.migCounter(0)
 	c0 := m.sched.CPUByID(0)
 	c4 := m.sched.CPUByID(4)
@@ -266,25 +264,101 @@ func TestMigrationWeighsHomeUseOnly(t *testing.T) {
 // home stayed free during the copy.
 func TestGrantReplicaSerializesAndChargesHome(t *testing.T) {
 	m := mk(t, Rep())
-	m.pt.FirstTouch(0, 0)
+	m.pages[0].home = 0
 	c4 := m.sched.CPUByID(4)
 	c8 := m.sched.CPUByID(8)
 	m.EnableAudit()
 	m.replicate(c4, 1, 0)
-	// A real accessor waits out pageBusy in access before any page
-	// operation starts; model that for the direct call.
-	c8.Clock = m.pageBusy[0]
+	// A real accessor waits out the page's busy horizon in access
+	// before any page operation starts; model that for the direct call.
+	c8.Clock = m.pages[0].busy
 	start := c8.Clock
 	m.grantReplica(c8, 2, 0)
 	wantCost := config.Default().SoftTrap + config.Default().CopyCost(config.BlocksPerPage)
 	if got := c8.Clock - start; got != wantCost {
 		t.Errorf("grant cost = %d cycles, want %d", got, wantCost)
 	}
-	if got := m.pageBusy[0]; got != c8.Clock {
-		t.Errorf("pageBusy = %d after grant, want %d (the grant's end)", got, c8.Clock)
+	if got := m.pages[0].busy; got != c8.Clock {
+		t.Errorf("page busy until %d after grant, want %d (the grant's end)", got, c8.Clock)
 	}
 	if got := m.home[0].Peek(); got != start+wantCost/4 {
 		t.Errorf("home free at %d, want %d (busy for one quarter of the grant from its start)", got, start+wantCost/4)
+	}
+	if v := m.AuditViolations(); len(v) != 0 {
+		t.Errorf("audit violations: %v", v)
+	}
+}
+
+// TestMigrateMovesHome checks a migration's effect on the page's record:
+// the home moves to the requester, which maps the page, and every other
+// node's mapping, the old home's included, is shot down.
+func TestMigrateMovesHome(t *testing.T) {
+	m := mk(t, Mig())
+	m.pages[0].home = 0
+	m.pages[0].mapped = 1<<0 | 1<<1 | 1<<2
+	m.migrate(m.sched.CPUByID(12), 3, 0)
+	if got := m.HomeOf(0); got != 3 {
+		t.Errorf("home = %d after migration, want 3", got)
+	}
+	for n := 0; n < m.cl.Nodes; n++ {
+		if got := m.Mapped(n, 0); got != (n == 3) {
+			t.Errorf("node %d mapped = %v after migration to node 3", n, got)
+		}
+	}
+	if got := m.st.Nodes[3].PageOps[stats.Migration]; got != 1 {
+		t.Errorf("migrations = %d, want 1", got)
+	}
+}
+
+// TestCollapseDropsReplicaWithFrame pins how a collapse accounts for a
+// replica granted to a node that already holds the page in an S-COMA
+// frame. The gather removes the frame and the replica goes with it, so
+// the collapse counts, shoots down and messages only the other
+// replicas, and the frame's node keeps its mapping. That is the current
+// accounting, not a claim that it is right: the frame's node held a
+// replica the collapse does not charge for.
+func TestCollapseDropsReplicaWithFrame(t *testing.T) {
+	m := mk(t, RNUMAHalfMigRep(256))
+	m.EnableAudit()
+	c4, c8, c12 := m.sched.CPUByID(4), m.sched.CPUByID(8), m.sched.CPUByID(12)
+	pg := &m.pages[0]
+	pg.home = 0
+	pg.mapped = 1<<0 | 1<<1 | 1<<2
+
+	// Node 1 holds the page in a frame, node 2 replicates it, and node
+	// 1 is granted a replica on top of its frame.
+	m.relocate(c4, 1, 0)
+	m.replicate(c8, 2, 0)
+	c4.Clock = pg.busy
+	m.grantReplica(c4, 1, 0)
+	if m.pc[1].Entry(0) == nil || pg.replicas != 1<<1|1<<2 {
+		t.Fatalf("setup: frame %v, replicas %b; want node 1's frame and replicas on nodes 1 and 2",
+			m.pc[1].Entry(0) != nil, pg.replicas)
+	}
+
+	// Node 3 writes the page.
+	c12.Clock = pg.busy
+	start, traffic := c12.Clock, m.st.Nodes[3].TrafficBytes
+	m.collapse(c12, 3, 0)
+
+	if m.pc[1].Entry(0) != nil {
+		t.Error("collapse left node 1's frame in place")
+	}
+	if pg.replicated || pg.replicas != 0 {
+		t.Errorf("after collapse: replicated %v, replicas %b", pg.replicated, pg.replicas)
+	}
+	if m.Mapped(2, 0) {
+		t.Error("node 2's replica mapping survived the collapse")
+	}
+	if !m.Mapped(1, 0) {
+		t.Error("node 1 lost its mapping; the collapse no longer skips the replica that left with its frame")
+	}
+	tm := config.Default()
+	if got, want := c12.Clock-start, tm.SoftTrap+tm.GatherCost(0)+tm.TLBShootdown; got != want {
+		t.Errorf("collapse cost = %d cycles, want %d (one TLB shootdown, node 2's)", got, want)
+	}
+	if got, want := m.st.Nodes[3].TrafficBytes-traffic, int64(2*msgHeaderBytes); got != want {
+		t.Errorf("collapse traffic = %d bytes, want %d (node 2's invalidation and ack)", got, want)
 	}
 	if v := m.AuditViolations(); len(v) != 0 {
 		t.Errorf("audit violations: %v", v)

@@ -83,7 +83,7 @@ func (op *pageOp) count(kind stats.PageOp) {
 //repro:hotpath
 func (op *pageOp) note(kind telemetry.EventKind, p memory.Page) {
 	if tl := op.m.tel; tl != nil {
-		tl.Event(kind, uint64(p), op.m.pt.Entry(p).Home, op.node, op.start, op.now)
+		tl.Event(kind, uint64(p), op.m.pages[p].home, op.node, op.start, op.now)
 	}
 }
 
@@ -114,19 +114,17 @@ func (op *pageOp) finishBusy(p memory.Page) {
 //
 //repro:hotpath
 func (m *Machine) softFault(c *engine.CPU, n int, p memory.Page) {
-	e := m.pt.Entry(p)
+	pg := &m.pages[p]
 	op := m.beginPageOp(c, n)
 	op.charge(m.tm.SoftTrap)
-	op.now = m.fabric.Traverse(n, e.Home, msgHeaderBytes, op.now)
-	copied := e.Replicated && m.spec.Replication
+	op.now = m.fabric.Traverse(n, pg.home, msgHeaderBytes, op.now)
+	copied := pg.replicated && m.spec.Replication
 	if copied {
-		op.xfer(e.Home, n, n, int64(config.BlocksPerPage)*msgBlockBytes)
+		op.xfer(pg.home, n, n, int64(config.BlocksPerPage)*msgBlockBytes)
 		op.count(stats.Replication)
-		e.Mode[n] = memory.ModeReplica
-	} else if e.Mode[n] == memory.ModeUnmapped {
-		e.Mode[n] = memory.ModeCCNUMA
+		pg.replicas |= 1 << uint(n)
 	}
-	op.now = m.fabric.Traverse(e.Home, n, msgHeaderBytes, op.now)
+	op.now = m.fabric.Traverse(pg.home, n, msgHeaderBytes, op.now)
 	m.traffic(n, 2*msgHeaderBytes, op.now) // request + reply
 	if copied {
 		op.charge(m.tm.CopyCost(config.BlocksPerPage))

@@ -23,7 +23,7 @@ import (
 // with miss class cls: it feeds the home-side migration/replication
 // counters, then the cacher-side R-NUMA refetch counters.
 func (m *Machine) onRemoteMiss(c *engine.CPU, n int, p memory.Page, cls stats.MissClass, write bool) {
-	if m.mig != nil {
+	if m.spec.MigRep() {
 		m.pokeMigRep(c, n, p, write)
 	}
 	if m.spec.RNUMA {
@@ -34,7 +34,7 @@ func (m *Machine) onRemoteMiss(c *engine.CPU, n int, p memory.Page, cls stats.Mi
 // onRemoteUpgrade runs after node n completed a remote write upgrade on
 // page p (an exclusivity request that moved no data).
 func (m *Machine) onRemoteUpgrade(c *engine.CPU, n int, p memory.Page) {
-	if m.mig != nil && m.pt.Entry(p).Home != n {
+	if m.spec.MigRep() && m.pages[p].home != n {
 		m.pokeMigRep(c, n, p, true)
 	}
 }
@@ -44,8 +44,8 @@ func (m *Machine) onRemoteUpgrade(c *engine.CPU, n int, p memory.Page) {
 // per-page per-node miss counters, applies the periodic reset, and
 // invokes page replication or migration when the thresholds fire.
 func (m *Machine) pokeMigRep(c *engine.CPU, n int, p memory.Page, write bool) {
-	e := m.pt.Entry(p)
-	h := e.Home
+	pg := &m.pages[p]
+	h := pg.home
 	cnt := m.migCounter(p)
 	cnt.sinceReset++
 	// The reference that lands exactly on the reset interval still
@@ -77,12 +77,12 @@ func (m *Machine) pokeMigRep(c *engine.CPU, n int, p memory.Page, write bool) {
 	// requester reads it heavily. Pages recently collapsed by a write
 	// stay ineligible until their counters reset.
 	if m.spec.Replication && !cnt.anyWrites() && !cnt.noRepl &&
-		cnt.read[n] >= thr && e.Mode[n] != memory.ModeReplica {
+		cnt.read[n] >= thr && !pg.replica(n) {
 		if m.spec.ContentionGate && m.routeHot(h, n) {
 			m.throttled++
 			return // keep the counters: the move is pending, not denied
 		}
-		if e.Replicated {
+		if pg.replicated {
 			m.grantReplica(c, n, p)
 		} else {
 			m.replicate(c, n, p)
@@ -97,7 +97,7 @@ func (m *Machine) pokeMigRep(c *engine.CPU, n int, p memory.Page, write bool) {
 	// more than the home uses it. Remote references accrue to the
 	// read/write banks, the home's own references only ever to homeUse,
 	// so homeUse is the whole home-side weight of the comparison.
-	if m.spec.Migration && !e.Replicated &&
+	if m.spec.Migration && !pg.replicated &&
 		cnt.total(n) >= cnt.homeUse+thr {
 		if m.spec.ContentionGate && m.routeHot(h, n) {
 			m.throttled++
@@ -117,14 +117,14 @@ func (m *Machine) pokeMigRep(c *engine.CPU, n int, p memory.Page, write bool) {
 // (Spec.RelocDelayMisses) gives migration/replication first shot at
 // the page (Section 6.4).
 func (m *Machine) rnumaMiss(c *engine.CPU, n int, p memory.Page, cls stats.MissClass) {
-	if cls != stats.CapacityConflict || m.pt.Entry(p).Home == n || m.pc[n].Entry(p) != nil {
+	if cls != stats.CapacityConflict || m.pages[p].home == n || m.pc[n].Entry(p) != nil {
 		return
 	}
 	m.ref[n][p]++
 	if int(m.ref[n][p]) < m.th.RNUMAThreshold {
 		return
 	}
-	if d := m.spec.RelocDelayMisses; d > 0 && m.pageMissTotal[p] < int64(d) {
+	if d := m.spec.RelocDelayMisses; d > 0 && m.pages[p].misses < int64(d) {
 		return
 	}
 	m.relocate(c, n, p)

@@ -13,7 +13,7 @@ func TestCollapseBlocksImmediateReplication(t *testing.T) {
 	// Replication-only: with migration enabled the page would instead
 	// migrate to the hot reader during the cooldown window.
 	m := mk(t, Rep())
-	m.pt.FirstTouch(0, 0)
+	m.pages[0].home = 0
 	cnt := m.migCounter(0)
 	c4 := m.sched.CPUByID(4)
 
@@ -50,7 +50,7 @@ func TestCollapseBlocksImmediateReplication(t *testing.T) {
 
 func TestHomeUseWeighsAgainstMigration(t *testing.T) {
 	m := mk(t, Mig())
-	m.pt.FirstTouch(0, 0)
+	m.pages[0].home = 0
 	cnt := m.migCounter(0)
 	c0 := m.sched.CPUByID(0)
 	c4 := m.sched.CPUByID(4)
@@ -69,7 +69,7 @@ func TestHomeUseWeighsAgainstMigration(t *testing.T) {
 
 	// An idle home loses the page.
 	m2 := mk(t, Mig())
-	m2.pt.FirstTouch(0, 0)
+	m2.pages[0].home = 0
 	c4b := m2.sched.CPUByID(4)
 	for i := 0; i < m2.th.MigRepThreshold; i++ {
 		m2.onRemoteMiss(c4b, 1, 0, stats.Coherence, false)
@@ -84,7 +84,7 @@ func TestHomeUseWeighsAgainstMigration(t *testing.T) {
 
 func TestHomeWritesDoNotBlockReplication(t *testing.T) {
 	m := mk(t, Rep())
-	m.pt.FirstTouch(0, 0)
+	m.pages[0].home = 0
 	c0 := m.sched.CPUByID(0)
 	c4 := m.sched.CPUByID(4)
 	// The home writes its own page; a remote node only reads it.

@@ -16,8 +16,8 @@ import (
 // frame if full), and remap; the necessary blocks are
 // refetched on demand.
 func (m *Machine) relocate(c *engine.CPU, n int, p memory.Page) {
-	e := m.pt.Entry(p)
-	if e.Home == n || e.Mode[n] == memory.ModeReplica {
+	pg := &m.pages[p]
+	if pg.home == n || pg.replica(n) {
 		return
 	}
 	pc := m.pc[n]
@@ -39,7 +39,7 @@ func (m *Machine) relocate(c *engine.CPU, n int, p memory.Page) {
 		if present {
 			flushed++
 			if dirty {
-				m.writebackRemote(n, e.Home, b, op.now)
+				m.writebackRemote(n, pg.home, b, op.now)
 			} else {
 				m.dir.DropSharer(b, n)
 			}
@@ -48,7 +48,6 @@ func (m *Machine) relocate(c *engine.CPU, n int, p memory.Page) {
 	op.charge(m.tm.PageOpCost(flushed))
 
 	pc.Allocate(p)
-	e.Mode[n] = memory.ModeSCOMA
 	m.ref[n][p] = 0
 	op.count(stats.Relocation)
 	op.note(telemetry.EvRelocate, p)
@@ -70,7 +69,7 @@ func (m *Machine) mapSCOMA(c *engine.CPU, n int, p memory.Page) {
 		m.evictFrame(op, n)
 	}
 	pc.Allocate(p)
-	m.pt.Entry(p).Mode[n] = memory.ModeSCOMA
+	m.pages[p].replicas &^= 1 << uint(n) // the frame supersedes a replica the fault copied
 	op.count(stats.Relocation)
 	op.note(telemetry.EvRelocate, p)
 	op.finish()
@@ -78,7 +77,8 @@ func (m *Machine) mapSCOMA(c *engine.CPU, n int, p memory.Page) {
 
 // evictFrame deallocates node n's least recently used page frame: the
 // frame's surviving blocks are flushed home at the operation's current
-// event time, the victim page drops back to CC-NUMA mode, its refetch
+// event time, the victim page drops back to CC-NUMA mode (losing any
+// replica the node was granted while holding the frame), its refetch
 // counter restarts, and the node's mapping is cleared so the next touch
 // re-faults. Both eviction paths (reactive relocation and static S-COMA
 // placement) share this helper, so they cannot diverge on the mapping
@@ -87,8 +87,9 @@ func (m *Machine) evictFrame(op *pageOp, n int) {
 	victim := m.pc[n].EvictLRU()
 	flushed := m.flushFrame(op, n, victim)
 	op.charge(m.tm.PageOpCost(flushed))
-	m.pt.Entry(victim.Page).Mode[n] = memory.ModeCCNUMA
-	m.mapped[n][victim.Page] = false // the remapped page faults on next touch
+	pg := &m.pages[victim.Page]
+	pg.replicas &^= 1 << uint(n)
+	pg.mapped &^= 1 << uint(n) // the remapped page faults on next touch
 	m.ref[n][victim.Page] = 0
 	op.count(stats.Replacement)
 	op.note(telemetry.EvFrameFlush, victim.Page)
@@ -100,7 +101,7 @@ func (m *Machine) evictFrame(op *pageOp, n int) {
 // away). It returns the number of valid blocks flushed.
 func (m *Machine) flushFrame(op *pageOp, n int, fr *cache.PageEntry) (flushed int) {
 	p := fr.Page
-	e := m.pt.Entry(p)
+	h := m.pages[p].home
 	b0 := p.FirstBlock()
 	for i := 0; i < config.BlocksPerPage; i++ {
 		bit := uint64(1) << uint(i)
@@ -112,7 +113,7 @@ func (m *Machine) flushFrame(op *pageOp, n int, fr *cache.PageEntry) (flushed in
 		// Inclusion of the frame over the L1s: purge processor copies.
 		_, dirty := m.purgeL1s(n, b, -1)
 		if fr.Dirty&bit != 0 || dirty {
-			m.writebackRemote(n, e.Home, b, op.now)
+			m.writebackRemote(n, h, b, op.now)
 		} else {
 			m.dir.DropSharer(b, n)
 		}
@@ -131,14 +132,11 @@ func (m *Machine) RefetchCounter(node int, p memory.Page) int {
 	return int(m.ref[node][p])
 }
 
-// PageMode exposes the caching mode of page p at a node, for tests.
-func (m *Machine) PageMode(node int, p memory.Page) memory.PageMode {
-	return m.pt.Entry(p).Mode[node]
-}
-
 // HomeOf exposes a page's current home node, for tests.
-func (m *Machine) HomeOf(p memory.Page) int { return m.pt.Entry(p).Home }
+func (m *Machine) HomeOf(p memory.Page) int { return m.pages[p].home }
 
 // Mapped exposes whether node n currently holds a valid mapping of page
 // p, for tests.
-func (m *Machine) Mapped(node int, p memory.Page) bool { return m.mapped[node][p] }
+func (m *Machine) Mapped(node int, p memory.Page) bool {
+	return m.pages[p].mapped&(1<<uint(node)) != 0
+}

@@ -69,10 +69,8 @@ func TestRefetchCounterOnlyCountsCapacityMisses(t *testing.T) {
 	// node-2 write, and reads again: a coherence refetch that must NOT
 	// advance the relocation counter.
 	c4, c8 := m.sched.CPUByID(4), m.sched.CPUByID(8)
-	m.pt.FirstTouch(0, 0)
-	m.mapped[0][0], m.mapped[1][0], m.mapped[2][0] = true, true, true
-	m.pt.Entry(0).Mode[1] = memory.ModeCCNUMA
-	m.pt.Entry(0).Mode[2] = memory.ModeCCNUMA
+	m.pages[0].home = 0
+	m.pages[0].mapped = 1<<0 | 1<<1 | 1<<2
 
 	m.access(c4, 0, false)
 	m.access(c8, 0, true) // invalidates node 1
@@ -85,7 +83,7 @@ func TestRefetchCounterOnlyCountsCapacityMisses(t *testing.T) {
 	sets := config.L1Bytes / config.BlockBytes
 	conflict := memory.Block(sets) // maps to set 0 like block 0
 	// keep it on a node-0-homed page too
-	m.pt.FirstTouch(conflict.Page(), 0)
+	m.pages[conflict.Page()].home = 0
 	m.access(c4, conflict, false)
 	m.access(c4, 0, false) // capacity refetch
 	if got := m.RefetchCounter(1, 0); got != 1 {
@@ -109,14 +107,13 @@ func TestRelocationDelayBlocksEarlySwitch(t *testing.T) {
 func TestSCOMAWritesStayLocal(t *testing.T) {
 	m := mk(t, RNUMA())
 	c4 := m.sched.CPUByID(4)
-	m.pt.FirstTouch(0, 0)
-	m.mapped[0][0], m.mapped[1][0] = true, true
-	m.pt.Entry(0).Mode[1] = memory.ModeCCNUMA
+	m.pages[0].home = 0
+	m.pages[0].mapped = 1<<0 | 1<<1
 	// Force a relocation of page 0 at node 1.
 	m.ref[1][0] = int32(m.th.RNUMAThreshold)
 	m.relocate(c4, 1, 0)
-	if m.PageMode(1, 0) != memory.ModeSCOMA {
-		t.Fatalf("page mode = %v, want scoma", m.PageMode(1, 0))
+	if m.pc[1].Entry(0) == nil {
+		t.Fatal("relocation left node 1 without a frame for page 0")
 	}
 	// A write fills the frame; a later read must be a page-cache hit
 	// with no new remote traffic.
@@ -125,7 +122,7 @@ func TestSCOMAWritesStayLocal(t *testing.T) {
 	// evict from L1 via a conflicting block on another page homed at 1
 	sets := config.L1Bytes / config.BlockBytes
 	conflict := memory.Block(sets)
-	m.pt.FirstTouch(conflict.Page(), 1)
+	m.pages[conflict.Page()].home = 1
 	m.access(c4, conflict, false)
 	m.access(c4, 0, false)
 	after := m.st.Nodes[1].RemoteMisses
@@ -143,9 +140,8 @@ func TestSCOMAWritesStayLocal(t *testing.T) {
 func TestFrameFlushWritesDirtyHome(t *testing.T) {
 	m := mk(t, RNUMA())
 	c4 := m.sched.CPUByID(4)
-	m.pt.FirstTouch(0, 0)
-	m.mapped[0][0], m.mapped[1][0] = true, true
-	m.pt.Entry(0).Mode[1] = memory.ModeCCNUMA
+	m.pages[0].home = 0
+	m.pages[0].mapped = 1<<0 | 1<<1
 	m.ref[1][0] = int32(m.th.RNUMAThreshold)
 	m.relocate(c4, 1, 0)
 	m.access(c4, 0, true) // dirty block in the frame
@@ -197,19 +193,17 @@ func TestFrameEvictionFlushesAtEventTime(t *testing.T) {
 	spec.PageCacheBytes = config.PageBytes // one frame: next relocation evicts
 	m := mk(t, spec)
 	c4 := m.sched.CPUByID(4)
-	m.pt.FirstTouch(0, 0)
-	m.pt.FirstTouch(1, 0)
-	m.mapped[0][0], m.mapped[0][1] = true, true
-	m.mapped[1][0], m.mapped[1][1] = true, true
-	m.pt.Entry(0).Mode[1] = memory.ModeCCNUMA
-	m.pt.Entry(1).Mode[1] = memory.ModeCCNUMA
+	m.pages[0].home = 0
+	m.pages[1].home = 0
+	m.pages[0].mapped = 1<<0 | 1<<1
+	m.pages[1].mapped = 1<<0 | 1<<1
 	m.EnableAudit()
 
 	// Relocate page 0 into node 1's single frame and dirty it.
 	m.ref[1][0] = int32(m.th.RNUMAThreshold)
 	m.relocate(c4, 1, 0)
-	if m.PageMode(1, 0) != memory.ModeSCOMA {
-		t.Fatalf("setup: page 0 mode = %v, want scoma", m.PageMode(1, 0))
+	if m.pc[1].Entry(0) == nil {
+		t.Fatal("setup: page 0 not in node 1's frame")
 	}
 	m.access(c4, 0, true)
 	if fr := m.pc[1].Entry(0); fr == nil || fr.Dirty == 0 {
@@ -238,8 +232,8 @@ func TestFrameEvictionFlushesAtEventTime(t *testing.T) {
 	if m.Mapped(1, 0) {
 		t.Error("victim page still mapped after frame eviction")
 	}
-	if m.PageMode(1, 0) != memory.ModeCCNUMA {
-		t.Errorf("victim mode = %v, want ccnuma", m.PageMode(1, 0))
+	if m.pc[1].Entry(0) != nil {
+		t.Error("victim page still holds node 1's frame after eviction")
 	}
 	faults := m.st.Nodes[1].PageFaults
 	m.access(c4, 0, false)
@@ -262,12 +256,10 @@ func TestStaticAndReactiveEvictionAgree(t *testing.T) {
 		spec.AlwaysSCOMA = static
 		m := mk(t, spec)
 		c4 := m.sched.CPUByID(4)
-		m.pt.FirstTouch(0, 0)
-		m.pt.FirstTouch(1, 0)
-		m.mapped[0][0], m.mapped[0][1] = true, true
-		m.mapped[1][0], m.mapped[1][1] = true, true
-		m.pt.Entry(0).Mode[1] = memory.ModeCCNUMA
-		m.pt.Entry(1).Mode[1] = memory.ModeCCNUMA
+		m.pages[0].home = 0
+		m.pages[1].home = 0
+		m.pages[0].mapped = 1<<0 | 1<<1
+		m.pages[1].mapped = 1<<0 | 1<<1
 		if static {
 			m.mapSCOMA(c4, 1, 0)
 			m.mapSCOMA(c4, 1, 1) // evicts page 0
@@ -280,8 +272,8 @@ func TestStaticAndReactiveEvictionAgree(t *testing.T) {
 		if m.Mapped(1, 0) {
 			t.Errorf("static=%v: victim still mapped after eviction", static)
 		}
-		if m.PageMode(1, 0) != memory.ModeCCNUMA {
-			t.Errorf("static=%v: victim mode = %v, want ccnuma", static, m.PageMode(1, 0))
+		if m.pc[1].Entry(0) != nil {
+			t.Errorf("static=%v: victim still holds node 1's frame", static)
 		}
 		if got := m.st.Nodes[1].PageOps[stats.Replacement]; got != 1 {
 			t.Errorf("static=%v: replacements = %d, want 1", static, got)

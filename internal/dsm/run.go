@@ -183,8 +183,8 @@ func (m *Machine) dispatch(c *engine.CPU, kind trace.Kind, gap uint32, arg uint6
 			// The paper's user-invoked directive starts page
 			// monitoring at the beginning of the parallel phase:
 			// discard reference counts from initialization.
-			for _, cnt := range m.mig {
-				if cnt != nil {
+			for i := range m.pages {
+				if cnt := m.pages[i].mig; cnt != nil {
 					cnt.reset()
 				}
 			}

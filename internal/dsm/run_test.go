@@ -134,22 +134,36 @@ func TestGapAdvancesClock(t *testing.T) {
 }
 
 func TestPhaseResetReplacesPages(t *testing.T) {
-	// CPU 0 initializes a page before the Phase marker; CPU 4 touches
-	// it first afterwards: the page must move to node 1 for free.
-	tr := tinyTrace(1<<16, map[int][]trace.Op{
-		0: {wr(0), {Kind: trace.Phase}},
-		4: {{Kind: trace.Pad, Gap: 100000}, rd(0)},
-	})
-	m, err := NewMachine(CCNUMA(), config.DefaultCluster(), config.Default(),
-		config.DefaultThresholds(), tr.Footprint, tr.Name)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		ops  map[int][]trace.Op
+		home int
+	}{
+		// CPU 0 initializes a page before the Phase marker; CPU 4
+		// touches it first afterwards: the page must move to node 1
+		// for free.
+		{"post-phase toucher rehomes", map[int][]trace.Op{
+			0: {wr(0), {Kind: trace.Phase}},
+			4: {{Kind: trace.Pad, Gap: 100000}, rd(0)},
+		}, 1},
+		// CPU 4 touches the page after CPU 0 but before the Phase
+		// marker, and nothing touches it afterwards: a second toucher
+		// maps the page without moving it.
+		{"second toucher keeps home", map[int][]trace.Op{
+			0: {wr(0), {Kind: trace.Pad, Gap: 200000}, {Kind: trace.Phase}},
+			4: {{Kind: trace.Pad, Gap: 100000}, rd(0)},
+		}, 0},
 	}
-	if err := m.Execute(tr); err != nil {
-		t.Fatal(err)
-	}
-	if home := m.HomeOf(0); home != 1 {
-		t.Errorf("page homed at %d after phase re-touch, want 1", home)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := run(t, CCNUMA(), tinyTrace(1<<16, c.ops))
+			if home := m.HomeOf(0); home != c.home {
+				t.Errorf("page homed at %d, want %d", home, c.home)
+			}
+			if !m.Mapped(1, 0) {
+				t.Error("node 1 touched the page but does not map it")
+			}
+		})
 	}
 }
 

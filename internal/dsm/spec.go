@@ -26,6 +26,11 @@
 // selected by the cluster's Net configuration, charging per-link
 // traffic counters and, on multi-hop fabrics, the extra hop latency.
 //
+// Each page's protocol state is one record in Machine.pages: its home,
+// the node bitmasks of its mappings and read-only replicas, its
+// page-busy horizon and its miss counters. A node's S-COMA frame for a
+// page is found in that node's page cache, not in the record.
+//
 // Page operations — soft page faults included — run through a small
 // pageop layer that carries each operation's explicit event time, so
 // their cost, traffic and serialization accounting cannot drift apart.

@@ -50,9 +50,11 @@ type Options struct {
 	// size). Tests and benchmarks use larger values.
 	Scale int
 
-	// Seed perturbs the deterministic workload generators (0 = the
-	// paper's inputs). It is part of the trace cache's key, so distinct
-	// seeds are distinct workloads.
+	// Seed perturbs the inputs of the generators that read it, barnes,
+	// fmm, radix and raytrace (0 = the paper's inputs); the others
+	// generate the same trace at every seed (apps.Params.Seed). It is
+	// part of the trace cache's key, so distinct seeds are distinct
+	// workloads.
 	Seed uint64
 
 	// Fabric overrides the interconnect topology of every non-baseline

@@ -47,7 +47,8 @@ type Query struct {
 	// ladder); dropped by normalization for every other experiment.
 	Scales []int `json:"scales,omitempty"`
 
-	// Seed perturbs the workload generators.
+	// Seed perturbs the workload generators that read it: barnes, fmm,
+	// radix and raytrace (apps.Params.Seed).
 	Seed uint64 `json:"seed,omitempty"`
 }
 

@@ -77,74 +77,3 @@ func TestAllocatorDisjoint(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestRegionOf(t *testing.T) {
-	al := NewAllocator()
-	a := al.Alloc("alpha", 4096)
-	b := al.Alloc("beta", 8192)
-	if r, ok := al.RegionOf(a.Start + 10); !ok || r.Name != "alpha" {
-		t.Error("address in alpha not found")
-	}
-	if r, ok := al.RegionOf(b.Start + 5000); !ok || r.Name != "beta" {
-		t.Error("address in beta not found")
-	}
-	if _, ok := al.RegionOf(b.Start + Addr(b.Size)); ok {
-		t.Error("address past the heap resolved to a region")
-	}
-}
-
-func TestFirstTouch(t *testing.T) {
-	pt := NewPageTable(8)
-	if home := pt.FirstTouch(5, 3); home != 3 {
-		t.Errorf("first touch home = %d, want 3", home)
-	}
-	// Second toucher does not move the page.
-	if home := pt.FirstTouch(5, 6); home != 3 {
-		t.Errorf("second touch moved home to %d", home)
-	}
-	if pt.Entry(5).Mode[3] != ModeHome {
-		t.Error("home node mode not set")
-	}
-}
-
-func TestSetHome(t *testing.T) {
-	pt := NewPageTable(4)
-	pt.FirstTouch(2, 0)
-	pt.SetHome(2, 3)
-	e := pt.Entry(2)
-	if e.Home != 3 {
-		t.Errorf("home = %d, want 3", e.Home)
-	}
-	if e.Mode[0] != ModeUnmapped {
-		t.Errorf("old home mode = %v, want unmapped", e.Mode[0])
-	}
-	if e.Mode[3] != ModeHome {
-		t.Errorf("new home mode = %v, want home", e.Mode[3])
-	}
-}
-
-func TestPageTableGrowsLazily(t *testing.T) {
-	pt := NewPageTable(2)
-	if pt.NumPages() != 0 {
-		t.Error("fresh table not empty")
-	}
-	pt.Entry(99)
-	if pt.NumPages() != 100 {
-		t.Errorf("table covers %d pages, want 100", pt.NumPages())
-	}
-	if pt.Entry(50).Home != -1 {
-		t.Error("untouched page has a home")
-	}
-}
-
-func TestPageModeString(t *testing.T) {
-	modes := map[PageMode]string{
-		ModeUnmapped: "unmapped", ModeCCNUMA: "ccnuma", ModeSCOMA: "scoma",
-		ModeReplica: "replica", ModeHome: "home",
-	}
-	for m, want := range modes {
-		if m.String() != want {
-			t.Errorf("%d.String() = %q, want %q", m, m.String(), want)
-		}
-	}
-}
