@@ -1,8 +1,8 @@
-// Ablations over the simulator's design choices, plus
-// microbenchmarks of two helpers no end-to-end measurement isolates.
-// The experiments, replay, generation and hot paths are timed by
-// cmd/dsmbench; the hot paths' allocations are guarded by
-// alloc_guard_test.go.
+// Ablations over the simulator's design choices, microbenchmarks of
+// two helpers no end-to-end measurement isolates, and per-op timings
+// of trace generation and validation. The experiments, replay,
+// generation and hot paths are timed end to end by cmd/dsmbench; the
+// hot paths' allocations are guarded by alloc_guard_test.go.
 package repro
 
 import (
@@ -171,6 +171,50 @@ func BenchmarkResourceAcquire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t = r.Acquire(t, 24)
 	}
+}
+
+// BenchmarkGenerate times one whole generation of a paper workload at
+// the CPU count and scale a dsmbench set-up uses: the Recorder's
+// per-op path, the per-CPU fan-out, Finish's gather and Validate.
+// ns/trace-op divides the time by the trace's length.
+func BenchmarkGenerate(b *testing.B) {
+	for _, c := range []struct {
+		app   string
+		scale int
+	}{{"radix", 2}, {"migratory", 2}, {"ocean", 1}} {
+		b.Run(fmt.Sprintf("%s/s%d", c.app, c.scale), func(b *testing.B) {
+			info, err := apps.ByName(c.app)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := apps.Params{CPUs: config.DefaultCluster().TotalCPUs(), Scale: c.scale}
+			ops := 0
+			for b.Loop() {
+				tr, err := info.Generate(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ops = tr.Ops()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ops), "ns/trace-op")
+		})
+	}
+}
+
+// BenchmarkTraceValidate times Trace.Validate alone on one
+// pre-generated radix trace at scale 2 (2.4 M ops over 32 CPUs).
+func BenchmarkTraceValidate(b *testing.B) {
+	info, _ := apps.ByName("radix")
+	tr, err := info.Generate(apps.Params{CPUs: config.DefaultCluster().TotalCPUs(), Scale: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		if err := tr.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Ops()), "ns/trace-op")
 }
 
 func BenchmarkRecorderAccess(b *testing.B) {

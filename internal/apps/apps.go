@@ -20,7 +20,8 @@ type Params struct {
 
 	// Seed perturbs the random inputs of barnes, fmm, radix and
 	// raytrace. cholesky, lu, ocean, migratory and synthetic ignore it:
-	// their traces are the same at every seed.
+	// their traces are the same at every seed. Info.ReadsSeed declares
+	// which per app.
 	Seed uint64
 }
 
@@ -46,6 +47,12 @@ type Info struct {
 	// Input describes the default (Scale=1) problem size, mirroring
 	// Table 2 of the paper.
 	Input string
+
+	// ReadsSeed says whether Params.Seed reaches the trace: true for the
+	// generators with random inputs (barnes, fmm, radix and raytrace),
+	// false for those whose trace is the same at every seed.
+	// TestSeedReachesDocumentedApps holds each app to its declaration.
+	ReadsSeed bool
 
 	// Generate produces the trace.
 	Generate func(p Params) (*trace.Trace, error)

@@ -186,18 +186,12 @@ func TestScaleShrinksWork(t *testing.T) {
 	}
 }
 
-// seedIgnored lists the generators whose trace does not depend on
-// Params.Seed: their access patterns do not depend on their data (lu,
-// ocean, cholesky) or their inputs are not random (migratory,
-// synthetic). The Seed docs on Params, harness.Options, harness.Query
-// and the -seed flag name the other four.
-var seedIgnored = map[string]bool{
-	"cholesky": true, "lu": true, "ocean": true, "migratory": true, "synthetic": true,
-}
-
 // TestSeedReachesDocumentedApps generates every registered app at seeds
-// 0 and 1 and requires equal traces exactly for the apps in
-// seedIgnored, so the Seed docs cannot drift from the generators.
+// 0 and 1 and requires equal traces exactly for the apps whose
+// Info.ReadsSeed is false, so the declaration cannot drift from the
+// generators. The ones that ignore it do so because their access
+// patterns do not depend on their data (lu, ocean, cholesky) or their
+// inputs are not random (migratory, synthetic).
 func TestSeedReachesDocumentedApps(t *testing.T) {
 	for _, info := range All() {
 		t.Run(info.Name, func(t *testing.T) {
@@ -209,8 +203,8 @@ func TestSeedReachesDocumentedApps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if eq := a.Equal(b); eq != seedIgnored[info.Name] {
-				t.Errorf("seeds 0 and 1 give equal traces: %v, want %v", eq, seedIgnored[info.Name])
+			if eq := a.Equal(b); eq == info.ReadsSeed {
+				t.Errorf("seeds 0 and 1 give equal traces: %v, but ReadsSeed is %v", eq, info.ReadsSeed)
 			}
 		})
 	}

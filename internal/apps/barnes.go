@@ -363,6 +363,7 @@ func init() {
 		Name:        "barnes",
 		Description: "Barnes-Hut hierarchical N-body simulation",
 		Input:       "4K particles, 3 timesteps, theta=0.9",
+		ReadsSeed:   true,
 		Generate: func(p Params) (*trace.Trace, error) {
 			t, _, err := GenerateBarnes(p)
 			return t, err

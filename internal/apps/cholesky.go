@@ -221,6 +221,7 @@ func init() {
 		Name:        "cholesky",
 		Description: "Blocked sparse Cholesky factorization",
 		Input:       "synthetic SPD band matrix, 80 block cols, bw 12, 16x16 blocks (substitutes tk16.O)",
+		ReadsSeed:   false,
 		Generate: func(p Params) (*trace.Trace, error) {
 			t, _, _, _, _, err := GenerateCholesky(p)
 			return t, err

@@ -469,6 +469,7 @@ func init() {
 		Name:        "fmm",
 		Description: "Fast Multipole N-body simulation (2D Laplace)",
 		Input:       "4K particles, 2 steps, p=10",
+		ReadsSeed:   true,
 		Generate: func(p Params) (*trace.Trace, error) {
 			t, _, _, _, err := GenerateFMM(p)
 			return t, err

@@ -289,6 +289,7 @@ func init() {
 		Name:        "lu",
 		Description: "Blocked dense LU factorization",
 		Input:       "384x384 matrix, 16x16 blocks, 4 iterations",
+		ReadsSeed:   false,
 		Generate: func(p Params) (*trace.Trace, error) {
 			t, _, _, _, err := GenerateLU(p)
 			if err != nil {

@@ -279,6 +279,7 @@ func init() {
 		Name:        "ocean",
 		Description: "Ocean simulation (red-black multigrid core)",
 		Input:       "258x258 ocean (256 interior), 3 timesteps",
+		ReadsSeed:   false,
 		Generate: func(p Params) (*trace.Trace, error) {
 			t, _, err := GenerateOcean(p)
 			return t, err

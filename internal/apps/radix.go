@@ -149,6 +149,7 @@ func init() {
 		Name:        "radix",
 		Description: "Parallel integer radix sort",
 		Input:       "1M integers, radix 1024",
+		ReadsSeed:   true,
 		Generate: func(p Params) (*trace.Trace, error) {
 			t, _, err := GenerateRadix(p)
 			return t, err

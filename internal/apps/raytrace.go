@@ -370,6 +370,7 @@ func init() {
 		Name:        "raytrace",
 		Description: "3-D scene rendering using ray tracing",
 		Input:       "8K-sphere procedural scene (substitutes 'car'), 128x128 image",
+		ReadsSeed:   true,
 		Generate: func(p Params) (*trace.Trace, error) {
 			t, _, err := GenerateRaytrace(p)
 			return t, err

@@ -196,6 +196,7 @@ func init() {
 		Name:        "synthetic",
 		Description: "Parameterized sharing-pattern microworkload (writeshared variant)",
 		Input:       "256 KB/node, 8 sweeps",
+		ReadsSeed:   false,
 		Generate: func(p Params) (*trace.Trace, error) {
 			p = p.norm()
 			return GenerateSynthetic(SynWriteShared, SyntheticParams{CPUs: p.CPUs, KBPerNode: 256 / p.Scale * 4, Iters: 8})
@@ -205,6 +206,7 @@ func init() {
 		Name:        "migratory",
 		Description: "Migratory-sharing microworkload (region ownership ping-pongs between nodes)",
 		Input:       "1 MB/node, 8 phases",
+		ReadsSeed:   false,
 		Generate: func(p Params) (*trace.Trace, error) {
 			p = p.norm()
 			kb := 1024 / p.Scale

@@ -28,13 +28,17 @@
 // bits (the Recorder panics on one that does not). Generation appends
 // into fixed-size column chunks through the Recorder, which gathers
 // them into exact-length columns at Finish so no append slack stays
-// resident.
+// resident. A plain access (gap under GapEscape, block under ArgEscape,
+// room in the chunk) is written straight onto the head and arg chunks;
+// escapes, oversized gaps and new chunks take the general path.
 //
-// Cursor is the one sequential reader: replay, validation and
-// comparison all walk a stream through it, and it alone resolves the
-// gap and arg escapes. The Op struct is the row it yields;
-// Stream.Append scatters a row onto the columns, the convenient form for
-// tests and hand-built traces.
+// Cursor is the row-by-row reader: replay and comparison walk a stream
+// through it, and it resolves the gap and arg escapes. The Op struct
+// is the row it yields; Stream.Append scatters a row onto the columns,
+// the convenient form for tests and hand-built traces. Validate reads
+// the columns itself in one pass, skipping plain accesses after one
+// test and counting escapes so it resolves the args of the sync ops it
+// checks.
 package trace
 
 import (
@@ -185,7 +189,9 @@ func (s Stream) Equal(o Stream) bool {
 }
 
 // check reports a stream whose columns disagree: ragged lengths, or an
-// escape count that does not match Wides. Cursor relies on both.
+// escape count that does not match Wides. Cursor relies on both;
+// validateStream tests them as it walks and calls check to word the
+// error.
 func (s Stream) check() error {
 	if len(s.Args) != len(s.Heads) {
 		return fmt.Errorf("ragged columns: %d heads, %d args", len(s.Heads), len(s.Args))
@@ -301,9 +307,11 @@ func (t *Trace) Equal(o *Trace) bool {
 // agree, barrier sequences must be identical across processors (same
 // ids in the same order), every lock must be released by its acquirer
 // before the next lock op of that processor uses it again, and each
-// processor must hold at most one lock at a time per id. The streams
-// are checked concurrently through EachCPU; the error returned is the
-// one a check of CPU 0, then CPU 1, and so on would meet first.
+// processor must hold at most one lock at a time per id. Each stream
+// is checked in one pass over its columns, and a stream whose columns
+// disagree reports that before any lock fault. The streams are checked
+// concurrently through EachCPU; the error returned is the one a check
+// of CPU 0, then CPU 1, and so on would meet first.
 func (t *Trace) Validate() error {
 	barriers := make([][]uint32, len(t.CPUs))
 	errs := make([]error, len(t.CPUs))
@@ -333,33 +341,69 @@ func (t *Trace) Validate() error {
 }
 
 // validateStream checks one processor's stream on its own — columns and
-// lock discipline — and returns the barrier ids it passes, in order.
+// lock discipline — and returns the barrier ids it passes, in order. It
+// makes one pass over the columns, without bounds checks: a plain
+// access (Read or Write, nothing escaped) costs one test, and escapes
+// are counted as they pass, so a sync op's escaped arg is the Wides
+// entry the count points at. Column faults outrank lock faults: a
+// stream that has both reports check's error, as a check before the
+// walk would.
 func (t *Trace) validateStream(cpu int) ([]uint32, error) {
-	if err := t.CPUs[cpu].check(); err != nil {
-		return nil, fmt.Errorf("trace %s: cpu %d: %w", t.Name, cpu, err)
+	s := t.CPUs[cpu]
+	columnErr := func() error {
+		return fmt.Errorf("trace %s: cpu %d: %w", t.Name, cpu, s.check())
 	}
+	lockErr := func(err error) error {
+		if s.check() != nil {
+			return columnErr()
+		}
+		return err
+	}
+	heads, args, wides := s.Heads, s.Args, s.Wides
+	if len(args) != len(heads) {
+		return nil, columnErr()
+	}
+	args = args[:len(heads)] // proves args[i] in bounds below
 	var barriers []uint32
 	held := map[uint32]bool{}
-	c := t.CPUs[cpu].Cursor()
-	for i := 0; ; i++ {
-		op, ok := c.Next()
-		if !ok {
-			break
+	w := 0 // Wides entries the ops so far escaped into
+	for i, h := range heads {
+		a := args[i]
+		// A plain access has kind bits 0 or 1, a gap field under
+		// GapEscape and an arg under ArgEscape: adding 1 to the arg and
+		// setting bit 16 for a head that is anything else folds the
+		// three tests into one compare.
+		if uint32(a)+1+notPlain[h] <= ArgEscape {
+			continue
 		}
-		switch op.Kind {
+		if h >= GapEscape<<KindBits {
+			w++
+		}
+		arg := uint32(a)
+		if a == ArgEscape {
+			if uint(w) >= uint(len(wides)) {
+				return nil, columnErr()
+			}
+			arg = wides[w]
+			w++
+		}
+		switch Kind(h & (1<<KindBits - 1)) {
 		case Barrier:
-			barriers = append(barriers, op.Arg)
+			barriers = append(barriers, arg)
 		case Lock:
-			if held[op.Arg] {
-				return nil, fmt.Errorf("trace %s: cpu %d op %d: recursive lock %d", t.Name, cpu, i, op.Arg)
+			if held[arg] {
+				return nil, lockErr(fmt.Errorf("trace %s: cpu %d op %d: recursive lock %d", t.Name, cpu, i, arg))
 			}
-			held[op.Arg] = true
+			held[arg] = true
 		case Unlock:
-			if !held[op.Arg] {
-				return nil, fmt.Errorf("trace %s: cpu %d op %d: unlock of unheld lock %d", t.Name, cpu, i, op.Arg)
+			if !held[arg] {
+				return nil, lockErr(fmt.Errorf("trace %s: cpu %d op %d: unlock of unheld lock %d", t.Name, cpu, i, arg))
 			}
-			delete(held, op.Arg)
+			delete(held, arg)
 		}
+	}
+	if w != len(wides) {
+		return nil, columnErr()
 	}
 	if len(held) != 0 {
 		return nil, fmt.Errorf("trace %s: cpu %d ends holding %d locks", t.Name, cpu, len(held))
@@ -367,10 +411,23 @@ func (t *Trace) validateStream(cpu int) ([]uint32, error) {
 	return barriers, nil
 }
 
+// notPlain is validateStream's head classifier: 0 for the head of a
+// Read or Write whose gap is not escaped, 1<<16 for any other head.
+var notPlain = func() (c [256]uint32) {
+	for h := range c {
+		if Kind(h&(1<<KindBits-1)) > Write || h>>KindBits == GapEscape {
+			c[h] = 1 << 16
+		}
+	}
+	return c
+}()
+
 // Recorder builds one processor's op stream with same-block run
 // coalescing, appending into fixed-capacity column chunks that Finish
 // gathers into the stream. It is the only way application generators
-// should emit memory references.
+// should emit memory references. A closed run that needs no escape and
+// fits the current chunk is appended to the chunks directly; every
+// other op goes through emit.
 //
 // Args are stored in 16 bits with an escape to 32: recording a block
 // number at or above 2^32 (a shared address space beyond 256 GiB), or a
@@ -492,7 +549,12 @@ func (r *Recorder) emit(k Kind, arg uint64) {
 }
 
 // flushRun emits the coalesced run, if any; the time spent inside the
-// run carries over as the next op's gap.
+// run carries over as the next op's gap. Most runs are plain ops: the
+// pending gap is under GapEscape, the block under ArgEscape and the
+// current chunk has room. Such an op goes straight onto the
+// head and arg chunks, one byte and one half-word; any other takes
+// emit's path, which escapes, splits oversized gaps into Pads and
+// starts chunks.
 func (r *Recorder) flushRun() {
 	if !r.runValid {
 		return
@@ -501,7 +563,12 @@ func (r *Recorder) flushRun() {
 	if r.runWrite {
 		k = Write
 	}
-	r.emit(k, uint64(r.runBlock))
+	if r.pending < GapEscape && r.runBlock < ArgEscape && len(r.cur.Heads) < cap(r.cur.Heads) {
+		r.cur.Heads = append(r.cur.Heads, uint8(k)|uint8(r.pending)<<KindBits)
+		r.cur.Args = append(r.cur.Args, uint16(r.runBlock))
+	} else {
+		r.emit(k, uint64(r.runBlock))
+	}
 	r.pending = r.runGap
 	r.runGap = 0
 	r.runValid = false

@@ -141,12 +141,14 @@ func TestValidateCatchesLockErrors(t *testing.T) {
 }
 
 // faultyTrace has 12 CPUs passing one barrier. faults maps a CPU to
-// the ops it runs before that barrier.
-func faultyTrace(faults map[int][]Op) *Trace {
+// the ops it runs before that barrier, and wides to Wides entries
+// appended past its escapes.
+func faultyTrace(faults map[int][]Op, wides map[int][]uint32) *Trace {
 	tr := &Trace{Name: "faulty", CPUs: make([]Stream, 12), Barriers: 1, Locks: 8}
 	for cpu := range tr.CPUs {
 		ops := append(faults[cpu], Op{Kind: Barrier, Arg: 0})
 		tr.CPUs[cpu] = StreamOf(ops...)
+		tr.CPUs[cpu].Wides = append(tr.CPUs[cpu].Wides, wides[cpu]...)
 	}
 	return tr
 }
@@ -158,6 +160,7 @@ func TestValidateReportsLowestFailingCPU(t *testing.T) {
 	cases := []struct {
 		name   string
 		faults map[int][]Op
+		wides  map[int][]uint32
 		want   string
 	}{
 		{
@@ -191,11 +194,19 @@ func TestValidateReportsLowestFailingCPU(t *testing.T) {
 			},
 			want: "trace faulty: cpu 5 ends holding 1 locks",
 		},
+		{
+			name: "wrong wides count and a recursive lock on cpu 4",
+			faults: map[int][]Op{
+				4: {{Kind: Lock, Arg: ArgEscape}, {Kind: Lock, Arg: ArgEscape}},
+			},
+			wides: map[int][]uint32{4: {7}},
+			want:  "trace faulty: cpu 4: 2 escaped gaps and args but 3 wides",
+		},
 	}
 	for _, tc := range cases {
 		for _, procs := range []int{1, 4} {
 			prev := runtime.GOMAXPROCS(procs)
-			err := faultyTrace(tc.faults).Validate()
+			err := faultyTrace(tc.faults, tc.wides).Validate()
 			runtime.GOMAXPROCS(prev)
 			if err == nil || err.Error() != tc.want {
 				t.Errorf("%s, GOMAXPROCS %d: got %v, want %q", tc.name, procs, err, tc.want)
