@@ -92,8 +92,9 @@
 // root lint_test.go, rejects nondeterministic map iteration in the
 // core, wall-clock and global-randomness reads in simulation packages,
 // literal-0 event times on fabric and page-op seams, and allocating
-// constructs in functions annotated //repro:hotpath, and requires
-// every telemetry hook in the core to sit behind a nil guard.
+// constructs in functions annotated //repro:hotpath. Telemetry needs
+// no such rule: a nil collector is a no-op observer whose hooks inline
+// to one branch each, so the core calls them unguarded.
 // The invariants the golden files, the trace pins and the allocation
 // guard test by example are thus also checked at compile time, on
 // every path.

@@ -102,5 +102,7 @@ func main() {
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nwrote %s (open in Perfetto) and %s\n", tracePath, csvPath)
+	// Base names only, so stdout does not depend on -o and CI can diff
+	// it against testdata/stdout.golden.
+	fmt.Printf("\nwrote %s (open in Perfetto) and %s under -o\n", filepath.Base(tracePath), filepath.Base(csvPath))
 }

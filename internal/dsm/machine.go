@@ -143,10 +143,11 @@ type Machine struct {
 	lastDispatch int64
 	violations   stats.ViolationLog
 
-	// tel, when non-nil, receives time-resolved telemetry (windowed
-	// series and the page-operation timeline) as the trace executes.
-	// Telemetry is observational: it changes no simulated behaviour,
-	// and the nil default costs one nil check per hook.
+	// tel receives time-resolved telemetry (windowed series and the
+	// page-operation timeline) as the trace executes. Telemetry is
+	// observational: it changes no simulated behaviour. The nil
+	// default is a no-op observer whose hooks inline to one branch, so
+	// the hook sites call it unguarded.
 	tel *telemetry.Collector
 
 	st *stats.Sim
@@ -282,8 +283,9 @@ func (m *Machine) AuditViolations() []string { return m.violations.All() }
 // per-node traffic, per-link fabric bytes, dispatched ops — and, when
 // the collector records a timeline, the discrete page-operation events,
 // all keyed by simulated time. Telemetry changes no simulated
-// behaviour: an instrumented run produces byte-identical statistics,
-// and without a collector every hook reduces to a nil check.
+// behaviour: an instrumented run produces byte-identical statistics.
+// A nil c leaves telemetry off: the machine keeps its nil collector,
+// a no-op observer whose hooks inline to one branch each.
 func (m *Machine) AttachTelemetry(c *telemetry.Collector) {
 	if c == nil {
 		return
@@ -298,9 +300,6 @@ func (m *Machine) AttachTelemetry(c *telemetry.Collector) {
 	m.tel = c
 }
 
-// Telemetry returns the attached collector (nil when telemetry is off).
-func (m *Machine) Telemetry() *telemetry.Collector { return m.tel }
-
 // traffic charges bytes put on the network by node n at event time t:
 // the node's TrafficBytes and, under telemetry, the window of t. It is
 // the only place TrafficBytes grows.
@@ -308,9 +307,7 @@ func (m *Machine) Telemetry() *telemetry.Collector { return m.tel }
 //repro:hotpath
 func (m *Machine) traffic(n int, bytes, t int64) {
 	m.st.Nodes[n].TrafficBytes += bytes
-	if tl := m.tel; tl != nil {
-		tl.Traffic(n, bytes, t)
-	}
+	m.tel.Traffic(n, bytes, t)
 }
 
 // miss charges one L1 miss of class cls on node n, served remotely or
@@ -325,9 +322,7 @@ func (m *Machine) miss(n int, cls stats.MissClass, remote bool, t int64) {
 	} else {
 		m.st.Nodes[n].LocalMisses[cls]++
 	}
-	if tl := m.tel; tl != nil {
-		tl.Miss(cls, remote, t)
-	}
+	m.tel.Miss(cls, remote, t)
 }
 
 // chargeSync accounts cycles node n spent synchronizing: at a barrier,

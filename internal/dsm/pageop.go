@@ -69,9 +69,7 @@ func (op *pageOp) xfer(src, dst, pay int, bytes int64) {
 //repro:hotpath
 func (op *pageOp) count(kind stats.PageOp) {
 	op.m.st.Nodes[op.node].PageOps[kind]++
-	if tl := op.m.tel; tl != nil {
-		tl.PageOp(kind, op.now)
-	}
+	op.m.tel.PageOp(kind, op.now)
 }
 
 // note records the operation on the telemetry timeline as kind acting
@@ -82,9 +80,7 @@ func (op *pageOp) count(kind stats.PageOp) {
 //
 //repro:hotpath
 func (op *pageOp) note(kind telemetry.EventKind, p memory.Page) {
-	if tl := op.m.tel; tl != nil {
-		tl.Event(kind, uint64(p), op.m.pages[p].home, op.node, op.start, op.now)
-	}
+	op.m.tel.Event(kind, uint64(p), op.m.pages[p].home, op.node, op.start, op.now)
 }
 
 // finish commits the operation: its elapsed cycles are accounted as

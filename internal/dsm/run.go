@@ -48,9 +48,7 @@ func RunWithOptions(tr *trace.Trace, spec Spec, cl config.Cluster, tm config.Tim
 	if o.Audit {
 		m.EnableAudit()
 	}
-	if o.Telemetry != nil {
-		m.AttachTelemetry(o.Telemetry)
-	}
+	m.AttachTelemetry(o.Telemetry)
 	if err := m.Execute(tr); err != nil {
 		return nil, err
 	}
@@ -127,9 +125,7 @@ func (m *Machine) dispatch(c *engine.CPU, kind trace.Kind, gap uint32, arg uint6
 	if m.auditing {
 		m.fabric.SetAuditFloor(c.Clock)
 	}
-	if m.tel != nil {
-		m.tel.Dispatch(c.Clock)
-	}
+	m.tel.Dispatch(c.Clock)
 
 	switch kind {
 	case trace.Read:

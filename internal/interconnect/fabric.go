@@ -33,9 +33,10 @@ type Fabric struct {
 	auditFloor int64
 	violations stats.ViolationLog
 
-	// obs, when non-nil, receives every link traversal on its windowed
-	// per-link series, keyed by the injection time at that hop. Purely
-	// observational; the nil default costs one nil check per hop.
+	// obs receives every link traversal on its windowed per-link
+	// series, keyed by the injection time at that hop. Purely
+	// observational; the nil default is a no-op observer whose Link
+	// hook inlines to one branch per hop.
 	obs *telemetry.Collector
 }
 
@@ -130,9 +131,7 @@ func (f *Fabric) Traverse(src, dst int, bytes int64, now int64) int64 {
 	for _, id := range route {
 		f.linkBytes[id] += bytes
 		f.linkMsgs[id]++
-		if f.obs != nil {
-			f.obs.Link(id, bytes, t)
-		}
+		f.obs.Link(id, bytes, t)
 		t += f.hopLatency
 	}
 	return t

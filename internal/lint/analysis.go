@@ -51,7 +51,6 @@ func Suite() []*Analyzer {
 		WallTimeAnalyzer,
 		EventTimeAnalyzer,
 		HotAllocAnalyzer,
-		NilHookAnalyzer,
 	}
 }
 
@@ -134,37 +133,6 @@ func (p *Pass) hasDirective(f *ast.File, pos token.Pos, name string) bool {
 	}
 	line := p.Fset.Position(pos).Line
 	return lines[line] || lines[line-1]
-}
-
-// fileOf returns the *ast.File containing pos.
-func (p *Pass) fileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
-// walkWithStack traverses the file like ast.Inspect but hands fn the
-// stack of enclosing nodes (outermost first, not including n itself).
-// Returning false prunes the subtree.
-func walkWithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		ok := fn(n, stack)
-		if !ok {
-			// Pruned: ast.Inspect will not deliver the matching nil,
-			// so do not push.
-			return false
-		}
-		stack = append(stack, n)
-		return true
-	})
 }
 
 // Run loads the packages matching the patterns (resolved relative to

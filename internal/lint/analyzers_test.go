@@ -28,15 +28,11 @@ func TestHotAlloc(t *testing.T) {
 	linttest.Run(t, lint.HotAllocAnalyzer, "hotalloc/engine")
 }
 
-func TestNilHook(t *testing.T) {
-	linttest.Run(t, lint.NilHookAnalyzer, "nilhook/dsm")
-}
-
-// TestSuite pins the suite composition: the five analyzers, each with
+// TestSuite pins the suite composition: the four analyzers, each with
 // a name and documentation, names unique.
 func TestSuite(t *testing.T) {
 	suite := lint.Suite()
-	want := []string{"mapiter", "walltime", "eventtime", "hotalloc", "nilhook"}
+	want := []string{"mapiter", "walltime", "eventtime", "hotalloc"}
 	if len(suite) != len(want) {
 		t.Fatalf("Suite() has %d analyzers, want %d", len(suite), len(want))
 	}

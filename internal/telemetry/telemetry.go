@@ -20,10 +20,11 @@
 //     the report artifacts.
 //
 // Collection is strictly observational: an instrumented run produces
-// byte-identical simulation statistics, and a machine without a
-// collector pays only a nil check per hook. A Collector is not
-// goroutine-safe; attach one collector per machine (the harness builds
-// one per run).
+// byte-identical simulation statistics. A nil *Collector is a valid
+// observer whose hooks do nothing, so a machine without telemetry
+// calls every hook unguarded and, since each hook inlines, pays one
+// branch per hook. A Collector is not goroutine-safe; attach one
+// collector per machine (the harness builds one per run).
 //
 // Totals reconcile exactly with the aggregate counters by
 // construction: every windowed increment mirrors one aggregate
@@ -91,6 +92,12 @@ func (s *series) total() int64 {
 // Collector records time-resolved telemetry for one simulated machine.
 // The zero value is not usable; build one with New and pass it to the
 // run via dsm.RunOptions.Telemetry (or harness.Options.Telemetry).
+//
+// A nil *Collector is the off switch: its hooks (PageOp, Miss, Traffic,
+// Link, Dispatch and Event) do nothing, so the simulation core calls
+// them unguarded. Each hook stays within the compiler's inlining
+// budget (CI checks it), so with telemetry off a hook costs one branch
+// at its call site.
 type Collector struct {
 	window   int64
 	timeline bool
@@ -147,12 +154,22 @@ func (c *Collector) win(t int64) int {
 // PageOp charges one page operation of the given kind to the window of
 // time t.
 func (c *Collector) PageOp(kind stats.PageOp, t int64) {
+	if c == nil {
+		return
+	}
 	c.pageOps[kind].bump(c.win(t), 1)
 }
 
 // Miss charges one miss of the given class — remote or local — to the
-// window of time t.
+// window of time t. The body lives in miss so that Miss itself inlines.
 func (c *Collector) Miss(cls stats.MissClass, remote bool, t int64) {
+	if c != nil {
+		c.miss(cls, remote, t)
+	}
+}
+
+// miss is Miss's out-of-line body.
+func (c *Collector) miss(cls stats.MissClass, remote bool, t int64) {
 	if remote {
 		c.remote[cls].bump(c.win(t), 1)
 	} else {
@@ -163,25 +180,34 @@ func (c *Collector) Miss(cls stats.MissClass, remote bool, t int64) {
 // Traffic charges bytes put on the network by node n to the window of
 // time t. It mirrors every increment of stats.Node.TrafficBytes.
 func (c *Collector) Traffic(n int, bytes, t int64) {
+	if c == nil {
+		return
+	}
 	c.node[n].bump(c.win(t), bytes)
 }
 
 // Link charges bytes crossing fabric link id to the window of time t.
 // It mirrors every increment of the fabric's per-link byte counters.
 func (c *Collector) Link(id int, bytes, t int64) {
+	if c == nil {
+		return
+	}
 	c.link[id].bump(c.win(t), bytes)
 }
 
 // Dispatch charges one dispatched trace operation to the window of
 // time t.
 func (c *Collector) Dispatch(t int64) {
+	if c == nil {
+		return
+	}
 	c.dispatch.bump(c.win(t), 1)
 }
 
 // Event records one discrete page operation on the timeline (a no-op
 // unless Config.Timeline was set).
 func (c *Collector) Event(kind EventKind, page uint64, home, requester int, start, end int64) {
-	if !c.timeline {
+	if c == nil || !c.timeline {
 		return
 	}
 	c.events = append(c.events, Event{

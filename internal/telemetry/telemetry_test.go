@@ -76,6 +76,35 @@ func TestSeriesTotalsReconcile(t *testing.T) {
 	}
 }
 
+// TestNilCollectorHooksAreNoOps pins the contract the simulation core
+// relies on to call every hook unguarded: on a nil *Collector each
+// hook does nothing and does not panic.
+func TestNilCollectorHooksAreNoOps(t *testing.T) {
+	hooks := []struct {
+		name string
+		call func(c *Collector)
+	}{
+		{"PageOp", func(c *Collector) { c.PageOp(stats.Migration, 100) }},
+		{"Miss/remote", func(c *Collector) { c.Miss(stats.Coherence, true, 100) }},
+		{"Miss/local", func(c *Collector) { c.Miss(stats.CapacityConflict, false, 100) }},
+		{"Traffic", func(c *Collector) { c.Traffic(2, 64, 100) }},
+		{"Link", func(c *Collector) { c.Link(1, 128, 100) }},
+		{"Dispatch", func(c *Collector) { c.Dispatch(100) }},
+		{"Event", func(c *Collector) { c.Event(EvMigrate, 42, 1, 3, 100, 900) }},
+	}
+	for _, h := range hooks {
+		t.Run(h.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s on a nil collector panicked: %v", h.name, r)
+				}
+			}()
+			var c *Collector
+			h.call(c)
+		})
+	}
+}
+
 func TestMissSeriesSeparateRemoteLocal(t *testing.T) {
 	c := testCollector(10, false)
 	c.Miss(stats.Cold, true, 5)

@@ -18,6 +18,15 @@ const parallelThreshold = 4
 // returns when every call has; f must be safe to run concurrently for
 // distinct indices. It is the one per-CPU fan-out of trace generation
 // (World.ParallelIndep and World.Finish) and validation.
+//
+// The fan-out pays for itself on a 2-vCPU host. Against a copy whose
+// EachCPU always ran serially, 8 alternating pairs of cmd/dsmbench
+// (`run.sh --workload W --seed 0 --seconds 3 --trace 0`, 2-vCPU Xeon
+// VM) measured median setup_s 0.049 s against 0.076 s serial on
+// remote-ring-s2 and 0.195 s against 0.292 s on local-s1, faster in
+// all 8 pairs of each. BenchmarkGenerate at -cpu 2 agreed: radix/s2
+// 46 ms against 65 ms serial, ocean/s1 74 ms against 97 ms (medians
+// of 3).
 func EachCPU(n int, f func(cpu int)) {
 	workers := min(runtime.GOMAXPROCS(0), n)
 	if n < parallelThreshold || workers < 2 {
