@@ -43,8 +43,8 @@ var allocCases = []allocCase{
 	{"FaultPathCapacity", 20, faultPath(faultCapacity, dsm.CCNUMA()), 395, 1309569},
 	{"FaultPathSCOMA", 20, faultPath(faultCapacity, scomaSpec()), 437, 1291279},
 	{"TraceReplaySoA", 20, traceReplaySoA, 0, 0},
-	{"Fig5Sweep", 1, fig5Sweep(nil), 28312, 17227008},
-	{"Fig5SweepTelemetry", 1, fig5Sweep(&telemetry.Config{Timeline: true}), 32440, 18422432},
+	{"Fig5Sweep", 1, fig5Sweep(nil), 19348, 6674560},
+	{"Fig5SweepTelemetry", 1, fig5Sweep(&telemetry.Config{Timeline: true}), 23481, 7968120},
 }
 
 // TestBenchAllocationGuard runs every allocCase and fails if allocs/op
@@ -121,7 +121,8 @@ func cacheProbeBlock(*testing.T) func() {
 // builds it.
 func cacheProbeInfinite(*testing.T) func() {
 	const blocks = 1 << 16
-	c := cache.NewInfiniteBlockCacheSized(blocks)
+	c := cache.NewInfiniteBlockCache()
+	c.Reset(blocks)
 	x := uint64(1)
 	return func() {
 		x = lcg(x)

@@ -6,9 +6,11 @@
 //
 // The structures are probed on every simulated memory access, so they are
 // built for the replay hot path: flat arrays indexed by set or by
-// block/page number, no map lookups, and no steady-state allocation. The
-// sized constructors (NewInfiniteBlockCacheSized, NewPageCacheSized) take
-// the trace footprint so the index arrays are allocated once up front.
+// block/page number, no map lookups, and no steady-state allocation.
+// NewPageCacheSized and BlockCache.Reset size the index arrays for the
+// trace footprint so they are allocated once up front. L1.Reset and
+// BlockCache.Reset empty a cache in place, so a run list's machines
+// reuse one set of caches (see dsm.Tables).
 package cache
 
 import (
@@ -71,6 +73,16 @@ func NewL1(bytes int) *L1 {
 
 // Sets returns the number of lines.
 func (c *L1) Sets() int { return int(c.sets) }
+
+// Reset empties the cache, leaving it as NewL1 built it.
+func (c *L1) Reset() {
+	clear(c.tags)
+	clear(c.state)
+}
+
+// Line returns line i's block and state; an Invalid line's block means
+// nothing.
+func (c *L1) Line(i int) (memory.Block, LineState) { return c.tags[i], c.state[i] }
 
 //repro:hotpath
 func (c *L1) idx(b memory.Block) uint64 { return uint64(b) & (c.sets - 1) }
@@ -175,16 +187,29 @@ func NewBlockCache(bytes, ways int) *BlockCache {
 }
 
 // NewInfiniteBlockCache builds the perfect-CC-NUMA block cache: unbounded
-// capacity, no evictions.
+// capacity, no evictions. Its state array grows on demand; Reset sizes
+// it for a footprint up front.
 func NewInfiniteBlockCache() *BlockCache {
-	return NewInfiniteBlockCacheSized(0)
+	return &BlockCache{infinite: true}
 }
 
-// NewInfiniteBlockCacheSized builds the unbounded block cache with its
-// state array preallocated for the given number of blocks (the trace
-// footprint); probing any block below that bound never allocates.
-func NewInfiniteBlockCacheSized(blocks int) *BlockCache {
-	return &BlockCache{infinite: true, inf: make([]LineState, blocks)}
+// Reset empties the cache, leaving it as its constructor built it. A
+// finite cache keeps its geometry. The infinite variant's state array is
+// sized for blocks (the trace footprint), on its old storage when that
+// holds blocks, so probing any block below that bound never allocates.
+func (c *BlockCache) Reset(blocks int) {
+	if !c.infinite {
+		clear(c.tags)
+		clear(c.state)
+		clear(c.size)
+		return
+	}
+	if cap(c.inf) < blocks {
+		c.inf = make([]LineState, blocks)
+		return
+	}
+	c.inf = c.inf[:blocks]
+	clear(c.inf)
 }
 
 // Infinite reports whether the cache is the unbounded variant.
@@ -193,11 +218,14 @@ func (c *BlockCache) Infinite() bool { return c.infinite }
 //repro:hotpath
 func (c *BlockCache) set(b memory.Block) uint64 { return uint64(b) & (c.sets - 1) }
 
-// grow extends the infinite state array to cover block b.
+// grow extends the infinite state array to cover block b. Entries
+// past the length may be stale after Reset, so reslicing clears them.
 func (c *BlockCache) grow(b memory.Block) {
 	need := int(b) + 1
 	if cap(c.inf) >= need {
+		old := len(c.inf)
 		c.inf = c.inf[:need]
+		clear(c.inf[old:])
 		return
 	}
 	bigger := make([]LineState, need, need+need/2)

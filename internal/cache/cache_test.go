@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -285,5 +286,40 @@ func TestPageCacheLRUOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestResetMatchesFresh: a used cache, once Reset, equals a freshly
+// built one, and an infinite cache shrunk by Reset exposes no stale
+// state when it grows again.
+func TestResetMatchesFresh(t *testing.T) {
+	l1 := NewL1(config.L1Bytes)
+	bc := NewBlockCache(config.BlockCacheBytes, config.BlockCacheWays)
+	inf := NewInfiniteBlockCache()
+	inf.Reset(64)
+	for b := memory.Block(0); b < 2048; b += 3 {
+		l1.Insert(b, Modified)
+		bc.Insert(b, Shared)
+		inf.Insert(b, Modified)
+	}
+	l1.Reset()
+	bc.Reset(0)
+	inf.Reset(64)
+	if !reflect.DeepEqual(l1, NewL1(config.L1Bytes)) {
+		t.Error("reset L1 differs from a new one")
+	}
+	if !reflect.DeepEqual(bc, NewBlockCache(config.BlockCacheBytes, config.BlockCacheWays)) {
+		t.Error("reset block cache differs from a new one")
+	}
+	fresh := NewInfiniteBlockCache()
+	fresh.Reset(64)
+	if !reflect.DeepEqual(inf, fresh) {
+		t.Error("reset infinite block cache differs from a new one")
+	}
+	inf.Insert(2047, Shared) // grows back over the entries Reset cut off
+	for b := memory.Block(64); b < 2047; b++ {
+		if st := inf.Probe(b); st != Invalid {
+			t.Fatalf("block %d is %v after the cache shrank and grew", b, st)
+		}
 	}
 }

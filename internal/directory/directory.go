@@ -53,14 +53,27 @@ type Directory struct {
 // New builds a directory covering blocks [0, numBlocks) for a cluster of
 // the given node count (≤ 64).
 func New(numBlocks uint64, nodes int) *Directory {
+	d := &Directory{}
+	d.Reset(numBlocks, nodes)
+	return d
+}
+
+// Reset empties d and resizes it to numBlocks blocks of a nodes-node
+// cluster, leaving it as New(numBlocks, nodes) builds it: every entry
+// Idle with no owner and no sharers. The entries reuse d's storage
+// when it holds numBlocks.
+func (d *Directory) Reset(numBlocks uint64, nodes int) {
 	if nodes <= 0 || nodes > 64 {
 		panic("directory: node count must be in 1..64")
 	}
-	d := &Directory{nodes: nodes, entries: make([]Entry, numBlocks)}
-	for i := range d.entries {
-		d.entries[i].Owner = -1
+	d.nodes = nodes
+	if uint64(cap(d.entries)) < numBlocks {
+		d.entries = make([]Entry, numBlocks)
 	}
-	return d
+	d.entries = d.entries[:numBlocks]
+	for i := range d.entries {
+		d.entries[i] = Entry{Owner: -1}
+	}
 }
 
 // Entry returns a pointer to the block's record.

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -213,5 +214,24 @@ func TestNewRejectsBadNodeCounts(t *testing.T) {
 			New(4, n)
 			t.Errorf("New accepted %d nodes", n)
 		}()
+	}
+}
+
+// TestResetMatchesNew: a used directory, once Reset to another size
+// and node count, equals one New builds for them.
+func TestResetMatchesNew(t *testing.T) {
+	d := New(256, 8)
+	for b := memory.Block(0); b < 250; b += 5 {
+		d.SetOwner(b, int(b)%8)
+		d.AddSharer(b+1, 3)
+	}
+	for _, c := range []struct {
+		blocks uint64
+		nodes  int
+	}{{100, 4}, {512, 8}} {
+		d.Reset(c.blocks, c.nodes)
+		if !reflect.DeepEqual(d, New(c.blocks, c.nodes)) {
+			t.Errorf("reset to %d blocks, %d nodes: differs from New", c.blocks, c.nodes)
+		}
 	}
 }

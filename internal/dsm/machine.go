@@ -113,9 +113,11 @@ type Machine struct {
 	bc []*cache.BlockCache // per node, nil if absent
 	pc []*cache.PageCache  // per node, nil if absent
 
+	// dir, pages, l1, bc's block caches and the three per-node tables
+	// live on a Tables set (see bind); pc is the machine's own.
 	l1count [][]uint8 // [node][block] count of on-node L1 copies
 	flags   [][]uint8 // [node][block] classification flags
-	ref     [][]int32 // [node][page] R-NUMA refetch counters
+	ref     [][]int32 // [node][page] R-NUMA refetch counters; nil unless RNUMA
 
 	// throttled counts the page moves the contention gate deferred
 	// (Spec.ContentionGate).
@@ -154,8 +156,13 @@ type Machine struct {
 }
 
 // NewMachine builds a machine for a trace with the given shared
-// footprint.
+// footprint, on freshly allocated tables.
 func NewMachine(spec Spec, cl config.Cluster, tm config.Timing, th config.Thresholds, footprintBytes uint64, app string) (*Machine, error) {
+	return newMachine(spec, cl, tm, th, footprintBytes, app, new(Tables))
+}
+
+// newMachine is NewMachine on the table set tb (see Tables).
+func newMachine(spec Spec, cl config.Cluster, tm config.Timing, th config.Thresholds, footprintBytes uint64, app string, tb *Tables) (*Machine, error) {
 	if err := cl.Validate(); err != nil {
 		return nil, err
 	}
@@ -177,12 +184,7 @@ func NewMachine(spec Spec, cl config.Cluster, tm config.Timing, th config.Thresh
 		numPages:  numPages,
 		locks:     make(map[uint64]*engine.Lock),
 		lockOwn:   make(map[uint64]int),
-		dir:       directory.New(numBlocks, cl.Nodes),
-		pages:     make([]page, numPages),
 		st:        stats.New(spec.Name, app, cl.Nodes),
-	}
-	for i := range m.pages {
-		m.pages[i].home = -1
 	}
 	m.sched = engine.NewScheduler(cl.TotalCPUs())
 	m.barrier = engine.NewBarrier(cl.TotalCPUs(), tm.LocalMiss)
@@ -199,45 +201,11 @@ func NewMachine(spec Spec, cl config.Cluster, tm config.Timing, th config.Thresh
 	m.bus = engine.NewResourceBank(cl.Nodes)
 	m.ni = engine.NewResourceBank(cl.Nodes)
 	m.home = engine.NewResourceBank(cl.Nodes)
-	m.l1count = make([][]uint8, cl.Nodes)
-	m.flags = make([][]uint8, cl.Nodes)
-	m.ref = make([][]int32, cl.Nodes)
-	// The per-node state tables share one backing array per table, so a
-	// machine costs a handful of allocations instead of several per node.
-	nb, np := int(numBlocks), int(numPages)
-	l1flat := make([]uint8, cl.Nodes*nb)
-	flagflat := make([]uint8, cl.Nodes*nb)
-	var refflat []int32
-	if spec.RNUMA {
-		refflat = make([]int32, cl.Nodes*np)
-	}
-	for n := 0; n < cl.Nodes; n++ {
-		m.l1count[n] = l1flat[n*nb : (n+1)*nb : (n+1)*nb]
-		m.flags[n] = flagflat[n*nb : (n+1)*nb : (n+1)*nb]
-		if spec.RNUMA {
-			m.ref[n] = refflat[n*np : (n+1)*np : (n+1)*np]
-		}
-	}
-
-	m.l1 = make([]*cache.L1, cl.TotalCPUs())
-	for i := range m.l1 {
-		m.l1[i] = cache.NewL1(config.L1Bytes)
-	}
-	if spec.InfiniteBlockCache {
-		m.bc = make([]*cache.BlockCache, cl.Nodes)
-		for n := range m.bc {
-			m.bc[n] = cache.NewInfiniteBlockCacheSized(nb)
-		}
-	} else if spec.BlockCacheBytes > 0 {
-		m.bc = make([]*cache.BlockCache, cl.Nodes)
-		for n := range m.bc {
-			m.bc[n] = cache.NewBlockCache(spec.BlockCacheBytes, config.BlockCacheWays)
-		}
-	}
+	tb.bind(m)
 	if spec.RNUMA {
 		m.pc = make([]*cache.PageCache, cl.Nodes)
 		for n := range m.pc {
-			m.pc[n] = cache.NewPageCacheSized(spec.PageCacheBytes, np)
+			m.pc[n] = cache.NewPageCacheSized(spec.PageCacheBytes, int(numPages))
 		}
 	}
 	m.deriveFixed()
@@ -534,29 +502,37 @@ func (m *Machine) classify(n int, b memory.Block) stats.MissClass {
 // invariants, and agreement between the directory sharer sets and the
 // actual cache contents (every cached copy must be covered by the
 // conservative sharer set; every dirty copy must be the registered
-// owner's).
+// owner's). It walks each L1's lines, and reports the first violation
+// by lowest CPU, then lowest block.
 func (m *Machine) Verify() error {
 	if err := m.dir.Check(); err != nil {
 		return err
 	}
-	for n := 0; n < m.cl.Nodes; n++ {
-		lo, hi := m.cpusOf(n)
-		for c := lo; c < hi; c++ {
-			// sample the L1 contents through its sets
-			for b := memory.Block(0); uint64(b) < m.numBlocks; b++ {
-				st := m.l1[c].Lookup(b)
-				if st == cache.Invalid {
-					continue
-				}
-				e := m.dir.Entry(b)
-				if e.Sharers&(1<<uint(n)) == 0 {
-					return fmt.Errorf("dsm: cpu %d caches block %d but node %d not in sharers", c, b, n)
-				}
-				if st == cache.Modified && (e.State != directory.ModifiedState || int(e.Owner) != n) {
-					return fmt.Errorf("dsm: cpu %d holds block %d dirty but directory says %v owner %d",
-						c, b, e.State, e.Owner)
-				}
+	for c, l1 := range m.l1 {
+		n := m.nodeOf(c)
+		// Lines hold blocks in no order: keep the lowest violating
+		// block, starting from the footprint's end so that a line
+		// past it is skipped.
+		var first error
+		firstBlock := memory.Block(m.numBlocks)
+		for i := range l1.Sets() {
+			b, st := l1.Line(i)
+			if st == cache.Invalid || b >= firstBlock {
+				continue
 			}
+			e := m.dir.Entry(b)
+			if e.Sharers&(1<<uint(n)) == 0 {
+				first = fmt.Errorf("dsm: cpu %d caches block %d but node %d not in sharers", c, b, n)
+			} else if st == cache.Modified && (e.State != directory.ModifiedState || int(e.Owner) != n) {
+				first = fmt.Errorf("dsm: cpu %d holds block %d dirty but directory says %v owner %d",
+					c, b, e.State, e.Owner)
+			} else {
+				continue
+			}
+			firstBlock = b
+		}
+		if first != nil {
+			return first
 		}
 	}
 	return nil

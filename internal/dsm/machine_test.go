@@ -3,7 +3,9 @@ package dsm
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/config"
+	"repro/internal/directory"
 	"repro/internal/memory"
 	"repro/internal/trace"
 )
@@ -313,6 +315,57 @@ func TestVerifyAfterMixedWorkload(t *testing.T) {
 		m := run(t, spec, tinyTrace(512*config.BlockBytes, cpuOps))
 		if err := m.Verify(); err != nil {
 			t.Errorf("%s: %v", spec.Name, err)
+		}
+	}
+}
+
+// TestVerifyReportsCacheDirectoryDisagreement plants L1 copies the
+// directory does not cover and checks Verify reports the one at the
+// lowest CPU, then the lowest block, whatever line holds it.
+func TestVerifyReportsCacheDirectoryDisagreement(t *testing.T) {
+	cases := []struct {
+		name  string
+		plant func(m *Machine)
+		want  string
+	}{
+		{
+			name: "cached block missing from sharers",
+			plant: func(m *Machine) {
+				m.dir.AddSharer(7, 0) // node 1 (CPUs 4-7) is not a sharer
+				m.l1[9].Insert(7, cache.Shared)
+				// CPU 5: block 513 sits on line 1, block 300 on line 44.
+				m.l1[5].Insert(513, cache.Shared)
+				m.l1[5].Insert(300, cache.Shared)
+			},
+			want: "dsm: cpu 5 caches block 300 but node 1 not in sharers",
+		},
+		{
+			name: "dirty copy the directory records as clean",
+			plant: func(m *Machine) {
+				m.dir.AddSharer(40, 2) // node 2 (CPUs 8-11) shares it clean
+				m.l1[10].Insert(40, cache.Modified)
+				m.dir.AddSharer(41, 2)
+				m.l1[11].Insert(41, cache.Modified)
+			},
+			want: "dsm: cpu 10 holds block 40 dirty but directory says shared owner -1",
+		},
+		{
+			name: "dirty copy of another node's block",
+			plant: func(m *Machine) {
+				// node 3 owns block 41; node 2 stays in the
+				// conservative sharer set but holds it dirty
+				e := m.dir.Entry(41)
+				e.State, e.Owner, e.Sharers = directory.ModifiedState, 3, 1<<2|1<<3
+				m.l1[11].Insert(41, cache.Modified)
+			},
+			want: "dsm: cpu 11 holds block 41 dirty but directory says modified owner 3",
+		},
+	}
+	for _, c := range cases {
+		m := mk(t, CCNUMA())
+		c.plant(m)
+		if err := m.Verify(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Verify = %v, want %q", c.name, err, c.want)
 		}
 	}
 }

@@ -126,7 +126,7 @@ func (m *Machine) flushFrame(op *pageOp, n int, fr *cache.PageEntry) (flushed in
 // RefetchCounter exposes a page's current refetch count at a node, for
 // tests.
 func (m *Machine) RefetchCounter(node int, p memory.Page) int {
-	if m.ref[node] == nil || uint64(p) >= uint64(len(m.ref[node])) {
+	if m.ref == nil || uint64(p) >= uint64(len(m.ref[node])) {
 		return 0
 	}
 	return int(m.ref[node][p])

@@ -26,6 +26,15 @@ type RunOptions struct {
 	// as the trace executes. Collection is observational: the simulated
 	// statistics are byte-identical with or without it.
 	Telemetry *telemetry.Collector
+
+	// Tables, when non-nil, is the table set the machine is built on
+	// (see Tables): a caller running many simulations one after another
+	// passes the same set to each, and they reuse one directory, one
+	// set of per-node tables and one set of caches instead of
+	// allocating their own. The caller owns the set and must not pass
+	// it to two runs at once. Nil allocates fresh tables for the run.
+	// Statistics are byte-identical either way.
+	Tables *Tables
 }
 
 // RunBaseline runs tr on the normalization baseline: perfect CC-NUMA
@@ -38,10 +47,15 @@ func RunBaseline(tr *trace.Trace, cl config.Cluster, o RunOptions) (*stats.Sim, 
 	return RunWithOptions(tr, PerfectCCNUMA(), cl, config.Default(), config.DefaultThresholds(), o)
 }
 
-// RunWithOptions executes a trace on a freshly built machine with the
-// given options and returns the collected statistics.
+// RunWithOptions executes a trace on a freshly built machine, on
+// o.Tables when set, with the given options and returns the collected
+// statistics.
 func RunWithOptions(tr *trace.Trace, spec Spec, cl config.Cluster, tm config.Timing, th config.Thresholds, o RunOptions) (*stats.Sim, error) {
-	m, err := NewMachine(spec, cl, tm, th, tr.Footprint, tr.Name)
+	tb := o.Tables
+	if tb == nil {
+		tb = new(Tables)
+	}
+	m, err := newMachine(spec, cl, tm, th, tr.Footprint, tr.Name, tb)
 	if err != nil {
 		return nil, err
 	}

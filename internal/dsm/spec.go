@@ -44,6 +44,17 @@
 // Machine.Execute replays the trace on one clock-keyed event heap,
 // dispatching ops in (Clock, CPU-ID) order.
 //
+// A machine's largest tables — the directory, the page records, the
+// per-node L1-copy counts and miss-history flags, R-NUMA's refetch
+// counters, every L1 and every block cache — live on a Tables set.
+// The caller of RunWithOptions or RunBaseline owns the set it passes in
+// RunOptions.Tables and may pass it to one run after another, which
+// then share its storage: each machine resizes the tables to its
+// footprint and resets them to a fresh machine's state, so its
+// statistics are the same as on fresh tables. A nil RunOptions.Tables
+// allocates fresh tables for the run, as NewMachine always does. The
+// harness keeps one set per running simulation of a run list.
+//
 // RunBaseline is the only definition of the normalization baseline
 // (perfect CC-NUMA, base timing, default thresholds, ideal crossbar)
 // that every normalized execution time divides by.

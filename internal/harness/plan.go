@@ -53,6 +53,9 @@ type plan struct {
 	byJob   map[job]*task
 	// runs counts the simulations asked for, merged or not.
 	runs int
+	// newTables, when set, makes the table sets execute hands out in
+	// place of new(dsm.Tables), so tests can see every set.
+	newTables func() *dsm.Tables
 }
 
 func newPlan(o Options) *plan { return &plan{o: o, byJob: map[job]*task{}} }
@@ -159,6 +162,15 @@ func (p *plan) experiment(e *experiment, anchored bool) error {
 
 // execute runs every task on one pool (see forEach) of o.Parallel
 // workers and o.Slots, then fills every record's Run.
+//
+// The simulations share machine storage (dsm.Tables) for the life of
+// the run list and no longer. A task takes an idle set when its trace is
+// ready and its simulation starts, or makes one when none is idle, and
+// gives it back when the simulation ends, so there are never more sets
+// than simulations running at once and none is held while a trace
+// generates. Once the last simulation has started no task can take a
+// set, so the idle ones are dropped then and each running task drops
+// its own as it ends.
 func (p *plan) execute(ctx context.Context) ([]*Result, error) {
 	o := p.o
 	if o.Traces == nil {
@@ -167,8 +179,9 @@ func (p *plan) execute(ctx context.Context) ([]*Result, error) {
 	if o.Progress != nil {
 		fmt.Fprintf(o.Progress, "# plan: %d runs, %d simulations\n", p.runs, len(p.tasks))
 	}
+	sets := &tableSets{unstarted: len(p.tasks), alloc: p.newTables}
 	if err := forEach(ctx, o.Slots, p.tasks, o.Parallel, func(_ int, t *task) error {
-		return t.run(o)
+		return t.run(o, sets)
 	}); err != nil {
 		return nil, err
 	}
@@ -218,10 +231,49 @@ func RunSystems(ctx context.Context, name string, tm config.Timing, th config.Th
 	return rs[0], nil
 }
 
-// run fetches the task's trace and simulates it. The anchor, its
-// trace's first task, reports the trace and runs through
-// dsm.RunBaseline without a collector.
-func (t *task) run(o Options) error {
+// tableSets are a run list's idle table sets (see plan.execute).
+type tableSets struct {
+	mu        sync.Mutex
+	idle      []*dsm.Tables
+	unstarted int
+	alloc     func() *dsm.Tables // nil: new(dsm.Tables)
+}
+
+// take hands a starting simulation an idle set, or a new one if none
+// is idle.
+func (s *tableSets) take() *dsm.Tables {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.unstarted--
+	var tb *dsm.Tables
+	if n := len(s.idle); n > 0 {
+		tb, s.idle = s.idle[n-1], s.idle[:n-1]
+	} else if s.alloc != nil {
+		tb = s.alloc()
+	} else {
+		tb = new(dsm.Tables)
+	}
+	if s.unstarted == 0 {
+		s.idle = nil
+	}
+	return tb
+}
+
+// give takes back an ending simulation's set, and drops it once every
+// simulation has started.
+func (s *tableSets) give(tb *dsm.Tables) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.unstarted > 0 {
+		s.idle = append(s.idle, tb)
+	}
+}
+
+// run fetches the task's trace and simulates it on a table set from
+// sets, held only while it simulates. The anchor, its trace's first
+// task, reports the trace and runs through dsm.RunBaseline without a
+// collector.
+func (t *task) run(o Options, sets *tableSets) error {
 	start := time.Now()
 	tr, err := o.Traces.Trace(t.info, t.params)
 	if err != nil {
@@ -231,14 +283,16 @@ func (t *task) run(o Options) error {
 		fmt.Fprintf(o.Progress, "# trace %s scale %d ready in %.2fs (%d ops, %.1f MB footprint)\n",
 			t.app, t.params.Scale, time.Since(start).Seconds(), tr.Ops(), float64(tr.Footprint)/(1<<20))
 	}
+	tb := sets.take()
+	defer sets.give(tb)
 	runStart := time.Now()
 	if t.anchor {
-		t.sim, err = dsm.RunBaseline(tr, t.cl, dsm.RunOptions{Audit: o.Audit})
+		t.sim, err = dsm.RunBaseline(tr, t.cl, dsm.RunOptions{Audit: o.Audit, Tables: tb})
 	} else {
 		if o.Telemetry != nil {
 			t.col = telemetry.New(*o.Telemetry)
 		}
-		t.sim, err = dsm.RunWithOptions(tr, t.spec, t.cl, t.tm, t.th, dsm.RunOptions{Audit: o.Audit, Telemetry: t.col})
+		t.sim, err = dsm.RunWithOptions(tr, t.spec, t.cl, t.tm, t.th, dsm.RunOptions{Audit: o.Audit, Telemetry: t.col, Tables: tb})
 	}
 	if err != nil {
 		return fmt.Errorf("harness: %s: %w", t.name, err)

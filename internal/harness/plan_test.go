@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
+	"repro/internal/dsm"
 	"repro/internal/telemetry"
 )
 
@@ -78,15 +80,61 @@ func TestPlanMergesEqualSimulations(t *testing.T) {
 	}
 }
 
+// TestTableSetsLiveForTheRunList: a starting task takes an idle table
+// set before it makes one, and once the last task has started no set
+// stays idle: those idle then are dropped, and so is each set given
+// back later.
+func TestTableSetsLiveForTheRunList(t *testing.T) {
+	made := 0
+	s := &tableSets{unstarted: 4, alloc: func() *dsm.Tables { made++; return new(dsm.Tables) }}
+	a, b := s.take(), s.take()
+	if made != 2 || a == b {
+		t.Fatalf("two running tasks got %d sets, equal %v", made, a == b)
+	}
+	s.give(a)
+	if c := s.take(); c != a || made != 2 {
+		t.Fatalf("a starting task made a set while one was idle")
+	}
+	s.give(b)
+	s.take() // the last task: b is idle while it starts, then dropped
+	if made != 2 || len(s.idle) != 0 {
+		t.Fatalf("after the last start: %d sets made, %d idle; want 2, 0", made, len(s.idle))
+	}
+	s.give(a)
+	if len(s.idle) != 0 {
+		t.Errorf("a set given back after the last start stays idle")
+	}
+}
+
 // TestSharedRunsStayReadOnly: records of a merged simulation share its
 // statistics, anchor and telemetry collector. Rendering every output —
 // text, CSV, JSON and telemetry artifacts — must leave them exactly as
-// the simulations left them.
+// the simulations left them. Nothing they reach may lie in the machine
+// tables the run list's simulations reused, which later simulations
+// overwrite.
 func TestSharedRunsStayReadOnly(t *testing.T) {
-	results, err := RunQuery(context.Background(), Query{Experiment: "all", Apps: []string{"migratory"}, Scale: 8},
-		Options{Parallel: 4, Audit: true, Telemetry: &telemetry.Config{Timeline: true}})
+	const workers = 4
+	p, err := planQuery(Query{Experiment: "all", Apps: []string{"migratory"}, Scale: 8},
+		Options{Parallel: workers, Audit: true, Telemetry: &telemetry.Config{Timeline: true}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var sets []*dsm.Tables // appended under tableSets' lock
+	p.newTables = func() *dsm.Tables {
+		tb := new(dsm.Tables)
+		sets = append(sets, tb)
+		return tb
+	}
+	results, err := p.execute(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sets) == 0 || len(sets) > workers {
+		t.Fatalf("%d table sets for %d simulations on %d workers", len(sets), len(p.tasks), workers)
+	}
+	var tables []span
+	for _, tb := range sets {
+		tables = memSpans(reflect.ValueOf(tb), tables, map[span]bool{})
 	}
 	var shared []any
 	seen := map[any]int{}
@@ -109,6 +157,15 @@ func TestSharedRunsStayReadOnly(t *testing.T) {
 	if len(col.Events()) == 0 {
 		t.Fatal("Figure 5's MigRep timeline is empty: there is nothing to keep read-only")
 	}
+	for i, v := range shared {
+		for _, s := range memSpans(reflect.ValueOf(v), nil, map[span]bool{}) {
+			if j := slices.IndexFunc(tables, s.overlaps); j >= 0 {
+				t.Fatalf("shared %T #%d reaches [%#x, %#x), inside a table set's [%#x, %#x)",
+					v, i, s.lo, s.hi, tables[j].lo, tables[j].hi)
+			}
+		}
+	}
+
 	before := make([]any, len(shared))
 	for i, v := range shared {
 		before[i] = deepCopy(reflect.ValueOf(v)).Interface()
@@ -179,6 +236,82 @@ func deepCopy(v reflect.Value) reflect.Value {
 		c.Set(v)
 	}
 	return c
+}
+
+// span is the memory range [lo, hi).
+type span struct{ lo, hi uintptr }
+
+func (s span) overlaps(o span) bool { return s.lo < o.hi && o.lo < s.hi }
+
+// memSpans appends to out the memory v reaches through pointers and
+// slices, unexported fields included; seen holds the spans already
+// walked.
+func memSpans(v reflect.Value, out []span, seen map[span]bool) []span {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Slice:
+		if v.IsNil() {
+			return out
+		}
+		n := 1
+		if v.Kind() == reflect.Slice {
+			n = v.Cap()
+		}
+		s := span{v.Pointer(), v.Pointer() + uintptr(n)*v.Type().Elem().Size()}
+		if s.lo == s.hi || seen[s] {
+			return out
+		}
+		seen[s] = true
+		out = append(out, s)
+		if v.Kind() == reflect.Pointer {
+			return memSpans(v.Elem(), out, seen)
+		}
+		if pointerFree(v.Type().Elem()) {
+			return out
+		}
+		for i := range v.Len() {
+			out = memSpans(v.Index(i), out, seen)
+		}
+	case reflect.Struct:
+		if !v.CanAddr() {
+			a := reflect.New(v.Type()).Elem()
+			a.Set(v)
+			v = a
+		}
+		for i := range v.NumField() {
+			out = memSpans(exposed(v.Field(i)), out, seen)
+		}
+	case reflect.Array:
+		for i := range v.Len() {
+			out = memSpans(v.Index(i), out, seen)
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			out = memSpans(it.Key(), out, seen)
+			out = memSpans(it.Value(), out, seen)
+		}
+	case reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+		panic("memSpans: unsupported kind " + v.Kind().String())
+	}
+	return out
+}
+
+// pointerFree reports whether a value of type t reaches no other
+// memory.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Interface, reflect.Func, reflect.Chan,
+		reflect.UnsafePointer, reflect.String:
+		return false
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // exposed returns an addressable v with the read-only flag of an
