@@ -63,7 +63,6 @@ func (tb *Tables) bind(m *Machine) {
 		m.ref = tb.refRows
 	}
 
-	tb.l1 = slices.Grow(tb.l1, cpus-len(tb.l1))
 	for len(tb.l1) < cpus {
 		tb.l1 = append(tb.l1, cache.NewL1(config.L1Bytes))
 	}
@@ -73,7 +72,6 @@ func (tb *Tables) bind(m *Machine) {
 	}
 	switch {
 	case m.spec.InfiniteBlockCache:
-		tb.inf = slices.Grow(tb.inf, nodes-len(tb.inf))
 		for len(tb.inf) < nodes {
 			tb.inf = append(tb.inf, cache.NewInfiniteBlockCache())
 		}
@@ -82,7 +80,6 @@ func (tb *Tables) bind(m *Machine) {
 		if tb.bcBytes != m.spec.BlockCacheBytes {
 			tb.bc, tb.bcBytes = tb.bc[:0], m.spec.BlockCacheBytes
 		}
-		tb.bc = slices.Grow(tb.bc, nodes-len(tb.bc))
 		for len(tb.bc) < nodes {
 			tb.bc = append(tb.bc, cache.NewBlockCache(tb.bcBytes, config.BlockCacheWays))
 		}

@@ -11,29 +11,36 @@ import (
 )
 
 // TestTablesReuseMatchesFreshTables carries one table set through runs
-// whose footprint, fabric and system change in both directions: the
-// infinite block caches shrink and grow, the finite ones change
-// geometry, R-NUMA's counters come and go. Every run on the reused set
+// whose footprint, fabric, cluster and system change in both
+// directions: the infinite block caches shrink and grow, the finite ones
+// change geometry, R-NUMA's counters come and go, and the node and CPU
+// counts fall below what the set holds and rise again. Every run on the reused set
 // must return the statistics the same run returns on fresh tables.
 func TestTablesReuseMatchesFreshTables(t *testing.T) {
-	traces := map[string]*trace.Trace{}
-	gen := func(name string) *trace.Trace {
-		if tr := traces[name]; tr != nil {
+	type key struct {
+		app  string
+		cpus int
+	}
+	traces := map[key]*trace.Trace{}
+	gen := func(name string, cpus int) *trace.Trace {
+		k := key{name, cpus}
+		if tr := traces[k]; tr != nil {
 			return tr
 		}
 		app, err := apps.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := app.Generate(apps.Params{CPUs: config.DefaultCluster().TotalCPUs(), Scale: 8})
+		tr, err := app.Generate(apps.Params{CPUs: cpus, Scale: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		traces[name] = tr
+		traces[k] = tr
 		return tr
 	}
 	ring := config.DefaultCluster()
 	ring.Net = config.Network{Topology: "ring"}
+	small := config.Cluster{Nodes: 4, CPUsPerNode: 4}
 	bigBC := CCNUMA()
 	bigBC.Name, bigBC.BlockCacheBytes = "CC-NUMA-2x", 2*bigBC.BlockCacheBytes
 	base := Spec{} // the zero spec stands for RunBaseline
@@ -50,11 +57,17 @@ func TestTablesReuseMatchesFreshTables(t *testing.T) {
 		{"lu", bigBC, config.DefaultCluster()},
 		{"radix", CCNUMA(), ring},
 		{"migratory", base, config.DefaultCluster()},
+		// A smaller cluster after a larger one: fewer L1s, block caches
+		// and per-node rows than the set holds, then back again.
+		{"radix", base, small},
+		{"lu", RNUMAHalf(), small},
+		{"migratory", CCNUMA(), small},
 		{"radix", base, config.DefaultCluster()},
+		{"migratory", CCNUMA(), config.DefaultCluster()},
 	}
 	tb := new(Tables)
 	for i, s := range steps {
-		tr, name := gen(s.app), s.spec.Name
+		tr, name := gen(s.app, s.cl.TotalCPUs()), s.spec.Name
 		if s.spec == base {
 			name = PerfectCCNUMA().Name + " baseline"
 		}

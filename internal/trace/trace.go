@@ -549,13 +549,12 @@ func (r *Recorder) emit(k Kind, arg uint64) {
 }
 
 // flushRun emits the coalesced run, if any; the time spent inside the
-// run carries over as the next op's gap. When the current chunks have
-// room, the op goes straight onto them: a plain op (pending gap under
-// GapEscape, block under ArgEscape) as one byte and one half-word, and
-// one whose gap or block escapes, but fits in 32 bits, with one Wides
-// entry per escape as well. Any other op takes emit's path, which
-// splits oversized gaps into Pads, rejects oversized blocks and starts
-// chunks.
+// run carries over as the next op's gap. Most runs are plain ops: the
+// pending gap is under GapEscape, the block under ArgEscape and the
+// current chunk has room. Such an op goes straight onto the
+// head and arg chunks, one byte and one half-word; any other takes
+// emit's path, which escapes, splits oversized gaps into Pads and
+// starts chunks.
 func (r *Recorder) flushRun() {
 	if !r.runValid {
 		return
@@ -564,12 +563,9 @@ func (r *Recorder) flushRun() {
 	if r.runWrite {
 		k = Write
 	}
-	room := len(r.cur.Heads) < cap(r.cur.Heads)
-	if room && r.pending < GapEscape && r.runBlock < ArgEscape {
+	if r.pending < GapEscape && r.runBlock < ArgEscape && len(r.cur.Heads) < cap(r.cur.Heads) {
 		r.cur.Heads = append(r.cur.Heads, uint8(k)|uint8(r.pending)<<KindBits)
 		r.cur.Args = append(r.cur.Args, uint16(r.runBlock))
-	} else if room && r.pending <= maxGap && r.runBlock <= maxArg && cap(r.cur.Wides)-len(r.cur.Wides) >= 2 {
-		r.cur.Append(Op{Kind: k, Gap: uint32(r.pending), Arg: uint32(r.runBlock)})
 	} else {
 		r.emit(k, uint64(r.runBlock))
 	}
