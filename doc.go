@@ -67,13 +67,16 @@
 // writeback carries an explicit event time, and audit mode — on by
 // default in cmd/experiments and cmd/dsmsim (-audit=false disables),
 // always on in the harness tests — enforces event-time discipline while
-// a machine runs (no fabric injection in the simulated past, no
-// page-busy regression, in-order dispatch) and runs the internal/audit
-// conservation checks over every finished run: summed per-node traffic
-// counters must equal the fabric's per-pair injected bytes, per-link
-// bytes must equal the hop-weighted pair totals, and the directory must
-// agree with the caches. A protocol path that skews the paper's traffic
-// tables therefore fails loudly instead of silently.
+// a machine runs and runs the internal/audit conservation checks over
+// every finished run. Each dispatched event sets one floor, its
+// simulated time: events dispatch in time order, no resource acquire
+// or fabric injection starts before the floor, and no page-busy
+// horizon regresses. Afterwards summed per-node traffic counters must
+// equal the fabric's per-pair injected bytes, per-link bytes must equal
+// the hop-weighted pair totals, the directory must agree with the
+// caches, and the page records must be consistent. A protocol path
+// that skews the paper's traffic tables therefore fails loudly instead
+// of silently.
 //
 // internal/serve turns the simulator into a service: cmd/dsmserve
 // answers capacity-planning queries (experiment, apps, systems,
@@ -87,14 +90,15 @@
 // overload with 429 + Retry-After and drains cleanly on SIGTERM.
 // The server holds a trace only while the query that needs it runs.
 //
-// What the run-time audits enforce dynamically, internal/lint enforces
+// What the run-time audits cannot see, internal/lint enforces
 // statically: a go/analysis-style suite, run inside go test by the
 // root lint_test.go, rejects nondeterministic map iteration in the
 // core, wall-clock and global-randomness reads in simulation packages,
-// literal-0 event times on fabric and page-op seams, and allocating
-// constructs in functions annotated //repro:hotpath. Telemetry needs
-// no such rule: a nil collector is a no-op observer whose hooks inline
-// to one branch each, so the core calls them unguarded.
+// and allocating constructs in functions annotated //repro:hotpath.
+// Event times need no such rule: audit mode checks each one against
+// the floor at run time. Telemetry needs none either: a nil collector
+// is a no-op observer whose hooks inline to one branch each, so the
+// core calls them unguarded.
 // The invariants the golden files, the trace pins and the allocation
 // guard test by example are thus also checked at compile time, on
 // every path.

@@ -13,9 +13,10 @@
 //
 // Check runs over a finished machine and verifies:
 //
-//   - event-time discipline: no fabric injection before the event being
-//     processed, no page-busy horizon regression, no out-of-order
-//     scheduler dispatch (collected online while the machine runs in
+//   - event-time discipline: no out-of-order scheduler dispatch, no
+//     page-busy horizon regression, and no resource acquire or fabric
+//     injection before the time of the event being dispatched, the
+//     machine's one floor (collected online while the machine runs in
 //     audit mode — see dsm.Machine.EnableAudit);
 //   - traffic conservation: the summed per-node TrafficBytes equal the
 //     fabric's per-pair injected bytes plus node-local messages, and
@@ -25,7 +26,8 @@
 //     run agrees with the fabric it was taken from;
 //   - counter sanity: no negative traffic, stall, sync or page-op
 //     counters;
-//   - directory/cache agreement, via the machine's Verify.
+//   - directory/cache agreement and the page-record invariants, via
+//     the machine's Verify.
 //
 // The harness runs these checks on every simulation when Options.Audit
 // is set (the -audit flag of cmd/experiments and cmd/dsmsim), and the
@@ -49,7 +51,8 @@ type Machine interface {
 	Stats() *stats.Sim
 	// Fabric returns the interconnect the run routed messages over.
 	Fabric() *interconnect.Fabric
-	// Verify checks directory invariants and directory/cache agreement.
+	// Verify checks directory invariants, directory/cache agreement
+	// and the page records.
 	Verify() error
 	// AuditViolations returns event-time violations the machine
 	// recorded while executing in audit mode.
@@ -64,7 +67,6 @@ func Check(m Machine) error {
 	f := m.Fabric()
 
 	// Event-time discipline, collected online during the run.
-	errs = append(errs, f.Violations()...)
 	errs = append(errs, m.AuditViolations()...)
 
 	// Traffic conservation against the fabric's ground truth.

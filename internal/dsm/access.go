@@ -16,7 +16,7 @@ import (
 //
 //repro:hotpath
 func (m *Machine) localAccess(now int64, n int) int64 {
-	t := m.bus[n].Acquire(now, m.tm.BusOccupancy)
+	t := m.bus[n].Acquire(m.acquireAt(now), m.tm.BusOccupancy)
 	return t + m.localFixed
 }
 
@@ -78,20 +78,20 @@ func (m *Machine) ackWaveExtra(h int, mask uint64) int64 {
 //
 //repro:hotpath
 func (m *Machine) roundTrip(now int64, n, h int, extra, reqBytes, respBytes int64) int64 {
-	t := m.bus[n].Acquire(now, m.tm.BusOccupancy)
+	t := m.bus[n].Acquire(m.acquireAt(now), m.tm.BusOccupancy)
 	if h != n {
-		t = m.ni[n].Acquire(t, m.tm.NIOccupancy)
-		t = m.fabric.Traverse(n, h, reqBytes, t)
+		t = m.ni[n].Acquire(m.acquireAt(t), m.tm.NIOccupancy)
+		t = m.fabric.Traverse(n, h, reqBytes, m.injectAt(t))
 	} else if reqBytes+respBytes > 0 {
-		m.fabric.Deliver(n, n, reqBytes+respBytes, t)
+		m.fabric.Deliver(n, n, reqBytes+respBytes, m.injectAt(t))
 	}
-	t = m.home[h].Acquire(t, m.tm.HomeOccupancy)
+	t = m.home[h].Acquire(m.acquireAt(t), m.tm.HomeOccupancy)
 	t += m.remoteFixed + extra
 	if h != n {
-		t = m.fabric.Traverse(h, n, respBytes, t)
-		t = m.ni[n].Acquire(t, m.tm.NIOccupancy)
+		t = m.fabric.Traverse(h, n, respBytes, m.injectAt(t))
+		t = m.ni[n].Acquire(m.acquireAt(t), m.tm.NIOccupancy)
 	}
-	t = m.bus[n].Acquire(t, m.tm.BusOccupancy)
+	t = m.bus[n].Acquire(m.acquireAt(t), m.tm.BusOccupancy)
 	return t
 }
 
@@ -174,7 +174,7 @@ func (m *Machine) upgrade(c *engine.CPU, n int, b memory.Block) {
 		m.remoteUpgrade(c, n, h, b, remote)
 	} else if m.l1count[n][b] > 1 {
 		// Node-local upgrade: one bus transaction invalidates siblings.
-		m.advance(c, ns, m.bus[n].Acquire(c.Clock, m.tm.BusOccupancy))
+		m.advance(c, ns, m.bus[n].Acquire(m.acquireAt(c.Clock), m.tm.BusOccupancy))
 	}
 	// Invalidate sibling L1 copies on this node (the upgrading CPU's own
 	// copy accounts for one of the node's counted copies).
@@ -224,16 +224,16 @@ func (m *Machine) remoteUpgrade(c *engine.CPU, n, h int, b memory.Block, remote 
 func (m *Machine) invalidateSharers(n, h int, b memory.Block, mask uint64, t int64) {
 	for mask &^= 1 << uint(n); mask != 0; mask &= mask - 1 {
 		s := bits.TrailingZeros64(mask)
-		m.ni[s].Acquire(t, m.tm.NIOccupancy)
+		m.ni[s].Acquire(m.acquireAt(t), m.tm.NIOccupancy)
 		present, dirty := m.invalidateOnNode(s, b, true)
-		m.fabric.Deliver(h, s, msgHeaderBytes, t)
+		m.fabric.Deliver(h, s, msgHeaderBytes, m.injectAt(t))
 		ackBytes := int64(msgHeaderBytes)
 		if present && dirty {
 			ackBytes = msgBlockBytes
 		}
 		m.traffic(n, msgHeaderBytes+ackBytes, t) // inval + ack
 		// The ack leaves after the invalidation has crossed to s.
-		m.fabric.Deliver(s, h, ackBytes, t+m.wireLatency(h, s))
+		m.fabric.Deliver(s, h, ackBytes, m.injectAt(t+m.wireLatency(h, s)))
 	}
 }
 
@@ -301,10 +301,10 @@ func (m *Machine) fetch(c *engine.CPU, n int, b memory.Block, cls stats.MissClas
 			// travels home->owner, the data and ack return owner->home.
 			end := m.roundTrip(start, n, h, m.tm.DirtyRemoteExtra+m.forwardExtra(n, owner), 0, 0)
 			back := end - m.wireLatency(owner, n)
-			m.ni[owner].Acquire(back, m.tm.NIOccupancy)
+			m.ni[owner].Acquire(m.acquireAt(back), m.tm.NIOccupancy)
 			// The forward leaves once the home has seen the request.
-			m.fabric.Deliver(h, owner, msgHeaderBytes, back-m.wireLatency(h, owner))
-			m.fabric.Deliver(owner, h, msgHeaderBytes+msgBlockBytes, back)
+			m.fabric.Deliver(h, owner, msgHeaderBytes, m.injectAt(back-m.wireLatency(h, owner)))
+			m.fabric.Deliver(owner, h, msgHeaderBytes+msgBlockBytes, m.injectAt(back))
 			m.miss(n, cls, true, end)
 			m.traffic(n, 2*msgHeaderBytes+msgBlockBytes, end)
 			m.retrieveDirty(n, owner, b, write)
@@ -360,10 +360,10 @@ func (m *Machine) fetch(c *engine.CPU, n int, b memory.Block, cls stats.MissClas
 	if dirty {
 		if owner != h {
 			back := end - m.wireLatency(owner, h)
-			m.ni[owner].Acquire(back, m.tm.NIOccupancy)
+			m.ni[owner].Acquire(m.acquireAt(back), m.tm.NIOccupancy)
 			// The forward leaves once the home has seen the request.
-			m.fabric.Deliver(h, owner, msgHeaderBytes, back-m.wireLatency(h, owner))
-			m.fabric.Deliver(owner, h, msgHeaderBytes, back)
+			m.fabric.Deliver(h, owner, msgHeaderBytes, m.injectAt(back-m.wireLatency(h, owner)))
+			m.fabric.Deliver(owner, h, msgHeaderBytes, m.injectAt(back))
 			bytes += 2 * msgHeaderBytes // forward + ack
 		}
 		m.retrieveDirty(n, owner, b, write)

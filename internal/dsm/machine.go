@@ -136,14 +136,16 @@ type Machine struct {
 	// object per machine removes the per-operation allocation.
 	opScratch pageOp
 
-	// Audit mode (see EnableAudit): the machine checks event-time
+	// Audit mode (see audit.go): the machine checks event-time
 	// discipline as it runs — scheduler dispatch order, the page-busy
-	// horizon, and (through the fabric's own audit mode) message
-	// injection times — and accumulates violations for the end-of-run
+	// horizon, resource acquires and message injections against one
+	// floor — and accumulates violations for the end-of-run
 	// internal/audit checks instead of panicking mid-simulation.
-	auditing     bool
-	lastDispatch int64
-	violations   stats.ViolationLog
+	auditing                       bool
+	lastDispatch                   int64
+	floor                          int64
+	violations                     stats.ViolationLog
+	staleAcquires, staleInjections staleTimes
 
 	// tel receives time-resolved telemetry (windowed series and the
 	// page-operation timeline) as the trace executes. Telemetry is
@@ -230,21 +232,6 @@ func (m *Machine) deriveFixed() {
 
 // Stats returns the machine's statistics sink.
 func (m *Machine) Stats() *stats.Sim { return m.st }
-
-// EnableAudit switches the machine (and its fabric) into audit mode:
-// event-time discipline is checked on every dispatched event, fabric
-// injection and page-busy update, and violations accumulate for
-// AuditViolations / internal/audit.Check. Auditing changes no simulated
-// behaviour: an audited run produces byte-identical statistics.
-func (m *Machine) EnableAudit() {
-	m.auditing = true
-	m.fabric.EnableAudit()
-}
-
-// AuditViolations returns the event-time violations the machine itself
-// detected (scheduler dispatch order, page-busy regressions); fabric
-// injection violations are reported by Fabric().Violations().
-func (m *Machine) AuditViolations() []string { return m.violations.All() }
 
 // AttachTelemetry binds a telemetry collector to the machine (and its
 // fabric): windowed series — page ops by kind, misses by class,
@@ -498,12 +485,38 @@ func (m *Machine) classify(n int, b memory.Block) stats.MissClass {
 	return stats.CapacityConflict
 }
 
+// pageInvariants are the page-record invariants Verify checks on every
+// page, in this order.
+var pageInvariants = []struct {
+	name  string
+	holds func(m *Machine, p memory.Page) bool
+}{
+	{"a page with replicas is replicated", func(m *Machine, p memory.Page) bool {
+		pg := &m.pages[p]
+		return pg.replicas == 0 || pg.replicated
+	}},
+	{"replicas are a subset of mapped", func(m *Machine, p memory.Page) bool {
+		pg := &m.pages[p]
+		return pg.replicas&^pg.mapped == 0
+	}},
+	{"the home holds no replica", func(m *Machine, p memory.Page) bool {
+		pg := &m.pages[p]
+		return pg.home < 0 || !pg.replica(pg.home)
+	}},
+	{"the home holds no S-COMA frame", func(m *Machine, p memory.Page) bool {
+		h := m.pages[p].home
+		return m.pc == nil || h < 0 || m.pc[h].Entry(p) == nil
+	}},
+}
+
 // Verify runs consistency checks over the machine state: the directory
-// invariants, and agreement between the directory sharer sets and the
+// invariants, agreement between the directory sharer sets and the
 // actual cache contents (every cached copy must be covered by the
 // conservative sharer set; every dirty copy must be the registered
-// owner's). It walks each L1's lines, and reports the first violation
-// by lowest CPU, then lowest block.
+// owner's), and then the page-record invariants (pageInvariants). It
+// walks each L1's lines and reports the first cache violation by lowest
+// CPU, then lowest block; the first page violation by lowest page, then
+// table order.
 func (m *Machine) Verify() error {
 	if err := m.dir.Check(); err != nil {
 		return err
@@ -533,6 +546,15 @@ func (m *Machine) Verify() error {
 		}
 		if first != nil {
 			return first
+		}
+	}
+	for p := range m.pages {
+		for _, inv := range pageInvariants {
+			if !inv.holds(m, memory.Page(p)) {
+				pg := &m.pages[p]
+				return fmt.Errorf("dsm: page %d breaks %q (home %d, mapped %b, replicas %b, replicated %v)",
+					p, inv.name, pg.home, pg.mapped, pg.replicas, pg.replicated)
+			}
 		}
 	}
 	return nil

@@ -1,6 +1,8 @@
 package dsm
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -366,6 +368,46 @@ func TestVerifyReportsCacheDirectoryDisagreement(t *testing.T) {
 		c.plant(m)
 		if err := m.Verify(); err == nil || err.Error() != c.want {
 			t.Errorf("%s: Verify = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestVerifyReportsPageRecordViolations builds a violation of each
+// page-record invariant by hand and checks Verify names it. Page 0 is
+// clean and homed at node 0 in every case; page 3 breaks the row.
+func TestVerifyReportsPageRecordViolations(t *testing.T) {
+	cases := []struct {
+		want  string
+		plant func(m *Machine, pg *page)
+	}{
+		{"a page with replicas is replicated", func(m *Machine, pg *page) {
+			pg.mapped, pg.replicas = 1<<0|1<<1, 1<<1
+		}},
+		{"replicas are a subset of mapped", func(m *Machine, pg *page) {
+			pg.replicated, pg.mapped, pg.replicas = true, 1<<0, 1<<1
+		}},
+		{"the home holds no replica", func(m *Machine, pg *page) {
+			pg.replicated, pg.mapped, pg.replicas = true, 1<<0|1<<1, 1<<0
+		}},
+		{"the home holds no S-COMA frame", func(m *Machine, pg *page) {
+			pg.mapped = 1 << 0
+			m.pc[0].Allocate(3)
+		}},
+	}
+	if len(cases) != len(pageInvariants) {
+		t.Fatalf("%d cases for %d invariants", len(cases), len(pageInvariants))
+	}
+	for _, c := range cases {
+		m := mk(t, RNUMA())
+		m.pages[0].home, m.pages[0].mapped = 0, 1<<0
+		m.pages[3].home = 0
+		if err := m.Verify(); err != nil {
+			t.Fatalf("clean machine: %v", err)
+		}
+		c.plant(m, &m.pages[3])
+		want := fmt.Sprintf("dsm: page 3 breaks %q", c.want)
+		if err := m.Verify(); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("Verify = %v, want %s", err, want)
 		}
 	}
 }

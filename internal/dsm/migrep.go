@@ -83,7 +83,7 @@ func (m *Machine) replicate(c *engine.CPU, n int, p memory.Page) {
 	pg.replicas |= 1 << uint(n)
 	op.count(stats.Replication)
 	op.note(telemetry.EvReplicate, p)
-	m.home[pg.home].Acquire(op.start, op.elapsed()/4)
+	m.home[pg.home].Acquire(m.acquireAt(op.start), op.elapsed()/4)
 	op.finishBusy(p)
 }
 
@@ -100,7 +100,7 @@ func (m *Machine) grantReplica(c *engine.CPU, n int, p memory.Page) {
 	pg.replicas |= 1 << uint(n)
 	op.count(stats.Replication)
 	op.note(telemetry.EvGrant, p)
-	m.home[pg.home].Acquire(op.start, op.elapsed()/4)
+	m.home[pg.home].Acquire(m.acquireAt(op.start), op.elapsed()/4)
 	op.finishBusy(p)
 }
 
@@ -162,7 +162,7 @@ func (m *Machine) migrate(c *engine.CPU, n int, p memory.Page) {
 	op.charge(m.tm.CopyCost(config.BlocksPerPage))
 	op.count(stats.Migration)
 	op.note(telemetry.EvMigrate, p) // Home already moved: notes the new home
-	m.home[oldHome].Acquire(op.start, op.elapsed()/4)
+	m.home[oldHome].Acquire(m.acquireAt(op.start), op.elapsed()/4)
 	op.finishBusy(p)
 	m.migCounter(p).reset()
 }

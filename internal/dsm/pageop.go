@@ -59,7 +59,7 @@ func (op *pageOp) elapsed() int64 { return op.now - op.start }
 //repro:hotpath
 func (op *pageOp) xfer(src, dst, pay int, bytes int64) {
 	op.m.traffic(pay, bytes, op.now)
-	op.m.fabric.Deliver(src, dst, bytes, op.now)
+	op.m.fabric.Deliver(src, dst, bytes, op.m.injectAt(op.now))
 }
 
 // count records one page operation of the given kind against the
@@ -113,14 +113,14 @@ func (m *Machine) softFault(c *engine.CPU, n int, p memory.Page) {
 	pg := &m.pages[p]
 	op := m.beginPageOp(c, n)
 	op.charge(m.tm.SoftTrap)
-	op.now = m.fabric.Traverse(n, pg.home, msgHeaderBytes, op.now)
+	op.now = m.fabric.Traverse(n, pg.home, msgHeaderBytes, m.injectAt(op.now))
 	copied := pg.replicated && m.spec.Replication
 	if copied {
 		op.xfer(pg.home, n, n, int64(config.BlocksPerPage)*msgBlockBytes)
 		op.count(stats.Replication)
 		pg.replicas |= 1 << uint(n)
 	}
-	op.now = m.fabric.Traverse(pg.home, n, msgHeaderBytes, op.now)
+	op.now = m.fabric.Traverse(pg.home, n, msgHeaderBytes, m.injectAt(op.now))
 	m.traffic(n, 2*msgHeaderBytes, op.now) // request + reply
 	if copied {
 		op.charge(m.tm.CopyCost(config.BlocksPerPage))
@@ -137,9 +137,9 @@ func (m *Machine) softFault(c *engine.CPU, n int, p memory.Page) {
 //
 //repro:hotpath
 func (m *Machine) writebackRemote(n, h int, b memory.Block, now int64) {
-	t := m.ni[n].Acquire(now, m.tm.NIOccupancy)
-	t = m.fabric.Traverse(n, h, msgBlockBytes, t)
-	m.home[h].Acquire(t, m.tm.HomeOccupancy)
+	t := m.ni[n].Acquire(m.acquireAt(now), m.tm.NIOccupancy)
+	t = m.fabric.Traverse(n, h, msgBlockBytes, m.injectAt(t))
+	m.home[h].Acquire(m.acquireAt(t), m.tm.HomeOccupancy)
 	m.dir.WriteBack(b, n)
 	m.traffic(n, msgBlockBytes, now)
 }

@@ -14,11 +14,13 @@ import (
 
 // RunOptions configures a run beyond the machine parameters.
 type RunOptions struct {
-	// Audit enables the machine's self-auditing mode: event-time
-	// discipline is enforced while the trace executes and the
-	// internal/audit conservation checks run over the final state; any
-	// violation fails the run with a descriptive error. Auditing does
-	// not change simulated behaviour.
+	// Audit enables the machine's self-auditing mode: while the trace
+	// executes, dispatch order, resource acquires and fabric
+	// injections are checked against the time of the event being
+	// dispatched (see Machine.EnableAudit), and the internal/audit
+	// conservation checks run over the final state; any violation
+	// fails the run with a descriptive error. Auditing does not change
+	// simulated behaviour.
 	Audit bool
 
 	// Telemetry, when non-nil, attaches a collector that records
@@ -128,17 +130,16 @@ func (m *Machine) dispatch(c *engine.CPU, kind trace.Kind, gap uint32, arg uint6
 	if m.auditing {
 		// The scheduler dispatches events in nondecreasing time
 		// order; the dispatched clock (plus any trace gap) is the
-		// floor below which no message may enter the fabric.
+		// floor below which no resource may be acquired and no
+		// message may enter the fabric.
 		if c.Clock < m.lastDispatch {
 			m.violations.Addf("dsm: cpu %d dispatched at %d after event time %d",
 				c.ID, c.Clock, m.lastDispatch)
 		}
 		m.lastDispatch = c.Clock
+		m.floor = c.Clock + int64(gap)
 	}
 	c.Clock += int64(gap)
-	if m.auditing {
-		m.fabric.SetAuditFloor(c.Clock)
-	}
 	m.tel.Dispatch(c.Clock)
 
 	switch kind {
@@ -247,8 +248,8 @@ func (m *Machine) chargeLock(c *engine.CPU, id uint64, requested int64) {
 		// remote transaction.
 		lat = m.tm.RemoteMiss + m.forwardExtra(n, last)
 		m.traffic(n, msgHeaderBytes+msgBlockBytes, c.Clock)
-		m.fabric.Deliver(n, last, msgHeaderBytes, c.Clock)
-		m.fabric.Deliver(last, n, msgBlockBytes, c.Clock+m.wireLatency(n, last))
+		m.fabric.Deliver(n, last, msgHeaderBytes, m.injectAt(c.Clock))
+		m.fabric.Deliver(last, n, msgBlockBytes, m.injectAt(c.Clock+m.wireLatency(n, last)))
 	}
 	c.Clock += lat
 	m.chargeSync(n, lat)

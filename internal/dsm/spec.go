@@ -38,8 +38,9 @@
 // function that also charges the collector at the event's time:
 // Machine.traffic for TrafficBytes, Machine.miss for the miss counts,
 // pageOp.count for the page-op counts. A machine in audit mode
-// (EnableAudit, or RunOptions.Audit) checks event-time discipline as it
-// runs and the internal/audit conservation checks afterwards.
+// (EnableAudit, or RunOptions.Audit) checks every resource acquire and
+// fabric injection against the dispatched event's time as it runs
+// (audit.go), and the internal/audit conservation checks afterwards.
 //
 // Machine.Execute replays the trace on one clock-keyed event heap,
 // dispatching ops in (Clock, CPU-ID) order.

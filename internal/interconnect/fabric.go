@@ -24,15 +24,6 @@ type Fabric struct {
 	localBytes int64
 	localMsgs  int64
 
-	// Audit mode. When enabled, every injection is checked against the
-	// event-time floor the simulation advances as it dispatches events:
-	// a message injected at a time before the floor was emitted in the
-	// simulated past, which hides traffic from time-windowed views. Violations are recorded rather
-	// than panicking so a whole run can be audited in one pass.
-	auditing   bool
-	auditFloor int64
-	violations stats.ViolationLog
-
 	// obs receives every link traversal on its windowed per-link
 	// series, keyed by the injection time at that hop. Purely
 	// observational; the nil default is a no-op observer whose Link
@@ -83,24 +74,6 @@ func (f *Fabric) ExtraHopLatency(src, dst int) int64 {
 	return int64(hops-1) * f.hopLatency
 }
 
-// EnableAudit switches the fabric into audit mode: injections whose
-// timestamp precedes the current audit floor (see SetAuditFloor) are
-// recorded as event-time violations. Counting and routing behaviour is
-// unchanged, so an audited run produces byte-identical results.
-func (f *Fabric) EnableAudit() { f.auditing = true }
-
-// SetAuditFloor advances the event-time floor to t: the simulation
-// calls it as each event is dispatched, so that any message injected at
-// an earlier time is known to have been emitted in the simulated past.
-// The floor is set, not maxed — overlapping transactions from different
-// processors legitimately inject at non-monotone times, and only the
-// currently dispatched event bounds what "now" may mean.
-func (f *Fabric) SetAuditFloor(t int64) { f.auditFloor = t }
-
-// Violations returns the event-time violations observed since the
-// fabric was built (empty when auditing is off or the run was clean).
-func (f *Fabric) Violations() []string { return f.violations.All() }
-
 // SetObserver attaches a telemetry collector: every message charges its
 // bytes to the crossed link's windowed series at the simulated time the
 // message reaches that hop, alongside the existing aggregate counters.
@@ -110,16 +83,14 @@ func (f *Fabric) SetObserver(o *telemetry.Collector) { f.obs = o }
 
 // Traverse routes one message of the given size from src to dst starting
 // at time now: every link on the route is charged the message's bytes
-// and adds one hop latency. It returns the arrival time at dst. A message to the sending node
-// itself crosses no link and arrives immediately; its bytes are
-// accounted as local.
+// and adds one hop latency. It returns the arrival time at dst. A
+// message to the sending node itself crosses no link and arrives
+// immediately; its bytes are accounted as local. The fabric takes now
+// as given: the caller that knows the event being dispatched checks it
+// (dsm's audit mode).
 //
 //repro:hotpath
 func (f *Fabric) Traverse(src, dst int, bytes int64, now int64) int64 {
-	if f.auditing && now < f.auditFloor {
-		f.violations.Addf("interconnect: message %d->%d (%d bytes) injected at t=%d, before event floor %d",
-			src, dst, bytes, now, f.auditFloor)
-	}
 	route := f.topo.Route(src, dst)
 	if len(route) == 0 {
 		f.localBytes += bytes

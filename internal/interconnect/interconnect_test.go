@@ -320,47 +320,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestAuditFlagsPastInjection pins the fabric's audit-mode contract:
-// with auditing on, a message injected at a time earlier than the
-// current event floor (i.e. in the simulated past) is recorded as a
-// violation, while injections at or after the floor — including ones at
-// an earlier absolute time after the floor moved back — are clean.
-func TestAuditFlagsPastInjection(t *testing.T) {
-	f := newFabric(t, config.TopoRing, 8, 10)
-	f.EnableAudit()
-	f.SetAuditFloor(1000)
-	f.Traverse(0, 1, 64, 1000) // at the floor: fine
-	f.Traverse(1, 2, 64, 5000) // after the floor: fine
-	if got := f.Violations(); len(got) != 0 {
-		t.Fatalf("clean traffic flagged: %v", got)
-	}
-	f.Traverse(2, 3, 64, 999) // in the simulated past
-	if got := f.Violations(); len(got) != 1 {
-		t.Fatalf("violations = %v, want exactly one", got)
-	}
-	// A new, earlier floor (the scheduler dispatched an earlier event)
-	// legitimizes earlier injections again.
-	f.SetAuditFloor(500)
-	f.Traverse(3, 4, 64, 500)
-	if got := f.Violations(); len(got) != 1 {
-		t.Fatalf("violations after floor reset = %v, want still one", got)
-	}
-	// Byte accounting is unaffected by auditing and by violations.
-	if got := f.PairBytes(2, 3); got != 64 {
-		t.Errorf("flagged message not counted: pair bytes = %d, want 64", got)
-	}
-}
-
-// TestAuditOffRecordsNothing checks audit mode is strictly opt-in.
-func TestAuditOffRecordsNothing(t *testing.T) {
-	f := newFabric(t, config.TopoRing, 8, 10)
-	f.SetAuditFloor(1000)
-	f.Traverse(0, 1, 64, 0)
-	if got := f.Violations(); len(got) != 0 {
-		t.Fatalf("audit-off fabric recorded %v", got)
-	}
-}
-
 // TestSnapshotPairsMatchFabric checks the published NetStats pair
 // matrix is a faithful copy of the fabric's injection ground truth.
 func TestSnapshotPairsMatchFabric(t *testing.T) {

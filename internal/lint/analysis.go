@@ -49,7 +49,6 @@ func Suite() []*Analyzer {
 	return []*Analyzer{
 		MapIterAnalyzer,
 		WallTimeAnalyzer,
-		EventTimeAnalyzer,
 		HotAllocAnalyzer,
 	}
 }

@@ -20,19 +20,15 @@ func TestWallTime(t *testing.T) {
 	linttest.Run(t, lint.WallTimeAnalyzer, "walltime/dsm", "walltime/harness", "walltime/serve")
 }
 
-func TestEventTime(t *testing.T) {
-	linttest.Run(t, lint.EventTimeAnalyzer, "eventtime/dsm")
-}
-
 func TestHotAlloc(t *testing.T) {
 	linttest.Run(t, lint.HotAllocAnalyzer, "hotalloc/engine")
 }
 
-// TestSuite pins the suite composition: the four analyzers, each with
+// TestSuite pins the suite composition: the three analyzers, each with
 // a name and documentation, names unique.
 func TestSuite(t *testing.T) {
 	suite := lint.Suite()
-	want := []string{"mapiter", "walltime", "eventtime", "hotalloc"}
+	want := []string{"mapiter", "walltime", "hotalloc"}
 	if len(suite) != len(want) {
 		t.Fatalf("Suite() has %d analyzers, want %d", len(suite), len(want))
 	}

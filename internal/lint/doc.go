@@ -2,13 +2,12 @@
 // analyzers that enforce, at compile time, the invariants the runtime
 // audit subsystem (internal/audit) and the conservation tests enforce
 // at run time. The paper's caching-vs-migration comparison is only
-// trustworthy because the simulator is deterministic and event-time
-// disciplined; these analyzers make the bug classes the audit has
-// caught — map-iteration nondeterminism, wall-clock leakage, time-0
-// fabric charges, hot-path allocation — fail `go test`, not a
-// five-second sweep.
+// trustworthy because the simulator is deterministic; these analyzers
+// make the bug classes the audit has caught — map-iteration
+// nondeterminism, wall-clock leakage, hot-path allocation — fail
+// `go test`, not a five-second sweep.
 //
-// The four analyzers:
+// The three analyzers:
 //
 //   - mapiter: flags `range` over a map in the deterministic core
 //     (dsm, engine, interconnect, trace, telemetry, stats). Map
@@ -22,13 +21,6 @@
 //     packages. Wall time is presentation-layer input: only the
 //     harness progress/manifest code and the cmd/ and examples/
 //     binaries may observe it, and they pass it down as values.
-//   - eventtime: flags a literal 0 passed as a `now` event-time
-//     parameter (fabric Traverse/Deliver, Resource.Acquire,
-//     writebackRemote, ...). This is exactly the flushFrame bug class
-//     PR 2 fixed at run time: a message injected at t=0 instead of
-//     the emitting transaction's clock mis-times NI and home
-//     occupancy and hides traffic from windowed views. A deliberate time-0 charge
-//     carries a `//lint:eventtime` annotation.
 //   - hotalloc: functions annotated `//repro:hotpath` may not use
 //     fmt, string concatenation, closures, map literals/makes, or
 //     interface-boxing conversions — the allocation sources the
@@ -40,6 +32,12 @@
 // is a no-op observer, each hook checks its own receiver, and CI's
 // cursor-inlines step requires every hook to stay inlinable, so an
 // uninstrumented run pays one branch per hook at any call site.
+//
+// No analyzer guards event times either. A machine in audit mode
+// (dsm.Machine.EnableAudit) checks every resource acquire and fabric
+// injection against the time of the event being dispatched, which
+// also catches a stale time a literal-0 check cannot see: a named
+// zero, a computed one, or one a busy resource's queue hides.
 //
 // The suite runs inside `go test ./...`: the repository-root
 // lint_test.go applies it to every package of the module, so tier-1

@@ -67,7 +67,7 @@ func checkHotBody(pass *Pass, fd *ast.FuncDecl) {
 				return false
 			}
 			if pkg := calleePackagePath(pass, n); pkg == "fmt" {
-				pass.Reportf(n.Pos(), "hot path %s calls %s: fmt allocates; format outside the hot path or pass pre-built values", name, calleeName(n))
+				pass.Reportf(n.Pos(), "hot path %s calls %s: fmt allocates; format outside the hot path or pass pre-built values", name, types.ExprString(n.Fun))
 				return true
 			}
 			if tv, ok := pass.TypesInfo.Types[n.Fun]; ok && tv.IsType() && len(n.Args) == 1 {

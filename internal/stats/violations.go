@@ -7,8 +7,8 @@ import "fmt"
 const maxViolations = 16
 
 // ViolationLog accumulates audit-violation descriptions with a bounded
-// memory footprint: the machine and the interconnect fabric record
-// event-time violations into one while running in audit mode, and the
+// memory footprint: a dsm machine records its dispatch-order and
+// page-busy violations into one while running in audit mode, and the
 // end-of-run checks of internal/audit read them back.
 type ViolationLog struct {
 	kept  []string
