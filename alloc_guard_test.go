@@ -38,13 +38,13 @@ var allocCases = []allocCase{
 	{"CacheProbeInfinite", 10000, cacheProbeInfinite, 0, 0},
 	{"CacheProbePage", 10000, cacheProbePage, 0, 0},
 	{"EngineDispatch", 10000, engineDispatch, 0, 0},
-	{"FaultPathCold", 20, faultPath(faultCold, dsm.CCNUMA()), 393, 744035},
-	{"FaultPathCoherence", 20, faultPath(faultCoherence, dsm.CCNUMA()), 387, 187402},
-	{"FaultPathCapacity", 20, faultPath(faultCapacity, dsm.CCNUMA()), 395, 1309569},
-	{"FaultPathSCOMA", 20, faultPath(faultCapacity, scomaSpec()), 437, 1291279},
+	{"FaultPathCold", 20, faultPath(faultCold, dsm.CCNUMA()), 320, 470774},
+	{"FaultPathCoherence", 20, faultPath(faultCoherence, dsm.CCNUMA()), 319, 180346},
+	{"FaultPathCapacity", 20, faultPath(faultCapacity, dsm.CCNUMA()), 320, 765688},
+	{"FaultPathSCOMA", 20, faultPath(faultCapacity, scomaSpec()), 362, 747797},
 	{"TraceReplaySoA", 20, traceReplaySoA, 0, 0},
-	{"Fig5Sweep", 1, fig5Sweep(nil), 19348, 6674560},
-	{"Fig5SweepTelemetry", 1, fig5Sweep(&telemetry.Config{Timeline: true}), 23481, 7968120},
+	{"Fig5Sweep", 1, fig5Sweep(nil), 13194, 4499768},
+	{"Fig5SweepTelemetry", 1, fig5Sweep(&telemetry.Config{Timeline: true}), 17276, 5701984},
 }
 
 // TestBenchAllocationGuard runs every allocCase and fails if allocs/op

@@ -7,10 +7,11 @@
 // The structures are probed on every simulated memory access, so they are
 // built for the replay hot path: flat arrays indexed by set or by
 // block/page number, no map lookups, and no steady-state allocation.
-// NewPageCacheSized and BlockCache.Reset size the index arrays for the
-// trace footprint so they are allocated once up front. L1.Reset and
-// BlockCache.Reset empty a cache in place, so a run list's machines
-// reuse one set of caches (see dsm.Tables).
+// NewPageCacheSized, PageCache.Reset and BlockCache.Reset size the
+// index arrays for the trace footprint so they are allocated once up
+// front. L1.Reset, BlockCache.Reset and PageCache.Reset empty a cache
+// in place, the page cache keeping its frames for later allocations, so
+// a run list's machines reuse one set of caches (see dsm.Tables).
 package cache
 
 import (
@@ -408,8 +409,8 @@ func popcount(x uint64) int {
 // capacity of zero pages means unbounded (R-NUMA-Inf).
 //
 // Frames are indexed by page number in a flat array (no map on the probe
-// path), and the most recently freed frame is recycled by the next
-// Allocate, so steady-state replacement allocates nothing. A frame
+// path), and freed frames are recycled by later Allocates, most recently
+// freed first, so steady-state replacement allocates nothing. A frame
 // returned by EvictLRU or Remove is therefore only valid until the next
 // Allocate on the same cache.
 type PageCache struct {
@@ -420,9 +421,9 @@ type PageCache struct {
 	// LRU list: head is MRU, tail is LRU.
 	head, tail *PageEntry
 
-	// spare is the most recently evicted/removed frame, recycled by
-	// Allocate.
-	spare *PageEntry
+	// free lists the evicted and removed frames, linked by next, most
+	// recently freed first; Allocate takes from its head.
+	free *PageEntry
 }
 
 // NewPageCache builds a page cache holding the given number of bytes
@@ -439,6 +440,23 @@ func NewPageCacheSized(bytes, pages int) *PageCache {
 		capacity: bytes / config.PageBytes,
 		entries:  make([]*PageEntry, pages),
 	}
+}
+
+// Reset empties c and sizes its frame index for the given number of
+// pages, leaving it as NewPageCacheSized(c's capacity in bytes, pages)
+// builds it. The index keeps its storage when it holds pages, and every
+// frame c held goes to the free list for later Allocates.
+func (c *PageCache) Reset(pages int) {
+	for c.tail != nil {
+		c.release(c.tail)
+	}
+	c.resident = 0
+	if cap(c.entries) < pages {
+		c.entries = make([]*PageEntry, pages)
+		return
+	}
+	clear(c.entries[:cap(c.entries)])
+	c.entries = c.entries[:pages]
 }
 
 // Infinite reports whether the cache is unbounded.
@@ -488,10 +506,9 @@ func (c *PageCache) EvictLRU() *PageEntry {
 	if e == nil {
 		return nil
 	}
-	c.remove(e)
+	c.release(e)
 	c.entries[e.Page] = nil
 	c.resident--
-	c.spare = e
 	return e
 }
 
@@ -512,9 +529,9 @@ func (c *PageCache) Allocate(p memory.Page) *PageEntry {
 		copy(bigger, c.entries)
 		c.entries = bigger
 	}
-	e := c.spare
+	e := c.free
 	if e != nil {
-		c.spare = nil
+		c.free = e.next
 		*e = PageEntry{Page: p}
 	} else {
 		e = &PageEntry{Page: p}
@@ -535,11 +552,19 @@ func (c *PageCache) Remove(p memory.Page) *PageEntry {
 	if e == nil {
 		return nil
 	}
-	c.remove(e)
+	c.release(e)
 	c.entries[p] = nil
 	c.resident--
-	c.spare = e
 	return e
+}
+
+// release unlinks frame e from the LRU list onto the free list.
+//
+//repro:hotpath
+func (c *PageCache) release(e *PageEntry) {
+	c.remove(e)
+	e.next = c.free
+	c.free = e
 }
 
 //repro:hotpath

@@ -323,3 +323,57 @@ func TestResetMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestPageCacheResetReusesFrames: a used page cache, once Reset, holds
+// no page, replays an LRU sequence as a new one does, and serves its
+// Allocates from the frames it held, allocating nothing.
+func TestPageCacheResetReusesFrames(t *testing.T) {
+	const frames = 4
+	seq := []memory.Page{3, 1, 3, 7, 2, 1, 6, 5, 3, 0}
+	replay := func(c *PageCache, evicted []memory.Page) []memory.Page {
+		for _, p := range seq {
+			if c.Touch(p) != nil {
+				continue
+			}
+			if c.Full() {
+				evicted = append(evicted, c.EvictLRU().Page)
+			}
+			if e := c.Allocate(p); e.Valid != 0 || e.Dirty != 0 {
+				t.Fatalf("page %d allocated with tags %b/%b", p, e.Valid, e.Dirty)
+			}
+			c.Entry(p).Valid, c.Entry(p).Dirty = 1<<p, 1
+		}
+		return evicted
+	}
+	pc := NewPageCacheSized(frames*config.PageBytes, 16)
+	for p := memory.Page(0); p < 12; p++ {
+		if pc.Full() {
+			pc.EvictLRU()
+		}
+		pc.Allocate(p).Valid = 1
+	}
+	pc.Remove(11)
+	for _, pages := range []int{8, 32, 8} {
+		pc.Reset(pages)
+		if pc.Len() != 0 || pc.EvictLRU() != nil {
+			t.Fatalf("Reset(%d) left %d pages", pages, pc.Len())
+		}
+		for p := range memory.Page(pages) {
+			if pc.Entry(p) != nil {
+				t.Fatalf("Reset(%d) left page %d", pages, p)
+			}
+		}
+		want := replay(NewPageCacheSized(frames*config.PageBytes, pages), nil)
+		got := make([]memory.Page, 0, len(seq))
+		allocs := testing.AllocsPerRun(3, func() {
+			pc.Reset(pages)
+			got = replay(pc, got[:0])
+		})
+		if allocs != 0 {
+			t.Errorf("Reset(%d): a replay allocates %v times, want its frames from the free list", pages, allocs)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Reset(%d): evictions %v, a new cache evicts %v", pages, got, want)
+		}
+	}
+}

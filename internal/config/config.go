@@ -271,6 +271,10 @@ func DefaultCluster() Cluster {
 	return Cluster{Nodes: DefaultNodes, CPUsPerNode: DefaultCPUsPerNode}
 }
 
+// MaxCPUsPerNode is the most CPUs a node may have: the machine counts a
+// node's L1 copies of a block in a 6-bit field.
+const MaxCPUsPerNode = 63
+
 // TotalCPUs returns the number of processors in the cluster.
 func (c Cluster) TotalCPUs() int { return c.Nodes * c.CPUsPerNode }
 
@@ -281,6 +285,9 @@ func (c Cluster) Validate() error {
 	}
 	if c.Nodes > 64 {
 		return fmt.Errorf("config: node count %d exceeds the 64-node sharer-set limit", c.Nodes)
+	}
+	if c.CPUsPerNode > MaxCPUsPerNode {
+		return fmt.Errorf("config: %d CPUs per node exceed the %d-CPU limit of the L1-copy count", c.CPUsPerNode, MaxCPUsPerNode)
 	}
 	return c.Net.Validate(c.Nodes)
 }

@@ -127,11 +127,16 @@ func TestClusterValidate(t *testing.T) {
 		{Nodes: 8, CPUsPerNode: 0},
 		{Nodes: -1, CPUsPerNode: 4},
 		{Nodes: 65, CPUsPerNode: 1},
+		{Nodes: 1, CPUsPerNode: MaxCPUsPerNode + 1},
+		{Nodes: 1, CPUsPerNode: 256}, // a byte count would wrap to 0
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("cluster %+v validated but should not", c)
 		}
+	}
+	if err := (Cluster{Nodes: 1, CPUsPerNode: MaxCPUsPerNode}).Validate(); err != nil {
+		t.Errorf("%d CPUs per node rejected: %v", MaxCPUsPerNode, err)
 	}
 	if got := DefaultCluster().TotalCPUs(); got != 32 {
 		t.Errorf("total cpus = %d, want 32", got)

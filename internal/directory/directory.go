@@ -3,6 +3,10 @@
 // global state, the owning node when dirty, and the (conservative) set of
 // nodes that may hold copies. Sharer sets are conservative because clean
 // evictions are silent, exactly as in hardware full-map directories.
+//
+// An entry takes 9 bytes: the 64-bit sharer mask and one byte packing
+// the state and owner, held in two parallel tables so no padding
+// separates them. Reset is therefore two clears.
 package directory
 
 import (
@@ -37,17 +41,89 @@ func (s State) String() string {
 	}
 }
 
-// Entry is one block's directory record.
+// Entry is one block's directory record, as Directory.Entry reads it.
 type Entry struct {
 	State   State
 	Owner   int8   // owning node when ModifiedState, else -1
 	Sharers uint64 // node bitmask, conservative superset
 }
 
-// Directory holds entries for every block of the shared address space.
+// A block's state and owner share one byte: the state in the top two
+// bits, a 6-bit owner field in the low six. The protocol only ever
+// writes Idle and Shared with no owner and Modified with an owner, but
+// Check must be able to see every (state, owner) pair an Entry can
+// name, so the byte holds all of them:
+//
+//	tag 0 Idle, tag 1 Shared: the field is owner+1 (0: no owner)
+//	tag 2 Modified:           the field is the owner
+//	tag 3:                    field 0 Idle and 1 Shared with owner 63,
+//	                          field 2 Modified with no owner
+//
+// The zero byte is Idle with no owner, so a cleared table is a fresh
+// one. The protocol methods write only the three bytes the protocol
+// uses (0, shared and modifiedBy); the other pairs come from Set.
+const (
+	ownerBits = 6
+	ownerMask = 1<<ownerBits - 1
+	spareTag  = 3 // the tag of the pairs the other three cannot hold
+
+	shared = uint8(SharedState) << ownerBits // Shared, no owner
+)
+
+// modifiedBy returns the byte of a block node holds dirty.
+//
+//repro:hotpath
+func modifiedBy(node int) uint8 { return uint8(ModifiedState)<<ownerBits | uint8(node) }
+
+// unpack returns the state and owner a block's byte holds.
+//
+//repro:hotpath
+func unpack(x uint8) (State, int8) {
+	tag, f := x>>ownerBits, int8(x&ownerMask)
+	switch tag {
+	case uint8(ModifiedState):
+		return ModifiedState, f
+	case spareTag:
+		if State(f) == ModifiedState {
+			return ModifiedState, -1
+		}
+		return State(f), ownerMask
+	}
+	return State(tag), f - 1
+}
+
+// state returns the state a block's byte holds.
+//
+//repro:hotpath
+func state(x uint8) State {
+	if tag := x >> ownerBits; tag != spareTag {
+		return State(tag)
+	}
+	return State(x & ownerMask)
+}
+
+// pack returns the byte holding state s and owner (-1: none); it
+// panics on a pair no Entry names.
+func pack(s State, owner int8) uint8 {
+	switch {
+	case s > ModifiedState || owner < -1 || owner > ownerMask:
+		panic(fmt.Sprintf("directory: no byte holds state %d with owner %d", s, owner))
+	case s == ModifiedState && owner >= 0:
+		return modifiedBy(int(owner))
+	case s == ModifiedState:
+		return spareTag<<ownerBits | uint8(ModifiedState)
+	case owner == ownerMask:
+		return spareTag<<ownerBits | uint8(s)
+	}
+	return uint8(s)<<ownerBits | uint8(owner+1)
+}
+
+// Directory holds entries for every block of the shared address space:
+// a sharer bitmask and a state-and-owner byte per block, 9 bytes.
 type Directory struct {
 	nodes   int
-	entries []Entry
+	sharers []uint64
+	meta    []uint8 // state and owner, packed as pack does
 }
 
 // New builds a directory covering blocks [0, numBlocks) for a cluster of
@@ -60,36 +136,63 @@ func New(numBlocks uint64, nodes int) *Directory {
 
 // Reset empties d and resizes it to numBlocks blocks of a nodes-node
 // cluster, leaving it as New(numBlocks, nodes) builds it: every entry
-// Idle with no owner and no sharers. The entries reuse d's storage
+// Idle with no owner and no sharers. The tables reuse d's storage
 // when it holds numBlocks.
 func (d *Directory) Reset(numBlocks uint64, nodes int) {
 	if nodes <= 0 || nodes > 64 {
 		panic("directory: node count must be in 1..64")
 	}
 	d.nodes = nodes
-	if uint64(cap(d.entries)) < numBlocks {
-		d.entries = make([]Entry, numBlocks)
-	}
-	d.entries = d.entries[:numBlocks]
-	for i := range d.entries {
-		d.entries[i] = Entry{Owner: -1}
-	}
+	d.sharers = cleared(d.sharers, numBlocks)
+	d.meta = cleared(d.meta, numBlocks)
 }
 
-// Entry returns a pointer to the block's record.
-func (d *Directory) Entry(b memory.Block) *Entry { return &d.entries[b] }
+// cleared returns s resized to n zero entries, on s's storage when it
+// holds n.
+func cleared[T uint8 | uint64](s []T, n uint64) []T {
+	if uint64(cap(s)) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Entry returns the block's record.
+//
+//repro:hotpath
+func (d *Directory) Entry(b memory.Block) Entry {
+	s, owner := unpack(d.meta[b])
+	return Entry{State: s, Owner: owner, Sharers: d.sharers[b]}
+}
+
+// Sharers returns the block's sharer set.
+//
+//repro:hotpath
+func (d *Directory) Sharers(b memory.Block) uint64 { return d.sharers[b] }
+
+// ModifiedBy reports whether node holds the block's sole dirty copy.
+//
+//repro:hotpath
+func (d *Directory) ModifiedBy(b memory.Block, node int) bool { return d.meta[b] == modifiedBy(node) }
+
+// Set overwrites the block's record. The protocol goes through the
+// methods below; Set plants arbitrary records, such as the corrupt
+// ones Check reports. It panics on a state other than the three, or
+// an owner outside -1..63.
+func (d *Directory) Set(b memory.Block, e Entry) {
+	d.meta[b] = pack(e.State, e.Owner)
+	d.sharers[b] = e.Sharers
+}
 
 // AddSharer records that node holds a clean copy.
+//
+//repro:hotpath
 func (d *Directory) AddSharer(b memory.Block, node int) {
-	e := &d.entries[b]
-	e.Sharers |= 1 << uint(node)
-	if e.State == Idle {
-		e.State = SharedState
-	}
-	if e.State == ModifiedState {
-		// Owner's copy downgraded to shared alongside the new sharer.
-		e.State = SharedState
-		e.Owner = -1
+	d.sharers[b] |= 1 << uint(node)
+	if state(d.meta[b]) != SharedState {
+		// An owner's copy downgrades to shared alongside the new sharer.
+		d.meta[b] = shared
 	}
 }
 
@@ -97,71 +200,72 @@ func (d *Directory) AddSharer(b memory.Block, node int) {
 // are dropped (the protocol has invalidated them). It returns the bitmask
 // of nodes (excluding the new owner) that held copies and therefore
 // received invalidations.
+//
+//repro:hotpath
 func (d *Directory) SetOwner(b memory.Block, node int) (invalidated uint64) {
-	e := &d.entries[b]
-	invalidated = e.Sharers &^ (1 << uint(node))
-	if e.State == ModifiedState && e.Owner >= 0 && int(e.Owner) != node {
-		invalidated |= 1 << uint(e.Owner)
+	invalidated = d.sharers[b] &^ (1 << uint(node))
+	if x := d.meta[b]; x>>ownerBits == uint8(ModifiedState) && x != modifiedBy(node) {
+		invalidated |= 1 << (x & ownerMask)
 	}
-	e.State = ModifiedState
-	e.Owner = int8(node)
-	e.Sharers = 1 << uint(node)
+	d.meta[b] = modifiedBy(node)
+	d.sharers[b] = 1 << uint(node)
 	return invalidated
 }
 
 // WriteBack records that the owner flushed its dirty copy to home memory.
 // The block returns to Idle unless other (conservative) sharers remain.
+//
+//repro:hotpath
 func (d *Directory) WriteBack(b memory.Block, node int) {
-	e := &d.entries[b]
-	if e.State == ModifiedState && int(e.Owner) == node {
-		e.Owner = -1
-		e.Sharers &^= 1 << uint(node)
-		if e.Sharers == 0 {
-			e.State = Idle
+	if d.ModifiedBy(b, node) {
+		d.sharers[b] &^= 1 << uint(node)
+		if d.sharers[b] == 0 {
+			d.meta[b] = 0
 		} else {
-			e.State = SharedState
+			d.meta[b] = shared
 		}
 	}
 }
 
 // DropSharer removes node from the sharer set (an observed clean
 // eviction; silent drops simply leave the set conservative).
+//
+//repro:hotpath
 func (d *Directory) DropSharer(b memory.Block, node int) {
-	e := &d.entries[b]
-	e.Sharers &^= 1 << uint(node)
-	if e.State == ModifiedState && int(e.Owner) == node {
-		e.Owner = -1
-		e.State = SharedState
+	d.sharers[b] &^= 1 << uint(node)
+	if d.ModifiedBy(b, node) {
+		d.meta[b] = shared
 	}
-	if e.Sharers == 0 && e.State == SharedState {
-		e.State = Idle
+	if d.sharers[b] == 0 && state(d.meta[b]) == SharedState {
+		d.meta[b] = 0
 	}
 }
 
 // InvalidateAll clears every copy of the block (page gathering), and
 // returns the set of nodes that held copies.
+//
+//repro:hotpath
 func (d *Directory) InvalidateAll(b memory.Block) (held uint64) {
-	e := &d.entries[b]
-	held = e.Sharers
-	e.State = Idle
-	e.Owner = -1
-	e.Sharers = 0
+	held = d.sharers[b]
+	d.meta[b] = 0
+	d.sharers[b] = 0
 	return held
 }
 
 // IsDirtyRemote reports whether the block is dirty at a node other than
 // the requester, returning the owner.
+//
+//repro:hotpath
 func (d *Directory) IsDirtyRemote(b memory.Block, requester int) (owner int, dirty bool) {
-	e := &d.entries[b]
-	if e.State == ModifiedState && int(e.Owner) != requester {
-		return int(e.Owner), true
+	if s, o := unpack(d.meta[b]); s == ModifiedState && int(o) != requester {
+		return int(o), true
 	}
 	return -1, false
 }
 
 // SharerCount returns the number of nodes in the sharer set.
 func (d *Directory) SharerCount(b memory.Block) int {
-	x := d.entries[b].Sharers
+	x := d.sharers[b]
 	n := 0
 	for x != 0 {
 		x &= x - 1
@@ -174,8 +278,8 @@ func (d *Directory) SharerCount(b memory.Block) int {
 // ModifiedState implies a valid owner inside the sharer set of size one
 // or more; Idle implies no owner. It returns the first violation found.
 func (d *Directory) Check() error {
-	for i := range d.entries {
-		e := &d.entries[i]
+	for i := range d.meta {
+		e := d.Entry(memory.Block(i))
 		switch e.State {
 		case ModifiedState:
 			if e.Owner < 0 || int(e.Owner) >= d.nodes {

@@ -34,7 +34,7 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	}
 	e := d.Entry(0)
 	if e.State != ModifiedState || e.Owner != 3 || e.Sharers != 1<<3 {
-		t.Errorf("entry = %+v", *e)
+		t.Errorf("entry = %+v", e)
 	}
 }
 
@@ -59,7 +59,7 @@ func TestWriteBack(t *testing.T) {
 	d.WriteBack(5, 4)
 	e := d.Entry(5)
 	if e.State != Idle || e.Owner != -1 || e.Sharers != 0 {
-		t.Errorf("after writeback: %+v", *e)
+		t.Errorf("after writeback: %+v", e)
 	}
 	// Writeback from a non-owner is ignored.
 	d.SetOwner(5, 1)
@@ -78,7 +78,7 @@ func TestDowngradeOnReadOfDirty(t *testing.T) {
 	d.AddSharer(1, 2)
 	e := d.Entry(1)
 	if e.State != SharedState || e.Sharers != (1<<6)|(1<<2) {
-		t.Errorf("entry = %+v", *e)
+		t.Errorf("entry = %+v", e)
 	}
 }
 
@@ -115,7 +115,7 @@ func TestAddSharerDowngradesModified(t *testing.T) {
 	d.AddSharer(0, 2)
 	e := d.Entry(0)
 	if e.State != SharedState || e.Owner != -1 {
-		t.Errorf("entry = %+v, want downgraded shared", *e)
+		t.Errorf("entry = %+v, want downgraded shared", e)
 	}
 }
 
@@ -196,12 +196,16 @@ func TestDirectoryAgainstReferenceModel(t *testing.T) {
 
 func TestCheckDetectsCorruption(t *testing.T) {
 	d := New(4, 8)
-	d.Entry(memory.Block(1)).State = ModifiedState // owner missing
+	e := d.Entry(1)
+	e.State = ModifiedState // owner missing
+	d.Set(1, e)
 	if d.Check() == nil {
 		t.Error("Check accepted modified block without owner")
 	}
 	d2 := New(4, 8)
-	d2.Entry(0).Sharers = 1 // idle with sharers
+	e = d2.Entry(0)
+	e.Sharers = 1 // idle with sharers
+	d2.Set(0, e)
 	if d2.Check() == nil {
 		t.Error("Check accepted idle block with sharers")
 	}
@@ -233,5 +237,59 @@ func TestResetMatchesNew(t *testing.T) {
 		if !reflect.DeepEqual(d, New(c.blocks, c.nodes)) {
 			t.Errorf("reset to %d blocks, %d nodes: differs from New", c.blocks, c.nodes)
 		}
+	}
+}
+
+// TestEveryEntryRoundTrips: every state with every owner from -1 to 63
+// reads back as Set wrote it on a 64-node directory, next to
+// neighbours holding other pairs, and Check reports each pair the
+// protocol never writes.
+func TestEveryEntryRoundTrips(t *testing.T) {
+	var want []Entry
+	for _, s := range []State{Idle, SharedState, ModifiedState} {
+		for owner := -1; owner < 64; owner++ {
+			want = append(want, Entry{State: s, Owner: int8(owner), Sharers: 1<<63 | uint64(len(want))})
+		}
+	}
+	d := New(uint64(len(want)), 64)
+	for i, e := range want {
+		d.Set(memory.Block(i), e)
+	}
+	bytes := map[uint8]Entry{}
+	for i, e := range want {
+		if got := d.Entry(memory.Block(i)); got != e {
+			t.Errorf("Set(%+v) reads back %+v", e, got)
+		}
+		if prev, ok := bytes[d.meta[i]]; ok {
+			t.Errorf("%+v and %+v share byte %#x", prev, e, d.meta[i])
+		}
+		bytes[d.meta[i]] = e
+	}
+	for _, e := range want {
+		one := New(1, 64)
+		e.Sharers = 0
+		if e.State == ModifiedState && e.Owner >= 0 {
+			e.Sharers = 1 << uint(e.Owner)
+		}
+		one.Set(0, e)
+		valid := e.Owner == -1 && e.State != ModifiedState || e.State == ModifiedState && e.Owner >= 0
+		if err := one.Check(); (err == nil) != valid {
+			t.Errorf("%+v: Check = %v", e, err)
+		}
+	}
+	if got := New(1, 8).Entry(0); got != (Entry{Owner: -1}) {
+		t.Errorf("fresh entry = %+v, want idle with no owner", got)
+	}
+}
+
+// TestSetRejectsUnnamedPairs: Set panics on a state or owner no byte
+// holds.
+func TestSetRejectsUnnamedPairs(t *testing.T) {
+	for _, e := range []Entry{{State: 3, Owner: -1}, {Owner: -2}, {State: ModifiedState, Owner: 64}} {
+		func() {
+			defer func() { recover() }()
+			New(1, 64).Set(0, e)
+			t.Errorf("Set accepted %+v", e)
+		}()
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"repro/internal/cache"
-	"repro/internal/directory"
 	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/stats"
@@ -165,20 +164,19 @@ func (m *Machine) access(c *engine.CPU, b memory.Block, write bool) {
 //repro:hotpath
 func (m *Machine) upgrade(c *engine.CPU, n int, b memory.Block) {
 	ns := &m.st.Nodes[n]
-	de := m.dir.Entry(b)
 	p := b.Page()
 	h := m.pages[p].home
 
-	remote := de.Sharers &^ (1 << uint(n))
+	remote := m.dir.Sharers(b) &^ (1 << uint(n))
 	if remote != 0 {
 		m.remoteUpgrade(c, n, h, b, remote)
-	} else if m.l1count[n][b] > 1 {
+	} else if m.copies(n, b) > 1 {
 		// Node-local upgrade: one bus transaction invalidates siblings.
 		m.advance(c, ns, m.bus[n].Acquire(m.acquireAt(c.Clock), m.tm.BusOccupancy))
 	}
 	// Invalidate sibling L1 copies on this node (the upgrading CPU's own
 	// copy accounts for one of the node's counted copies).
-	if m.l1count[n][b] > 1 {
+	if m.copies(n, b) > 1 {
 		m.purgeL1s(n, b, c.ID)
 	}
 	m.dir.SetOwner(b, n)
@@ -263,17 +261,16 @@ func (m *Machine) fetch(c *engine.CPU, n int, b memory.Block, cls stats.MissClas
 	p := b.Page()
 	pg := &m.pages[p]
 	h := pg.home
-	de := m.dir.Entry(b)
 	ns := &m.st.Nodes[n]
 	start := c.Clock
 
-	remote := de.Sharers &^ (1 << uint(n))
+	remote := m.dir.Sharers(b) &^ (1 << uint(n))
 	// A write fill can complete locally only if no other node holds a
 	// copy; otherwise exclusivity must come from the home.
 	localOK := !write || remote == 0
 
 	// 1. Another L1 on this node holds the block.
-	if m.l1count[n][b] > 0 && localOK {
+	if m.copies(n, b) > 0 && localOK {
 		return true
 	}
 
@@ -425,8 +422,7 @@ func (m *Machine) completeFill(c *engine.CPU, n int, b memory.Block, write bool)
 		// An intra-node read of a block this node owns dirty must not
 		// downgrade the directory: the data is still dirty on the node
 		// (the sibling cache supplies it MOESI-style).
-		de := m.dir.Entry(b)
-		if !(de.State == directory.ModifiedState && int(de.Owner) == n) {
+		if !m.dir.ModifiedBy(b, n) {
 			m.dir.AddSharer(b, n)
 		}
 	}
@@ -466,7 +462,7 @@ func (m *Machine) install(c *engine.CPU, n int, b memory.Block, write bool) {
 	}
 
 	v := m.l1[c.ID].Insert(b, st)
-	m.l1count[n][b]++
+	m.nodeBlock[n][b]++ // the count is the low bits
 	m.markCached(n, b)
 	if v.Valid {
 		m.evictFromL1(n, v, now)
@@ -478,8 +474,8 @@ func (m *Machine) install(c *engine.CPU, n int, b memory.Block, write bool) {
 //repro:hotpath
 func (m *Machine) evictFromL1(n int, v cache.Victim, now int64) {
 	b := v.Block
-	if m.l1count[n][b] > 0 {
-		m.l1count[n][b]--
+	if m.copies(n, b) > 0 {
+		m.nodeBlock[n][b]--
 	}
 	p := b.Page()
 	pg := &m.pages[p]
@@ -515,7 +511,7 @@ func (m *Machine) evictFromL1(n int, v cache.Victim, now int64) {
 		// Final departure by eviction. A silently dropped clean copy
 		// leaves the directory conservative; dirty departures were
 		// written back above.
-		m.flags[n][b] &^= flagDepartInval
+		m.nodeBlock[n][b] &^= flagDepartInval
 	}
 }
 
@@ -529,5 +525,5 @@ func (m *Machine) evictFromBlockCache(n int, v cache.Victim, now int64) {
 	if v.Dirty || dirty {
 		m.writebackRemote(n, m.pages[b.Page()].home, b, now)
 	}
-	m.flags[n][b] &^= flagDepartInval // capacity departure
+	m.nodeBlock[n][b] &^= flagDepartInval // capacity departure
 }

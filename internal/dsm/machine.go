@@ -19,10 +19,14 @@ const (
 	msgBlockBytes  = msgHeaderBytes + config.BlockBytes
 )
 
-// node flag bits, per node per block.
+// A node's byte per block (Machine.nodeBlock) packs the count of the
+// node's L1s holding the block, in its low copyBits bits, with two
+// history flags above it.
 const (
-	flagEverCached  = 1 << 0 // node has cached the block at least once
-	flagDepartInval = 1 << 1 // last departure was an invalidation
+	copyBits        = 6
+	copyMask        = 1<<copyBits - 1     // config.MaxCPUsPerNode, the most the count reaches
+	flagEverCached  = 1 << copyBits       // node has cached the block at least once
+	flagDepartInval = 1 << (copyBits + 1) // last departure was an invalidation
 )
 
 // mrCounter is the per-page home-side migration/replication counter bank.
@@ -113,11 +117,10 @@ type Machine struct {
 	bc []*cache.BlockCache // per node, nil if absent
 	pc []*cache.PageCache  // per node, nil if absent
 
-	// dir, pages, l1, bc's block caches and the three per-node tables
-	// live on a Tables set (see bind); pc is the machine's own.
-	l1count [][]uint8 // [node][block] count of on-node L1 copies
-	flags   [][]uint8 // [node][block] classification flags
-	ref     [][]int32 // [node][page] R-NUMA refetch counters; nil unless RNUMA
+	// dir, pages, l1, bc, pc and the two per-node tables live on a
+	// Tables set (see bind).
+	nodeBlock [][]uint8 // [node][block] L1-copy count and history flags
+	ref       [][]int32 // [node][page] R-NUMA refetch counters; nil unless RNUMA
 
 	// throttled counts the page moves the contention gate deferred
 	// (Spec.ContentionGate).
@@ -194,22 +197,16 @@ func newMachine(spec Spec, cl config.Cluster, tm config.Timing, th config.Thresh
 	for i := range m.cpuNode {
 		m.cpuNode[i] = int32(i / cl.CPUsPerNode)
 	}
-	fab, err := interconnect.New(cl.Net, cl.Nodes, tm)
+	topo, err := tb.topology(cl.Net, cl.Nodes)
 	if err != nil {
 		return nil, err
 	}
-	m.fabric = fab
+	m.fabric = interconnect.NewFabric(topo, tm)
 
 	m.bus = engine.NewResourceBank(cl.Nodes)
 	m.ni = engine.NewResourceBank(cl.Nodes)
 	m.home = engine.NewResourceBank(cl.Nodes)
 	tb.bind(m)
-	if spec.RNUMA {
-		m.pc = make([]*cache.PageCache, cl.Nodes)
-		for n := range m.pc {
-			m.pc[n] = cache.NewPageCacheSized(spec.PageCacheBytes, int(numPages))
-		}
-	}
 	m.deriveFixed()
 	return m, nil
 }
@@ -390,9 +387,9 @@ func (m *Machine) invalidateOnNode(n int, b memory.Block, byInval bool) (present
 	}
 	if present {
 		if byInval {
-			m.flags[n][b] |= flagDepartInval
+			m.nodeBlock[n][b] |= flagDepartInval
 		} else {
-			m.flags[n][b] &^= flagDepartInval
+			m.nodeBlock[n][b] &^= flagDepartInval
 		}
 	}
 	return present, dirty
@@ -402,7 +399,7 @@ func (m *Machine) invalidateOnNode(n int, b memory.Block, byInval bool) (present
 // CPU except (-1 spares none), keeping the node's copy count, and
 // reports whether any copy was present and whether any was dirty.
 func (m *Machine) purgeL1s(n int, b memory.Block, except int) (present, dirty bool) {
-	if m.l1count[n][b] == 0 {
+	if m.copies(n, b) == 0 {
 		return false, false
 	}
 	lo, hi := m.cpusOf(n)
@@ -413,7 +410,7 @@ func (m *Machine) purgeL1s(n int, b memory.Block, except int) (present, dirty bo
 		if p, d := m.l1[c].Invalidate(b); p {
 			present = true
 			dirty = dirty || d
-			m.l1count[n][b]--
+			m.nodeBlock[n][b]-- // the count is the low bits
 		}
 	}
 	return present, dirty
@@ -423,7 +420,7 @@ func (m *Machine) purgeL1s(n int, b memory.Block, except int) (present, dirty bo
 // Shared state, reporting whether any copy was dirty (data must be
 // written back to home by the caller).
 func (m *Machine) downgradeOnNode(n int, b memory.Block) (wasDirty bool) {
-	if m.l1count[n][b] > 0 {
+	if m.copies(n, b) > 0 {
 		lo, hi := m.cpusOf(n)
 		for c := lo; c < hi; c++ {
 			if m.l1[c].Lookup(b) == cache.Modified {
@@ -452,7 +449,7 @@ func (m *Machine) downgradeOnNode(n int, b memory.Block) (wasDirty bool) {
 
 // nodeHolds reports whether node n currently caches block b anywhere.
 func (m *Machine) nodeHolds(n int, b memory.Block) bool {
-	if m.l1count[n][b] > 0 {
+	if m.copies(n, b) > 0 {
 		return true
 	}
 	if m.bc != nil && m.bc[n].Probe(b) != cache.Invalid {
@@ -466,16 +463,21 @@ func (m *Machine) nodeHolds(n int, b memory.Block) bool {
 	return false
 }
 
+// copies returns the number of node n's L1s holding block b.
+//
+//repro:hotpath
+func (m *Machine) copies(n int, b memory.Block) uint8 { return m.nodeBlock[n][b] & copyMask }
+
 // markCached records that node n now caches block b.
 func (m *Machine) markCached(n int, b memory.Block) {
-	m.flags[n][b] |= flagEverCached
-	m.flags[n][b] &^= flagDepartInval
+	m.nodeBlock[n][b] |= flagEverCached
+	m.nodeBlock[n][b] &^= flagDepartInval
 }
 
 // classify determines the miss class for node n fetching block b, based
 // on the node's history flags. Must be called before markCached.
 func (m *Machine) classify(n int, b memory.Block) stats.MissClass {
-	f := m.flags[n][b]
+	f := m.nodeBlock[n][b]
 	if f&flagEverCached == 0 {
 		return stats.Cold
 	}

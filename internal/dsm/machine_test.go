@@ -356,8 +356,7 @@ func TestVerifyReportsCacheDirectoryDisagreement(t *testing.T) {
 			plant: func(m *Machine) {
 				// node 3 owns block 41; node 2 stays in the
 				// conservative sharer set but holds it dirty
-				e := m.dir.Entry(41)
-				e.State, e.Owner, e.Sharers = directory.ModifiedState, 3, 1<<2|1<<3
+				m.dir.Set(41, directory.Entry{State: directory.ModifiedState, Owner: 3, Sharers: 1<<2 | 1<<3})
 				m.l1[11].Insert(41, cache.Modified)
 			},
 			want: "dsm: cpu 11 holds block 41 dirty but directory says modified owner 3",

@@ -117,7 +117,7 @@ func (m *Machine) flushFrame(op *pageOp, n int, fr *cache.PageEntry) (flushed in
 		} else {
 			m.dir.DropSharer(b, n)
 		}
-		m.flags[n][b] &^= flagDepartInval // capacity departure
+		m.nodeBlock[n][b] &^= flagDepartInval // capacity departure
 	}
 	fr.Valid, fr.Dirty = 0, 0
 	return flushed

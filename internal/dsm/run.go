@@ -119,6 +119,13 @@ func (m *Machine) Execute(tr *trace.Trace) error {
 	return nil
 }
 
+// dispatchedEarly logs that c was dispatched before the last dispatched
+// event. It is dispatch's cold path: Addf boxes its arguments.
+func (m *Machine) dispatchedEarly(c *engine.CPU) {
+	m.violations.Addf("dsm: cpu %d dispatched at %d after event time %d",
+		c.ID, c.Clock, m.lastDispatch)
+}
+
 // dispatch executes one already-peeked trace op on CPU c: the audit
 // pre-checks, the gap advance, and the op itself, which requeues or
 // parks c and unblocks the CPUs it releases (barrier waiters, lock
@@ -133,8 +140,7 @@ func (m *Machine) dispatch(c *engine.CPU, kind trace.Kind, gap uint32, arg uint6
 		// floor below which no resource may be acquired and no
 		// message may enter the fabric.
 		if c.Clock < m.lastDispatch {
-			m.violations.Addf("dsm: cpu %d dispatched at %d after event time %d",
-				c.ID, c.Clock, m.lastDispatch)
+			m.dispatchedEarly(c)
 		}
 		m.lastDispatch = c.Clock
 		m.floor = c.Clock + int64(gap)

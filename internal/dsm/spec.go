@@ -45,9 +45,12 @@
 // Machine.Execute replays the trace on one clock-keyed event heap,
 // dispatching ops in (Clock, CPU-ID) order.
 //
-// A machine's largest tables — the directory, the page records, the
-// per-node L1-copy counts and miss-history flags, R-NUMA's refetch
-// counters, every L1 and every block cache — live on a Tables set.
+// A machine's largest tables — the directory, the page records, one
+// byte per node and block packing the node's L1-copy count with its
+// miss-history flags, R-NUMA's refetch counters and page caches, every
+// L1 and every block cache — live on a Tables set, with the immutable
+// fabric graphs. The directory and per-node bytes take 9 plus one
+// byte per node for each block: 17 bytes on the paper's 8x4 cluster.
 // The caller of RunWithOptions or RunBaseline owns the set it passes in
 // RunOptions.Tables and may pass it to one run after another, which
 // then share its storage: each machine resizes the tables to its

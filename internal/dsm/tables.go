@@ -6,15 +6,21 @@ import (
 	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/directory"
+	"repro/internal/interconnect"
 )
 
 // Tables is reusable storage for the largest tables of a Machine: the
-// directory, the page records, the per-node L1-copy counts and
-// miss-history flags, R-NUMA's refetch counters, every CPU's L1 and
-// every node's finite or infinite block cache. A machine built on a
-// set resizes each table to its own footprint and cluster and resets
-// it to the state a freshly allocated table has, so what ran on the set
-// before cannot change a run's statistics; the storage only grows.
+// directory, the page records, the per-node block bytes (L1-copy count
+// and miss-history flags), R-NUMA's refetch counters and page caches,
+// every CPU's L1, every node's finite or infinite block cache, and the
+// fabric graphs. Per block that is 9 bytes of directory entry plus one
+// byte per node: 17 bytes on the paper's 8-node cluster. A machine
+// built on a set resizes each table to its own footprint and cluster
+// and resets it to the state a freshly allocated table has, so what ran
+// on the set before cannot change a run's statistics; the storage only
+// grows. A fabric graph is never written, so the set keeps one per
+// topology and node count and each machine's fabric counts on it
+// afresh.
 //
 // The caller owns the set. It serves one machine at a time, and that
 // machine's state lives only until the set's next use; nothing a run
@@ -24,18 +30,41 @@ type Tables struct {
 	dir   directory.Directory
 	pages []page
 
-	// l1count and flags are [node*numBlocks+block], ref is
-	// [node*numPages+page]; the *Rows slices view them one node per row.
-	l1count, flags        []uint8
-	ref                   []int32
-	l1countRows, flagRows [][]uint8
-	refRows               [][]int32
+	// nodeBlock is [node*numBlocks+block], ref is [node*numPages+page];
+	// the *Rows slices view them one node per row.
+	nodeBlock     []uint8
+	ref           []int32
+	nodeBlockRows [][]uint8
+	refRows       [][]int32
 
 	l1 []*cache.L1
 	// bc are finite block caches of bcBytes each, inf the infinite ones.
 	bc      []*cache.BlockCache
 	bcBytes int
 	inf     []*cache.BlockCache
+	// pc are R-NUMA page caches of pcBytes each (0: unbounded).
+	pc      []*cache.PageCache
+	pcBytes int
+
+	// topos are the fabric graphs built on the set, at most one per
+	// topology and node count.
+	topos []*interconnect.Topology
+}
+
+// topology returns the graph of net over the given node count, built
+// on its first use.
+func (tb *Tables) topology(net config.Network, nodes int) (*interconnect.Topology, error) {
+	for _, t := range tb.topos {
+		if t.Name == net.Kind() && t.Nodes == nodes {
+			return t, nil
+		}
+	}
+	t, err := interconnect.NewTopology(net, nodes)
+	if err != nil {
+		return nil, err
+	}
+	tb.topos = append(tb.topos, t)
+	return t, nil
 }
 
 // bind resizes and resets the tables for m, whose spec, cluster and
@@ -52,15 +81,24 @@ func (tb *Tables) bind(m *Machine) {
 	}
 	m.pages = tb.pages
 
-	tb.l1count = zeroed(tb.l1count, nodes*nb)
-	tb.flags = zeroed(tb.flags, nodes*nb)
-	tb.l1countRows = rows(tb.l1countRows, tb.l1count, nodes, nb)
-	tb.flagRows = rows(tb.flagRows, tb.flags, nodes, nb)
-	m.l1count, m.flags = tb.l1countRows, tb.flagRows
+	tb.nodeBlock = zeroed(tb.nodeBlock, nodes*nb)
+	tb.nodeBlockRows = rows(tb.nodeBlockRows, tb.nodeBlock, nodes, nb)
+	m.nodeBlock = tb.nodeBlockRows
 	if m.spec.RNUMA {
 		tb.ref = zeroed(tb.ref, nodes*np)
 		tb.refRows = rows(tb.refRows, tb.ref, nodes, np)
 		m.ref = tb.refRows
+
+		if tb.pcBytes != m.spec.PageCacheBytes {
+			tb.pc, tb.pcBytes = tb.pc[:0], m.spec.PageCacheBytes
+		}
+		for len(tb.pc) < nodes {
+			tb.pc = append(tb.pc, cache.NewPageCache(tb.pcBytes))
+		}
+		m.pc = tb.pc[:nodes:nodes]
+		for _, c := range m.pc {
+			c.Reset(np)
+		}
 	}
 
 	for len(tb.l1) < cpus {

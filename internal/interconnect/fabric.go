@@ -35,21 +35,31 @@ type Fabric struct {
 // count, with hop latency tm.NetworkLatency. The zero-value Network
 // yields the ideal crossbar — the paper's original flat network model.
 func New(net config.Network, nodes int, tm config.Timing) (*Fabric, error) {
-	if err := net.Validate(nodes); err != nil {
+	topo, err := NewTopology(net, nodes)
+	if err != nil {
 		return nil, err
 	}
-	topo := newTopology(net.Kind(), nodes)
+	return NewFabric(topo, tm), nil
+}
+
+// NewFabric builds a fabric over topo with hop latency
+// tm.NetworkLatency and zeroed counters. The fabric only reads topo,
+// so fabrics may share one.
+func NewFabric(topo *Topology, tm config.Timing) *Fabric {
+	n := topo.Nodes
+	links := make([]int64, 2*len(topo.Links))
+	pairs := make([]int64, n*n)
 	f := &Fabric{
 		topo:       topo,
 		hopLatency: tm.NetworkLatency,
-		linkBytes:  make([]int64, len(topo.Links)),
-		linkMsgs:   make([]int64, len(topo.Links)),
-		pairBytes:  make([][]int64, nodes),
+		linkBytes:  links[:len(topo.Links):len(topo.Links)],
+		linkMsgs:   links[len(topo.Links):],
+		pairBytes:  make([][]int64, n),
 	}
 	for i := range f.pairBytes {
-		f.pairBytes[i] = make([]int64, nodes)
+		f.pairBytes[i] = pairs[i*n : (i+1)*n : (i+1)*n]
 	}
-	return f, nil
+	return f
 }
 
 // Topology returns the underlying fabric graph.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -333,5 +334,37 @@ func TestSnapshotPairsMatchFabric(t *testing.T) {
 	}
 	if got := snap.InjectedBytes(); got != 158 {
 		t.Errorf("InjectedBytes = %d, want 158", got)
+	}
+}
+
+// TestFabricsShareATopology: fabrics built on one Topology count
+// apart, leave it as NewTopology built it, and snapshot nothing of it
+// but link names.
+func TestFabricsShareATopology(t *testing.T) {
+	topo, err := NewTopology(config.Network{Topology: config.TopoRing}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := NewFabric(topo, config.Default()), NewFabric(topo, config.Default())
+	a.Traverse(0, 4, 72, 0)
+	a.Deliver(3, 3, 8, 0)
+	if b.TotalLinkBytes() != 0 || b.LocalBytes() != 0 {
+		t.Errorf("fabric b counted %d link and %d local bytes fabric a carried", b.TotalLinkBytes(), b.LocalBytes())
+	}
+	if got := a.TotalLinkBytes(); got != 4*72 {
+		t.Errorf("fabric a counted %d link bytes, want %d", got, 4*72)
+	}
+	fresh, err := NewTopology(config.Network{Topology: config.TopoRing}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(topo, fresh) {
+		t.Error("counting on a topology changed it")
+	}
+	snap := a.Snapshot()
+	snap.Links[0].Bytes = -1
+	snap.Pairs[0][4] = -1
+	if a.PairBytes(0, 4) != 72 || a.Snapshot().Links[0].Bytes == -1 {
+		t.Error("a snapshot aliases the fabric's counters")
 	}
 }

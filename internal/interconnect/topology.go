@@ -66,6 +66,16 @@ func (t *Topology) tabulate(route func(src, dst int) []int) *Topology {
 	return t
 }
 
+// NewTopology builds the fabric graph a config.Network describes for
+// the given node count. A Topology never changes once built, so any
+// number of fabrics may share one.
+func NewTopology(net config.Network, nodes int) (*Topology, error) {
+	if err := net.Validate(nodes); err != nil {
+		return nil, err
+	}
+	return newTopology(net.Kind(), nodes), nil
+}
+
 // newTopology builds the named topology over n nodes; the name must
 // have passed config.Network.Validate for n.
 func newTopology(kind string, n int) *Topology {

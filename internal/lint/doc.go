@@ -22,8 +22,9 @@
 //     harness progress/manifest code and the cmd/ and examples/
 //     binaries may observe it, and they pass it down as values.
 //   - hotalloc: functions annotated `//repro:hotpath` may not use
-//     fmt, string concatenation, closures, map literals/makes, or
-//     interface-boxing conversions — the allocation sources the
+//     fmt, string concatenation, closures, map literals/makes,
+//     interface-boxing conversions, or pass concrete values to a
+//     variadic interface parameter — the allocation sources the
 //     dynamic allocs/op guard (alloc_guard_test.go) detects after
 //     the fact. Arguments of panic calls are exempt: a terminating path
 //     may format its last words.

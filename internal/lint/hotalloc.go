@@ -14,7 +14,8 @@ import (
 // root). That guard only fires for regressions a guarded case happens
 // to exercise; the analyzer rejects the allocation sources themselves
 // — fmt calls, string concatenation, closures, map literals and map
-// makes, interface-boxing conversions — in any function carrying the
+// makes, interface-boxing conversions and concrete arguments to a
+// variadic interface parameter (a ...any logger) — in any function carrying the
 // `//repro:hotpath` annotation, on every path. Arguments of panic
 // calls are exempt: a terminating path may format its last words, and
 // the compiler keeps the formatting out of the happy path.
@@ -75,6 +76,9 @@ func checkHotBody(pass *Pass, fd *ast.FuncDecl) {
 					pass.Reportf(n.Pos(), "hot path %s converts %s to interface %s: boxing allocates; keep the concrete type or hoist the conversion", name, types.ExprString(n.Args[0]), tv.Type.String())
 				}
 			}
+			if arg, elem := boxedVariadic(pass, n); arg != nil {
+				pass.Reportf(arg.Pos(), "hot path %s passes %s to variadic ...%s: boxing allocates; call a cold helper that takes the concrete values", name, types.ExprString(arg), elem.String())
+			}
 			if isMapMake(pass, n) {
 				pass.Reportf(n.Pos(), "hot path %s makes a map: map allocation on the hot path; preallocate in the constructor or use a dense slice index", name)
 			}
@@ -123,6 +127,28 @@ func calleePackagePath(pass *Pass, call *ast.CallExpr) string {
 		return ""
 	}
 	return obj.Pkg().Path()
+}
+
+// boxedVariadic returns the first argument the call boxes into its
+// callee's variadic interface parameter, and that parameter's element
+// type; nil when there is none or the call spreads a slice (f(xs...)).
+func boxedVariadic(pass *Pass, call *ast.CallExpr) (ast.Expr, types.Type) {
+	tv, ok := pass.TypesInfo.Types[call.Fun]
+	if !ok || tv.IsType() || call.Ellipsis.IsValid() {
+		return nil, nil
+	}
+	sig, ok := tv.Type.Underlying().(*types.Signature)
+	if !ok || !sig.Variadic() {
+		return nil, nil
+	}
+	fixed := sig.Params().Len() - 1
+	elem := sig.Params().At(fixed).Type().(*types.Slice).Elem()
+	for _, arg := range call.Args[fixed:] {
+		if boxes(pass, elem, arg) {
+			return arg, elem
+		}
+	}
+	return nil, nil
 }
 
 // isMapMake reports whether the call is make(map[...]...).

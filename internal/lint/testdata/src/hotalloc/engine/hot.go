@@ -37,6 +37,20 @@ func boxOnHotPath(e *event) Sink {
 	return Sink(e) // want `hot path boxOnHotPath converts e to interface`
 }
 
+// logf is a variadic logger, the shape of stats.ViolationLog.Addf.
+func logf(format string, args ...any) {}
+
+// logOnHotPath passes concrete values to logf: each one is boxed into
+// an interface, which allocates.
+//
+//repro:hotpath
+func logOnHotPath(e *event, prior any, rest []any) {
+	logf("event %d named %s", e.id, e.name) // want `hot path logOnHotPath passes e\.id to variadic \.\.\.any`
+	logf("prior %v", prior)                 // an interface argument boxes nothing
+	logf("rest", rest...)                   // a spread slice boxes nothing
+	logf("none")
+}
+
 // dispatchClean is annotated but allocation-free: index math, slice
 // reads, struct field writes.
 //
