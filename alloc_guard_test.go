@@ -38,13 +38,13 @@ var allocCases = []allocCase{
 	{"CacheProbeInfinite", 10000, cacheProbeInfinite, 0, 0},
 	{"CacheProbePage", 10000, cacheProbePage, 0, 0},
 	{"EngineDispatch", 10000, engineDispatch, 0, 0},
-	{"FaultPathCold", 20, faultPath(faultCold, dsm.CCNUMA()), 320, 470774},
-	{"FaultPathCoherence", 20, faultPath(faultCoherence, dsm.CCNUMA()), 319, 180346},
-	{"FaultPathCapacity", 20, faultPath(faultCapacity, dsm.CCNUMA()), 320, 765688},
-	{"FaultPathSCOMA", 20, faultPath(faultCapacity, scomaSpec()), 362, 747797},
+	{"FaultPathCold", 20, faultPath(faultCold, dsm.CCNUMA()), 309, 469061},
+	{"FaultPathCoherence", 20, faultPath(faultCoherence, dsm.CCNUMA()), 308, 178650},
+	{"FaultPathCapacity", 20, faultPath(faultCapacity, dsm.CCNUMA()), 309, 763993},
+	{"FaultPathSCOMA", 20, faultPath(faultCapacity, scomaSpec()), 351, 746077},
 	{"TraceReplaySoA", 20, traceReplaySoA, 0, 0},
-	{"Fig5Sweep", 1, fig5Sweep(nil), 13194, 4499768},
-	{"Fig5SweepTelemetry", 1, fig5Sweep(&telemetry.Config{Timeline: true}), 17276, 5701984},
+	{"Fig5Sweep", 1, fig5Sweep(nil), 12604, 4396256},
+	{"Fig5SweepTelemetry", 1, fig5Sweep(&telemetry.Config{Timeline: true}), 16774, 5614640},
 }
 
 // TestBenchAllocationGuard runs every allocCase and fails if allocs/op

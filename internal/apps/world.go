@@ -35,8 +35,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"repro/internal/memory"
 	"repro/internal/trace"
 )
@@ -180,15 +178,6 @@ func (w *World) Finish() (*trace.Trace, error) {
 	return t, nil
 }
 
-// MustFinish is Finish for generators with static structure.
-func (w *World) MustFinish() *trace.Trace {
-	t, err := w.Finish()
-	if err != nil {
-		panic(fmt.Sprintf("apps: %v", err))
-	}
-	return t
-}
-
 // Compute charges cycles of pure computation to this processor.
 func (c *Ctx) Compute(cycles int) { c.r.Compute(cycles) }
 
@@ -238,12 +227,6 @@ func (c *Ctx) Load(a *F64, i int) float64 {
 func (c *Ctx) Store(a *F64, i int, v float64) {
 	c.r.Access(a.Addr(i), true)
 	a.Data[i] = v
-}
-
-// Update reads and writes element i (one exclusive access).
-func (c *Ctx) Update(a *F64, i int, f func(float64) float64) {
-	c.r.Access(a.Addr(i), true)
-	a.Data[i] = f(a.Data[i])
 }
 
 // I64 is a shared array of int64 backed by real data.

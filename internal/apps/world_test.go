@@ -7,6 +7,16 @@ import (
 	"repro/internal/trace"
 )
 
+// mustFinish finishes w's trace, failing the test on an error.
+func mustFinish(t *testing.T, w *World) *trace.Trace {
+	t.Helper()
+	tr, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestWorldBarrierBalance(t *testing.T) {
 	w := NewWorld("t", 4)
 	w.Phase()
@@ -42,7 +52,7 @@ func TestTouchRangeCoversAllBlocks(t *testing.T) {
 	w.Parallel(func(c *Ctx) {
 		c.TouchRange(arr.Addr(0), 1024*8, false)
 	})
-	tr := w.MustFinish()
+	tr := mustFinish(t, w)
 	mem := 0
 	for _, op := range tr.CPUs[0].Ops() {
 		if op.Kind == trace.Read {
@@ -60,7 +70,7 @@ func TestTouchRecMultiBlockField(t *testing.T) {
 	w.Parallel(func(c *Ctx) {
 		c.TouchRec(rec, 1, 0, 128, true)
 	})
-	tr := w.MustFinish()
+	tr := mustFinish(t, w)
 	writes := 0
 	for _, op := range tr.CPUs[0].Ops() {
 		if op.Kind == trace.Write {
@@ -80,7 +90,7 @@ func TestLoadStoreRecordAndCompute(t *testing.T) {
 		if got := c.Load(arr, 0); got != 4.5 {
 			t.Errorf("load = %v, want 4.5", got)
 		}
-		c.Update(arr, 0, func(v float64) float64 { return v * 2 })
+		c.Store(arr, 0, c.Load(arr, 0)*2)
 	})
 	if arr.Data[0] != 9 {
 		t.Errorf("data = %v, want 9", arr.Data[0])

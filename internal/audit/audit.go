@@ -4,12 +4,13 @@
 // A simulated DSM run maintains the same quantities in several places:
 // every node counts the bytes it puts on the network (stats.Node
 // .TrafficBytes), the fabric counts the bytes injected per ordered node
-// pair and the bytes carried per link (interconnect.Fabric), and the
-// directory tracks which caches hold which blocks. These views are
-// redundant by construction, which makes them a free cross-check: if a
-// protocol path charges a node counter but skips the fabric (or
-// vice versa), injects a message in the simulated past, or leaves the
-// directory disagreeing with the caches, the books stop balancing.
+// pair and the bytes carried per link into the stats.NetStats the run
+// publishes (stats.Sim.Net), and the directory tracks which caches hold
+// which blocks. These views are redundant by construction, which makes
+// them a free cross-check: if a protocol path charges a node counter
+// but skips the fabric (or vice versa), injects a message in the
+// simulated past, or leaves the directory disagreeing with the caches,
+// the books stop balancing.
 //
 // Check runs over a finished machine and verifies:
 //
@@ -18,12 +19,11 @@
 //     injection before the time of the event being dispatched, the
 //     machine's one floor (collected online while the machine runs in
 //     audit mode — see dsm.Machine.EnableAudit);
-//   - traffic conservation: the summed per-node TrafficBytes equal the
-//     fabric's per-pair injected bytes plus node-local messages, and
-//     the per-link byte totals equal the per-pair bytes weighted by
-//     each pair's route hop count;
-//   - snapshot consistency: the stats.NetStats view published with the
-//     run agrees with the fabric it was taken from;
+//   - traffic conservation, read from the published NetStats: the
+//     summed per-node TrafficBytes equal the per-pair injected bytes
+//     plus node-local messages, and the per-link byte totals equal the
+//     per-pair bytes weighted by each pair's route hop count in the
+//     fabric's topology;
 //   - counter sanity: no negative traffic, stall, sync or page-op
 //     counters;
 //   - directory/cache agreement and the page-record invariants, via
@@ -49,7 +49,8 @@ import (
 type Machine interface {
 	// Stats returns the run's statistics.
 	Stats() *stats.Sim
-	// Fabric returns the interconnect the run routed messages over.
+	// Fabric returns the interconnect the run routed messages over;
+	// the checks read its topology's routes.
 	Fabric() *interconnect.Fabric
 	// Verify checks directory invariants, directory/cache agreement
 	// and the page records.
@@ -64,41 +65,31 @@ type Machine interface {
 func Check(m Machine) error {
 	var errs []string
 	s := m.Stats()
-	f := m.Fabric()
 
 	// Event-time discipline, collected online during the run.
 	errs = append(errs, m.AuditViolations()...)
 
-	// Traffic conservation against the fabric's ground truth.
-	topo := f.Topology()
-	var pair, hopWeighted int64
-	for src := 0; src < topo.Nodes; src++ {
-		for dst := 0; dst < topo.Nodes; dst++ {
-			b := f.PairBytes(src, dst)
-			pair += b
-			hopWeighted += b * int64(len(topo.Route(src, dst)))
+	// Traffic conservation against the fabric's per-pair ground truth.
+	if net := s.Net; net == nil {
+		errs = append(errs, "traffic conservation: the run published no NetStats")
+	} else {
+		topo := m.Fabric().Topology()
+		var pair, hopWeighted int64
+		for src, row := range net.Pairs {
+			for dst, b := range row {
+				pair += b
+				hopWeighted += b * int64(len(topo.Route(src, dst)))
+			}
 		}
-	}
-	if injected, counted := pair+f.LocalBytes(), s.TotalTrafficBytes(); injected != counted {
-		errs = append(errs, fmt.Sprintf(
-			"traffic conservation: fabric injected %d bytes (pairs %d + local %d) but node counters total %d",
-			injected, pair, f.LocalBytes(), counted))
-	}
-	if got := f.TotalLinkBytes(); got != hopWeighted {
-		errs = append(errs, fmt.Sprintf(
-			"link conservation: links carried %d bytes, hop-weighted pair injection is %d",
-			got, hopWeighted))
-	}
-
-	// The published snapshot must agree with the fabric it mirrors.
-	if s.Net != nil {
-		if got := s.Net.TotalLinkBytes(); got != f.TotalLinkBytes() {
+		if injected, counted := pair+net.LocalBytes, s.TotalTrafficBytes(); injected != counted {
 			errs = append(errs, fmt.Sprintf(
-				"snapshot: link bytes %d != fabric %d", got, f.TotalLinkBytes()))
+				"traffic conservation: fabric injected %d bytes (pairs %d + local %d) but node counters total %d",
+				injected, pair, net.LocalBytes, counted))
 		}
-		if got := s.Net.InjectedBytes(); got != pair+f.LocalBytes() {
+		if got := net.TotalLinkBytes(); got != hopWeighted {
 			errs = append(errs, fmt.Sprintf(
-				"snapshot: injected bytes %d != fabric %d", got, pair+f.LocalBytes()))
+				"link conservation: links carried %d bytes, hop-weighted pair injection is %d",
+				got, hopWeighted))
 		}
 	}
 

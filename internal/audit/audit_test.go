@@ -1,6 +1,7 @@
 package audit_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -64,8 +65,9 @@ func TestFigure5SystemsCleanOnAllFabrics(t *testing.T) {
 // TestConservationSemantics locks the semantics of the conservation
 // check the audit subsystem runs: for every Figure-5 system on the
 // crossbar and the mesh, the summed per-node TrafficBytes equal the
-// fabric's per-pair byte totals (plus node-local messages), and the
-// per-link totals equal the per-pair bytes weighted by route length.
+// published NetStats' per-pair byte totals (plus node-local messages),
+// and the per-link totals equal the per-pair bytes weighted by route
+// length.
 // audit.Check must agree with the explicit sums, in both directions.
 func TestConservationSemantics(t *testing.T) {
 	tr := auditTrace(t)
@@ -75,24 +77,24 @@ func TestConservationSemantics(t *testing.T) {
 	} {
 		for _, spec := range dsm.AllBaseSystems() {
 			m := runAudited(t, spec, net, tr)
-			f := m.Fabric()
-			topo := f.Topology()
+			ns := m.Stats().Net
+			topo := m.Fabric().Topology()
 			var pair, hopWeighted int64
 			for s := 0; s < topo.Nodes; s++ {
 				for d := 0; d < topo.Nodes; d++ {
-					pair += f.PairBytes(s, d)
-					hopWeighted += f.PairBytes(s, d) * int64(len(topo.Route(s, d)))
+					pair += ns.Pairs[s][d]
+					hopWeighted += ns.Pairs[s][d] * int64(len(topo.Route(s, d)))
 				}
 			}
 			counted := m.Stats().TotalTrafficBytes()
 			if counted == 0 {
 				t.Fatalf("%s on %s: workload generated no traffic", spec.Name, net.Kind())
 			}
-			if got := pair + f.LocalBytes(); got != counted {
+			if got := pair + ns.LocalBytes; got != counted {
 				t.Errorf("%s on %s: fabric injected %d bytes, node counters total %d",
 					spec.Name, net.Kind(), got, counted)
 			}
-			if got := f.TotalLinkBytes(); got != hopWeighted {
+			if got := ns.TotalLinkBytes(); got != hopWeighted {
 				t.Errorf("%s on %s: links carried %d bytes, hop-weighted injection %d",
 					spec.Name, net.Kind(), got, hopWeighted)
 			}
@@ -105,8 +107,9 @@ func TestConservationSemantics(t *testing.T) {
 }
 
 // TestCheckRejectsImbalancedBooks drives audit.Check with a machine
-// whose node counters were skewed after the run: the conservation check
-// must fail, proving the audit has teeth.
+// whose node counters, and then whose published link counters, were
+// skewed after the run: the conservation checks must fail, proving the
+// audit has teeth.
 func TestCheckRejectsImbalancedBooks(t *testing.T) {
 	tr := auditTrace(t)
 	m := runAudited(t, dsm.CCNUMA(), config.Network{}, tr)
@@ -116,5 +119,10 @@ func TestCheckRejectsImbalancedBooks(t *testing.T) {
 	m.Stats().Nodes[0].TrafficBytes += 64 // cook the books
 	if err := audit.Check(m); err == nil {
 		t.Error("audit accepted imbalanced traffic counters")
+	}
+	m.Stats().Nodes[0].TrafficBytes -= 64
+	m.Stats().Net.Links[0].Bytes += 64
+	if err := audit.Check(m); err == nil || !strings.Contains(err.Error(), "link conservation") {
+		t.Errorf("audit accepted imbalanced link counters: %v", err)
 	}
 }

@@ -213,9 +213,6 @@ func (c *BlockCache) Reset(blocks int) {
 	clear(c.inf)
 }
 
-// Infinite reports whether the cache is the unbounded variant.
-func (c *BlockCache) Infinite() bool { return c.infinite }
-
 //repro:hotpath
 func (c *BlockCache) set(b memory.Block) uint64 { return uint64(b) & (c.sets - 1) }
 
@@ -389,21 +386,6 @@ type PageEntry struct {
 	prev, next *PageEntry
 }
 
-// ValidBlocks returns the number of valid blocks in the frame.
-func (e *PageEntry) ValidBlocks() int { return popcount(e.Valid) }
-
-// DirtyBlocks returns the number of dirty blocks in the frame.
-func (e *PageEntry) DirtyBlocks() int { return popcount(e.Dirty) }
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
-
 // PageCache is the per-node S-COMA page cache: a set of page frames with
 // LRU replacement at page granularity and per-block presence tags. A
 // capacity of zero pages means unbounded (R-NUMA-Inf).
@@ -458,15 +440,6 @@ func (c *PageCache) Reset(pages int) {
 	clear(c.entries[:cap(c.entries)])
 	c.entries = c.entries[:pages]
 }
-
-// Infinite reports whether the cache is unbounded.
-func (c *PageCache) Infinite() bool { return c.capacity == 0 }
-
-// Capacity returns the frame count (0 = unbounded).
-func (c *PageCache) Capacity() int { return c.capacity }
-
-// Len returns the number of resident pages.
-func (c *PageCache) Len() int { return c.resident }
 
 // Entry returns the frame for page p, or nil, without touching LRU
 // order.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -126,7 +127,7 @@ func TestBlockCacheInvalidate(t *testing.T) {
 
 func TestInfiniteBlockCacheNeverEvicts(t *testing.T) {
 	bc := NewInfiniteBlockCache()
-	if !bc.Infinite() {
+	if !bc.infinite {
 		t.Fatal("not infinite")
 	}
 	for i := 0; i < 100000; i++ {
@@ -167,8 +168,8 @@ func TestBlockCacheAssociativityBound(t *testing.T) {
 
 func TestPageCacheLRUEviction(t *testing.T) {
 	pc := NewPageCache(3 * config.PageBytes)
-	if pc.Capacity() != 3 {
-		t.Fatalf("capacity = %d, want 3", pc.Capacity())
+	if pc.capacity != 3 {
+		t.Fatalf("capacity = %d, want 3", pc.capacity)
 	}
 	pc.Allocate(1)
 	pc.Allocate(2)
@@ -181,8 +182,8 @@ func TestPageCacheLRUEviction(t *testing.T) {
 	if e.Page != 2 {
 		t.Errorf("evicted page %d, want 2", e.Page)
 	}
-	if pc.Len() != 2 {
-		t.Errorf("len = %d, want 2", pc.Len())
+	if pc.resident != 2 {
+		t.Errorf("len = %d, want 2", pc.resident)
 	}
 }
 
@@ -192,11 +193,11 @@ func TestPageCacheTags(t *testing.T) {
 	e.Valid |= 1 << 5
 	e.Dirty |= 1 << 5
 	e.Valid |= 1 << 60
-	if e.ValidBlocks() != 2 {
-		t.Errorf("valid blocks = %d, want 2", e.ValidBlocks())
+	if got := bits.OnesCount64(e.Valid); got != 2 {
+		t.Errorf("valid blocks = %d, want 2", got)
 	}
-	if e.DirtyBlocks() != 1 {
-		t.Errorf("dirty blocks = %d, want 1", e.DirtyBlocks())
+	if got := bits.OnesCount64(e.Dirty); got != 1 {
+		t.Errorf("dirty blocks = %d, want 1", got)
 	}
 	if got := pc.Entry(9); got != e {
 		t.Error("entry lookup mismatch")
@@ -229,7 +230,7 @@ func TestPageCacheRemove(t *testing.T) {
 
 func TestInfinitePageCache(t *testing.T) {
 	pc := NewPageCache(0)
-	if !pc.Infinite() {
+	if pc.capacity != 0 {
 		t.Fatal("capacity 0 not infinite")
 	}
 	for i := 0; i < 10000; i++ {
@@ -238,8 +239,8 @@ func TestInfinitePageCache(t *testing.T) {
 		}
 		pc.Allocate(memory.Page(i))
 	}
-	if pc.Len() != 10000 {
-		t.Errorf("len = %d", pc.Len())
+	if pc.resident != 10000 {
+		t.Errorf("len = %d", pc.resident)
 	}
 }
 
@@ -355,8 +356,8 @@ func TestPageCacheResetReusesFrames(t *testing.T) {
 	pc.Remove(11)
 	for _, pages := range []int{8, 32, 8} {
 		pc.Reset(pages)
-		if pc.Len() != 0 || pc.EvictLRU() != nil {
-			t.Fatalf("Reset(%d) left %d pages", pages, pc.Len())
+		if pc.resident != 0 || pc.EvictLRU() != nil {
+			t.Fatalf("Reset(%d) left %d pages", pages, pc.resident)
 		}
 		for p := range memory.Page(pages) {
 			if pc.Entry(p) != nil {

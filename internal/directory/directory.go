@@ -263,17 +263,6 @@ func (d *Directory) IsDirtyRemote(b memory.Block, requester int) (owner int, dir
 	return -1, false
 }
 
-// SharerCount returns the number of nodes in the sharer set.
-func (d *Directory) SharerCount(b memory.Block) int {
-	x := d.sharers[b]
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}
-
 // Check validates the structural invariants of every entry:
 // ModifiedState implies a valid owner inside the sharer set of size one
 // or more; Idle implies no owner. It returns the first violation found.

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -19,8 +20,8 @@ func TestReadSharingAccumulates(t *testing.T) {
 	if e.Sharers != (1<<1)|(1<<4) {
 		t.Errorf("sharers = %b", e.Sharers)
 	}
-	if d.SharerCount(3) != 2 {
-		t.Errorf("count = %d, want 2", d.SharerCount(3))
+	if got := bits.OnesCount64(d.Sharers(3)); got != 2 {
+		t.Errorf("count = %d, want 2", got)
 	}
 }
 

@@ -39,7 +39,7 @@ func TestAuditFlagsPastInjection(t *testing.T) {
 		t.Fatalf("violations = %q, want one past injection at t=999", got)
 	}
 	// Byte accounting is unaffected by auditing and by violations.
-	if got := m.fabric.PairBytes(2, 3); got != 64 {
+	if got := m.fabric.Stats().Pairs[2][3]; got != 64 {
 		t.Errorf("flagged message not counted: pair bytes = %d, want 64", got)
 	}
 }

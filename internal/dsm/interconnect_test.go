@@ -57,30 +57,29 @@ func TestTrafficConservation(t *testing.T) {
 	for _, net := range testNetworks {
 		for _, spec := range []Spec{CCNUMA(), MigRep(), RNUMA()} {
 			m := runOnTopo(t, spec, net, tr)
-			f := m.Fabric()
-			topo := f.Topology()
+			topo := m.Fabric().Topology()
+			name := topo.Name
+			ns := m.Stats().Net
+			if ns == nil {
+				t.Fatalf("%s/%s: stats.Net not populated", name, spec.Name)
+			}
+			if ns != m.Fabric().Stats() {
+				t.Errorf("%s/%s: stats.Net is not the NetStats the fabric counted into", name, spec.Name)
+			}
 			var pairTotal, hopWeighted int64
 			for s := 0; s < topo.Nodes; s++ {
 				for d := 0; d < topo.Nodes; d++ {
-					pairTotal += f.PairBytes(s, d)
-					hopWeighted += f.PairBytes(s, d) * int64(len(topo.Route(s, d)))
+					pairTotal += ns.Pairs[s][d]
+					hopWeighted += ns.Pairs[s][d] * int64(len(topo.Route(s, d)))
 				}
 			}
-			name := topo.Name
-			if got := pairTotal + f.LocalBytes(); got != m.Stats().TotalTrafficBytes() {
+			if got := pairTotal + ns.LocalBytes; got != m.Stats().TotalTrafficBytes() {
 				t.Errorf("%s/%s: injected %d bytes, traffic counters say %d",
 					name, spec.Name, got, m.Stats().TotalTrafficBytes())
 			}
-			if got := f.TotalLinkBytes(); got != hopWeighted {
+			if got := ns.TotalLinkBytes(); got != hopWeighted {
 				t.Errorf("%s/%s: link bytes %d, want hop-weighted %d",
 					name, spec.Name, got, hopWeighted)
-			}
-			if m.Stats().Net == nil {
-				t.Fatalf("%s/%s: stats.Net not populated", name, spec.Name)
-			}
-			if got := m.Stats().Net.TotalLinkBytes(); got != f.TotalLinkBytes() {
-				t.Errorf("%s/%s: snapshot link bytes %d != fabric %d",
-					name, spec.Name, got, f.TotalLinkBytes())
 			}
 		}
 	}
@@ -94,13 +93,13 @@ func TestCrossbarLinkTotalsMatchTrafficCounters(t *testing.T) {
 	tr := sharingTrace(t)
 	for _, spec := range []Spec{CCNUMA(), Rep(), Mig(), MigRep(), RNUMA(), SCOMA()} {
 		m := runOnTopo(t, spec, config.Network{}, tr)
-		f := m.Fabric()
+		ns := m.Stats().Net
 		if m.Stats().TotalTrafficBytes() == 0 {
 			t.Fatalf("%s: workload generated no traffic", spec.Name)
 		}
-		if got := f.TotalLinkBytes() + f.LocalBytes(); got != m.Stats().TotalTrafficBytes() {
+		if got := ns.TotalLinkBytes() + ns.LocalBytes; got != m.Stats().TotalTrafficBytes() {
 			t.Errorf("%s: crossbar links %d + local %d != traffic %d",
-				spec.Name, f.TotalLinkBytes(), f.LocalBytes(), m.Stats().TotalTrafficBytes())
+				spec.Name, ns.TotalLinkBytes(), ns.LocalBytes, m.Stats().TotalTrafficBytes())
 		}
 	}
 }

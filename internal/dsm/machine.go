@@ -561,13 +561,3 @@ func (m *Machine) Verify() error {
 	}
 	return nil
 }
-
-// LockStats exposes per-lock acquisition counts for tests and reports.
-func (m *Machine) LockStats() map[uint64]int64 {
-	out := make(map[uint64]int64, len(m.locks))
-	//lint:unordered building a map from a map; callers order the result
-	for id, l := range m.locks {
-		out[id] = l.Acquisitions()
-	}
-	return out
-}

@@ -39,6 +39,15 @@ func TestMetamorphicRelations(t *testing.T) {
 		{"MigRep with MigRepThreshold unreachable = CC-NUMA", true, func(uint64) (a, b setup) {
 			return setup{MigRep(), noMigRep}, setup{CCNUMA(), def}
 		}},
+		{"Mig with MigRepThreshold unreachable = CC-NUMA", true, func(uint64) (a, b setup) {
+			return setup{Mig(), noMigRep}, setup{CCNUMA(), def}
+		}},
+		{"Rep with MigRepThreshold unreachable = CC-NUMA", true, func(uint64) (a, b setup) {
+			return setup{Rep(), noMigRep}, setup{CCNUMA(), def}
+		}},
+		{"R-NUMA-1/2+MigRep with no relocation delay and MigRepThreshold unreachable = R-NUMA-1/2", true, func(uint64) (a, b setup) {
+			return setup{RNUMAHalfMigRep(0), noMigRep}, setup{RNUMAHalf(), def}
+		}},
 		{"R-NUMA = R-NUMA-Inf with RNUMAThreshold unreachable", true, func(uint64) (a, b setup) {
 			return setup{RNUMA(), noReloc}, setup{RNUMAInf(), noReloc}
 		}},

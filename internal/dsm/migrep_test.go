@@ -297,11 +297,11 @@ func TestMigrateMovesHome(t *testing.T) {
 	m.pages[0].home = 0
 	m.pages[0].mapped = 1<<0 | 1<<1 | 1<<2
 	m.migrate(m.sched.CPUByID(12), 3, 0)
-	if got := m.HomeOf(0); got != 3 {
+	if got := m.pages[0].home; got != 3 {
 		t.Errorf("home = %d after migration, want 3", got)
 	}
 	for n := 0; n < m.cl.Nodes; n++ {
-		if got := m.Mapped(n, 0); got != (n == 3) {
+		if got := m.pages[0].mapped&(1<<n) != 0; got != (n == 3) {
 			t.Errorf("node %d mapped = %v after migration to node 3", n, got)
 		}
 	}
@@ -347,10 +347,10 @@ func TestCollapseDropsReplicaWithFrame(t *testing.T) {
 	if pg.replicated || pg.replicas != 0 {
 		t.Errorf("after collapse: replicated %v, replicas %b", pg.replicated, pg.replicas)
 	}
-	if m.Mapped(2, 0) {
+	if pg.mapped&(1<<2) != 0 {
 		t.Error("node 2's replica mapping survived the collapse")
 	}
-	if !m.Mapped(1, 0) {
+	if pg.mapped&(1<<1) == 0 {
 		t.Error("node 1 lost its mapping; the collapse no longer skips the replica that left with its frame")
 	}
 	tm := config.Default()

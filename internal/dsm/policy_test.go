@@ -77,8 +77,8 @@ func TestHomeUseWeighsAgainstMigration(t *testing.T) {
 	if got := m2.st.Nodes[1].PageOps[stats.Migration]; got != 1 {
 		t.Errorf("page did not migrate from idle home: %d ops", got)
 	}
-	if m2.HomeOf(0) != 1 {
-		t.Errorf("home = %d after migration, want 1", m2.HomeOf(0))
+	if got := m2.pages[0].home; got != 1 {
+		t.Errorf("home = %d after migration, want 1", got)
 	}
 }
 

@@ -122,21 +122,3 @@ func (m *Machine) flushFrame(op *pageOp, n int, fr *cache.PageEntry) (flushed in
 	fr.Valid, fr.Dirty = 0, 0
 	return flushed
 }
-
-// RefetchCounter exposes a page's current refetch count at a node, for
-// tests.
-func (m *Machine) RefetchCounter(node int, p memory.Page) int {
-	if m.ref == nil || uint64(p) >= uint64(len(m.ref[node])) {
-		return 0
-	}
-	return int(m.ref[node][p])
-}
-
-// HomeOf exposes a page's current home node, for tests.
-func (m *Machine) HomeOf(p memory.Page) int { return m.pages[p].home }
-
-// Mapped exposes whether node n currently holds a valid mapping of page
-// p, for tests.
-func (m *Machine) Mapped(node int, p memory.Page) bool {
-	return m.pages[p].mapped&(1<<uint(node)) != 0
-}

@@ -75,7 +75,7 @@ func TestRefetchCounterOnlyCountsCapacityMisses(t *testing.T) {
 	m.access(c4, 0, false)
 	m.access(c8, 0, true) // invalidates node 1
 	m.access(c4, 0, false)
-	if got := m.RefetchCounter(1, 0); got != 0 {
+	if got := m.ref[1][0]; got != 0 {
 		t.Errorf("refetch counter = %d after coherence miss, want 0", got)
 	}
 
@@ -86,7 +86,7 @@ func TestRefetchCounterOnlyCountsCapacityMisses(t *testing.T) {
 	m.pages[conflict.Page()].home = 0
 	m.access(c4, conflict, false)
 	m.access(c4, 0, false) // capacity refetch
-	if got := m.RefetchCounter(1, 0); got != 1 {
+	if got := m.ref[1][0]; got != 1 {
 		t.Errorf("refetch counter = %d after capacity refetch, want 1", got)
 	}
 }
@@ -226,7 +226,7 @@ func TestFrameEvictionFlushesAtEventTime(t *testing.T) {
 		t.Errorf("NI free at %d, want occupied past the eviction time %d", got, late)
 	}
 	// The remapped victim faults on its next touch.
-	if m.Mapped(1, 0) {
+	if m.pages[0].mapped&(1<<1) != 0 {
 		t.Error("victim page still mapped after frame eviction")
 	}
 	if m.pc[1].Entry(0) != nil {
@@ -266,7 +266,7 @@ func TestStaticAndReactiveEvictionAgree(t *testing.T) {
 			m.ref[1][1] = int32(m.th.RNUMAThreshold)
 			m.relocate(c4, 1, 1) // evicts page 0
 		}
-		if m.Mapped(1, 0) {
+		if m.pages[0].mapped&(1<<1) != 0 {
 			t.Errorf("static=%v: victim still mapped after eviction", static)
 		}
 		if m.pc[1].Entry(0) != nil {

@@ -115,7 +115,7 @@ func (m *Machine) Execute(tr *trace.Trace) error {
 		}
 	}
 	m.st.ExecCycles = sched.MaxClock()
-	m.st.Net = m.fabric.Snapshot()
+	m.st.Net = m.fabric.Stats()
 	return nil
 }
 

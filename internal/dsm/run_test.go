@@ -157,10 +157,10 @@ func TestPhaseResetReplacesPages(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			m := run(t, CCNUMA(), tinyTrace(1<<16, c.ops))
-			if home := m.HomeOf(0); home != c.home {
+			if home := m.pages[0].home; home != c.home {
 				t.Errorf("page homed at %d, want %d", home, c.home)
 			}
-			if !m.Mapped(1, 0) {
+			if m.pages[0].mapped&(1<<1) == 0 {
 				t.Error("node 1 touched the page but does not map it")
 			}
 		})
@@ -210,13 +210,23 @@ func TestAllSystemsRunAllApps(t *testing.T) {
 	}
 }
 
-func TestLockStatsExposed(t *testing.T) {
+// TestUncontendedLockChargesOneAcquire: one lock/unlock pair takes
+// the lock once, uncontended and never held elsewhere, so it costs
+// one local memory transaction of sync time and leaves the lock free
+// with its word on the acquiring node.
+func TestUncontendedLockChargesOneAcquire(t *testing.T) {
 	tr := tinyTrace(1<<16, map[int][]trace.Op{
 		0: {{Kind: trace.Lock, Arg: 7}, {Kind: trace.Unlock, Arg: 7}},
 	})
 	m := run(t, CCNUMA(), tr)
-	if got := m.LockStats()[7]; got != 1 {
-		t.Errorf("lock 7 acquisitions = %d, want 1", got)
+	if got, want := m.Stats().Nodes[0].SyncCycles, config.Default().LocalMiss; got != want {
+		t.Errorf("lock 7 sync cycles = %d, want one local acquire, %d", got, want)
+	}
+	if l := m.locks[7]; l == nil || !l.Acquire(m.sched.CPUByID(1)) {
+		t.Error("lock 7 not free after its one acquire and release")
+	}
+	if got, ok := m.lockOwn[7]; !ok || got != 0 {
+		t.Errorf("lock 7 word on node %d (seen %v), want node 0", got, ok)
 	}
 }
 

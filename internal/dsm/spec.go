@@ -143,11 +143,6 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// HasBlockCache reports whether the system includes a block cache.
-func (s Spec) HasBlockCache() bool {
-	return s.InfiniteBlockCache || s.BlockCacheBytes > 0
-}
-
 // MigRep reports whether either page migration or replication is on.
 func (s Spec) MigRep() bool { return s.Migration || s.Replication }
 

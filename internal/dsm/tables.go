@@ -19,13 +19,13 @@ import (
 // and resets it to the state a freshly allocated table has, so what ran
 // on the set before cannot change a run's statistics; the storage only
 // grows. A fabric graph is never written, so the set keeps one per
-// topology and node count and each machine's fabric counts on it
-// afresh.
+// topology and node count, and each machine's fabric routes over it
+// and counts into a stats.NetStats of its own.
 //
 // The caller owns the set. It serves one machine at a time, and that
 // machine's state lives only until the set's next use; nothing a run
-// returns (statistics, telemetry, the fabric snapshot) points into it.
-// The zero Tables is empty and ready to use.
+// returns (statistics, the fabric's NetStats, telemetry) points into
+// it. The zero Tables is empty and ready to use.
 type Tables struct {
 	dir   directory.Directory
 	pages []page

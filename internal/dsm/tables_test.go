@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/config"
+	"repro/internal/memory"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -26,6 +27,8 @@ func TestTablesReuseMatchesFreshTables(t *testing.T) {
 		cpus int
 	}
 	traces := map[key]*trace.Trace{}
+	// pages bounds the page index of every trace generated so far.
+	pages := 0
 	gen := func(name string, cpus int) *trace.Trace {
 		k := key{name, cpus}
 		if tr := traces[k]; tr != nil {
@@ -40,6 +43,7 @@ func TestTablesReuseMatchesFreshTables(t *testing.T) {
 			t.Fatal(err)
 		}
 		traces[k] = tr
+		pages = max(pages, int(tr.Footprint>>config.PageShift)+1)
 		return tr
 	}
 	ring := config.DefaultCluster()
@@ -101,7 +105,11 @@ func TestTablesReuseMatchesFreshTables(t *testing.T) {
 		}
 		pcs, topos, frames := slices.Clone(tb.pc), len(tb.topos), 0
 		for _, c := range pcs {
-			frames += c.Len()
+			for p := range pages {
+				if c.Entry(memory.Page(p)) != nil {
+					frames++
+				}
+			}
 		}
 		fresh, reused := do(RunOptions{}), do(RunOptions{Tables: tb})
 		if !reflect.DeepEqual(fresh, reused) {

@@ -239,19 +239,3 @@ func TestTimelineEventsMirrorPageOpCounts(t *testing.T) {
 		})
 	}
 }
-
-// TestSchedulerDispatchCounter pins the engine-level dispatch counter:
-// one scheduling decision per trace op plus the retire sweeps.
-func TestSchedulerDispatchCounter(t *testing.T) {
-	tr := tinyTrace(1<<16, map[int][]trace.Op{
-		0: {rd(0), rd(1), wr(2)},
-		4: {rd(3)},
-	})
-	m := run(t, CCNUMA(), tr)
-	// Every trace op is dispatched once, and each of the 32 CPUs is
-	// dispatched once more to be retired.
-	want := int64(tr.Ops()) + 32
-	if got := m.sched.Dispatches(); got != want {
-		t.Errorf("dispatches = %d, want %d", got, want)
-	}
-}

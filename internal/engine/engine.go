@@ -81,16 +81,12 @@ type CPU struct {
 //
 // The heap is hand-rolled rather than container/heap: the comparison and
 // swap run inline on the concrete slice, which matters because the replay
-// loop dispatches one heap operation per trace op.
+// loop dispatches one heap operation per trace op. The scheduler keeps
+// only what ordering needs; it counts nothing.
 type Scheduler struct {
 	cpus []*CPU
 	heap []*CPU
 	done int
-
-	// dispatches counts scheduling decisions: every Peek that handed
-	// the earliest runnable CPU to the caller. Run introspection
-	// reads it as the event-dispatch total of the replay loop.
-	dispatches int64
 }
 
 // NewScheduler creates a scheduler over n CPUs, all runnable at time 0.
@@ -207,7 +203,6 @@ func (s *Scheduler) Peek() *CPU {
 	if len(s.heap) == 0 {
 		return nil
 	}
-	s.dispatches++
 	return s.heap[0]
 }
 
@@ -265,9 +260,6 @@ func (s *Scheduler) Unblock(c *CPU, at Time) {
 // Done reports whether every CPU has finished.
 func (s *Scheduler) Done() bool { return s.done == len(s.cpus) }
 
-// Dispatches returns the number of scheduling decisions made so far.
-func (s *Scheduler) Dispatches() int64 { return s.dispatches }
-
 // MaxClock returns the maximum clock over all CPUs — the simulated
 // execution time once Done.
 func (s *Scheduler) MaxClock() Time {
@@ -291,7 +283,6 @@ type Barrier struct {
 	// state barrier episodes allocate nothing.
 	spare   []*CPU
 	maxTime Time
-	epochs  int64
 }
 
 // NewBarrier creates a barrier for the given population. overhead is
@@ -325,7 +316,6 @@ func (b *Barrier) Arrive(c *CPU) (release Time, waiters []*CPU, ok bool) {
 		b.waiting = b.spare[:0]
 		b.spare = waiters
 		b.maxTime = 0
-		b.epochs++
 		c.Clock = release
 		return release, waiters, true
 	}
@@ -333,28 +323,20 @@ func (b *Barrier) Arrive(c *CPU) (release Time, waiters []*CPU, ok bool) {
 	return 0, nil, false
 }
 
-// Epochs returns how many times the barrier has released.
-func (b *Barrier) Epochs() int64 { return b.epochs }
-
-// Waiting returns how many CPUs are currently parked at the barrier.
-func (b *Barrier) Waiting() int { return len(b.waiting) }
-
 // Lock models a mutex acquired in simulated-time order. Acquisition is
 // serialized: a CPU that requests the lock while it is held is parked and
 // released when the holder unlocks. The memory-system cost of the lock
 // operation itself (the remote access to the lock word) is charged by the
-// caller, not the Lock.
+// caller, not the Lock, which keeps only what serialization needs: whether
+// it is held, when it was last freed, and its FIFO of waiters.
 type Lock struct {
 	held    bool
-	holder  int
 	freeAt  Time
 	waiters []*CPU
-	acqs    int64
-	maxQ    int
 }
 
 // NewLock returns an unlocked lock.
-func NewLock() *Lock { return &Lock{holder: -1} }
+func NewLock() *Lock { return &Lock{} }
 
 // Acquire attempts to take the lock for c at its current clock. On
 // success it returns ok = true (the caller keeps c runnable; c.Clock may
@@ -365,17 +347,12 @@ func NewLock() *Lock { return &Lock{holder: -1} }
 func (l *Lock) Acquire(c *CPU) (ok bool) {
 	if !l.held {
 		l.held = true
-		l.holder = c.ID
 		if l.freeAt > c.Clock {
 			c.Clock = l.freeAt
 		}
-		l.acqs++
 		return true
 	}
 	l.waiters = append(l.waiters, c)
-	if len(l.waiters) > l.maxQ {
-		l.maxQ = len(l.waiters)
-	}
 	return false
 }
 
@@ -391,27 +368,10 @@ func (l *Lock) Release(now Time) (next *CPU) {
 	l.freeAt = now
 	if len(l.waiters) == 0 {
 		l.held = false
-		l.holder = -1
 		return nil
 	}
 	next = l.waiters[0]
 	copy(l.waiters, l.waiters[1:])
 	l.waiters = l.waiters[:len(l.waiters)-1]
-	l.holder = next.ID
-	l.acqs++
 	return next
 }
-
-// Holder returns the id of the current holder, or -1.
-func (l *Lock) Holder() int {
-	if !l.held {
-		return -1
-	}
-	return l.holder
-}
-
-// Acquisitions returns how many times the lock has been taken.
-func (l *Lock) Acquisitions() int64 { return l.acqs }
-
-// MaxQueue returns the longest waiter queue observed.
-func (l *Lock) MaxQueue() int { return l.maxQ }

@@ -53,8 +53,8 @@ func TestBarrierWaitingCount(t *testing.T) {
 	s := NewScheduler(3)
 	c := s.CPUByID(0)
 	b.Arrive(c)
-	if b.Waiting() != 1 {
-		t.Errorf("waiting = %d, want 1", b.Waiting())
+	if got := len(b.waiting); got != 1 {
+		t.Errorf("waiting = %d, want 1", got)
 	}
 }
 

@@ -141,9 +141,6 @@ func TestBarrierReleasesAtMaxPlusOverhead(t *testing.T) {
 	if c2.Clock != 97 {
 		t.Errorf("releaser clock %d, want 97", c2.Clock)
 	}
-	if b.Epochs() != 1 {
-		t.Errorf("epochs = %d, want 1", b.Epochs())
-	}
 }
 
 func TestBarrierReuse(t *testing.T) {
@@ -162,9 +159,6 @@ func TestBarrierReuse(t *testing.T) {
 		}
 		x.Clock = release
 	}
-	if b.Epochs() != 5 {
-		t.Errorf("epochs = %d, want 5", b.Epochs())
-	}
 }
 
 func TestLockSerializes(t *testing.T) {
@@ -174,9 +168,6 @@ func TestLockSerializes(t *testing.T) {
 	a.Clock = 10
 	if !l.Acquire(a) {
 		t.Fatal("free lock refused acquisition")
-	}
-	if l.Holder() != a.ID {
-		t.Fatalf("holder = %d, want %d", l.Holder(), a.ID)
 	}
 	b := s.CPUByID(1)
 	b.Clock = 15
@@ -190,11 +181,12 @@ func TestLockSerializes(t *testing.T) {
 	if next2 := l.Release(80); next2 != nil {
 		t.Fatal("empty queue release returned a cpu")
 	}
-	if l.Holder() != -1 {
-		t.Errorf("holder = %d after final release", l.Holder())
+	// Two grants, two releases: the lock is free again, from t=80.
+	if l.held {
+		t.Error("lock still held after final release")
 	}
-	if l.Acquisitions() != 2 {
-		t.Errorf("acquisitions = %d, want 2", l.Acquisitions())
+	if !l.Acquire(a) || a.Clock != 80 {
+		t.Errorf("third acquire: clock %d, want a grant at 80", a.Clock)
 	}
 }
 
@@ -235,9 +227,6 @@ func TestLockFIFO(t *testing.T) {
 		if next != waiters[i] {
 			t.Fatalf("handoff %d went to cpu %d, want %d", i, next.ID, waiters[i].ID)
 		}
-	}
-	if l.MaxQueue() != 3 {
-		t.Errorf("max queue = %d, want 3", l.MaxQueue())
 	}
 }
 

@@ -7,22 +7,18 @@ import (
 )
 
 // Fabric is a Topology instantiated with timing: a fixed per-hop
-// latency and per-link byte/message counters. Links have no bandwidth
-// limit, so messages never queue on them. All methods are deterministic.
+// latency, and the run's traffic counters, kept in the stats.NetStats
+// that Stats publishes. Links have no bandwidth limit, so messages
+// never queue on them. All methods are deterministic.
 type Fabric struct {
 	topo       *Topology
 	hopLatency int64
 
-	linkBytes []int64
-	linkMsgs  []int64
-
-	// pairBytes[src][dst] accumulates the bytes injected for each
-	// ordered node pair, the ground truth for conservation checks
-	// (sum over links == sum over pairs of bytes x route hops).
-	pairBytes [][]int64
-
-	localBytes int64
-	localMsgs  int64
+	// net is counted into by Traverse: Links[id] per link crossed,
+	// Pairs[src][dst] per message between distinct nodes (the ground
+	// truth of the conservation audit: the link bytes equal the pair
+	// bytes weighted by route hops), LocalBytes/LocalMsgs otherwise.
+	net stats.NetStats
 
 	// obs receives every link traversal on its windowed per-link
 	// series, keyed by the injection time at that hop. Purely
@@ -44,20 +40,24 @@ func New(net config.Network, nodes int, tm config.Timing) (*Fabric, error) {
 
 // NewFabric builds a fabric over topo with hop latency
 // tm.NetworkLatency and zeroed counters. The fabric only reads topo,
-// so fabrics may share one.
+// so fabrics may share one; each counts into a NetStats of its own.
 func NewFabric(topo *Topology, tm config.Timing) *Fabric {
 	n := topo.Nodes
-	links := make([]int64, 2*len(topo.Links))
-	pairs := make([]int64, n*n)
 	f := &Fabric{
 		topo:       topo,
 		hopLatency: tm.NetworkLatency,
-		linkBytes:  links[:len(topo.Links):len(topo.Links)],
-		linkMsgs:   links[len(topo.Links):],
-		pairBytes:  make([][]int64, n),
+		net: stats.NetStats{
+			Topology: topo.Name,
+			Links:    make([]stats.LinkStat, len(topo.Links)),
+			Pairs:    make([][]int64, n),
+		},
 	}
-	for i := range f.pairBytes {
-		f.pairBytes[i] = pairs[i*n : (i+1)*n : (i+1)*n]
+	for i, l := range topo.Links {
+		f.net.Links[i].Name = l.Name
+	}
+	pairs := make([]int64, n*n)
+	for i := range f.net.Pairs {
+		f.net.Pairs[i] = pairs[i*n : (i+1)*n : (i+1)*n]
 	}
 	return f
 }
@@ -86,9 +86,8 @@ func (f *Fabric) ExtraHopLatency(src, dst int) int64 {
 
 // SetObserver attaches a telemetry collector: every message charges its
 // bytes to the crossed link's windowed series at the simulated time the
-// message reaches that hop, alongside the existing aggregate counters.
-// The windowed totals therefore reconcile exactly with the linkBytes
-// counters.
+// message reaches that hop, alongside the per-link counters. The
+// windowed totals therefore reconcile exactly with Stats().Links.
 func (f *Fabric) SetObserver(o *telemetry.Collector) { f.obs = o }
 
 // Traverse routes one message of the given size from src to dst starting
@@ -103,15 +102,16 @@ func (f *Fabric) SetObserver(o *telemetry.Collector) { f.obs = o }
 func (f *Fabric) Traverse(src, dst int, bytes int64, now int64) int64 {
 	route := f.topo.Route(src, dst)
 	if len(route) == 0 {
-		f.localBytes += bytes
-		f.localMsgs++
+		f.net.LocalBytes += bytes
+		f.net.LocalMsgs++
 		return now
 	}
-	f.pairBytes[src][dst] += bytes
+	f.net.Pairs[src][dst] += bytes
 	t := now
 	for _, id := range route {
-		f.linkBytes[id] += bytes
-		f.linkMsgs[id]++
+		l := &f.net.Links[id]
+		l.Bytes += bytes
+		l.Msgs++
 		f.obs.Link(id, bytes, t)
 		t += f.hopLatency
 	}
@@ -127,19 +127,6 @@ func (f *Fabric) Deliver(src, dst int, bytes int64, now int64) {
 	f.Traverse(src, dst, bytes, now)
 }
 
-// TotalLinkBytes sums the byte counters over all links.
-func (f *Fabric) TotalLinkBytes() int64 {
-	var t int64
-	for _, b := range f.linkBytes {
-		t += b
-	}
-	return t
-}
-
-// LocalBytes returns the bytes of messages whose source and destination
-// node coincided.
-func (f *Fabric) LocalBytes() int64 { return f.localBytes }
-
 // RouteMaxLinkBytes returns the byte counter of the most-loaded link on
 // the src->dst route (zero for node-local routes). Contention-aware
 // policies use it to ask whether the path a bulk transfer would take is
@@ -147,8 +134,8 @@ func (f *Fabric) LocalBytes() int64 { return f.localBytes }
 func (f *Fabric) RouteMaxLinkBytes(src, dst int) int64 {
 	var max int64
 	for _, id := range f.topo.Route(src, dst) {
-		if f.linkBytes[id] > max {
-			max = f.linkBytes[id]
+		if b := f.net.Links[id].Bytes; b > max {
+			max = b
 		}
 	}
 	return max
@@ -157,38 +144,25 @@ func (f *Fabric) RouteMaxLinkBytes(src, dst int) int64 {
 // MeanLinkBytes returns the mean per-link byte counter over every link
 // of the fabric (zero on a linkless single-node topology).
 func (f *Fabric) MeanLinkBytes() int64 {
-	if len(f.linkBytes) == 0 {
+	if len(f.net.Links) == 0 {
 		return 0
 	}
-	return f.TotalLinkBytes() / int64(len(f.linkBytes))
+	return f.net.TotalLinkBytes() / int64(len(f.net.Links))
 }
 
-// PairBytes returns the injected bytes for one ordered node pair.
-func (f *Fabric) PairBytes(src, dst int) int64 { return f.pairBytes[src][dst] }
-
-// Snapshot renders the fabric counters as a stats.NetStats view.
-func (f *Fabric) Snapshot() *stats.NetStats {
+// Stats returns the NetStats the fabric counts into, with
+// BisectionBytes summed from its pairs. It is the fabric's own
+// NetStats, not a copy: traffic routed after the call shows in it.
+func (f *Fabric) Stats() *stats.NetStats {
 	n := f.topo.Nodes
-	out := &stats.NetStats{
-		Topology:   f.topo.Name,
-		Links:      make([]stats.LinkStat, len(f.linkBytes)),
-		LocalBytes: f.localBytes,
-		LocalMsgs:  f.localMsgs,
-		Pairs:      make([][]int64, n),
-	}
-	for s := 0; s < n; s++ {
-		out.Pairs[s] = append([]int64(nil), f.pairBytes[s]...)
-	}
-	for i, l := range f.topo.Links {
-		out.Links[i] = stats.LinkStat{Name: l.Name, Bytes: f.linkBytes[i], Msgs: f.linkMsgs[i]}
-	}
 	half := n / 2
+	f.net.BisectionBytes = 0
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			if (s < half) != (d < half) {
-				out.BisectionBytes += f.pairBytes[s][d]
+				f.net.BisectionBytes += f.net.Pairs[s][d]
 			}
 		}
 	}
-	return out
+	return &f.net
 }

@@ -226,8 +226,8 @@ func TestCrossbarTraverseMatchesFlatLatency(t *testing.T) {
 	if got := f.Traverse(3, 3, 64, 500); got != 500 {
 		t.Errorf("self traverse = %d, want 500 (no network)", got)
 	}
-	if f.LocalBytes() != 64 {
-		t.Errorf("local bytes = %d, want 64", f.LocalBytes())
+	if got := f.Stats().LocalBytes; got != 64 {
+		t.Errorf("local bytes = %d, want 64", got)
 	}
 }
 
@@ -248,18 +248,18 @@ func TestTraverseConservation(t *testing.T) {
 				}
 			}
 		}
+		ns := f.Stats()
 		var want int64
 		for src := 0; src < 8; src++ {
 			for dst := 0; dst < 8; dst++ {
-				want += f.PairBytes(src, dst) * int64(len(topo.Route(src, dst)))
+				want += ns.Pairs[src][dst] * int64(len(topo.Route(src, dst)))
 			}
 		}
-		if got := f.TotalLinkBytes(); got != want {
+		if got := ns.TotalLinkBytes(); got != want {
 			t.Errorf("%s: link bytes %d, want %d", topo.Name, got, want)
 		}
-		ns := f.Snapshot()
-		if got := ns.TotalLinkBytes(); got != want {
-			t.Errorf("%s: snapshot link bytes %d, want %d", topo.Name, got, want)
+		if got := ns.InjectedBytes() - ns.LocalBytes; got != injected {
+			t.Errorf("%s: pair bytes %d, want %d", topo.Name, got, injected)
 		}
 	}
 }
@@ -268,7 +268,7 @@ func TestBisectionBytes(t *testing.T) {
 	f := newFabric(t, config.TopoRing, 8, 80)
 	f.Traverse(0, 7, 100, 0) // crosses the 0..3 | 4..7 cut
 	f.Traverse(1, 2, 50, 0)  // stays in the lower half
-	ns := f.Snapshot()
+	ns := f.Stats()
 	if ns.BisectionBytes != 100 {
 		t.Errorf("bisection bytes = %d, want 100", ns.BisectionBytes)
 	}
@@ -321,25 +321,25 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestSnapshotPairsMatchFabric checks the published NetStats pair
-// matrix is a faithful copy of the fabric's injection ground truth.
-func TestSnapshotPairsMatchFabric(t *testing.T) {
+// TestStatsPairsCountInjection checks the published NetStats pair
+// matrix counts each message's bytes once, at its source and
+// destination, whatever its route.
+func TestStatsPairsCountInjection(t *testing.T) {
 	f := newFabric(t, config.TopoRing, 4, 10)
 	f.Traverse(0, 2, 100, 0)
 	f.Traverse(3, 1, 50, 0)
 	f.Traverse(1, 1, 8, 0) // local
-	snap := f.Snapshot()
-	if got := snap.Pairs[0][2]; got != 100 {
+	ns := f.Stats()
+	if got := ns.Pairs[0][2]; got != 100 {
 		t.Errorf("Pairs[0][2] = %d, want 100", got)
 	}
-	if got := snap.InjectedBytes(); got != 158 {
+	if got := ns.InjectedBytes(); got != 158 {
 		t.Errorf("InjectedBytes = %d, want 158", got)
 	}
 }
 
 // TestFabricsShareATopology: fabrics built on one Topology count
-// apart, leave it as NewTopology built it, and snapshot nothing of it
-// but link names.
+// apart and leave it as NewTopology built it.
 func TestFabricsShareATopology(t *testing.T) {
 	topo, err := NewTopology(config.Network{Topology: config.TopoRing}, 8)
 	if err != nil {
@@ -348,10 +348,10 @@ func TestFabricsShareATopology(t *testing.T) {
 	a, b := NewFabric(topo, config.Default()), NewFabric(topo, config.Default())
 	a.Traverse(0, 4, 72, 0)
 	a.Deliver(3, 3, 8, 0)
-	if b.TotalLinkBytes() != 0 || b.LocalBytes() != 0 {
-		t.Errorf("fabric b counted %d link and %d local bytes fabric a carried", b.TotalLinkBytes(), b.LocalBytes())
+	if nb := b.Stats(); nb.TotalLinkBytes() != 0 || nb.LocalBytes != 0 {
+		t.Errorf("fabric b counted %d link and %d local bytes fabric a carried", nb.TotalLinkBytes(), nb.LocalBytes)
 	}
-	if got := a.TotalLinkBytes(); got != 4*72 {
+	if got := a.Stats().TotalLinkBytes(); got != 4*72 {
 		t.Errorf("fabric a counted %d link bytes, want %d", got, 4*72)
 	}
 	fresh, err := NewTopology(config.Network{Topology: config.TopoRing}, 8)
@@ -360,11 +360,5 @@ func TestFabricsShareATopology(t *testing.T) {
 	}
 	if !reflect.DeepEqual(topo, fresh) {
 		t.Error("counting on a topology changed it")
-	}
-	snap := a.Snapshot()
-	snap.Links[0].Bytes = -1
-	snap.Pairs[0][4] = -1
-	if a.PairBytes(0, 4) != 72 || a.Snapshot().Links[0].Bytes == -1 {
-		t.Error("a snapshot aliases the fabric's counters")
 	}
 }

@@ -1,8 +1,10 @@
 // Package interconnect models the cluster fabric as an explicit graph
 // of nodes, switches and unidirectional links with deterministic
-// routing. A Fabric wraps a Topology with per-hop latency and per-link
-// byte/message counters, so that every protocol message the DSM
-// machines exchange can be attributed to the physical links it crosses.
+// routing. A Fabric wraps a Topology with per-hop latency and counts
+// every message into the stats.NetStats it publishes — per link, per
+// ordered node pair and node-local — so that every protocol message
+// the DSM machines exchange is attributed to the physical links it
+// crosses.
 //
 // The ideal crossbar — one dedicated single-hop link per ordered node
 // pair — reproduces the paper's original flat network-latency model

@@ -69,8 +69,5 @@ func (al *Allocator) Alloc(name string, size uint64) Region {
 	return r
 }
 
-// Pages returns the total number of pages allocated so far.
-func (al *Allocator) Pages() uint64 { return uint64(al.next) >> config.PageShift }
-
 // Bytes returns the total bytes allocated so far.
 func (al *Allocator) Bytes() uint64 { return uint64(al.next) }

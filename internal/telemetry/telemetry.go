@@ -260,15 +260,6 @@ func (s *series) at(w int) int64 {
 // window w.
 func (c *Collector) PageOpWindow(kind stats.PageOp, w int) int64 { return c.pageOps[kind].at(w) }
 
-// MissWindow returns the count of remote or local misses of one class
-// in window w.
-func (c *Collector) MissWindow(cls stats.MissClass, remote bool, w int) int64 {
-	if remote {
-		return c.remote[cls].at(w)
-	}
-	return c.local[cls].at(w)
-}
-
 // LinkBytesWindow returns link id's bytes in window w.
 func (c *Collector) LinkBytesWindow(id, w int) int64 { return c.link[id].at(w) }
 

@@ -116,7 +116,7 @@ func TestMissSeriesSeparateRemoteLocal(t *testing.T) {
 	if got := c.MissTotal(stats.Cold, false); got != 2 {
 		t.Errorf("local cold total = %d, want 2", got)
 	}
-	if got := c.MissWindow(stats.Cold, false, 1); got != 1 {
+	if got := c.local[stats.Cold].at(1); got != 1 {
 		t.Errorf("local cold window 1 = %d, want 1", got)
 	}
 }
